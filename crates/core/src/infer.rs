@@ -62,7 +62,7 @@ impl RevisedDataset {
             .expect("chain ran a coach-revise stage");
         let mut repair_counts = FxHashMap::default();
         for tag in RepairTag::ALL {
-            let n = report.counter(&format!("repair:{}", tag.label()));
+            let n = report.counter(tag.counter_key());
             if n > 0 {
                 repair_counts.insert(tag, n as usize);
             }
@@ -127,7 +127,7 @@ impl Stage for CoachReviseStage<'_> {
                     ctx.bump("response-changed");
                 }
                 for tag in &raw.repairs {
-                    ctx.bump(&format!("repair:{}", tag.label()));
+                    ctx.bump(tag.counter_key());
                 }
                 item.pair.instruction = instruction;
                 item.pair.response = response;

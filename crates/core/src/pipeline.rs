@@ -129,12 +129,9 @@ impl Stage for ExpertAnnotateStage {
     }
 
     fn process(&self, item: &mut StageItem, ctx: &mut StageCtx<'_>) -> StageOutcome {
-        if self.reviser.needs_revision(&item.pair) {
-            // Compute the revision before committing anything, so a failed
-            // attempt leaves the item untouched (the StageOutcome contract).
-            let Some(rec) = self.reviser.revise(&self.pool, &item.pair) else {
-                return StageOutcome::fatal("rubric demanded revision but reviser produced none");
-            };
+        // `revise` runs the rubric itself and returns a record exactly when
+        // the rubric demands a revision, so each pair is judged once.
+        if let Some(rec) = self.reviser.revise(&self.pool, &item.pair) {
             let key = match item.pair.category.class() {
                 TaskClass::LanguageTask => "revise:language",
                 TaskClass::QA => "revise:qa",

@@ -253,11 +253,7 @@ mod tests {
             let r1 = m.respond(item);
             let r2 = m.respond(item);
             assert_eq!(r1, r2);
-            assert!(!coachlm_text::lexicon::is_off_topic(
-                &item.instruction,
-                &r1,
-                0.2
-            ));
+            assert!(!coachlm_text::lexicon::is_off_topic(&item.instruction, &r1));
         }
     }
 

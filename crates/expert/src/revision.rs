@@ -181,20 +181,22 @@ impl ExpertReviser {
                 qc_iterations == 1,
             );
             self.repair_response(&mut rng, &instruction, &mut response, &mut response_kind);
-            let scores = self.engine.score_pair(&instruction, &response);
-            let instr_ok = self.engine.analyze_instruction(&instruction).basic_flaws() == 0;
+            // What `score_pair` computes, with the instruction analysis
+            // shared by the acceptance check.
+            let ia = self.engine.analyze_instruction(&instruction);
+            let ra = self.engine.analyze_response(&instruction, &response);
+            let scores = PairScores {
+                instruction: self.engine.score_instruction(&ia),
+                response: self.engine.score_response(&ra),
+            };
+            let instr_ok = ia.basic_flaws() == 0;
             if (scores.response >= QC_RESPONSE_TARGET && instr_ok) || qc_iterations >= 4 {
                 let instruction_revised = instruction != pair.instruction;
                 return Some(RevisionRecord {
                     id: pair.id,
                     expert,
                     original: pair.clone(),
-                    revised: InstructionPair::new(
-                        pair.id,
-                        instruction.clone(),
-                        response.clone(),
-                        pair.category,
-                    ),
+                    revised: InstructionPair::new(pair.id, instruction, response, pair.category),
                     instruction_revised,
                     instruction_kind: instruction_revised
                         .then_some(instruction_kind.unwrap_or(RevisionKind::AdjustInstruction)),

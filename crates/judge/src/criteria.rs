@@ -140,9 +140,6 @@ pub struct PairScores {
 #[derive(Debug, Clone, Copy, Default)]
 pub struct CriteriaEngine;
 
-/// Relevance threshold: responses overlapping less than this with the
-/// instruction's topic words are flagged irrelevant.
-const RELEVANCE_THRESHOLD: f64 = 0.2;
 /// Word count below which an unexplained response counts as thin. Bare
 /// single-sentence answers run 8–17 words; a minimal two-sentence adequate
 /// answer runs 18+.
@@ -156,14 +153,17 @@ impl CriteriaEngine {
 
     /// Analyses an instruction.
     pub fn analyze_instruction(&self, instruction: &str) -> InstructionAnalysis {
+        // One fold serves every case-insensitive check.
+        let folded = normalize::fold_case(instruction);
+        let marked = |markers: &[&str]| lexicon::contains_folded_marker(&folded, markers);
         let mut a = InstructionAnalysis {
-            readability_flaws: count_misspellings(instruction),
+            readability_flaws: count_misspellings(&folded),
             layout_flaws: count_layout_flaws(instruction),
-            vague: lexicon::contains_marker(instruction, lexicon::VAGUE_PHRASES),
-            infeasible: lexicon::contains_marker(instruction, lexicon::INFEASIBLE_PHRASES),
-            invalid_input: lexicon::contains_marker(instruction, lexicon::INVALID_INPUT_MARKERS),
-            multimodal: lexicon::contains_marker(instruction, lexicon::MULTIMODAL_MARKERS),
-            has_context: lexicon::contains_marker(instruction, lexicon::CONTEXT_MARKERS),
+            vague: marked(lexicon::VAGUE_PHRASES),
+            infeasible: marked(lexicon::INFEASIBLE_PHRASES),
+            invalid_input: marked(lexicon::INVALID_INPUT_MARKERS),
+            multimodal: marked(lexicon::MULTIMODAL_MARKERS),
+            has_context: marked(lexicon::CONTEXT_MARKERS),
         };
         if instruction.trim().is_empty() {
             a.infeasible = true;
@@ -173,8 +173,11 @@ impl CriteriaEngine {
 
     /// Analyses a response against its instruction.
     pub fn analyze_response(&self, instruction: &str, response: &str) -> ResponseAnalysis {
+        // One fold serves every case-insensitive check.
+        let folded = normalize::fold_case(response);
+        let marked = |markers: &[&str]| lexicon::contains_folded_marker(&folded, markers);
         let words = token::word_count(response);
-        let reasoned = lexicon::contains_marker(response, lexicon::REASONING_MARKERS);
+        let reasoned = marked(lexicon::REASONING_MARKERS);
         let cleaned = clean::clean_output(response);
         let template_leak = matches!(
             clean::validate_pair("x", response),
@@ -184,20 +187,20 @@ impl CriteriaEngine {
             .chars()
             .any(|c| (c.is_control() && c != '\n' && c != '\t') || c == '\u{FFFD}');
         ResponseAnalysis {
-            unsafe_content: lexicon::contains_marker(response, lexicon::UNSAFE_MARKERS),
-            fact_errors: count_fact_errors(response),
-            irrelevant: lexicon::is_off_topic(instruction, response, RELEVANCE_THRESHOLD),
+            unsafe_content: marked(lexicon::UNSAFE_MARKERS),
+            fact_errors: count_fact_errors(&folded),
+            irrelevant: lexicon::is_off_topic(instruction, response),
             truncated: is_truncated(response),
             thin: words < THIN_WORDS && !reasoned,
-            readability_flaws: count_misspellings(response),
+            readability_flaws: count_misspellings(&folded),
             layout_flaws: count_layout_flaws(response),
             degenerate: template_leak
                 || invalid_chars
                 || cleaned.len() < response.len().saturating_sub(2),
-            machine_tone: lexicon::contains_marker(response, lexicon::MACHINE_TONE_MARKERS),
-            warm: lexicon::contains_marker(response, lexicon::WARM_MARKERS),
+            machine_tone: marked(lexicon::MACHINE_TONE_MARKERS),
+            warm: marked(lexicon::WARM_MARKERS),
             reasoned,
-            has_example: normalize::fold_case(response).contains("for example"),
+            has_example: folded.contains("for example"),
             words,
         }
     }
@@ -250,38 +253,28 @@ impl CriteriaEngine {
     }
 }
 
-/// Counts misspelled forms and grammar-pair errors present in `text`.
-fn count_misspellings(text: &str) -> u32 {
-    let folded = normalize::fold_case(text);
-    let mut n = 0u32;
-    for (wrong, _) in lexicon::TYPO_PAIRS {
-        if contains_word(&folded, wrong) {
-            n += 1;
-        }
-    }
-    for (wrong, _) in lexicon::GRAMMAR_PAIRS {
-        if folded.contains(wrong) {
-            n += 1;
-        }
-    }
-    n
-}
+// `count_misspellings` keeps one bit per typo form.
+const _: () = assert!(lexicon::TYPO_PAIRS.len() <= u64::BITS as usize);
 
-/// Word-boundary containment on already-folded text.
-fn contains_word(folded: &str, word: &str) -> bool {
-    let bytes = folded.as_bytes();
-    let mut start = 0;
-    while let Some(rel) = folded[start..].find(word) {
-        let pos = start + rel;
-        let end = pos + word.len();
-        let before_ok = pos == 0 || !bytes[pos - 1].is_ascii_alphanumeric();
-        let after_ok = end >= folded.len() || !bytes[end].is_ascii_alphanumeric();
-        if before_ok && after_ok {
-            return true;
+/// Counts misspelled forms and grammar-pair errors present in `folded`
+/// (text folded with [`normalize::fold_case`]). A typo form counts once,
+/// and only standing alone: no ASCII letter or digit right before or after
+/// it.
+fn count_misspellings(folded: &str) -> u32 {
+    // Typo forms are themselves ASCII-alphanumeric, so a form standing
+    // alone is exactly a maximal ASCII-alphanumeric run: one pass over the
+    // runs finds every form present (DESIGN.md, "Hot-path architecture").
+    let mut found = 0u64;
+    for run in folded.split(|c: char| !c.is_ascii_alphanumeric()) {
+        if let Some(i) = lexicon::typo_index(run) {
+            found |= 1 << i;
         }
-        start = end;
     }
-    false
+    let grammar = lexicon::GRAMMAR_PAIRS
+        .iter()
+        .filter(|(wrong, _)| folded.contains(wrong))
+        .count();
+    found.count_ones() + grammar as u32
 }
 
 /// Counts layout problems: doubled spaces, space before punctuation,
@@ -307,14 +300,12 @@ fn count_layout_flaws(text: &str) -> u32 {
     n
 }
 
-/// Counts fact-table contradictions in `text`.
-fn count_fact_errors(text: &str) -> u32 {
-    let folded = normalize::fold_case(text);
-    lexicon::FACT_TABLE
+/// Counts fact-table contradictions in `folded`.
+fn count_fact_errors(folded: &str) -> u32 {
+    lexicon::folded_facts()
         .iter()
-        .filter(|(subject, _, wrong)| {
-            folded.contains(&normalize::fold_case(subject))
-                && folded.contains(&normalize::fold_case(wrong))
+        .filter(|(subject, wrong)| {
+            folded.contains(subject.as_str()) && folded.contains(wrong.as_str())
         })
         .count() as u32
 }
@@ -331,6 +322,146 @@ fn is_truncated(text: &str) -> bool {
 #[cfg(test)]
 mod tests {
     use super::*;
+    use coachlm_data::generator::{generate, GeneratorConfig};
+    use rand::Rng;
+
+    /// The word-boundary misspelling count the run-based one replaced,
+    /// verbatim: one substring scan per typo form.
+    fn reference_count_misspellings(text: &str) -> u32 {
+        let folded = normalize::fold_case(text);
+        let mut n = 0u32;
+        for (wrong, _) in lexicon::TYPO_PAIRS {
+            if reference_contains_word(&folded, wrong) {
+                n += 1;
+            }
+        }
+        for (wrong, _) in lexicon::GRAMMAR_PAIRS {
+            if folded.contains(wrong) {
+                n += 1;
+            }
+        }
+        n
+    }
+
+    /// Word-boundary containment on already-folded text.
+    fn reference_contains_word(folded: &str, word: &str) -> bool {
+        let bytes = folded.as_bytes();
+        let mut start = 0;
+        while let Some(rel) = folded[start..].find(word) {
+            let pos = start + rel;
+            let end = pos + word.len();
+            let before_ok = pos == 0 || !bytes[pos - 1].is_ascii_alphanumeric();
+            let after_ok = end >= folded.len() || !bytes[end].is_ascii_alphanumeric();
+            if before_ok && after_ok {
+                return true;
+            }
+            start = end;
+        }
+        false
+    }
+
+    /// The fact count that folded every fact on every call.
+    fn reference_count_fact_errors(text: &str) -> u32 {
+        let folded = normalize::fold_case(text);
+        lexicon::FACT_TABLE
+            .iter()
+            .filter(|(subject, _, wrong)| {
+                folded.contains(&normalize::fold_case(subject))
+                    && folded.contains(&normalize::fold_case(wrong))
+            })
+            .count() as u32
+    }
+
+    /// Typo forms, grammar errors and fact fragments glued to letters,
+    /// digits, punctuation and UTF-8, so word boundaries fall anywhere.
+    const PIECES: &[&str] = &[
+        "teh",
+        "TEH",
+        "Teh",
+        "thier",
+        "alot",
+        "a lot",
+        "untill",
+        "until",
+        "tommorow",
+        "nowlege",
+        "could of",
+        "COULD OF",
+        "he don't",
+        "less people",
+        "x",
+        "9",
+        "_",
+        "'",
+        "-",
+        ".",
+        ",",
+        " ",
+        " ",
+        "  ",
+        "\n",
+        "é",
+        "É",
+        "中",
+        "\u{212A}",
+        "ς",
+        "ΑΣ",
+        "Berlin",
+        "BERLIN",
+        "the capital of France is",
+        "Paris",
+        "2 plus 2 equals",
+        "5",
+    ];
+
+    #[test]
+    fn shared_fold_kernels_match_the_reference_scans() {
+        let mut texts: Vec<String> = Vec::new();
+        for case in 0..proptest::cases() {
+            let mut rng = proptest::case_rng("shared_fold_kernels_match_the_reference_scans", case);
+            let n = rng.gen_range(0..80);
+            texts.push(
+                (0..n)
+                    .map(|_| PIECES[rng.gen_range(0..PIECES.len())])
+                    .collect(),
+            );
+        }
+        let (generated, _) = generate(&GeneratorConfig::small(400, 5));
+        for pair in generated.iter() {
+            texts.push(pair.instruction.clone());
+            texts.push(pair.response.clone());
+            // The early-exit relevance scan agrees with the full overlap.
+            assert_eq!(
+                lexicon::is_off_topic(&pair.instruction, &pair.response),
+                lexicon::content_overlap(&pair.instruction, &pair.response) <= 0.0,
+                "{pair:?}"
+            );
+        }
+        for text in &texts {
+            let folded = normalize::fold_case(text);
+            assert_eq!(
+                count_misspellings(&folded),
+                reference_count_misspellings(text),
+                "{text:?}"
+            );
+            assert_eq!(
+                count_fact_errors(&folded),
+                reference_count_fact_errors(text),
+                "{text:?}"
+            );
+        }
+    }
+
+    #[test]
+    fn typo_forms_are_ascii_alphanumeric() {
+        // The run-based misspelling count is exact only because of this.
+        for (wrong, _) in lexicon::TYPO_PAIRS {
+            assert!(
+                !wrong.is_empty() && wrong.bytes().all(|b| b.is_ascii_alphanumeric()),
+                "{wrong:?}"
+            );
+        }
+    }
 
     const GOOD_INSTR: &str =
         "Explain the water cycle for a middle-school reader. For example, mention rain.";

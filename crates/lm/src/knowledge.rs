@@ -103,17 +103,15 @@ impl KnowledgeBase {
     /// knows, returns `(wrong_fragment, corrected_fragment)`.
     pub fn fact_correction(&self, text: &str) -> Option<(String, String)> {
         let folded = coachlm_text::normalize::fold_case(text);
-        for (subject, correct, wrong) in lexicon::FACT_TABLE
+        let known = self.take(lexicon::FACT_TABLE.len());
+        let i = lexicon::folded_facts()
             .iter()
-            .take(self.take(lexicon::FACT_TABLE.len()))
-        {
-            let subj = coachlm_text::normalize::fold_case(subject);
-            let wrong_f = coachlm_text::normalize::fold_case(wrong);
-            if folded.contains(&subj) && folded.contains(&wrong_f) {
-                return Some(((*wrong).to_string(), (*correct).to_string()));
-            }
-        }
-        None
+            .take(known)
+            .position(|(subject, wrong)| {
+                folded.contains(subject.as_str()) && folded.contains(wrong.as_str())
+            })?;
+        let (_, correct, wrong) = lexicon::FACT_TABLE.get(i)?;
+        Some(((*wrong).to_string(), (*correct).to_string()))
     }
 
     /// Expansion templates available at this coverage.

@@ -68,22 +68,30 @@ impl RepairTag {
         RepairTag::LearnedPhrase,
     ];
 
-    /// A stable string label (used as a stage-counter key suffix).
+    /// A stable string label: the [`counter_key`](Self::counter_key)
+    /// without its `repair:` prefix.
     pub fn label(self) -> &'static str {
+        let key = self.counter_key();
+        key.strip_prefix("repair:").unwrap_or(key)
+    }
+
+    /// The stage-counter key that counts this repair, `repair:{label}`,
+    /// spelled out so that counting a repair formats nothing.
+    pub fn counter_key(self) -> &'static str {
         match self {
-            RepairTag::Typo => "typo",
-            RepairTag::Grammar => "grammar",
-            RepairTag::Fact => "fact",
-            RepairTag::VagueRewrite => "vague-rewrite",
-            RepairTag::InfeasibleFix => "infeasible-fix",
-            RepairTag::ContextAdd => "context-add",
-            RepairTag::Expand => "expand",
-            RepairTag::Complete => "complete",
-            RepairTag::WarmTone => "warm-tone",
-            RepairTag::Safety => "safety",
-            RepairTag::Layout => "layout",
-            RepairTag::RelevanceRewrite => "relevance-rewrite",
-            RepairTag::LearnedPhrase => "learned-phrase",
+            RepairTag::Typo => "repair:typo",
+            RepairTag::Grammar => "repair:grammar",
+            RepairTag::Fact => "repair:fact",
+            RepairTag::VagueRewrite => "repair:vague-rewrite",
+            RepairTag::InfeasibleFix => "repair:infeasible-fix",
+            RepairTag::ContextAdd => "repair:context-add",
+            RepairTag::Expand => "repair:expand",
+            RepairTag::Complete => "repair:complete",
+            RepairTag::WarmTone => "repair:warm-tone",
+            RepairTag::Safety => "repair:safety",
+            RepairTag::Layout => "repair:layout",
+            RepairTag::RelevanceRewrite => "repair:relevance-rewrite",
+            RepairTag::LearnedPhrase => "repair:learned-phrase",
         }
     }
 }
@@ -117,8 +125,6 @@ impl RevisionOutcome {
 /// Word-count below which a response without reasoning markers counts as
 /// "thin" and eligible for expansion.
 const THIN_RESPONSE_WORDS: usize = 60;
-/// Relevance overlap below which a response counts as off-topic.
-const RELEVANCE_FLOOR: f64 = 0.15;
 
 /// A revision decoder over `(backbone, adapter)`.
 #[derive(Debug)]
@@ -300,10 +306,7 @@ impl<'a> Transducer<'a> {
         }
 
         // Relevance: rewrite off-topic responses around the instruction.
-        if lexicon::is_off_topic(instruction, &text, RELEVANCE_FLOOR)
-            && !topic.is_empty()
-            && rng.gen_bool(p)
-        {
+        if lexicon::is_off_topic(instruction, &text) && !topic.is_empty() && rng.gen_bool(p) {
             text = self.compose_on_topic(rng, &topic, 3);
             repairs.push(RepairTag::RelevanceRewrite);
         }
@@ -321,7 +324,7 @@ impl<'a> Transducer<'a> {
                 .augment_material(AugmentKind::Complete);
             let closer = choose_augment(rng, learned, kb.expansions())
                 .map(|c| {
-                    KnowledgeBase::fill(&c, topic.first().map(String::as_str).unwrap_or("this"))
+                    KnowledgeBase::fill(c, topic.first().map(String::as_str).unwrap_or("this"))
                 })
                 .unwrap_or_else(|| "and the remaining part follows the same pattern.".to_string());
             text = format!(
@@ -415,46 +418,50 @@ impl<'a> Transducer<'a> {
         n: usize,
         avoid: &str,
     ) -> String {
-        let kb = self.backbone.knowledge();
-        let templates = kb.expansions();
         let learned = self
             .adapter
             .response_rules
-            .augment_material(AugmentKind::ExpandResponse);
-        let mut pool: Vec<String> = Vec::new();
-        if let Some((texts, _)) = learned {
-            pool.extend(texts.iter().cloned());
-        }
+            .augment_material(AugmentKind::ExpandResponse)
+            .map_or(&[][..], |(texts, _)| texts);
         let topic_word = topic.first().map(String::as_str).unwrap_or("the topic");
-        pool.extend(templates.iter().map(|t| KnowledgeBase::fill(t, topic_word)));
-        pool.retain(|s| !avoid.contains(s.as_str()));
-        if pool.is_empty() {
+        let filled: Vec<String> = self
+            .backbone
+            .knowledge()
+            .expansions()
+            .iter()
+            .map(|t| KnowledgeBase::fill(t, topic_word))
+            .collect();
+        // Rank by backbone fluency (stronger backbones pick better prose),
+        // then take a seeded rotation so output varies across pairs. The
+        // learned sentences are ranked where they are, not cloned.
+        let mut scored: Vec<(f64, &str)> = learned
+            .iter()
+            .chain(&filled)
+            .map(String::as_str)
+            .filter(|s| !avoid.contains(s))
+            .map(|s| (self.backbone.fluency(s), s))
+            .collect();
+        if scored.is_empty() {
             return String::new();
         }
-        // Rank by backbone fluency (stronger backbones pick better prose),
-        // then take a seeded rotation so output varies across pairs.
-        let mut scored: Vec<(f64, String)> = pool
-            .into_iter()
-            .map(|s| (self.backbone.fluency(&s), s))
-            .collect();
-        scored.sort_by(|a, b| b.0.total_cmp(&a.0).then_with(|| a.1.cmp(&b.1)));
+        scored.sort_by(|a, b| b.0.total_cmp(&a.0).then_with(|| a.1.cmp(b.1)));
         let start = rng.gen_range(0..scored.len().min(3));
-        let mut picked: Vec<String> = scored
+        let mut picked: Vec<&str> = scored
             .iter()
             .cycle()
             .skip(start)
             .take(n.min(scored.len()))
-            .map(|(_, s)| s.clone())
+            .map(|&(_, s)| s)
             .collect();
         // The expert bar includes a concrete example; make sure one of the
         // picked sentences carries the marker when the pool has one.
         let has_example = |s: &str| normalize::fold_case(s).contains("for example");
         if !picked.iter().any(|s| has_example(s)) && !avoid.to_lowercase().contains("for example") {
-            if let Some((_, ex)) = scored.iter().find(|(_, s)| has_example(s)) {
+            if let Some(&(_, ex)) = scored.iter().find(|(_, s)| has_example(s)) {
                 if let Some(last) = picked.last_mut() {
-                    *last = ex.clone();
+                    *last = ex;
                 } else {
-                    picked.push(ex.clone());
+                    picked.push(ex);
                 }
             }
         }
@@ -511,22 +518,23 @@ fn remove_phrase_fold(text: &str, phrase: &str) -> String {
 }
 
 /// Picks one augmentation text from the learned material (preferred) plus
-/// the knowledge-base templates; `None` when both pools are empty.
-fn choose_augment<R: Rng>(
+/// the knowledge-base templates; `None` when both pools are empty. One
+/// `gen_range` draw over the two pools back to back; the winner is
+/// borrowed, not copied out of a rebuilt pool.
+fn choose_augment<'a, R: Rng>(
     rng: &mut R,
-    learned: Option<(&[String], u64)>,
-    templates: &[&str],
-) -> Option<String> {
-    let mut pool: Vec<String> = Vec::new();
-    if let Some((texts, _)) = learned {
-        pool.extend(texts.iter().cloned());
+    learned: Option<(&'a [String], u64)>,
+    templates: &[&'a str],
+) -> Option<&'a str> {
+    let learned = learned.map_or(&[][..], |(texts, _)| texts);
+    let len = learned.len() + templates.len();
+    if len == 0 {
+        return None;
     }
-    pool.extend(templates.iter().map(|s| (*s).to_string()));
-    if pool.is_empty() {
-        None
-    } else {
-        let idx = rng.gen_range(0..pool.len());
-        Some(pool.swap_remove(idx))
+    let idx = rng.gen_range(0..len);
+    match learned.get(idx) {
+        Some(text) => Some(text.as_str()),
+        None => templates.get(idx - learned.len()).copied(),
     }
 }
 
@@ -541,20 +549,19 @@ fn apply_lexical<R: Rng>(
 ) -> (String, Vec<RepairTag>) {
     let mut tags = Vec::new();
     let words = coachlm_text::token::words(text);
+    // Each word is folded once; rule windows are slices of these.
+    let folded: Vec<String> = words.iter().map(|w| normalize::fold_case(w)).collect();
     let max_len = rules.max_from_len().clamp(1, 5);
-    let mut out: Vec<String> = Vec::with_capacity(words.len());
+    let mut out: Vec<&str> = Vec::with_capacity(words.len());
     let mut i = 0usize;
     'outer: while i < words.len() {
         // Longest-match learned rule.
         for len in (1..=max_len.min(words.len() - i)).rev() {
-            let window: Vec<String> = words[i..i + len]
-                .iter()
-                .map(|w| normalize::fold_case(w))
-                .collect();
-            if let Some((to, _count)) = rules.phrase_replacement(&window) {
+            let window = &folded[i..i + len];
+            if let Some((to, _count)) = rules.phrase_replacement(window) {
                 if rng.gen_bool(p) {
                     let informative = window.join(" ") != to.join(" ").to_lowercase();
-                    out.extend(to.iter().cloned());
+                    out.extend(to.iter().map(String::as_str));
                     i += len;
                     if informative {
                         tags.push(RepairTag::LearnedPhrase);
@@ -564,16 +571,15 @@ fn apply_lexical<R: Rng>(
             }
         }
         // Backbone typo knowledge.
-        let w = words[i];
-        if let Some(fix) = kb.typo_correction(&normalize::fold_case(w)) {
+        if let Some(fix) = kb.typo_correction(&folded[i]) {
             if rng.gen_bool(p) {
-                out.push(fix.to_string());
+                out.push(fix);
                 tags.push(RepairTag::Typo);
                 i += 1;
                 continue;
             }
         }
-        out.push(w.to_string());
+        out.push(words[i]);
         i += 1;
     }
     // Only adopt the token-rebuilt text when a rule actually fired —
@@ -601,11 +607,11 @@ fn apply_lexical<R: Rng>(
 }
 
 /// Joins word tokens back into text with sane punctuation spacing.
-fn join_words(words: &[String]) -> String {
+fn join_words(words: &[&str]) -> String {
     let mut out = String::new();
     for w in words {
         let is_punct = w.chars().all(|c| !c.is_alphanumeric()) && w.chars().count() == 1;
-        let opens = matches!(w.as_str(), "(" | "[" | "{" | "\"" | "'");
+        let opens = matches!(*w, "(" | "[" | "{" | "\"" | "'");
         let space_before = if is_punct {
             opens
         } else {
@@ -830,11 +836,68 @@ mod tests {
 
     #[test]
     fn join_words_respects_punctuation() {
-        let words: Vec<String> = ["Hello", ",", "world", "!"]
-            .iter()
-            .map(|s| s.to_string())
-            .collect();
-        assert_eq!(join_words(&words), "Hello, world!");
+        assert_eq!(join_words(&["Hello", ",", "world", "!"]), "Hello, world!");
+    }
+
+    #[test]
+    fn counter_keys_are_prefixed_labels() {
+        let mut labels = std::collections::HashSet::new();
+        for tag in RepairTag::ALL {
+            assert_eq!(tag.counter_key(), format!("repair:{}", tag.label()));
+            assert!(
+                labels.insert(tag.label()),
+                "duplicate label {}",
+                tag.label()
+            );
+        }
+    }
+
+    /// The `choose_augment` the borrowing one replaced: it built the whole
+    /// pool, cloning every learned text, to return one of them.
+    fn reference_choose_augment<R: Rng>(
+        rng: &mut R,
+        learned: Option<(&[String], u64)>,
+        templates: &[&str],
+    ) -> Option<String> {
+        let mut pool: Vec<String> = Vec::new();
+        if let Some((texts, _)) = learned {
+            pool.extend(texts.iter().cloned());
+        }
+        pool.extend(templates.iter().map(|s| (*s).to_string()));
+        if pool.is_empty() {
+            None
+        } else {
+            let idx = rng.gen_range(0..pool.len());
+            Some(pool.swap_remove(idx))
+        }
+    }
+
+    #[test]
+    fn borrowed_augment_choice_matches_the_cloning_reference() {
+        use rand::RngCore;
+        let learned: Vec<String> = (0..160).map(|i| format!("Learned closer {i}.")).collect();
+        let warmth = crate::knowledge::WARMTH_TEMPLATES;
+        for case in 0..proptest::cases() {
+            let mut gen = proptest::case_rng(
+                "borrowed_augment_choice_matches_the_cloning_reference",
+                case,
+            );
+            let texts = &learned[..gen.gen_range(0..=learned.len())];
+            let material = gen.gen_bool(0.8).then_some((texts, 3u64));
+            let templates = &warmth[..gen.gen_range(0..=warmth.len())];
+            let seed: u64 = gen.gen();
+            let (mut a, mut b) = (StdRng::seed_from_u64(seed), StdRng::seed_from_u64(seed));
+            assert_eq!(
+                choose_augment(&mut a, material, templates).map(str::to_string),
+                reference_choose_augment(&mut b, material, templates),
+                "case {case}"
+            );
+            assert_eq!(
+                a.next_u64(),
+                b.next_u64(),
+                "case {case}: draw counts differ"
+            );
+        }
     }
 
     #[test]

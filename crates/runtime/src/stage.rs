@@ -248,7 +248,13 @@ impl StageCtx<'_> {
 
     /// Adds `n` to the stage counter `key`.
     pub fn add(&mut self, key: &str, n: u64) {
-        *self.counters.entry(key.to_string()).or_insert(0) += n;
+        // Look up before inserting, so the key is copied only once.
+        match self.counters.get_mut(key) {
+            Some(count) => *count += n,
+            None => {
+                self.counters.insert(key.to_string(), n);
+            }
+        }
     }
 }
 

@@ -12,6 +12,12 @@
 //! Every list is ordered from most to least common, so "coverage = prefix"
 //! mirrors how real models learn frequent phenomena first.
 
+use crate::fxhash::{FxHashMap, FxHashSet};
+use crate::normalize::fold_case;
+use crate::token::{TokenKind, Tokens};
+use std::ops::ControlFlow;
+use std::sync::LazyLock;
+
 /// Misspelling/typo confusion pairs `(wrong, right)`, most common first.
 pub const TYPO_PAIRS: &[(&str, &str)] = &[
     ("teh", "the"),
@@ -382,10 +388,89 @@ pub const STOPWORDS: &[&str] = &[
     "using",
 ];
 
+/// Instruction content words that carry the task topic for relevance:
+/// appended requirements and context must not dilute it.
+const TOPIC_WORDS: usize = 8;
+/// Distinct response content words a relevance check looks at.
+const RESPONSE_WORDS: usize = 256;
+
+/// The lexicons as hashed lookups, built on first use. Kernels only look
+/// them up and never iterate them, so no result depends on hash order.
+struct Lookups {
+    stopwords: FxHashSet<&'static str>,
+    /// Each typo form → its first index in [`TYPO_PAIRS`].
+    typos: FxHashMap<&'static str, usize>,
+    /// [`FACT_TABLE`]'s `(subject, wrong)` columns, case-folded.
+    facts: Vec<(String, String)>,
+}
+
+static LOOKUPS: LazyLock<Lookups> = LazyLock::new(Lookups::build);
+
+impl Lookups {
+    fn build() -> Self {
+        let mut typos = FxHashMap::default();
+        for (i, (wrong, _)) in TYPO_PAIRS.iter().enumerate() {
+            typos.entry(*wrong).or_insert(i);
+        }
+        Lookups {
+            stopwords: STOPWORDS.iter().copied().collect(),
+            typos,
+            facts: FACT_TABLE
+                .iter()
+                .map(|(subject, _, wrong)| (fold_case(subject), fold_case(wrong)))
+                .collect(),
+        }
+    }
+}
+
+/// Whether `s` is lowercase ASCII, which [`fold_case`] leaves unchanged.
+/// Every lexicon list is stored this way, so matching never re-folds it.
+fn is_lower_ascii(s: &str) -> bool {
+    s.bytes().all(|b| b.is_ascii() && !b.is_ascii_uppercase())
+}
+
 /// Returns `true` if `word` (case-folded) is a stopword.
 pub fn is_stopword(word: &str) -> bool {
-    let folded = crate::normalize::fold_case(word);
-    STOPWORDS.contains(&folded.as_str())
+    if is_lower_ascii(word) {
+        LOOKUPS.stopwords.contains(word)
+    } else {
+        LOOKUPS.stopwords.contains(fold_case(word).as_str())
+    }
+}
+
+/// Feeds `visit` every content word of `text` in order of appearance —
+/// case-folded, a known misspelling replaced by its correction, at least
+/// three characters, not a stopword — repeats included, until `visit`
+/// breaks.
+fn scan_content_words<B>(
+    text: &str,
+    mut visit: impl FnMut(&str) -> ControlFlow<B>,
+) -> ControlFlow<B> {
+    // ASCII words fold into this one buffer. A non-ASCII word is folded on
+    // its own: Unicode lowercasing depends on the surrounding text (a final
+    // sigma), so folding the whole text at once would change some words.
+    let mut ascii = String::with_capacity(text.len());
+    for tok in Tokens::new(text) {
+        if tok.kind != TokenKind::Word {
+            continue;
+        }
+        let word = tok.text(text);
+        let unicode;
+        let folded = if word.is_ascii() {
+            ascii.clear();
+            ascii.push_str(word);
+            ascii.make_ascii_lowercase();
+            ascii.as_str()
+        } else {
+            unicode = fold_case(word);
+            unicode.as_str()
+        };
+        let w = typo_correction(folded, TYPO_PAIRS.len()).unwrap_or(folded);
+        if w.chars().count() >= 3 && !is_stopword(w) {
+            visit(w)?;
+        }
+    }
+    ControlFlow::Continue(())
 }
 
 /// Extracts up to `max` content words (non-stopword words of length ≥ 3)
@@ -393,90 +478,375 @@ pub fn is_stopword(word: &str) -> bool {
 /// Known misspellings are normalised to their corrections first, so a
 /// typo'd stopword ("teh") is still skipped and topics never carry typos.
 pub fn content_words(text: &str, max: usize) -> Vec<String> {
-    let mut seen = std::collections::HashSet::new();
     let mut out = Vec::new();
-    for tok in crate::token::tokenize(text) {
-        if out.len() >= max {
-            break;
-        }
-        if tok.kind == crate::token::TokenKind::Word {
-            let folded = crate::normalize::fold_case(tok.text(text));
-            let w = typo_correction(&folded, TYPO_PAIRS.len()).unwrap_or(&folded);
-            if w.chars().count() >= 3 && !is_stopword(w) {
-                let fixed = w.to_string();
-                if seen.insert(fixed.clone()) {
-                    out.push(fixed);
-                }
+    if max == 0 {
+        return out;
+    }
+    let mut seen: FxHashSet<String> = FxHashSet::default();
+    let _ = scan_content_words(text, |w| {
+        if !seen.contains(w) {
+            seen.insert(w.to_string());
+            out.push(w.to_string());
+            if out.len() == max {
+                return ControlFlow::Break(());
             }
         }
-    }
+        ControlFlow::Continue(())
+    });
     out
 }
 
-/// Shared-content-word counts between `a`'s leading content words and `b`:
-/// `(hits, total)`. Only the first eight content words of `a` count — they
-/// carry the task topic; appended requirements/context must not dilute
-/// relevance.
-pub fn content_overlap_counts(a: &str, b: &str) -> (usize, usize) {
-    let wa = content_words(a, 8);
-    let wb: std::collections::HashSet<String> = content_words(b, 256).into_iter().collect();
-    let hits = wa.iter().filter(|w| wb.contains(*w)).count();
-    (hits, wa.len())
-}
-
-/// Lexical overlap in [0, 1]: fraction of `a`'s leading content words that
-/// also appear in `b`. The relevance signal used by the criteria engine.
+/// Lexical overlap in [0, 1]: the fraction of `a`'s first eight content
+/// words that are among `b`'s first 256 distinct ones (1 when `a` has
+/// none). [`is_off_topic`] is the zero-overlap test.
 pub fn content_overlap(a: &str, b: &str) -> f64 {
-    let (hits, total) = content_overlap_counts(a, b);
-    if total == 0 {
+    let wa = content_words(a, TOPIC_WORDS);
+    if wa.is_empty() {
         return 1.0; // nothing to be relevant to
     }
-    hits as f64 / total as f64
+    let wb: FxHashSet<String> = content_words(b, RESPONSE_WORDS).into_iter().collect();
+    let hits = wa.iter().filter(|w| wb.contains(*w)).count();
+    hits as f64 / wa.len() as f64
 }
 
-/// Whether `response` is off-topic for `instruction`: *no* shared content
-/// word at all (and, for longer instructions, overlap below `floor`). A
-/// single genuine topic hit — e.g. a one-word topic like "gravity" — is
-/// enough to count as on-topic; a long instruction's generic scaffold words
-/// must not swamp it.
-pub fn is_off_topic(instruction: &str, response: &str, floor: f64) -> bool {
-    let (hits, total) = content_overlap_counts(instruction, response);
-    if total == 0 {
+/// Whether `response` is off-topic for `instruction`: none of the
+/// instruction's first eight content words is among the response's first
+/// 256 distinct content words. A single genuine topic hit — e.g. a
+/// one-word topic like "gravity" — is enough to count as on-topic; a long
+/// instruction's generic scaffold words must not swamp it. An instruction
+/// without content words has no topic to miss.
+pub fn is_off_topic(instruction: &str, response: &str) -> bool {
+    let topic = content_words(instruction, TOPIC_WORDS);
+    if topic.is_empty() {
         return false;
     }
-    hits == 0 && ((hits as f64) / (total as f64)) < floor
+    let in_topic = |w: &str| topic.iter().any(|t| t == w);
+    // The k-th content word is at most the k-th distinct one, so the first
+    // 256 need no dedup set: the scan stops at the first topic word.
+    let mut scanned = 0;
+    let scan = scan_content_words(response, |w| {
+        if in_topic(w) {
+            return ControlFlow::Break(true);
+        }
+        scanned += 1;
+        if scanned < RESPONSE_WORDS {
+            ControlFlow::Continue(())
+        } else {
+            ControlFlow::Break(false)
+        }
+    });
+    match scan {
+        ControlFlow::Continue(()) => true,
+        ControlFlow::Break(true) => false,
+        // 256 words and no topic word: with repeats among them, words after
+        // the 256th can still be among the first 256 distinct ones.
+        ControlFlow::Break(false) => !content_words(response, RESPONSE_WORDS)
+            .iter()
+            .any(|w| in_topic(w)),
+    }
+}
+
+/// The index of `word` among [`TYPO_PAIRS`]' wrong forms (the first, if a
+/// form were listed twice).
+pub fn typo_index(word: &str) -> Option<usize> {
+    LOOKUPS.typos.get(word).copied()
 }
 
 /// Looks up the correction for a typo, if it is in the first
 /// `coverage_len` entries of [`TYPO_PAIRS`].
 pub fn typo_correction(word: &str, coverage_len: usize) -> Option<&'static str> {
-    TYPO_PAIRS
-        .iter()
-        .take(coverage_len)
-        .find(|(wrong, _)| *wrong == word)
+    typo_index(word)
+        .filter(|&i| i < coverage_len)
+        .and_then(|i| TYPO_PAIRS.get(i))
         .map(|(_, right)| *right)
+}
+
+/// [`FACT_TABLE`]'s `(subject, wrong)` columns, case-folded once, in table
+/// order: a fact is contradicted in folded text that contains both.
+pub fn folded_facts() -> &'static [(String, String)] {
+    &LOOKUPS.facts
 }
 
 /// Case-insensitive containment test for any marker in `markers`.
 pub fn contains_marker(text: &str, markers: &[&str]) -> bool {
-    let folded = crate::normalize::fold_case(text);
-    markers
-        .iter()
-        .any(|m| folded.contains(&crate::normalize::fold_case(m)))
+    contains_folded_marker(&fold_case(text), markers)
+}
+
+/// [`contains_marker`] on text already folded with [`fold_case`], so that
+/// several checks on one text share one fold.
+pub fn contains_folded_marker(folded: &str, markers: &[&str]) -> bool {
+    first_marker(folded, markers).is_some()
 }
 
 /// Returns the first matching marker (case-insensitive), if any.
 pub fn find_marker<'m>(text: &str, markers: &'m [&'m str]) -> Option<&'m str> {
-    let folded = crate::normalize::fold_case(text);
-    markers
-        .iter()
-        .find(|m| folded.contains(&crate::normalize::fold_case(m)))
-        .copied()
+    first_marker(&fold_case(text), markers)
+}
+
+/// The first of `markers` that occurs in `folded`.
+fn first_marker<'m>(folded: &str, markers: &[&'m str]) -> Option<&'m str> {
+    markers.iter().copied().find(|m| {
+        if is_lower_ascii(m) {
+            folded.contains(m)
+        } else {
+            folded.contains(fold_case(m).as_str())
+        }
+    })
 }
 
 #[cfg(test)]
 mod tests {
     use super::*;
+    use rand::rngs::StdRng;
+    use rand::Rng;
+
+    /// The linear-scan kernels the hashed and early-exit ones replaced,
+    /// verbatim: the oracles they must agree with.
+    mod reference {
+        use super::super::{STOPWORDS, TYPO_PAIRS};
+        use crate::normalize::fold_case;
+
+        pub fn is_stopword(word: &str) -> bool {
+            let folded = fold_case(word);
+            STOPWORDS.contains(&folded.as_str())
+        }
+
+        pub fn typo_correction(word: &str, coverage_len: usize) -> Option<&'static str> {
+            TYPO_PAIRS
+                .iter()
+                .take(coverage_len)
+                .find(|(wrong, _)| *wrong == word)
+                .map(|(_, right)| *right)
+        }
+
+        pub fn content_words(text: &str, max: usize) -> Vec<String> {
+            let mut seen = std::collections::HashSet::new();
+            let mut out = Vec::new();
+            for tok in crate::token::tokenize(text) {
+                if out.len() >= max {
+                    break;
+                }
+                if tok.kind == crate::token::TokenKind::Word {
+                    let folded = fold_case(tok.text(text));
+                    let w = typo_correction(&folded, TYPO_PAIRS.len()).unwrap_or(&folded);
+                    if w.chars().count() >= 3 && !is_stopword(w) {
+                        let fixed = w.to_string();
+                        if seen.insert(fixed.clone()) {
+                            out.push(fixed);
+                        }
+                    }
+                }
+            }
+            out
+        }
+
+        pub fn is_off_topic(instruction: &str, response: &str, floor: f64) -> bool {
+            let wa = content_words(instruction, 8);
+            let wb: std::collections::HashSet<String> =
+                content_words(response, 256).into_iter().collect();
+            let hits = wa.iter().filter(|w| wb.contains(*w)).count();
+            if wa.is_empty() {
+                return false;
+            }
+            hits == 0 && ((hits as f64) / (wa.len() as f64)) < floor
+        }
+
+        pub fn find_marker<'m>(text: &str, markers: &'m [&'m str]) -> Option<&'m str> {
+            let folded = fold_case(text);
+            markers
+                .iter()
+                .find(|m| folded.contains(&fold_case(m)))
+                .copied()
+        }
+    }
+
+    /// Fragments aimed at the fast paths: stopwords and typo forms in every
+    /// case, glued to punctuation, digits and UTF-8, and words whose fold
+    /// depends on context (a final sigma) or lands on ASCII (the Kelvin
+    /// sign folds to `k`, so "\u{212A}ey" is the stopword "key").
+    const PIECES: &[&str] = &[
+        "the",
+        "The",
+        "THE",
+        "key",
+        "Key",
+        "\u{212A}ey",
+        "\u{212A}",
+        "teh",
+        "Teh",
+        "TEH",
+        "alot",
+        "ALOT",
+        "becuase",
+        "thier",
+        "untill",
+        "tommorow",
+        "gravity",
+        "Gravity",
+        "water",
+        "Cycle",
+        "Sahara",
+        "ΟΔΟΣ",
+        "ΑΣ",
+        "Σ",
+        "ς",
+        "İstanbul",
+        "CAFÉ",
+        "café",
+        "straße",
+        "中文",
+        "🌊",
+        "don't",
+        "state-of-the-art",
+        "3.14",
+        "1,000",
+        "42",
+        "x1",
+        "ab",
+        ",",
+        ".",
+        "!",
+        "'",
+        "-",
+        "(",
+        "\u{0301}",
+        "é",
+    ];
+    /// What separates fragments; the empty gap glues two together.
+    const GAPS: &[&str] = &[" ", " ", " ", "", "", "\n", "\t", ". ", ", ", "\u{00A0}"];
+    /// Edge inputs every comparison also runs on.
+    const EDGES: &[&str] = &[
+        "",
+        " ",
+        " \t\n  ",
+        "\u{212A}ey ΑΣ.Β ΟΔΟΣ teh",
+        "Teh teh TEH alot",
+    ];
+
+    /// Up to `max_pieces` fragments, 40 % of them numbered words drawn from
+    /// `vocab` distinct ones, so long texts cross the 256-word cap.
+    fn adversarial_text(rng: &mut StdRng, max_pieces: usize, vocab: u32) -> String {
+        let mut text = String::new();
+        for _ in 0..rng.gen_range(0..=max_pieces) {
+            if rng.gen_bool(0.4) {
+                text.push_str(&format!("topic{}", rng.gen_range(0..vocab)));
+            } else {
+                text.push_str(PIECES[rng.gen_range(0..PIECES.len())]);
+            }
+            text.push_str(GAPS[rng.gen_range(0..GAPS.len())]);
+        }
+        text
+    }
+
+    #[test]
+    fn hashed_lookups_match_the_linear_scans() {
+        let mut words: Vec<String> = PIECES
+            .iter()
+            .chain(STOPWORDS)
+            .map(|w| w.to_string())
+            .collect();
+        words.extend(STOPWORDS.iter().map(|w| w.to_uppercase()));
+        for (wrong, right) in TYPO_PAIRS {
+            words.extend([wrong.to_string(), wrong.to_uppercase(), right.to_string()]);
+        }
+        for w in &words {
+            assert_eq!(is_stopword(w), reference::is_stopword(w), "{w:?}");
+            for coverage in [0, 1, 7, 20, TYPO_PAIRS.len(), TYPO_PAIRS.len() + 5] {
+                assert_eq!(
+                    typo_correction(w, coverage),
+                    reference::typo_correction(w, coverage),
+                    "{w:?} at coverage {coverage}"
+                );
+            }
+        }
+    }
+
+    #[test]
+    fn content_words_match_the_reference() {
+        let mut texts: Vec<String> = EDGES.iter().map(|t| t.to_string()).collect();
+        for case in 0..proptest::cases() {
+            let mut rng = proptest::case_rng("content_words_match_the_reference", case);
+            let vocab = rng.gen_range(1..2000);
+            texts.push(adversarial_text(&mut rng, 600, vocab));
+        }
+        for text in &texts {
+            for max in [0, 1, 3, 4, 8, 256, usize::MAX] {
+                assert_eq!(
+                    content_words(text, max),
+                    reference::content_words(text, max),
+                    "max {max}: {text:?}"
+                );
+            }
+        }
+    }
+
+    #[test]
+    fn off_topic_matches_the_reference() {
+        let mut pairs: Vec<(String, String)> = Vec::new();
+        for a in EDGES {
+            for b in EDGES {
+                pairs.push((a.to_string(), b.to_string()));
+            }
+        }
+        for case in 0..proptest::cases() {
+            let mut rng = proptest::case_rng("off_topic_matches_the_reference", case);
+            let vocab = rng.gen_range(1..3000);
+            let instruction = adversarial_text(&mut rng, 16, vocab);
+            pairs.push((instruction, adversarial_text(&mut rng, 1500, vocab)));
+        }
+        for (instruction, response) in &pairs {
+            assert_eq!(
+                is_off_topic(instruction, response),
+                reference::is_off_topic(instruction, response, 0.2),
+                "{instruction:?} / {response:?}"
+            );
+        }
+    }
+
+    #[test]
+    fn off_topic_keeps_the_256_distinct_word_cap() {
+        let distinct: String = (0..300).map(|i| format!("filler{i} ")).collect();
+        let repeated = "filler ".repeat(300);
+        for (response, off_topic) in [
+            // "gravity" is the 301st distinct content word: past the cap.
+            (format!("{distinct}gravity"), true),
+            // 300 repeats of one word: "gravity" is only the 2nd distinct one.
+            (format!("{repeated}gravity"), false),
+        ] {
+            assert_eq!(is_off_topic("Explain gravity", &response), off_topic);
+            assert_eq!(
+                reference::is_off_topic("Explain gravity", &response, 0.2),
+                off_topic
+            );
+        }
+    }
+
+    #[test]
+    fn marker_matching_matches_the_refolding_reference() {
+        let lists: [&[&str]; 3] = [
+            CONTEXT_MARKERS,
+            MACHINE_TONE_MARKERS,
+            // Markers that do need folding.
+            &["For Example", "ΑΣ", "\u{212A}ey", "STEP BY STEP"],
+        ];
+        for case in 0..proptest::cases() {
+            let mut rng =
+                proptest::case_rng("marker_matching_matches_the_refolding_reference", case);
+            let mut text = adversarial_text(&mut rng, 30, 50);
+            let list = lists[rng.gen_range(0..lists.len())];
+            let marker = list[rng.gen_range(0..list.len())];
+            if rng.gen_bool(0.5) {
+                text.push_str(&marker.to_uppercase());
+            } else {
+                text.push_str(marker);
+            }
+            for markers in lists {
+                let want = reference::find_marker(&text, markers);
+                assert_eq!(find_marker(&text, markers), want, "{text:?}");
+                assert_eq!(contains_marker(&text, markers), want.is_some(), "{text:?}");
+            }
+        }
+    }
 
     #[test]
     fn lexicons_have_no_duplicate_wrong_forms() {

@@ -50,50 +50,69 @@ fn is_word_continue(c: char, prev_alnum: bool, next: Option<char>) -> bool {
     (c == '\'' || c == '-') && prev_alnum && next.is_some_and(|n| n.is_alphanumeric())
 }
 
-/// Tokenise `s` into [`Token`]s.
-pub fn tokenize(s: &str) -> Vec<Token> {
-    let mut out = Vec::with_capacity(s.len() / 5 + 4);
-    let mut chars = s.char_indices().peekable();
-    while let Some((start, c)) = chars.next() {
-        if c.is_whitespace() {
-            continue;
+/// The tokens of a string, produced lazily: a scan that stops early (a
+/// relevance check that meets its topic word in the first sentence) never
+/// tokenises the rest, and nothing is collected.
+pub(crate) struct Tokens<'a> {
+    s: &'a str,
+    chars: std::iter::Peekable<std::str::CharIndices<'a>>,
+}
+
+impl<'a> Tokens<'a> {
+    /// The tokens of `s`, in order.
+    pub(crate) fn new(s: &'a str) -> Self {
+        Tokens {
+            s,
+            chars: s.char_indices().peekable(),
         }
-        if c.is_alphanumeric() {
-            let starts_numeric = c.is_ascii_digit();
-            let mut all_numeric = starts_numeric;
-            let mut end = start + c.len_utf8();
-            let mut prev_alnum = true;
-            while let Some(&(i, nc)) = chars.peek() {
-                let next = s[i + nc.len_utf8()..].chars().next();
-                let numeric_sep = all_numeric
-                    && (nc == '.' || nc == ',')
-                    && next.is_some_and(|n| n.is_ascii_digit());
-                if is_word_continue(nc, prev_alnum, next) || numeric_sep {
-                    prev_alnum = nc.is_alphanumeric();
-                    if !nc.is_ascii_digit() && !numeric_sep {
-                        all_numeric = false;
-                    }
-                    end = i + nc.len_utf8();
-                    chars.next();
-                } else {
-                    break;
-                }
-            }
-            out.push(Token {
-                span: start..end,
-                kind: if all_numeric {
-                    TokenKind::Number
-                } else {
-                    TokenKind::Word
-                },
-            });
-        } else {
-            out.push(Token {
+    }
+}
+
+impl Iterator for Tokens<'_> {
+    type Item = Token;
+
+    fn next(&mut self) -> Option<Token> {
+        let s = self.s;
+        let (start, c) = self.chars.find(|&(_, c)| !c.is_whitespace())?;
+        if !c.is_alphanumeric() {
+            return Some(Token {
                 span: start..start + c.len_utf8(),
                 kind: TokenKind::Punct,
             });
         }
+        let mut all_numeric = c.is_ascii_digit();
+        let mut end = start + c.len_utf8();
+        let mut prev_alnum = true;
+        while let Some(&(i, nc)) = self.chars.peek() {
+            let next = s[i + nc.len_utf8()..].chars().next();
+            let numeric_sep =
+                all_numeric && (nc == '.' || nc == ',') && next.is_some_and(|n| n.is_ascii_digit());
+            if is_word_continue(nc, prev_alnum, next) || numeric_sep {
+                prev_alnum = nc.is_alphanumeric();
+                if !nc.is_ascii_digit() && !numeric_sep {
+                    all_numeric = false;
+                }
+                end = i + nc.len_utf8();
+                self.chars.next();
+            } else {
+                break;
+            }
+        }
+        Some(Token {
+            span: start..end,
+            kind: if all_numeric {
+                TokenKind::Number
+            } else {
+                TokenKind::Word
+            },
+        })
     }
+}
+
+/// Tokenise `s` into [`Token`]s.
+pub fn tokenize(s: &str) -> Vec<Token> {
+    let mut out = Vec::with_capacity(s.len() / 5 + 4);
+    out.extend(Tokens::new(s));
     out
 }
 
@@ -108,8 +127,7 @@ pub fn words(s: &str) -> Vec<&str> {
 /// Number of word-or-punct tokens in `s`; the paper's "average length" metric
 /// in Table VII counts words, so punctuation is excluded here.
 pub fn word_count(s: &str) -> usize {
-    tokenize(s)
-        .iter()
+    Tokens::new(s)
         .filter(|t| t.kind != TokenKind::Punct)
         .count()
 }

@@ -32,6 +32,14 @@ cargo run --offline -p coachlm-lint --release -- --format json --out results/lin
 echo "==> cargo test"
 cargo test --offline --workspace -q
 
+# coachbench (BENCHMARK.json) is a package of its own, outside the
+# workspace, so the steps above never build it; it calls the pipeline's
+# kernels directly, so a kernel change can break it unseen.
+echo "==> coachbench (fmt, clippy, tests)"
+cargo fmt --check --manifest-path coachbench/Cargo.toml
+cargo clippy --offline --all-targets --manifest-path coachbench/Cargo.toml -- -D warnings
+cargo test --offline -q --manifest-path coachbench/Cargo.toml
+
 # Fault matrix: one chaos cell per (fault seed, schedule). Each cell checks
 # the partition and thread-invariance properties of the fault-injection
 # layer under a different deterministic fault pattern.

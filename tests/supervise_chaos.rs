@@ -696,18 +696,26 @@ fn main() {
         ),
     ];
     let only = std::env::var("COACHLM_ONLY").ok();
-    println!("\nrunning {} tests", tests.len());
-    for (name, test) in tests {
-        if let Some(filter) = &only {
-            if !name.contains(filter.as_str()) {
-                continue;
-            }
-        }
+    let selected: Vec<&(&str, fn())> = tests
+        .iter()
+        .filter(|(name, _)| only.as_deref().is_none_or(|filter| name.contains(filter)))
+        .collect();
+    let filtered = tests.len() - selected.len();
+    assert!(
+        !selected.is_empty(),
+        "COACHLM_ONLY={only:?} matches none of the {} tests",
+        tests.len()
+    );
+    println!(
+        "\nrunning {} tests ({filtered} filtered out)",
+        selected.len()
+    );
+    for (name, test) in &selected {
         test();
         println!("test {name} ... ok");
     }
     println!(
-        "\ntest result: ok. {} passed; 0 failed (supervise chaos harness)\n",
-        tests.len()
+        "\ntest result: ok. {} passed; 0 failed; {filtered} filtered out (supervise chaos harness)\n",
+        selected.len()
     );
 }

@@ -19,6 +19,8 @@ use std::sync::atomic::{AtomicU64, Ordering};
 use coachlm::lm::ngram_model::NgramLm;
 use coachlm::text::editdist::WordDistance;
 use coachlm::text::intern::Sym;
+use coachlm::text::lexicon::{contains_folded_marker, is_off_topic, REASONING_MARKERS};
+use coachlm::text::token::word_count;
 
 /// Wraps the system allocator, counting every `alloc`/`realloc` call made
 /// by the thread currently inside [`allocations`].
@@ -135,5 +137,28 @@ fn hot_paths_allocate_nothing_after_warm_up() {
     assert_eq!(
         allocs, 0,
         "NgramLm::prob allocated {allocs} times after warm-up"
+    );
+
+    // --- Table II text kernels ------------------------------------------
+    // Once the lexicon tables exist, a relevance check costs the
+    // instruction's topic words and one fold buffer however much of the
+    // response it scans, and the shared-fold checks cost nothing.
+    let instruction = "Describe the climate of the Sahara desert";
+    let (short, long) = ("Bananas are yellow.", long_text(180, "bananas"));
+    assert!(is_off_topic(instruction, short) && is_off_topic(instruction, &long));
+    let (short_allocs, _) = allocations(|| is_off_topic(black_box(instruction), black_box(short)));
+    let (long_allocs, _) = allocations(|| is_off_topic(black_box(instruction), black_box(&long)));
+    assert_eq!(
+        long_allocs, short_allocs,
+        "is_off_topic allocated per scanned response word"
+    );
+    let (allocs, n) = allocations(|| {
+        word_count(black_box(&long))
+            + usize::from(contains_folded_marker(black_box(&long), REASONING_MARKERS))
+    });
+    assert_eq!(n, 180);
+    assert_eq!(
+        allocs, 0,
+        "word counting and marker checks allocated {allocs} times"
     );
 }
