@@ -7,13 +7,14 @@ use coachlm_data::{Dataset, GeneratorConfig};
 use coachlm_runtime::{
     Executor, ExecutorConfig, Journal, Stage, StageCtx, StageItem, StageOutcome,
 };
+use coachlm_text::token::word_count;
 use criterion::{black_box, criterion_group, criterion_main, BenchmarkId, Criterion, Throughput};
 use rand::Rng;
 use std::path::PathBuf;
 use std::sync::atomic::{AtomicU64, Ordering};
 
-/// The same CPU-heavy stand-in stage the scaling benchmark uses, so the
-/// journal numbers are comparable with the unjournaled baseline there.
+/// A CPU-heavy stand-in for a revision stage: counts words and burns a
+/// seeded, data-dependent amount of scoring work.
 struct ScoreStage;
 
 impl Stage for ScoreStage {
@@ -22,7 +23,7 @@ impl Stage for ScoreStage {
     }
 
     fn process(&self, item: &mut StageItem, ctx: &mut StageCtx<'_>) -> StageOutcome {
-        let words = ctx.cache.word_count(&item.pair.response);
+        let words = word_count(&item.pair.response);
         let rounds = 5_000 + ctx.rng.gen_range(0u64..5_000);
         let mut acc = words as u64;
         for i in 0..rounds {

@@ -4,10 +4,9 @@
 //!
 //! Two families of figures come out of this binary:
 //!
-//! * **Wall medians** (`executor/threads/N`, `executor/stream/...`) — real
-//!   elapsed time on whatever cores the host grants. On a single-core
-//!   container these barely move with the thread count; the
-//!   `speedup_vs_1` metric records exactly that honestly.
+//! * **Wall medians** (`executor/stream/...`, `executor/skewed_dynamic/...`)
+//!   — real elapsed time on whatever cores the host grants. On a
+//!   single-core container these barely move with the thread count.
 //! * **Virtual-time figures** (`.../sim` records) — the streaming core's
 //!   deterministic service-time model ([`Stage::service_time`]): each
 //!   item charges its stage's modeled service to a lane, and the sink's
@@ -18,44 +17,21 @@
 use coachlm_data::generator::generate;
 use coachlm_data::{Dataset, GeneratorConfig};
 use coachlm_runtime::{
-    adaptive_chunk_size, Executor, ExecutorConfig, Schedule, Stage, StageCtx, StageItem,
-    StageOutcome, StreamSource,
+    adaptive_chunk_size, Executor, ExecutorConfig, Stage, StageCtx, StageItem, StageOutcome,
+    StreamSource,
 };
+use coachlm_text::token::word_count;
 use criterion::{
     append_metric, black_box, criterion_group, criterion_main, BenchmarkId, Criterion, Throughput,
 };
 use rand::Rng;
 use std::time::Duration;
 
-/// A stand-in for a CPU-heavy revision stage: tokenises through the cache
-/// and burns a seeded, data-dependent amount of scoring work.
-struct ScoreStage;
-
-impl Stage for ScoreStage {
-    fn name(&self) -> &str {
-        "score"
-    }
-
-    fn process(&self, item: &mut StageItem, ctx: &mut StageCtx<'_>) -> StageOutcome {
-        let words = ctx.cache.word_count(&item.pair.response);
-        let rounds = 5_000 + ctx.rng.gen_range(0u64..5_000);
-        let mut acc = words as u64;
-        for i in 0..rounds {
-            acc = acc.wrapping_mul(6364136223846793005).wrapping_add(i);
-        }
-        if acc.is_multiple_of(7) {
-            ctx.bump("lucky");
-        }
-        StageOutcome::Ok
-    }
-}
-
 /// A heavy-tailed stand-in: most items are cheap scoring work, but the last
 /// stretch of the batch is latency-bound — modelling the production revision
-/// path, where a slice of pairs waits on an external LLM endpoint. Under
-/// static contiguous chunking the whole tail lands in one worker's chunk and
-/// its waits serialise; the dynamic scheduler spreads the tail across
-/// whichever workers finish their cheap chunks first, overlapping the waits.
+/// path, where a slice of pairs waits on an external LLM endpoint. Small
+/// chunks spread the tail across whichever lanes finish their cheap chunks
+/// first, overlapping the waits.
 struct SkewedStage {
     heavy_from: u64,
 }
@@ -66,7 +42,7 @@ impl Stage for SkewedStage {
     }
 
     fn process(&self, item: &mut StageItem, ctx: &mut StageCtx<'_>) -> StageOutcome {
-        let words = ctx.cache.word_count(&item.pair.response);
+        let words = word_count(&item.pair.response);
         let rounds = 2_000 + ctx.rng.gen_range(0u64..1_000);
         let mut acc = words as u64;
         for i in 0..rounds {
@@ -97,7 +73,7 @@ impl Stage for PipeStage {
     }
 
     fn process(&self, item: &mut StageItem, ctx: &mut StageCtx<'_>) -> StageOutcome {
-        let words = ctx.cache.word_count(&item.pair.response);
+        let words = word_count(&item.pair.response);
         let rounds = self.rounds + ctx.rng.gen_range(0u64..self.rounds / 4 + 1);
         let mut acc = words as u64;
         for i in 0..rounds {
@@ -133,33 +109,6 @@ fn stream_chain() -> Vec<Box<dyn Stage + 'static>> {
 
 fn sample_dataset(pairs: usize) -> Dataset {
     generate(&GeneratorConfig::small(pairs, 0x5CA1E)).0
-}
-
-fn bench_executor_scaling(c: &mut Criterion) {
-    let dataset = sample_dataset(2_000);
-    let mut group = c.benchmark_group("executor");
-    group.throughput(Throughput::Elements(dataset.len() as u64));
-    let mut base_ns: Option<f64> = None;
-    for threads in [1usize, 2, 4, 8] {
-        let median = group.bench_with_input(
-            BenchmarkId::new("threads", threads),
-            &threads,
-            |b, &threads| {
-                b.iter(|| {
-                    let stages: Vec<Box<dyn Stage>> = vec![Box::new(ScoreStage)];
-                    let executor = Executor::new(ExecutorConfig::new(9).threads(threads));
-                    black_box(executor.run_dataset(&stages, &dataset))
-                });
-            },
-        );
-        let ns = median.as_nanos().max(1) as f64;
-        let base = *base_ns.get_or_insert(ns);
-        append_metric(
-            &format!("executor/threads/{threads}/speedup"),
-            &[("speedup_vs_1", base / ns)],
-        );
-    }
-    group.finish();
 }
 
 fn bench_stream_scaling(c: &mut Criterion) {
@@ -246,26 +195,18 @@ fn bench_skewed_batch(c: &mut Criterion) {
     let heavy_from = 1_900;
     let mut group = c.benchmark_group("executor");
     group.throughput(Throughput::Elements(dataset.len() as u64));
-    for (label, schedule) in [
-        ("skewed_static", Schedule::Static),
-        ("skewed_dynamic", Schedule::Dynamic),
-    ] {
-        for threads in [4usize, 8] {
-            group.bench_with_input(
-                BenchmarkId::new(label, format!("threads={threads}")),
-                &threads,
-                |b, &threads| {
-                    b.iter(|| {
-                        let stages: Vec<Box<dyn Stage>> =
-                            vec![Box::new(SkewedStage { heavy_from })];
-                        let executor = Executor::new(
-                            ExecutorConfig::new(9).threads(threads).schedule(schedule),
-                        );
-                        black_box(executor.run_dataset(&stages, &dataset))
-                    });
-                },
-            );
-        }
+    for threads in [4usize, 8] {
+        group.bench_with_input(
+            BenchmarkId::new("skewed_dynamic", format!("threads={threads}")),
+            &threads,
+            |b, &threads| {
+                b.iter(|| {
+                    let stages: Vec<Box<dyn Stage>> = vec![Box::new(SkewedStage { heavy_from })];
+                    let executor = Executor::new(ExecutorConfig::new(9).threads(threads));
+                    black_box(executor.run_dataset(&stages, &dataset))
+                });
+            },
+        );
     }
     group.finish();
 }
@@ -273,6 +214,6 @@ fn bench_skewed_batch(c: &mut Criterion) {
 criterion_group! {
     name = benches;
     config = Criterion::default().sample_size(10);
-    targets = bench_executor_scaling, bench_stream_scaling, bench_stream_queue_depth, bench_skewed_batch
+    targets = bench_stream_scaling, bench_stream_queue_depth, bench_skewed_batch
 }
 criterion_main!(benches);

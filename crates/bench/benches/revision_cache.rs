@@ -28,6 +28,7 @@ use coachlm_runtime::{
     adaptive_chunk_size, CachePolicy, ChainOutput, Executor, ExecutorConfig, Stage, StageCtx,
     StageItem, StageOutcome, StreamSource,
 };
+use coachlm_text::token::word_count;
 use criterion::{append_metric, criterion_group, criterion_main, Criterion};
 use rand::Rng;
 use std::time::{Duration, Instant};
@@ -45,7 +46,7 @@ impl Stage for ServiceStage {
     }
 
     fn process(&self, item: &mut StageItem, ctx: &mut StageCtx<'_>) -> StageOutcome {
-        let words = ctx.cache.word_count(&item.pair.response);
+        let words = word_count(&item.pair.response);
         let roll: u64 = ctx.rng.gen_range(0..1_000);
         let mut acc = words as u64 ^ roll;
         for i in 0..40u64 {

@@ -31,7 +31,7 @@
 //!
 //! All stages draw randomness only from the per-(stage, item, iteration)
 //! RNG the executor hands them, so every strategy's output is identical
-//! across thread counts, schedules, and queue capacities — the property
+//! across thread counts and queue capacities — the property
 //! `tests/strategy_zoo.rs` proptests under active fault injection.
 
 use crate::coach::CoachLm;
@@ -61,8 +61,8 @@ pub trait Strategy: Sync {
     fn stages(&self) -> Vec<Box<dyn Stage + '_>>;
 
     /// Runs the strategy over `input` on the shared executor. Thread
-    /// count, schedule, and queue capacity come from `config` and never
-    /// affect the result.
+    /// count and queue capacity come from `config` and never affect the
+    /// result.
     fn run(&self, input: &Dataset, config: &ExecutorConfig) -> ChainOutput {
         let stages = self.stages();
         Executor::new(config.clone()).run_dataset(&stages, input)

@@ -260,7 +260,7 @@ impl ExpertReviser {
 
         // Strip infeasible requirements.
         while let Some(m) = lexicon::find_marker(instruction, lexicon::INFEASIBLE_PHRASES) {
-            *instruction = remove_phrase(instruction, m);
+            *instruction = normalize::remove_phrase(instruction, m);
             rewrote = true;
         }
         // Retained Table III cases (§II-E2 "1.9% were cases that should
@@ -403,7 +403,7 @@ impl ExpertReviser {
         // Tone.
         if analysis.machine_tone {
             if let Some(m) = lexicon::find_marker(response, lexicon::MACHINE_TONE_MARKERS) {
-                *response = remove_phrase(response, m);
+                *response = normalize::remove_phrase(response, m);
                 adjusted = true;
             }
         }
@@ -487,9 +487,8 @@ impl ExpertReviser {
             text.to_string()
         };
         while let Some((wrong, right)) = self.kb.grammar_correction(&joined) {
-            let folded = normalize::fold_case(&joined);
-            match folded.find(wrong) {
-                Some(pos) => joined.replace_range(pos..pos + wrong.len(), right),
+            match normalize::find_folded(&joined, wrong) {
+                Some(range) => joined.replace_range(range, right),
                 None => break,
             }
         }
@@ -505,21 +504,6 @@ impl ExpertReviser {
             .map(|i| KnowledgeBase::fill(templates[(start + i) % templates.len()], topic))
             .collect();
         picked.join(" ")
-    }
-}
-
-/// Removes one case-insensitive occurrence of `phrase`.
-fn remove_phrase(text: &str, phrase: &str) -> String {
-    let folded = normalize::fold_case(text);
-    let needle = normalize::fold_case(phrase);
-    match folded.find(&needle) {
-        Some(pos) => {
-            let mut out = String::with_capacity(text.len());
-            out.push_str(&text[..pos]);
-            out.push_str(&text[pos + needle.len()..]);
-            normalize::collapse_whitespace(&out)
-        }
-        None => text.to_string(),
     }
 }
 

@@ -18,8 +18,7 @@
 //!   replication-critical sinks (`T1`, [`graph`]), and the
 //!   **fingerprint-coverage check** (`F1`, [`coverage`]) proves every
 //!   field of a fingerprinted policy struct is folded into its journal
-//!   fingerprint. Per-file work is cached by content hash ([`cachefile`])
-//!   so the CI gate stays fast on warm trees.
+//!   fingerprint.
 //!
 //! Suppression is only possible via an inline
 //! `// lint: allow(<rule>, reason = "...")` comment — the reason is
@@ -28,7 +27,6 @@
 #![warn(missing_docs)]
 
 pub mod allow;
-pub mod cachefile;
 pub mod coverage;
 pub mod diag;
 pub mod graph;
@@ -66,10 +64,6 @@ pub struct LintRun {
     /// Files whose structure the parser could not recover (unbalanced
     /// braces); their interprocedural coverage is incomplete.
     pub parse_errors: Vec<String>,
-    /// Files served from the per-file-hash cache.
-    pub cache_hits: usize,
-    /// Files analyzed fresh.
-    pub cache_misses: usize,
 }
 
 impl LintRun {
@@ -158,22 +152,10 @@ fn finish(mut findings: Vec<Finding>) -> Vec<Finding> {
     findings
 }
 
-/// Lints + analyzes every workspace source file under `root`, using (and
-/// refreshing) the default per-file cache at
-/// `<root>/target/coachlm-lint.cache`.
+/// Lints + analyzes every workspace source file under `root`.
 pub fn run_lint(root: &Path) -> LintRun {
-    run_lint_with(root, Some(&root.join("target/coachlm-lint.cache")))
-}
-
-/// Like [`run_lint`], with explicit cache control: `None` disables the
-/// cache entirely (every file analyzed fresh, nothing written).
-pub fn run_lint_with(root: &Path, cache_path: Option<&Path>) -> LintRun {
     let mut io_errors = Vec::new();
     let files = walk::source_files(root, &mut io_errors);
-    let mut cache = match cache_path {
-        Some(p) => cachefile::FileCache::load(p),
-        None => cachefile::FileCache::disabled(),
-    };
     let mut findings = Vec::new();
     let mut summaries = Vec::new();
     let mut parse_errors = Vec::new();
@@ -183,15 +165,7 @@ pub fn run_lint_with(root: &Path, cache_path: Option<&Path>) -> LintRun {
         match std::fs::read_to_string(root.join(rel)) {
             Ok(src) => {
                 files_checked += 1;
-                let hash = cachefile::fx64(src.as_bytes());
-                let analysis = match cache.get(rel, hash) {
-                    Some(hit) => hit,
-                    None => {
-                        let fresh = analyze_source(&class, &src);
-                        cache.put(rel, hash, fresh.clone());
-                        fresh
-                    }
-                };
+                let analysis = analyze_source(&class, &src);
                 findings.extend(analysis.findings);
                 parse_errors.extend(analysis.summary.parse_errors.iter().cloned());
                 summaries.push(analysis.summary);
@@ -201,17 +175,10 @@ pub fn run_lint_with(root: &Path, cache_path: Option<&Path>) -> LintRun {
     }
     findings.extend(graph::taint_findings(&summaries));
     findings.extend(coverage::coverage_findings(&summaries));
-    if let Err(e) = cache.save() {
-        // Best-effort accelerator: a failed write is worth a note, not a
-        // failed run.
-        io_errors.push(format!("cache: {e}"));
-    }
     LintRun {
         findings: finish(findings),
         files_checked,
         io_errors,
         parse_errors,
-        cache_hits: cache.hits,
-        cache_misses: cache.misses,
     }
 }

@@ -1,8 +1,7 @@
 //! `coachlm-lint` CLI — token rules + the `coachlm-analyze` passes.
 //!
 //! ```text
-//! coachlm-lint [--root DIR] [--format human|json] [--out FILE]
-//!              [--cache FILE | --no-cache] [--list-rules]
+//! coachlm-lint [--root DIR] [--format human|json] [--out FILE] [--list-rules]
 //! ```
 //!
 //! Exit codes:
@@ -24,8 +23,6 @@ struct Opts {
     root: PathBuf,
     json: bool,
     out: Option<PathBuf>,
-    cache: Option<PathBuf>,
-    no_cache: bool,
     list_rules: bool,
 }
 
@@ -34,8 +31,6 @@ fn parse_args() -> Result<Opts, String> {
         root: PathBuf::from("."),
         json: false,
         out: None,
-        cache: None,
-        no_cache: false,
         list_rules: false,
     };
     let mut args = std::env::args().skip(1);
@@ -52,23 +47,16 @@ fn parse_args() -> Result<Opts, String> {
             "--out" => {
                 opts.out = Some(PathBuf::from(args.next().ok_or("--out needs a file")?));
             }
-            "--cache" => {
-                opts.cache = Some(PathBuf::from(args.next().ok_or("--cache needs a file")?));
-            }
-            "--no-cache" => opts.no_cache = true,
             "--list-rules" => opts.list_rules = true,
             "--help" | "-h" => {
                 return Err(
                     "usage: coachlm-lint [--root DIR] [--format human|json] [--out FILE] \
-                     [--cache FILE | --no-cache] [--list-rules]"
+                     [--list-rules]"
                         .to_string(),
                 )
             }
             other => return Err(format!("unknown argument `{other}`")),
         }
-    }
-    if opts.no_cache && opts.cache.is_some() {
-        return Err("--cache and --no-cache are mutually exclusive".to_string());
     }
     Ok(opts)
 }
@@ -89,24 +77,13 @@ fn main() -> ExitCode {
         return ExitCode::SUCCESS;
     }
 
-    let run = if opts.no_cache {
-        coachlm_lint::run_lint_with(&opts.root, None)
-    } else {
-        match &opts.cache {
-            Some(p) => coachlm_lint::run_lint_with(&opts.root, Some(p)),
-            None => coachlm_lint::run_lint(&opts.root),
-        }
-    };
+    let run = coachlm_lint::run_lint(&opts.root);
     for e in &run.io_errors {
         eprintln!("coachlm-lint: io: {e}");
     }
     for e in &run.parse_errors {
         eprintln!("coachlm-lint: parse: {e}");
     }
-    eprintln!(
-        "coachlm-lint: analyzed {} files ({} cached, {} fresh)",
-        run.files_checked, run.cache_hits, run.cache_misses
-    );
 
     let rendered = if opts.json {
         diag::render_json(&run.findings, run.files_checked)

@@ -60,7 +60,7 @@ pub enum SourceKind {
 }
 
 impl SourceKind {
-    /// Stable id used in diagnostics and the on-disk cache.
+    /// Stable id used in diagnostics.
     pub fn id(self) -> &'static str {
         match self {
             SourceKind::Clock => "clock",
@@ -70,19 +70,6 @@ impl SourceKind {
             SourceKind::PtrInt => "ptr-int",
             SourceKind::AtomicRmw => "atomic-rmw",
         }
-    }
-
-    /// Parses a stable id back (cache deserialization).
-    pub fn from_id(s: &str) -> Option<SourceKind> {
-        Some(match s {
-            "clock" => SourceKind::Clock,
-            "entropy" => SourceKind::Entropy,
-            "map-iter" => SourceKind::MapIter,
-            "thread-id" => SourceKind::ThreadId,
-            "ptr-int" => SourceKind::PtrInt,
-            "atomic-rmw" => SourceKind::AtomicRmw,
-            _ => return None,
-        })
     }
 
     /// Human noun for diagnostics.

@@ -229,7 +229,7 @@ impl<'a> Transducer<'a> {
         // Infeasible requirements: strip the offending phrase.
         if let Some(marker) = lexicon::find_marker(&text, lexicon::INFEASIBLE_PHRASES) {
             if rng.gen_bool(p) {
-                text = remove_phrase_fold(&text, marker);
+                text = normalize::remove_phrase(&text, marker);
                 repairs.push(RepairTag::InfeasibleFix);
             }
         }
@@ -377,7 +377,7 @@ impl<'a> Transducer<'a> {
         // Tone: strip machine boilerplate, add warmth.
         if let Some(marker) = lexicon::find_marker(&text, lexicon::MACHINE_TONE_MARKERS) {
             if rng.gen_bool(p) {
-                text = remove_phrase_fold(&text, marker);
+                text = normalize::remove_phrase(&text, marker);
                 repairs.push(RepairTag::WarmTone);
             }
         }
@@ -502,21 +502,6 @@ fn is_truncated(text: &str) -> bool {
             .is_some_and(|c| c.is_alphanumeric() || c == ',' || c == ';')
 }
 
-/// Case-insensitively removes one occurrence of `phrase` from `text`,
-/// collapsing the leftover whitespace.
-fn remove_phrase_fold(text: &str, phrase: &str) -> String {
-    let folded = normalize::fold_case(text);
-    let needle = normalize::fold_case(phrase);
-    if let Some(pos) = folded.find(&needle) {
-        let mut out = String::with_capacity(text.len());
-        out.push_str(&text[..pos]);
-        out.push_str(&text[pos + needle.len()..]);
-        normalize::collapse_whitespace(&out)
-    } else {
-        text.to_string()
-    }
-}
-
 /// Picks one augmentation text from the learned material (preferred) plus
 /// the knowledge-base templates; `None` when both pools are empty. One
 /// `gen_range` draw over the two pools back to back; the winner is
@@ -595,9 +580,8 @@ fn apply_lexical<R: Rng>(
         if !rng.gen_bool(p) {
             break;
         }
-        let folded = normalize::fold_case(&joined);
-        if let Some(pos) = folded.find(wrong) {
-            joined.replace_range(pos..pos + wrong.len(), right);
+        if let Some(range) = normalize::find_folded(&joined, wrong) {
+            joined.replace_range(range, right);
             tags.push(RepairTag::Grammar);
         } else {
             break;
@@ -898,16 +882,5 @@ mod tests {
                 "case {case}: draw counts differ"
             );
         }
-    }
-
-    #[test]
-    fn remove_phrase_is_case_insensitive() {
-        assert_eq!(
-            remove_phrase_fold(
-                "Do it Using Exactly Zero Words now",
-                "using exactly zero words"
-            ),
-            "Do it now"
-        );
     }
 }

@@ -17,7 +17,7 @@
 //! defined by item *index* (not arrival time or worker), the whole
 //! evolution — trip points, half-open probes, recoveries — is a pure
 //! function of (chain, input, seed, policy) and replays identically at
-//! any thread count, under either schedule, and across a crash/resume.
+//! any thread count or queue capacity, and across a crash/resume.
 
 use serde::{Deserialize, Serialize};
 

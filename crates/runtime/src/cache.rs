@@ -19,7 +19,7 @@
 //! failures, and stage counters — so replaying the first occurrence's
 //! recorded effects onto a duplicate *is* executing it. That is what keeps
 //! a cached run digest-identical to an uncached content-keyed run at any
-//! thread count, queue capacity, or schedule, faults included.
+//! thread count or queue capacity, faults included.
 //!
 //! The machinery is a deterministic **dedup pre-pass** at admission: slots
 //! are scanned once, sequentially, in index order; the first non-shed

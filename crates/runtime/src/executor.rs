@@ -11,27 +11,10 @@ use crate::stage::{Disposition, Stage, StageItem};
 use crate::stream::{run_pipeline, Feed, Slot, StreamEnv, StreamSource};
 use coachlm_data::{Dataset, InstructionPair};
 use coachlm_text::fxhash::FxHasher;
+use std::collections::BTreeMap;
 use std::hash::Hasher;
 use std::sync::Mutex;
 use std::time::Duration;
-
-/// How workers claim items.
-///
-/// Either way, each (stage, item) RNG is seeded independently of worker
-/// assignment, so the schedule affects wall-clock time only — never the
-/// output (the determinism proptests pin this across both schedules).
-#[derive(Debug, Clone, Copy, PartialEq, Eq, Default)]
-pub enum Schedule {
-    /// One contiguous chunk per worker, sized `n / threads`. Simple, but a
-    /// length-skewed batch serializes behind whichever worker drew the
-    /// expensive region.
-    Static,
-    /// Workers repeatedly claim the next fixed-size chunk off an atomic
-    /// counter until the batch is drained. Stragglers only ever hold one
-    /// small chunk, so skewed batches stay balanced. The default.
-    #[default]
-    Dynamic,
-}
 
 /// How a chain run is parallelised, seeded, and hardened.
 #[derive(Debug, Clone)]
@@ -39,8 +22,6 @@ pub struct ExecutorConfig {
     // lint: allow(F1, reason = "thread count changes wall-clock time only; a 16-thread journal must resume on a 1-thread host")
     threads: usize,
     seed: u64,
-    // lint: allow(F1, reason = "work distribution is result-invariant by the per-(stage, item) RNG contract; journals resume across schedules")
-    schedule: Schedule,
     fault_plan: FaultPlan,
     retry: RetryPolicy,
     breaker: Option<BreakerPolicy>,
@@ -64,7 +45,6 @@ impl ExecutorConfig {
         ExecutorConfig {
             threads,
             seed,
-            schedule: Schedule::default(),
             fault_plan: FaultPlan::none(),
             retry: RetryPolicy::default(),
             breaker: None,
@@ -78,12 +58,6 @@ impl ExecutorConfig {
     /// Overrides the worker count (floored at 1).
     pub fn threads(mut self, n: usize) -> Self {
         self.threads = n.max(1);
-        self
-    }
-
-    /// Overrides the scheduling policy (defaults to [`Schedule::Dynamic`]).
-    pub fn schedule(mut self, s: Schedule) -> Self {
-        self.schedule = s;
         self
     }
 
@@ -162,11 +136,6 @@ impl ExecutorConfig {
         self.epoch_len
     }
 
-    /// The configured scheduling policy.
-    pub fn scheduling(&self) -> Schedule {
-        self.schedule
-    }
-
     /// The configured fault plan.
     pub fn faults(&self) -> &FaultPlan {
         &self.fault_plan
@@ -200,8 +169,8 @@ impl ExecutorConfig {
 
     /// Folds every outcome-bearing knob into the run fingerprint: seed,
     /// retry policy, fault plan, breaker policy, content keying, and the
-    /// revision-cache policy. `threads`, `schedule`, `queue_capacity`,
-    /// and `epoch_len` are deliberately excluded (see the `allow(F1)`
+    /// revision-cache policy. `threads`, `queue_capacity`, and
+    /// `epoch_len` are deliberately excluded (see the `allow(F1)`
     /// justifications on the fields) — they shift wall-clock behaviour
     /// only, and a journal written under one setting must resume under
     /// another. The static fingerprint-coverage check (`F1`) verifies
@@ -258,11 +227,6 @@ pub struct ChainOutput {
     /// Items replayed from a journal instead of executed (always 0 for
     /// [`Executor::run`]).
     pub replayed: usize,
-    /// Token-cache hits summed across workers (informational: depends on
-    /// chunking, so it is *not* covered by the determinism contract).
-    pub cache_hits: u64,
-    /// Token-cache misses summed across workers (informational, as above).
-    pub cache_misses: u64,
     /// Items shed by admission control before entering the chain (always
     /// 0 under a [`Feed::Batch`] source). Shed items still appear in
     /// [`items`](Self::items), discarded with a `shed:admission` tag.
@@ -276,7 +240,7 @@ pub struct ChainOutput {
     pub sim_elapsed: Duration,
     /// Revision-cache tallies (all zeros unless the config enabled a
     /// [`CachePolicy`]). Deterministic for a fixed config — the pre-pass
-    /// classifying items is sequential and schedule-independent — but
+    /// classifying items is sequential and thread-independent — but
     /// excluded from [`digest`](Self::digest) like the other
     /// run-mechanics counters: a cached and an uncached run of the same
     /// content-keyed chain must digest identically.
@@ -358,10 +322,10 @@ impl ChainOutput {
 
     /// A digest over every *deterministic* output field: item states,
     /// report counts/counters and simulated time channels, and breaker
-    /// transitions. Measured `cpu_time`, the cache tallies, and the
-    /// [`replayed`](Self::replayed) count are excluded — they legitimately
-    /// vary run to run. Two runs of the same chain agree on this digest at
-    /// any thread count, under either schedule, and across a crash/resume,
+    /// transitions. Measured `cpu_time`, the revision-cache tallies, and
+    /// the [`replayed`](Self::replayed) count are excluded — they are run
+    /// mechanics, not outcomes. Two runs of the same chain agree on this
+    /// digest at any thread count, queue capacity, and across a crash/resume,
     /// which is exactly what the crash-matrix CI step asserts.
     pub fn digest(&self) -> u64 {
         let mut h = FxHasher::default();
@@ -523,8 +487,8 @@ impl Executor {
     /// Runs `stages` over `pairs` — a thin wrapper feeding a bounded
     /// batch source into [`run_stream`](Self::run_stream).
     ///
-    /// Items are collected in input order regardless of the schedule or
-    /// thread count. Stage failures never panic the run: transient
+    /// Items are collected in input order regardless of the thread count
+    /// or queue capacity. Stage failures never panic the run: transient
     /// failures retry under the config's [`RetryPolicy`], and items that
     /// exhaust retries or fail permanently land in the quarantine channel
     /// with a [`crate::fault::FailureRecord`]. With the default inert
@@ -544,8 +508,8 @@ impl Executor {
     /// stage *k* processes item *i+1*, with no batch barriers. Breaker
     /// transitions, journal frames, and report merging key off
     /// deterministic logical epochs (fixed index windows), so the output
-    /// is digest-identical at any thread count, queue capacity, or
-    /// schedule — see [`crate::stream`] for the full model.
+    /// is digest-identical at any thread count or queue capacity — see
+    /// [`crate::stream`] for the full model.
     ///
     /// A [`Feed::Sustained`] source models continuous arrivals with
     /// admission control: arrivals that find the admission backlog full
@@ -581,7 +545,7 @@ impl Executor {
     /// remaining frontier executes. Replay composes with fresh execution
     /// bit-for-bit: items, deterministic report fields, quarantine, and
     /// breaker evolution are identical to an uninterrupted run at any
-    /// thread count and under either schedule, with any [`FaultPlan`].
+    /// thread count and queue capacity, with any [`FaultPlan`].
     ///
     /// Fails with [`JournalError::Incompatible`] when the journal belongs
     /// to a different run (seed, stages, policies, or input changed), and
@@ -639,39 +603,10 @@ impl Executor {
             }
         }
 
-        let mut committed = journal.take_committed();
-        let mut replayed = 0usize;
-        let mut slots = Vec::with_capacity(pairs.len());
-        for (i, pair) in pairs.into_iter().enumerate() {
-            match committed.remove(&(i as u64)) {
-                Some(trace) => {
-                    if trace.pair_id != pair.id {
-                        return Err(JournalError::Incompatible(format!(
-                            "item {i}: journal records pair id {}, input has {}",
-                            trace.pair_id, pair.id
-                        )));
-                    }
-                    let (item, stage_traces) = apply_trace(i, pair, trace)?;
-                    for e in &stage_traces {
-                        if (e.stage as usize) >= stages.len() {
-                            return Err(JournalError::Incompatible(format!(
-                                "item {i}: journal references stage {} but the chain has {}",
-                                e.stage,
-                                stages.len()
-                            )));
-                        }
-                    }
-                    replayed += 1;
-                    slots.push(Slot::replayed(item, stage_traces));
-                }
-                None => slots.push(Slot::live(StageItem::new(i, pair), true)),
-            }
-        }
-        if let Some((&index, _)) = committed.iter().next() {
-            return Err(JournalError::Incompatible(format!(
-                "journal records item {index}, beyond the {input_len}-item input"
-            )));
-        }
+        let (slots, replayed) =
+            trace_slots(stages.len(), pairs, journal.take_committed(), |i, pair| {
+                Ok(Slot::live(StageItem::new(i, pair), true))
+            })?;
 
         let session = JournalSession::new(journal);
         let out = self.stream_core(stages, feed, slots, replayed, Some(&session));
@@ -697,54 +632,21 @@ impl Executor {
         &self,
         stages: &[Box<dyn Stage + '_>],
         pairs: Vec<InstructionPair>,
-        mut traces: std::collections::BTreeMap<u64, ItemTrace>,
-        imposed: &std::collections::BTreeMap<u64, crate::fault::FailureRecord>,
+        traces: BTreeMap<u64, ItemTrace>,
+        imposed: &BTreeMap<u64, crate::fault::FailureRecord>,
     ) -> Result<ChainOutput, JournalError> {
-        let mut replayed = 0usize;
-        let mut slots = Vec::with_capacity(pairs.len());
-        for (i, pair) in pairs.into_iter().enumerate() {
-            match traces.remove(&(i as u64)) {
-                Some(trace) => {
-                    if trace.pair_id != pair.id {
-                        return Err(JournalError::Incompatible(format!(
-                            "item {i}: trace records pair id {}, input has {}",
-                            trace.pair_id, pair.id
-                        )));
-                    }
-                    let (item, stage_traces) = apply_trace(i, pair, trace)?;
-                    for e in &stage_traces {
-                        if (e.stage as usize) >= stages.len() {
-                            return Err(JournalError::Incompatible(format!(
-                                "item {i}: trace references stage {} but the chain has {}",
-                                e.stage,
-                                stages.len()
-                            )));
-                        }
-                    }
-                    replayed += 1;
-                    slots.push(Slot::replayed(item, stage_traces));
-                }
-                None => match imposed.get(&(i as u64)) {
-                    Some(failure) => {
-                        let mut item = StageItem::new(i, pair);
-                        item.retained = false;
-                        item.failure = Some(failure.clone());
-                        slots.push(Slot::replayed(item, Vec::new()));
-                    }
-                    None => {
-                        return Err(JournalError::Incompatible(format!(
-                            "item {i}: no trace collected and no imposed failure — \
-                             replay-only reconstruction cannot execute it"
-                        )));
-                    }
-                },
-            }
-        }
-        if let Some((&index, _)) = traces.iter().next() {
-            return Err(JournalError::Incompatible(format!(
-                "trace set records item {index}, beyond the input"
-            )));
-        }
+        let (slots, replayed) = trace_slots(stages.len(), pairs, traces, |i, pair| {
+            let Some(failure) = imposed.get(&(i as u64)) else {
+                return Err(JournalError::Incompatible(format!(
+                    "item {i}: no trace collected and no imposed failure — \
+                     replay-only reconstruction cannot execute it"
+                )));
+            };
+            let mut item = StageItem::new(i, pair);
+            item.retained = false;
+            item.failure = Some(failure.clone());
+            Ok(Slot::replayed(item, Vec::new()))
+        })?;
         Ok(self.stream_core(stages, Feed::Batch, slots, replayed, None))
     }
 
@@ -765,10 +667,10 @@ impl Executor {
     /// Hash of everything that determines run outcomes: the config's
     /// outcome-bearing knobs (see [`ExecutorConfig::fingerprint_into`]),
     /// stage names, deadlines, and iteration budgets, the feed (arrival
-    /// model), and the full input content. Thread count, queue capacity,
-    /// and schedule are deliberately excluded — they never affect
-    /// results, and a journal written by a 16-thread dynamic run must
-    /// resume on a 1-thread static one.
+    /// model), and the full input content. Thread count and queue
+    /// capacity are deliberately excluded — they never affect results,
+    /// and a journal written by a 16-thread run must resume on a
+    /// 1-thread one.
     fn fingerprint(
         &self,
         stages: &[Box<dyn Stage + '_>],
@@ -860,7 +762,6 @@ impl Executor {
         let run = run_pipeline(
             &env,
             self.config.threads,
-            self.config.schedule,
             self.config.queue_capacity,
             &feed,
             slots,
@@ -870,13 +771,56 @@ impl Executor {
             reports: run.reports,
             breaker_events: run.breaker_events,
             replayed,
-            cache_hits: run.cache_hits,
-            cache_misses: run.cache_misses,
             shed: run.shed,
             sim_elapsed: run.sim_elapsed,
             revision_cache: run.revision,
         }
     }
+}
+
+/// The one trace-to-slots loop behind journal resume and supervised
+/// reconstruction. For each input index that has a trace it checks the
+/// pair id, rebuilds the item through [`apply_trace`] (which verifies the
+/// digest), checks every recorded stage index against the chain length,
+/// and emits a replayed slot; an index without a trace is handed to
+/// `untraced`. Traces left over past the end of the input are rejected.
+/// Returns the slots and how many of them were replayed.
+fn trace_slots(
+    chain_len: usize,
+    pairs: Vec<InstructionPair>,
+    mut traces: BTreeMap<u64, ItemTrace>,
+    mut untraced: impl FnMut(usize, InstructionPair) -> Result<Slot, JournalError>,
+) -> Result<(Vec<Slot>, usize), JournalError> {
+    let input_len = pairs.len();
+    let mut replayed = 0usize;
+    let mut slots = Vec::with_capacity(input_len);
+    for (i, pair) in pairs.into_iter().enumerate() {
+        let Some(trace) = traces.remove(&(i as u64)) else {
+            slots.push(untraced(i, pair)?);
+            continue;
+        };
+        if trace.pair_id != pair.id {
+            return Err(JournalError::Incompatible(format!(
+                "item {i}: trace records pair id {}, input has {}",
+                trace.pair_id, pair.id
+            )));
+        }
+        let (item, stage_traces) = apply_trace(i, pair, trace)?;
+        if let Some(e) = stage_traces.iter().find(|e| e.stage as usize >= chain_len) {
+            return Err(JournalError::Incompatible(format!(
+                "item {i}: trace references stage {} but the chain has {chain_len}",
+                e.stage
+            )));
+        }
+        replayed += 1;
+        slots.push(Slot::replayed(item, stage_traces));
+    }
+    if let Some(&index) = traces.keys().next() {
+        return Err(JournalError::Incompatible(format!(
+            "trace set records item {index}, beyond the {input_len}-item input"
+        )));
+    }
+    Ok((slots, replayed))
 }
 
 /// Rebuilds an item's terminal state from its journal record, verifying
@@ -967,13 +911,12 @@ pub(crate) fn item_seed(seed_base: u64, id: u64) -> u64 {
     seed_base ^ id.wrapping_mul(0x2545_F491_4F6C_DD1D)
 }
 
-/// The chunk width the dynamic scheduler hands out, adapted to both the
-/// lane count and the bounded-queue capacity.
+/// The chunk width the streaming core hands through its queues, adapted
+/// to both the lane count and the bounded-queue capacity.
 ///
 /// Small enough that a straggler only ever holds a sliver of the batch
 /// (at least `CHUNKS_PER_LANE` chunks per lane), large enough to amortise
-/// the queue handoff and keep token-cache locality — and, new in this
-/// revision, sized *up* when the queues are roomy: each inter-group queue
+/// the queue handoff — and sized *up* when the queues are roomy: each inter-group queue
 /// must hold at least two chunks for pipelining to overlap at all, so the
 /// ceiling tracks `queue_capacity / (2 × lanes)` instead of a fixed 64.
 /// On a single core the handoff cost (lock + condvar wake per chunk)
@@ -1041,7 +984,6 @@ mod tests {
             if item.pair.id.is_multiple_of(2) {
                 ctx.bump("even");
             }
-            ctx.cache.word_count(&item.pair.response);
             StageOutcome::Ok
         }
     }
@@ -1246,27 +1188,6 @@ mod tests {
     }
 
     #[test]
-    fn schedules_agree_item_for_item() {
-        let base = Executor::new(ExecutorConfig::new(23).threads(1)).run(&chain(), pairs(157));
-        for threads in [2, 5, 8] {
-            for schedule in [Schedule::Static, Schedule::Dynamic] {
-                let out =
-                    Executor::new(ExecutorConfig::new(23).threads(threads).schedule(schedule))
-                        .run(&chain(), pairs(157));
-                for (a, b) in out.items.iter().zip(&base.items) {
-                    assert_eq!(a.pair, b.pair, "{schedule:?} x{threads}");
-                    assert_eq!(a.retained, b.retained);
-                    assert_eq!(a.tags, b.tags);
-                }
-                for (ra, rb) in out.reports.iter().zip(&base.reports) {
-                    assert_eq!(ra.counters, rb.counters, "{schedule:?} x{threads}");
-                }
-                assert_eq!(out.digest(), base.digest(), "{schedule:?} x{threads}");
-            }
-        }
-    }
-
-    #[test]
     fn adaptive_chunk_size_bounds() {
         assert_eq!(adaptive_chunk_size(0, 4, 64), 1);
         assert_eq!(adaptive_chunk_size(7, 16, 64), 1);
@@ -1376,16 +1297,15 @@ mod tests {
     #[test]
     fn injected_faults_partition_and_replicate_across_threads() {
         let plan = FaultPlan::new(99).transient(0.2).permanent(0.05);
-        let run_with = |threads: usize, schedule: Schedule| {
+        let run_with = |threads: usize| {
             Executor::new(
                 ExecutorConfig::new(3)
                     .threads(threads)
-                    .schedule(schedule)
                     .fault_plan(plan.clone()),
             )
             .run(&chain(), pairs(200))
         };
-        let base = run_with(1, Schedule::Static);
+        let base = run_with(1);
         let (r, d, q) = (
             base.retained().count(),
             base.dropped().count(),
@@ -1395,22 +1315,20 @@ mod tests {
         assert!(q > 0, "5% permanent over 200 items should quarantine some");
         assert!(base.total_retries() > 0);
         for threads in [2, 8] {
-            for schedule in [Schedule::Static, Schedule::Dynamic] {
-                let out = run_with(threads, schedule);
-                for (a, b) in out.items.iter().zip(&base.items) {
-                    assert_eq!(a.pair, b.pair, "{schedule:?} x{threads}");
-                    assert_eq!(a.disposition(), b.disposition());
-                    assert_eq!(a.failure, b.failure);
-                }
-                for (ra, rb) in out.reports.iter().zip(&base.reports) {
-                    assert_eq!(ra.retries, rb.retries);
-                    assert_eq!(ra.quarantined, rb.quarantined);
-                    assert_eq!(ra.faults_injected, rb.faults_injected);
-                    assert_eq!(ra.backoff_time, rb.backoff_time);
-                    assert_eq!(ra.latency_time, rb.latency_time);
-                }
-                assert_eq!(out.digest(), base.digest());
+            let out = run_with(threads);
+            for (a, b) in out.items.iter().zip(&base.items) {
+                assert_eq!(a.pair, b.pair, "x{threads}");
+                assert_eq!(a.disposition(), b.disposition());
+                assert_eq!(a.failure, b.failure);
             }
+            for (ra, rb) in out.reports.iter().zip(&base.reports) {
+                assert_eq!(ra.retries, rb.retries);
+                assert_eq!(ra.quarantined, rb.quarantined);
+                assert_eq!(ra.faults_injected, rb.faults_injected);
+                assert_eq!(ra.backoff_time, rb.backoff_time);
+                assert_eq!(ra.latency_time, rb.latency_time);
+            }
+            assert_eq!(out.digest(), base.digest());
         }
     }
 
@@ -1554,16 +1472,15 @@ mod tests {
     #[test]
     fn resume_after_a_torn_tail_reproduces_the_uninterrupted_run() {
         let path = temp_journal("resume");
-        let config = |threads: usize, schedule: Schedule| {
+        let config = |threads: usize| {
             ExecutorConfig::new(17)
                 .threads(threads)
-                .schedule(schedule)
                 .fault_plan(FaultPlan::new(29).transient(0.2).permanent(0.05))
         };
-        let golden = Executor::new(config(1, Schedule::Static)).run(&chain(), pairs(60));
+        let golden = Executor::new(config(1)).run(&chain(), pairs(60));
 
         let mut journal = Journal::create(&path).unwrap();
-        Executor::new(config(4, Schedule::Dynamic))
+        Executor::new(config(4))
             .run_journaled(&chain(), pairs(60), &mut journal)
             .unwrap();
         let spans = journal.record_spans().to_vec();
@@ -1578,7 +1495,7 @@ mod tests {
         let mut recovered = Journal::open(&path).unwrap();
         let committed = recovered.committed();
         assert_eq!(committed, 30);
-        let resumed = Executor::new(config(3, Schedule::Static))
+        let resumed = Executor::new(config(3))
             .resume_from(&chain(), pairs(60), &mut recovered)
             .unwrap();
         assert_eq!(resumed.replayed, committed);
@@ -1621,6 +1538,105 @@ mod tests {
         std::fs::remove_file(&path).ok();
     }
 
+    /// A well-formed trace of item `i` that no stage touched.
+    fn untouched_trace(i: usize, pair: &InstructionPair) -> ItemTrace {
+        ItemTrace {
+            index: i as u64,
+            pair_id: pair.id,
+            disposition: 0,
+            instruction: None,
+            response: None,
+            tags: Vec::new(),
+            failure: None,
+            digest: item_digest(&StageItem::new(i, pair.clone())),
+            stages: Vec::new(),
+        }
+    }
+
+    #[test]
+    fn replay_collected_rejects_malformed_trace_sets() {
+        let input = pairs(3);
+        let complete = || -> BTreeMap<u64, ItemTrace> {
+            input
+                .iter()
+                .enumerate()
+                .map(|(i, pair)| (i as u64, untouched_trace(i, pair)))
+                .collect()
+        };
+        let replay = |traces, imposed: &BTreeMap<u64, crate::fault::FailureRecord>| {
+            Executor::new(ExecutorConfig::new(1)).replay_collected(
+                &chain(),
+                input.clone(),
+                traces,
+                imposed,
+            )
+        };
+        let none = BTreeMap::new();
+        assert_eq!(replay(complete(), &none).map(|o| o.replayed).ok(), Some(3));
+
+        let mut wrong_pair = complete();
+        wrong_pair.entry(1).and_modify(|t| t.pair_id = 99);
+        let mut stage_past_chain = complete();
+        stage_past_chain.entry(1).and_modify(|t| {
+            t.stages.push(StageTrace {
+                stage: chain().len() as u32,
+                degraded: false,
+                retained_after: true,
+                quarantined: false,
+                retries: 0,
+                iterations: 1,
+                faults: 0,
+                timeouts: 0,
+                backoff_nanos: 0,
+                latency_nanos: 0,
+                counters: Vec::new(),
+            })
+        });
+        let mut past_input = complete();
+        past_input.insert(3, untouched_trace(3, &pairs(4)[3]));
+        let mut quarantined_without_failure = complete();
+        quarantined_without_failure
+            .entry(1)
+            .and_modify(|t| t.disposition = 2);
+        let mut untraced = complete();
+        untraced.remove(&1);
+        for (case, traces, expected) in [
+            ("wrong pair id", wrong_pair, "records pair id 99"),
+            ("stage index", stage_past_chain, "references stage 2"),
+            ("past the input", past_input, "beyond the 3-item input"),
+            (
+                "no failure",
+                quarantined_without_failure,
+                "carries no failure",
+            ),
+            ("no trace", untraced, "no imposed failure"),
+        ] {
+            match replay(traces, &none) {
+                Err(JournalError::Incompatible(why)) => {
+                    assert!(why.contains(expected), "{case}: {why}");
+                }
+                Err(other) => panic!("{case}: wrong error {other}"),
+                Ok(_) => panic!("{case}: malformed trace set accepted"),
+            }
+        }
+
+        // An imposed failure stands in for the missing trace.
+        let mut partial = complete();
+        partial.remove(&1);
+        let imposed = BTreeMap::from([(
+            1,
+            crate::fault::FailureRecord {
+                stage: "scribble".to_string(),
+                attempts: 3,
+                error: "worker died".to_string(),
+                kind: FailureKind::Fatal,
+            },
+        )]);
+        let out = replay(partial, &imposed).expect("imposed failure fills the gap");
+        assert_eq!(out.replayed, 2);
+        assert_eq!(out.quarantined().count(), 1);
+    }
+
     /// Fatal for every id below `until`, Ok past it — a stage that storms
     /// early and then recovers, for exercising the breaker cycle.
     struct FailBelow {
@@ -1650,16 +1666,15 @@ mod tests {
             .cooldown_epochs(1)
             .probes(2);
         let stages: Vec<Box<dyn Stage>> = vec![Box::new(FailBelow { until: 10 })];
-        let run = |threads: usize, schedule: Schedule| {
+        let run = |threads: usize| {
             Executor::new(
                 ExecutorConfig::new(0)
                     .threads(threads)
-                    .schedule(schedule)
                     .breaker(policy.clone()),
             )
             .run(&stages, pairs(40))
         };
-        let out = run(1, Schedule::Static);
+        let out = run(1);
         // Epoch 0: 10 failures → trips. Epoch 1: all degraded, cooldown
         // expires → half-open. Epoch 2: probes 20, 21 succeed → recloses.
         // Epoch 3: fully closed again.
@@ -1690,13 +1705,11 @@ mod tests {
             .collect();
         assert_eq!(degraded.len(), 18);
         assert!(degraded.iter().all(|i| i.retained && !i.response_changed()));
-        // The whole evolution replays at any thread count and schedule.
+        // The whole evolution replays at any thread count.
         for threads in [2, 8] {
-            for schedule in [Schedule::Static, Schedule::Dynamic] {
-                let other = run(threads, schedule);
-                assert_eq!(other.digest(), out.digest(), "{schedule:?} x{threads}");
-                assert_eq!(other.breaker_events, out.breaker_events);
-            }
+            let other = run(threads);
+            assert_eq!(other.digest(), out.digest(), "x{threads}");
+            assert_eq!(other.breaker_events, out.breaker_events);
         }
     }
 
@@ -1750,10 +1763,9 @@ mod tests {
             .min_failures(4)
             .cooldown_epochs(1)
             .probes(4);
-        let config = |threads: usize, schedule: Schedule| {
+        let config = |threads: usize| {
             ExecutorConfig::new(53)
                 .threads(threads)
-                .schedule(schedule)
                 .fault_plan(
                     FaultPlan::new(11)
                         .transient(0.35)
@@ -1768,36 +1780,32 @@ mod tests {
                 Box::new(DropFifths),
             ]
         };
-        let golden = Executor::new(config(1, Schedule::Static)).run(&stages(), pairs(100));
+        let golden = Executor::new(config(1)).run(&stages(), pairs(100));
         assert!(!golden.breaker_events.is_empty(), "storm should trip");
         assert!(golden.report("scribble").unwrap().timeouts > 0);
 
         let mut journal = Journal::create(&path).unwrap();
-        Executor::new(config(4, Schedule::Dynamic))
+        Executor::new(config(4))
             .run_journaled(&stages(), pairs(100), &mut journal)
             .unwrap();
         let spans = journal.record_spans().to_vec();
         drop(journal);
         let full = std::fs::read(&path).unwrap();
 
-        // Kill at three depths, resume at a different thread count and
-        // schedule each time: always bit-identical to the golden run.
-        for (frac_num, threads, schedule) in [
-            (1, 2, Schedule::Static),
-            (2, 8, Schedule::Dynamic),
-            (3, 1, Schedule::Static),
-        ] {
+        // Kill at three depths, resume at a different thread count each
+        // time: always bit-identical to the golden run.
+        for (frac_num, threads) in [(1, 2), (2, 8), (3, 1)] {
             let cut = spans[spans.len() * frac_num / 4].0 + 3;
             std::fs::write(&path, &full[..cut as usize]).unwrap();
             let mut recovered = Journal::open(&path).unwrap();
-            let resumed = Executor::new(config(threads, schedule))
+            let resumed = Executor::new(config(threads))
                 .resume_from(&stages(), pairs(100), &mut recovered)
                 .unwrap();
             assert!(resumed.replayed > 0, "cut {frac_num}/4 should replay");
             assert_eq!(
                 resumed.digest(),
                 golden.digest(),
-                "cut {frac_num}/4, {schedule:?} x{threads}"
+                "cut {frac_num}/4, x{threads}"
             );
             assert_eq!(resumed.breaker_events, golden.breaker_events);
             let gq = golden.quarantine("q");

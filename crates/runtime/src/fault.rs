@@ -7,7 +7,7 @@
 //! * [`FaultPlan`] — a seeded description of *injected* faults. Whether a
 //!   fault fires is a pure function of `(plan seed, stage salt, item id,
 //!   attempt)`, so a plan perturbs a chain identically at any thread count
-//!   and under either schedule — chaos tests stay reproducible.
+//!   — chaos tests stay reproducible.
 //! * [`RetryPolicy`] — bounded attempts with *simulated* exponential
 //!   backoff. No wall-clock sleeping happens; the backoff the production
 //!   system would have spent is accounted into the stage report
@@ -121,7 +121,7 @@ impl FaultPlan {
     ///
     /// Pure in its arguments: the same plan rolls the same fault for the
     /// same coordinates no matter which worker asks, which is what keeps
-    /// faulted runs thread-count- and schedule-invariant.
+    /// faulted runs thread-count-invariant.
     pub fn roll(&self, stage_salt: u64, item_id: u64, attempt: u32) -> Option<Fault> {
         if self.is_inert() {
             return None;

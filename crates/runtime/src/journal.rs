@@ -8,8 +8,7 @@
 //! outcome is already a pure function of `(chain, input, seed)`, replay
 //! composes with fresh execution bit-for-bit: the resumed run's items,
 //! deterministic report fields, quarantine, and breaker evolution are
-//! identical to an uninterrupted run at any thread count and under either
-//! schedule.
+//! identical to an uninterrupted run at any thread count.
 //!
 //! ## On-disk format
 //!
@@ -29,9 +28,9 @@
 //! chain seed, stage names, retry policy, fault plan, breaker policy, and
 //! the full input content — so resuming under *different* semantics is
 //! rejected up front instead of silently diverging. Thread count and
-//! schedule are deliberately excluded: they never affect results, and a
-//! journal written by a 16-thread dynamic run must resume on a 1-thread
-//! static one.
+//! queue capacity are deliberately excluded: they never affect results,
+//! and a journal written by a 16-thread run must resume on a 1-thread
+//! one.
 //!
 //! ## Torn writes
 //!

@@ -26,28 +26,21 @@
 //!
 //! * each (stage, item) gets its own RNG seeded from
 //!   `chain seed × stage salt × pair id` — no sequential stream is shared
-//!   across items, so neither chunk boundaries nor the claim order of the
-//!   dynamic scheduler can shift draws;
+//!   across items, so neither chunk boundaries nor which lane claims a
+//!   chunk can shift draws;
 //! * items flow through every queue in input order and are processed in
 //!   place, so output order is input order by construction;
-//! * counters merge by summation, which is commutative, and per-lane
-//!   token caches merge order-independently;
+//! * counters merge by summation, which is commutative;
 //! * epoch-keyed state (circuit breakers, journal commit frames) follows
 //!   **logical epochs** — fixed windows of input *indices* — rather than
 //!   wall-clock batches, so it evolves identically at any parallelism.
 //!
-//! Because of this, the scheduling policy ([`Schedule`]) is purely a
-//! wall-clock knob: the default [`Schedule::Dynamic`] hands small chunks
-//! through the queues (lanes within a group stay balanced, groups overlap
-//! within an epoch), while [`Schedule::Static`] moves one epoch per
-//! handoff. Both produce identical output.
-//!
-//! Only the wall-clock field ([`StageReport::cpu_time`], which is measured
-//! stage-body time and nothing else) and the token-cache hit/miss tallies
-//! (caches are per-worker) vary across runs; the simulated channels
-//! ([`StageReport::backoff_time`], [`StageReport::latency_time`]) are
-//! deterministic and disjoint from it, with
-//! [`StageReport::total_time`] as their sum.
+//! Chunk width ([`adaptive_chunk_size`]) is therefore a wall-clock knob
+//! only. The one field that varies across runs is
+//! [`StageReport::cpu_time`], which is measured stage-body time and
+//! nothing else; the simulated channels ([`StageReport::backoff_time`],
+//! [`StageReport::latency_time`]) are deterministic and disjoint from it,
+//! with [`StageReport::total_time`] as their sum.
 //!
 //! ## Fault tolerance
 //!
@@ -62,7 +55,7 @@
 //! `(stage, item, attempt)` — so chaos runs obey the same determinism
 //! contract as clean runs: every item's terminal
 //! [`Disposition`] (retained / dropped / quarantined) is identical at any
-//! thread count and under either schedule, and the three sets always
+//! thread count and queue capacity, and the three sets always
 //! partition the input exactly (`tests/fault_injection.rs` property-tests
 //! this).
 //!
@@ -138,7 +131,7 @@ pub mod supervise;
 
 pub use breaker::{BreakerEvent, BreakerPolicy, BreakerState};
 pub use cache::{CachePolicy, CacheStats};
-pub use executor::{adaptive_chunk_size, ChainOutput, Executor, ExecutorConfig, Schedule};
+pub use executor::{adaptive_chunk_size, ChainOutput, Executor, ExecutorConfig};
 pub use fault::{
     FailureKind, FailureRecord, Fault, FaultPlan, Quarantine, QuarantinedPair, RetryPolicy,
 };

@@ -251,7 +251,7 @@ pub(crate) struct Partitioned {
 pub(crate) fn partition_source(source: StreamSource, shards: usize) -> Partitioned {
     let StreamSource { pairs, feed } = source;
     let n = pairs.len();
-    let admission = admission_plan(&feed, n);
+    let admission = admission_plan(&feed, std::iter::repeat_n(None, n));
     let mut shed_items: Vec<StageItem> = Vec::new();
     let mut partitions: Vec<Vec<InstructionPair>> = vec![Vec::new(); shards];
     let mut global_idx: Vec<Vec<usize>> = vec![Vec::new(); shards];
@@ -304,7 +304,6 @@ pub(crate) fn merge_outputs(
     let shards = outputs.len();
     let mut stats = Vec::with_capacity(shards);
     let mut replayed = 0usize;
-    let (mut cache_hits, mut cache_misses) = (0u64, 0u64);
     let mut revision = CacheStats::default();
     let mut sim_elapsed = Duration::ZERO;
     let shed = n - global_idx.iter().map(Vec::len).sum::<usize>();
@@ -318,8 +317,6 @@ pub(crate) fn merge_outputs(
             sim_elapsed: out.sim_elapsed,
         });
         replayed += out.replayed;
-        cache_hits += out.cache_hits;
-        cache_misses += out.cache_misses;
         revision.absorb(out.revision_cache);
         sim_elapsed = sim_elapsed.max(out.sim_elapsed);
         for (item, &g) in out.items.iter_mut().zip(&global_idx[s]) {
@@ -344,8 +341,6 @@ pub(crate) fn merge_outputs(
         reports,
         breaker_events: Vec::new(),
         replayed,
-        cache_hits,
-        cache_misses,
         shed,
         sim_elapsed,
         revision_cache: revision,

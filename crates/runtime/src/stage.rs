@@ -2,7 +2,6 @@
 
 use crate::fault::FailureRecord;
 use coachlm_data::InstructionPair;
-use coachlm_text::token::TokenCache;
 use rand::rngs::StdRng;
 use std::any::Any;
 use std::collections::BTreeMap;
@@ -234,9 +233,6 @@ pub struct StageCtx<'a> {
     /// RNG seeded for exactly this (stage, item) — identical draws no
     /// matter which worker thread runs the item.
     pub rng: StdRng,
-    /// Worker-local tokenisation memo: a pair that several stages measure
-    /// is tokenised once per worker, not once per stage.
-    pub cache: &'a mut TokenCache,
     pub(crate) counters: &'a mut BTreeMap<String, u64>,
 }
 

@@ -19,7 +19,7 @@
 //! sequentially: breaker tallies close and state transitions fire at
 //! exactly the same indices as the epoch-synchronous batch executor did,
 //! which is what keeps streaming runs digest-identical to the reference
-//! order at any thread count, queue capacity, or schedule. The sink
+//! order at any thread count or queue capacity. The sink
 //! commits journal frames in index order and fsyncs at epoch boundaries,
 //! so `resume_from` re-enters at the exact frontier.
 //!
@@ -50,7 +50,7 @@
 
 use crate::breaker::{Breaker, BreakerEvent, BreakerPolicy, StageMode};
 use crate::cache::{content_key, plan_hits, CachePolicy, CacheStats, SlotHit};
-use crate::executor::{adaptive_chunk_size, item_digest, item_seed, JournalSession, Schedule};
+use crate::executor::{adaptive_chunk_size, item_digest, item_seed, JournalSession};
 use crate::fault::{FailureKind, FailureRecord, Fault, FaultPlan, RetryPolicy};
 use crate::journal::{ItemTrace, StageTrace};
 use crate::report::StageReport;
@@ -58,7 +58,6 @@ use crate::simtime::Stopwatch;
 use crate::stage::{Disposition, Stage, StageCtx, StageItem, StageOutcome};
 use coachlm_data::InstructionPair;
 use coachlm_text::fxhash::FxHashMap;
-use coachlm_text::token::TokenCache;
 use rand::rngs::StdRng;
 use rand::SeedableRng;
 use std::cmp::Reverse;
@@ -525,7 +524,6 @@ struct LaneOut {
     /// `(stage index, event)` — populated only under a breaker, where
     /// the group runs single-lane.
     events: Vec<(usize, BreakerEvent)>,
-    cache: TokenCache,
 }
 
 /// The streaming replacement for the old per-segment worker: processes
@@ -548,7 +546,6 @@ struct GroupWorker<'e, 'a, 'b, 'j> {
     stats: Vec<StageStats>,
     replay_reports: Vec<StageReport>,
     events: Vec<(usize, BreakerEvent)>,
-    cache: TokenCache,
     scratch: BTreeMap<String, u64>,
 }
 
@@ -578,7 +575,6 @@ impl<'e, 'a, 'b, 'j> GroupWorker<'e, 'a, 'b, 'j> {
                 })
                 .collect(),
             events: Vec::new(),
-            cache: TokenCache::new(),
             scratch: BTreeMap::new(),
         }
     }
@@ -764,7 +760,6 @@ impl<'e, 'a, 'b, 'j> GroupWorker<'e, 'a, 'b, 'j> {
                                 None => {
                                     let mut ctx = StageCtx {
                                         rng: StdRng::seed_from_u64(iter_seed),
-                                        cache: &mut self.cache,
                                         counters: &mut self.scratch,
                                     };
                                     let watch = Stopwatch::start();
@@ -886,7 +881,6 @@ impl<'e, 'a, 'b, 'j> GroupWorker<'e, 'a, 'b, 'j> {
         LaneOut {
             reports,
             events: self.events,
-            cache: self.cache,
         }
     }
 }
@@ -1108,56 +1102,43 @@ struct SinkOut {
 }
 
 /// Applies the feed to the slot sequence: stamps virtual arrival times
-/// and makes shed decisions against the fluid backlog model. Replayed
-/// slots re-apply their recorded admission outcome so a resumed
-/// sustained run reproduces the original shed set exactly.
+/// and marks the slots [`admission_plan`] sheds. Replayed slots re-apply
+/// their recorded admission outcome so a resumed sustained run
+/// reproduces the original shed set exactly.
 fn apply_feed(feed: &Feed, slots: &mut [Slot]) {
-    let Feed::Sustained {
-        rate_per_sec,
-        drain_per_sec,
-        backlog_capacity,
-    } = feed
-    else {
+    let Feed::Sustained { rate_per_sec, .. } = feed else {
+        return;
+    };
+    let recorded = slots.iter().map(|slot| {
+        slot.replay
+            .is_some()
+            .then(|| slot.item.has_tag("shed:admission"))
+    });
+    let Some(plan) = admission_plan(feed, recorded) else {
         return;
     };
     let rate = rate_per_sec.max(1e-9);
-    let mut backlog = 0f64;
-    let mut prev_t = 0f64;
-    for (i, slot) in slots.iter_mut().enumerate() {
-        let t = i as f64 / rate;
-        backlog = (backlog - (t - prev_t) * drain_per_sec).max(0.0);
-        prev_t = t;
-        slot.arrival = (t * 1e9) as u64;
-        if slot.replay.is_some() {
-            // Re-apply the recorded admission outcome: committed shed
-            // slots count as shed again (so `ChainOutput::shed` matches
-            // the uninterrupted run), and only admitted slots occupy the
-            // backlog the still-live tail is metered against.
-            if slot.item.has_tag("shed:admission") {
-                slot.shed = true;
-            } else {
-                backlog += 1.0;
-            }
-            continue;
-        }
-        backlog += 1.0;
-        if backlog > *backlog_capacity as f64 {
-            backlog -= 1.0;
-            slot.shed = true;
+    for (i, (slot, shed)) in slots.iter_mut().zip(plan).enumerate() {
+        slot.arrival = (i as f64 / rate * 1e9) as u64;
+        slot.shed = shed;
+        if shed && slot.replay.is_none() {
             slot.item.discard("shed:admission");
         }
     }
 }
 
-/// The shed decisions [`apply_feed`] would make for a fresh `n`-item run
-/// under `feed`, as a plain bool-per-index plan (`true` = shed), or
-/// `None` for a batch feed. The shard driver needs admission decided
+/// The fluid admission model: one shed decision per arrival (`true` =
+/// shed), or `None` for a batch feed. `recorded` yields, per index,
+/// `Some(shed)` when the outcome is already committed (a replayed slot:
+/// committed shed slots count as shed again, and only admitted ones
+/// occupy the backlog the live tail is metered against) and `None` for a
+/// fresh arrival. The shard driver calls this with no recorded outcomes
 /// *before* partitioning — shedding is global, a function of arrival
-/// order over the whole input, not of any one shard's subsequence — so
-/// this mirrors the live path of the fluid model exactly (a unit test
-/// pins the equivalence rather than refactoring the replay-aware
-/// original).
-pub(crate) fn admission_plan(feed: &Feed, n: usize) -> Option<Vec<bool>> {
+/// order over the whole input, not of any one shard's subsequence.
+pub(crate) fn admission_plan(
+    feed: &Feed,
+    recorded: impl Iterator<Item = Option<bool>>,
+) -> Option<Vec<bool>> {
     let Feed::Sustained {
         rate_per_sec,
         drain_per_sec,
@@ -1169,18 +1150,24 @@ pub(crate) fn admission_plan(feed: &Feed, n: usize) -> Option<Vec<bool>> {
     let rate = rate_per_sec.max(1e-9);
     let mut backlog = 0f64;
     let mut prev_t = 0f64;
-    let mut shed = vec![false; n];
-    for (i, slot) in shed.iter_mut().enumerate() {
-        let t = i as f64 / rate;
-        backlog = (backlog - (t - prev_t) * drain_per_sec).max(0.0);
-        prev_t = t;
-        backlog += 1.0;
-        if backlog > *backlog_capacity as f64 {
-            backlog -= 1.0;
-            *slot = true;
-        }
-    }
-    Some(shed)
+    let plan = recorded
+        .enumerate()
+        .map(|(i, recorded)| {
+            let t = i as f64 / rate;
+            backlog = (backlog - (t - prev_t) * drain_per_sec).max(0.0);
+            prev_t = t;
+            if recorded == Some(true) {
+                return true;
+            }
+            backlog += 1.0;
+            if recorded.is_none() && backlog > *backlog_capacity as f64 {
+                backlog -= 1.0;
+                return true;
+            }
+            false
+        })
+        .collect();
+    Some(plan)
 }
 
 /// Cuts the slot sequence into chunks of at most `chunk_len` slots,
@@ -1222,8 +1209,6 @@ pub(crate) struct StreamRun {
     pub(crate) items: Vec<StageItem>,
     pub(crate) reports: Vec<StageReport>,
     pub(crate) breaker_events: Vec<BreakerEvent>,
-    pub(crate) cache_hits: u64,
-    pub(crate) cache_misses: u64,
     pub(crate) shed: usize,
     pub(crate) sim_elapsed: Duration,
     /// Revision-cache tallies (all zeros when no cache is configured).
@@ -1235,7 +1220,6 @@ pub(crate) struct StreamRun {
 pub(crate) fn run_pipeline(
     env: &StreamEnv<'_, '_, '_>,
     threads: usize,
-    schedule: Schedule,
     queue_capacity: usize,
     feed: &Feed,
     mut slots: Vec<Slot>,
@@ -1252,7 +1236,7 @@ pub(crate) fn run_pipeline(
             slot.item.pair.id
         };
     }
-    // Revision-cache pre-pass: a sequential, schedule-independent scan
+    // Revision-cache pre-pass: a sequential, thread-independent scan
     // that marks duplicate slots as hits on their earliest occurrence.
     let cache_plan = env.cache.map(|policy| plan_hits(&mut slots, policy));
     let mut replayer = cache_plan.as_ref().map(|plan| {
@@ -1278,16 +1262,7 @@ pub(crate) fn run_pipeline(
     for slot in &mut slots {
         slot.charge = vec![0; topology.groups.len()];
     }
-    let chunk_len = match schedule {
-        // Static: one epoch per handoff — big chunks, minimal queue
-        // traffic, pipelining only across epochs.
-        Schedule::Static => env.window,
-        // Dynamic: the tuned claim granularity — small chunks so lanes
-        // within a group stay balanced and groups overlap within an
-        // epoch, sized up under roomy queues to cut handoff traffic. The
-        // default.
-        Schedule::Dynamic => adaptive_chunk_size(n, total_lanes, queue_capacity),
-    };
+    let chunk_len = adaptive_chunk_size(n, total_lanes, queue_capacity);
     let chunks = build_chunks(slots, chunk_len, env.window);
     let total_chunks = chunks.len() as u64;
 
@@ -1300,7 +1275,6 @@ pub(crate) fn run_pipeline(
         })
         .collect();
     let mut events: Vec<(usize, BreakerEvent)> = Vec::new();
-    let (mut cache_hits, mut cache_misses) = (0u64, 0u64);
 
     let sequential = topology.groups.len() <= 1 && total_lanes <= 1;
     let sink_out = if topology.groups.is_empty() {
@@ -1319,14 +1293,7 @@ pub(crate) fn run_pipeline(
             worker.process_chunk(&mut chunk);
             sink.consume(chunk);
         }
-        let lane = worker.finish();
-        fold_lane(
-            lane,
-            &mut reports,
-            &mut events,
-            &mut cache_hits,
-            &mut cache_misses,
-        );
+        fold_lane(worker.finish(), &mut reports, &mut events);
         sink.finish()
     } else {
         let groups = topology.groups.len();
@@ -1377,13 +1344,7 @@ pub(crate) fn run_pipeline(
             (lane_outs, sink_out)
         });
         for lane in lane_outs {
-            fold_lane(
-                lane,
-                &mut reports,
-                &mut events,
-                &mut cache_hits,
-                &mut cache_misses,
-            );
+            fold_lane(lane, &mut reports, &mut events);
         }
         sink_out
     };
@@ -1401,33 +1362,19 @@ pub(crate) fn run_pipeline(
         items: sink_out.items,
         reports,
         breaker_events: events.into_iter().map(|(_, e)| e).collect(),
-        cache_hits,
-        cache_misses,
         shed: sink_out.shed,
         sim_elapsed: sink_out.sim_elapsed,
         revision,
     }
 }
 
-/// Merges one lane's output into the run totals. Lane token caches merge
-/// via [`TokenCache::merge`] — order-independent, so the fold order
-/// (group-major, lane-minor) never shows in the tallies.
-fn fold_lane(
-    lane: LaneOut,
-    reports: &mut [StageReport],
-    events: &mut Vec<(usize, BreakerEvent)>,
-    cache_hits: &mut u64,
-    cache_misses: &mut u64,
-) {
+/// Merges one lane's output into the run totals. Report merging sums,
+/// so the fold order (group-major, lane-minor) never shows.
+fn fold_lane(lane: LaneOut, reports: &mut [StageReport], events: &mut Vec<(usize, BreakerEvent)>) {
     for (k, report) in lane.reports {
         merge_report(&mut reports[k], report);
     }
     events.extend(lane.events);
-    let mut merged = TokenCache::new();
-    merged.merge(lane.cache);
-    let (h, m) = merged.stats();
-    *cache_hits += h;
-    *cache_misses += m;
 }
 
 /// Adds report `b` into `a` field-by-field (counters union-add). Also
@@ -1630,40 +1577,5 @@ mod tests {
         let mut d = mk(50);
         apply_feed(&Feed::Batch, &mut d);
         assert!(d.iter().all(|s| !s.shed && s.arrival == 0));
-    }
-
-    #[test]
-    fn admission_plan_matches_apply_feed_on_fresh_slots() {
-        let mk = |n: usize| -> Vec<Slot> {
-            (0..n)
-                .map(|i| {
-                    Slot::live(
-                        StageItem::new(
-                            i,
-                            InstructionPair::new(
-                                i as u64,
-                                "q".to_string(),
-                                "a".to_string(),
-                                coachlm_data::Category(0),
-                            ),
-                        ),
-                        false,
-                    )
-                })
-                .collect()
-        };
-        for (rate, drain, cap) in [(100.0, 40.0, 10), (55.5, 60.0, 3), (10.0, 200.0, 1)] {
-            let feed = Feed::Sustained {
-                rate_per_sec: rate,
-                drain_per_sec: drain,
-                backlog_capacity: cap,
-            };
-            let mut slots = mk(400);
-            apply_feed(&feed, &mut slots);
-            let plan = admission_plan(&feed, 400).expect("sustained feed plans");
-            let from_slots: Vec<bool> = slots.iter().map(|s| s.shed).collect();
-            assert_eq!(plan, from_slots, "rate {rate} drain {drain} cap {cap}");
-        }
-        assert!(admission_plan(&Feed::Batch, 50).is_none());
     }
 }

@@ -6,6 +6,8 @@
 //! are also the building blocks of the "Adjust" revision class in Table IV
 //! (68.1 % of instruction revisions are language/layout adjustments).
 
+use std::ops::Range;
+
 /// Collapses runs of whitespace to single spaces and trims the ends.
 /// Newlines are preserved as single `\n` (layout is meaningful in
 /// responses — lists, paragraphs).
@@ -114,6 +116,59 @@ pub fn fold_case(s: &str) -> String {
     }
 }
 
+/// Byte range in `text` itself of the first case-insensitive occurrence
+/// of `needle`. Offsets into a folded copy are not offsets into `text`
+/// wherever folding changes a character's byte length (the Kelvin sign,
+/// 3 bytes, folds to `k`, 1 byte), so non-ASCII text is folded one
+/// character at a time, tracking where each character came from, and a
+/// match counts only if both of its ends fall on character boundaries of
+/// `text`. ASCII text folds byte for byte and keeps the fast path.
+pub fn find_folded(text: &str, needle: &str) -> Option<Range<usize>> {
+    let needle = fold_case(needle);
+    if text.is_ascii() {
+        let start = text.to_ascii_lowercase().find(&needle)?;
+        return Some(start..start + needle.len());
+    }
+    let mut folded = String::with_capacity(text.len());
+    // (offset in `folded`, offset in `text`) at every character boundary.
+    let mut bounds = Vec::with_capacity(text.len() + 1);
+    for (at, c) in text.char_indices() {
+        bounds.push((folded.len(), at));
+        folded.extend(c.to_lowercase());
+    }
+    bounds.push((folded.len(), text.len()));
+    let original = |folded_at: usize| {
+        bounds
+            .binary_search_by_key(&folded_at, |&(f, _)| f)
+            .ok()
+            .map(|i| bounds[i].1)
+    };
+    let mut from = 0;
+    while let Some(pos) = folded[from..].find(&needle) {
+        let start = from + pos;
+        if let (Some(s), Some(e)) = (original(start), original(start + needle.len())) {
+            return Some(s..e);
+        }
+        from = start + folded[start..].chars().next().map_or(1, char::len_utf8);
+    }
+    None
+}
+
+/// Removes the first case-insensitive occurrence of `phrase` from `text`
+/// and collapses the leftover whitespace; returns `text` unchanged when
+/// the phrase is absent.
+pub fn remove_phrase(text: &str, phrase: &str) -> String {
+    match find_folded(text, phrase) {
+        Some(range) => {
+            let mut out = String::with_capacity(text.len());
+            out.push_str(&text[..range.start]);
+            out.push_str(&text[range.end..]);
+            collapse_whitespace(&out)
+        }
+        None => text.to_string(),
+    }
+}
+
 /// Full layout normalisation: whitespace, punctuation spacing,
 /// capitalisation, terminal punctuation. The "Adjust" primitive.
 pub fn normalize_layout(s: &str) -> String {
@@ -177,6 +232,36 @@ mod tests {
     fn fold_case_ascii_and_unicode() {
         assert_eq!(fold_case("HeLLo"), "hello");
         assert_eq!(fold_case("CAFÉ"), "café");
+    }
+
+    #[test]
+    fn find_folded_returns_ranges_in_the_original_text() {
+        assert_eq!(find_folded("Could OF been", "could of"), Some(0..8));
+        assert_eq!(find_folded("no match", "could of"), None);
+        // Each Kelvin sign is 3 bytes but folds to the 1-byte `k`.
+        let text = "At 300 \u{212A} \u{212A}\u{212A} the gas could of condensed";
+        let range = find_folded(text, "could of").expect("present");
+        assert_eq!(&text[range], "could of");
+        let range = find_folded(text, "\u{212A}\u{212A}").expect("present");
+        assert_eq!(&text[range], "\u{212A}\u{212A}");
+        // A match inside one character's folding is not a match in `text`.
+        assert_eq!(find_folded("\u{130}", "i"), None);
+    }
+
+    #[test]
+    fn remove_phrase_cuts_the_original_text() {
+        assert_eq!(
+            remove_phrase(
+                "Do it Using Exactly Zero Words now",
+                "using exactly zero words"
+            ),
+            "Do it now"
+        );
+        assert_eq!(
+            remove_phrase("\u{212A}é, for example, cooled", "for example,"),
+            "\u{212A}é, cooled"
+        );
+        assert_eq!(remove_phrase("untouched text", "absent"), "untouched text");
     }
 
     #[test]

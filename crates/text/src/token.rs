@@ -132,88 +132,6 @@ pub fn word_count(s: &str) -> usize {
         .count()
 }
 
-/// A memo of tokenisations keyed by exact text, so a pair that flows through
-/// several pipeline stages is tokenised once per stage chain rather than once
-/// per stage. Shared results are handed out as `Arc`s; hit/miss counters feed
-/// the executor's per-stage reports.
-#[derive(Debug, Default)]
-pub struct TokenCache {
-    entries: crate::fxhash::FxHashMap<String, std::sync::Arc<Vec<Token>>>,
-    hits: u64,
-    misses: u64,
-}
-
-impl TokenCache {
-    /// An empty cache.
-    pub fn new() -> Self {
-        Self::default()
-    }
-
-    /// The tokenisation of `s`, computed on first sight and shared after.
-    pub fn tokens(&mut self, s: &str) -> std::sync::Arc<Vec<Token>> {
-        if let Some(hit) = self.entries.get(s) {
-            self.hits += 1;
-            return std::sync::Arc::clone(hit);
-        }
-        self.misses += 1;
-        let toks = std::sync::Arc::new(tokenize(s));
-        self.entries
-            .insert(s.to_string(), std::sync::Arc::clone(&toks));
-        toks
-    }
-
-    /// Cached [`word_count`]: non-punct tokens of `s`.
-    pub fn word_count(&mut self, s: &str) -> usize {
-        self.tokens(s)
-            .iter()
-            .filter(|t| t.kind != TokenKind::Punct)
-            .count()
-    }
-
-    /// Cached [`words`]: the token texts of `s` (punctuation included).
-    pub fn words<'a>(&mut self, s: &'a str) -> Vec<&'a str> {
-        let toks = self.tokens(s);
-        toks.iter().map(|t| t.text(s)).collect()
-    }
-
-    /// `(hits, misses)` since construction or the last [`clear`](Self::clear).
-    pub fn stats(&self) -> (u64, u64) {
-        (self.hits, self.misses)
-    }
-
-    /// Number of distinct texts currently cached.
-    pub fn len(&self) -> usize {
-        self.entries.len()
-    }
-
-    /// `true` when nothing has been cached.
-    pub fn is_empty(&self) -> bool {
-        self.entries.is_empty()
-    }
-
-    /// Drops all entries and zeroes the counters.
-    pub fn clear(&mut self) {
-        self.entries.clear();
-        self.hits = 0;
-        self.misses = 0;
-    }
-
-    /// Absorbs `other` into `self`: entries union (an entry for a text
-    /// both caches tokenised is kept from whichever cache got there
-    /// first — both hold the identical tokenisation, so the choice is
-    /// unobservable) and hit/miss counters sum. Commutative up to which
-    /// identical `Arc` survives, so merging per-worker caches in any
-    /// order yields the same observable cache — the same shape as
-    /// `Quarantine::merge` in the runtime.
-    pub fn merge(&mut self, other: TokenCache) {
-        for (text, toks) in other.entries {
-            self.entries.entry(text).or_insert(toks);
-        }
-        self.hits += other.hits;
-        self.misses += other.misses;
-    }
-}
-
 /// Split `s` into sentences on `.`, `!`, `?` and newlines, keeping the
 /// terminator with the sentence. Abbreviation handling is intentionally
 /// minimal: a period followed by a lowercase letter does not split.
@@ -351,67 +269,6 @@ mod tests {
             sentences("line one\nline two"),
             vec!["line one", "line two"]
         );
-    }
-
-    #[test]
-    fn token_cache_reuses_and_counts() {
-        let mut cache = TokenCache::new();
-        assert!(cache.is_empty());
-        let a = cache.tokens("Hello, world!");
-        let b = cache.tokens("Hello, world!");
-        assert!(std::sync::Arc::ptr_eq(&a, &b));
-        assert_eq!(cache.stats(), (1, 1));
-        assert_eq!(cache.word_count("Hello, world!"), 2);
-        assert_eq!(
-            cache.word_count("Hello, world!"),
-            word_count("Hello, world!")
-        );
-        assert_eq!(cache.words("don't stop"), words("don't stop"));
-        assert_eq!(cache.len(), 2);
-        cache.clear();
-        assert_eq!(cache.stats(), (0, 0));
-        assert!(cache.is_empty());
-    }
-
-    #[test]
-    fn token_cache_merge_is_order_independent() {
-        let texts = ["alpha beta", "gamma, delta!", "alpha beta", "epsilon"];
-        let mut a = TokenCache::new();
-        let mut b = TokenCache::new();
-        for t in &texts[..2] {
-            a.tokens(t);
-        }
-        for t in &texts[2..] {
-            b.tokens(t);
-        }
-        let merge = |first: &TokenCache, second: &TokenCache| {
-            let mut out = TokenCache::new();
-            for (k, v) in &first.entries {
-                out.entries.insert(k.clone(), std::sync::Arc::clone(v));
-            }
-            out.hits = first.hits;
-            out.misses = first.misses;
-            let mut rhs = TokenCache::new();
-            for (k, v) in &second.entries {
-                rhs.entries.insert(k.clone(), std::sync::Arc::clone(v));
-            }
-            rhs.hits = second.hits;
-            rhs.misses = second.misses;
-            out.merge(rhs);
-            out
-        };
-        let ab = merge(&a, &b);
-        let ba = merge(&b, &a);
-        assert_eq!(ab.len(), 3);
-        assert_eq!(ab.len(), ba.len());
-        assert_eq!(ab.stats(), ba.stats());
-        // Merged entries serve lookups as hits with identical contents.
-        let mut ab = ab;
-        let mut ba = ba;
-        for t in texts {
-            assert_eq!(*ab.tokens(t), *ba.tokens(t));
-        }
-        assert_eq!(ab.stats(), ba.stats());
     }
 
     #[test]

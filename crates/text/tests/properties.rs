@@ -8,7 +8,7 @@ use coachlm_text::editdist::{
 use coachlm_text::fxhash::FxHashMap;
 use coachlm_text::intern::{Interner, Sym};
 use coachlm_text::ngram::{ngrams, NgramCounter};
-use coachlm_text::normalize::normalize_layout;
+use coachlm_text::normalize::{find_folded, fold_case, normalize_layout};
 use coachlm_text::token::{tokenize, words};
 use proptest::prelude::*;
 
@@ -255,5 +255,40 @@ proptest! {
     fn normalize_layout_idempotent(s in "[a-z ,.!?]{0,60}") {
         let once = normalize_layout(&s);
         prop_assert_eq!(normalize_layout(&once), once);
+    }
+
+    // On ASCII text folding is byte for byte, so `find_folded` returns the
+    // cut the fold-then-find code took: the match offset in the lowercased
+    // copy plus the folded needle's length.
+    #[test]
+    fn find_folded_keeps_the_ascii_cut(text in "[a-cA-C ]{0,40}", needle in "[a-cA-C]{0,4}") {
+        let folded_needle = fold_case(&needle);
+        let old = text
+            .to_ascii_lowercase()
+            .find(&folded_needle)
+            .map(|pos| pos..pos + folded_needle.len());
+        prop_assert_eq!(find_folded(&text, &needle), old);
+    }
+
+    // On any text a match is a char-boundary range of the text itself
+    // whose fold equals the needle's. The needle is an upper-cased slice
+    // of the text, so most cases do match.
+    #[test]
+    fn find_folded_ranges_are_char_boundaries(
+        text in "\\PC{0,30}",
+        start in 0usize..30,
+        len in 1usize..4,
+    ) {
+        let needle: String = text
+            .chars()
+            .skip(start)
+            .take(len)
+            .flat_map(char::to_uppercase)
+            .collect();
+        if let Some(range) = find_folded(&text, &needle) {
+            prop_assert!(text.is_char_boundary(range.start));
+            prop_assert!(text.is_char_boundary(range.end));
+            prop_assert_eq!(fold_case(&text[range]), fold_case(&needle));
+        }
     }
 }

@@ -23,9 +23,8 @@ cargo build --offline --release --workspace
 # taint reaching Stage::process/journal/digest sinks (T1) and fingerprint
 # field coverage (F1). See DESIGN.md "Static invariants" and "Analyzer".
 # Exit codes gate the run: 1 = findings, 3 = parse/IO errors (the tree
-# could not be fully analyzed — treated as failure, not as clean). Parsed
-# item trees are cached per content hash under target/coachlm-lint.cache,
-# so warm CI runs re-analyze only files that changed.
+# could not be fully analyzed — treated as failure, not as clean). Every
+# run analyzes every file; nothing is cached between runs.
 echo "==> coachlm-lint (determinism, panic-safety & taint pass)"
 cargo run --offline -p coachlm-lint --release -- --format json --out results/lint.json
 
@@ -40,37 +39,33 @@ cargo fmt --check --manifest-path coachbench/Cargo.toml
 cargo clippy --offline --all-targets --manifest-path coachbench/Cargo.toml -- -D warnings
 cargo test --offline -q --manifest-path coachbench/Cargo.toml
 
-# Fault matrix: one chaos cell per (fault seed, schedule). Each cell checks
-# the partition and thread-invariance properties of the fault-injection
-# layer under a different deterministic fault pattern.
-echo "==> fault matrix (3 fault seeds x 2 schedules)"
+# Fault matrix: one chaos cell per fault seed. Each cell checks the
+# partition and thread-invariance properties of the fault-injection layer
+# under a different deterministic fault pattern.
+echo "==> fault matrix (3 fault seeds)"
 for seed in 11 29 53; do
-    for sched in static dynamic; do
-        echo "   -> seed=$seed schedule=$sched"
-        COACHLM_FAULT_SEED=$seed COACHLM_SCHEDULE=$sched \
-            cargo test --offline -q --test fault_injection fault_matrix_cell
-    done
+    echo "   -> seed=$seed"
+    COACHLM_FAULT_SEED=$seed \
+        cargo test --offline -q --test fault_injection fault_matrix_cell
 done
 
-# Crash matrix: one cell per (seed, kill point, schedule). Each cell writes
-# a journaled run, truncates the journal at the kill point, and checks that
+# Crash matrix: one cell per (seed, kill point). Each cell writes a
+# journaled run, truncates the journal at the kill point, and checks that
 # the resumed run is digest-identical to an uninterrupted one at several
 # thread counts — the crash-consistency contract of the write-ahead journal.
-echo "==> crash matrix (3 seeds x 3 kill points x 2 schedules)"
+echo "==> crash matrix (3 seeds x 3 kill points)"
 for seed in 11 29 53; do
     for kill in 25 50 90; do
-        for sched in static dynamic; do
-            echo "   -> seed=$seed kill=$kill% schedule=$sched"
-            COACHLM_CRASH_SEED=$seed COACHLM_KILL_POINT=$kill COACHLM_SCHEDULE=$sched \
-                cargo test --offline -q --test crash_resume crash_matrix_cell
-        done
+        echo "   -> seed=$seed kill=$kill%"
+        COACHLM_CRASH_SEED=$seed COACHLM_KILL_POINT=$kill \
+            cargo test --offline -q --test crash_resume crash_matrix_cell
     done
 done
 
 # Streaming matrix: one cell per (seed, thread count, queue capacity).
 # Each cell runs every ported chain through the pipeline-parallel
-# streaming core — batch and sustained feeds, both schedules, faults and
-# breaker active — and checks digest equality against the
+# streaming core — batch and sustained feeds, faults and breaker active —
+# and checks digest equality against the
 # single-threaded reference. Thread count and queue depth are
 # performance knobs only; any divergence here is a determinism bug.
 echo "==> streaming matrix (3 seeds x 2 thread counts x 2 queue capacities)"
@@ -86,8 +81,8 @@ done
 
 # Cache/shard matrix: one cell per (seed, shard count, duplicate skew).
 # Each cell runs a Zipfian-duplicated workload through the revision cache
-# and the sharded driver — cached runs at both schedules and two thread
-# counts, plus a sharded run — and checks digest equality against the
+# and the sharded driver — cached runs at two thread counts, plus a
+# sharded run — and checks digest equality against the
 # uncached single-threaded reference. The cache and the shard fan-out are
 # deployment knobs only; any divergence here is a determinism bug.
 echo "==> cache/shard matrix (2 seeds x 2 shard counts x 2 skews)"
@@ -101,21 +96,19 @@ for seed in 11 53; do
     done
 done
 
-# Tournament matrix: one cell per (seed, schedule, thread count). Each
-# cell runs every registered strategy under chaos at the cell's executor
-# config, checks digest equality against the single-threaded static
-# reference, and verifies the debiased tournament matrix over the zoo's
+# Tournament matrix: one cell per (seed, thread count). Each cell runs
+# every registered strategy under chaos at the cell's executor config,
+# checks digest equality against the single-threaded reference, and
+# verifies the debiased tournament matrix over the zoo's
 # outputs is identical to the reference's. Strategy pipelines — including
 # the looping Self-Review and auto-evol stages — must be execution-config
 # invariant end to end.
-echo "==> tournament matrix (2 seeds x 2 schedules x 2 thread counts)"
+echo "==> tournament matrix (2 seeds x 2 thread counts)"
 for seed in 11 53; do
-    for sched in static dynamic; do
-        for threads in 2 8; do
-            echo "   -> seed=$seed schedule=$sched threads=$threads"
-            COACHLM_TOURN_SEED=$seed COACHLM_TOURN_SCHEDULE=$sched COACHLM_TOURN_THREADS=$threads \
-                cargo test --offline -q --test strategy_zoo tournament_matrix_cell
-        done
+    for threads in 2 8; do
+        echo "   -> seed=$seed threads=$threads"
+        COACHLM_TOURN_SEED=$seed COACHLM_TOURN_THREADS=$threads \
+            cargo test --offline -q --test strategy_zoo tournament_matrix_cell
     done
 done
 

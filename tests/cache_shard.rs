@@ -5,7 +5,7 @@
 //!
 //! * **Cache transparency** — over duplicate-heavy (Zipfian) input, a
 //!   cached run is digest-identical to the *uncached content-keyed* run
-//!   at any thread count, queue capacity, and schedule, with faults and
+//!   at any thread count and queue capacity, with faults and
 //!   retries active. Cache hits replay journal-visible effects exactly;
 //!   they never introduce a second behaviour.
 //! * **Near-tier correctness** — every `cache:near` reuse really is
@@ -32,7 +32,7 @@ use coachlm::data::pair::InstructionPair;
 use coachlm::runtime::shard::{run_sharded, run_sharded_journaled};
 use coachlm::runtime::{
     CachePolicy, ChainOutput, Executor, ExecutorConfig, FaultPlan, Journal, JournalError,
-    RetryPolicy, Schedule, Stage, StageCtx, StageItem, StageOutcome, StreamSource,
+    RetryPolicy, Stage, StageCtx, StageItem, StageOutcome, StreamSource,
 };
 use coachlm::text::editdist::edit_distance_bounded;
 use coachlm::text::intern::{Interner, Sym};
@@ -103,10 +103,9 @@ fn workload(distinct: usize, total: usize, exponent: f64, seed: u64) -> Vec<Inst
 
 /// Chaos config with faults and retries (no breaker: the cache and the
 /// sharded driver both reject breaker configs by design).
-fn chaos(seed: u64, threads: usize, schedule: Schedule, queue: usize) -> ExecutorConfig {
+fn chaos(seed: u64, threads: usize, queue: usize) -> ExecutorConfig {
     ExecutorConfig::new(seed)
         .threads(threads)
-        .schedule(schedule)
         .queue_capacity(queue)
         .fault_plan(FaultPlan::new(seed ^ 0xCAC).transient(0.15).permanent(0.02))
         .retry_policy(RetryPolicy::new(3, Duration::from_millis(10)))
@@ -126,7 +125,7 @@ fn assert_same(a: &ChainOutput, b: &ChainOutput, what: &str) {
 proptest! {
     // The headline cache property: with exact-tier caching, the cached
     // run is digest-identical to the uncached content-keyed run at any
-    // (threads, queue, schedule), with faults active — a hit replays
+    // (threads, queue), with faults active — a hit replays
     // exactly what execution would have produced.
     #[test]
     fn cached_digest_equals_uncached_at_any_parallelism(
@@ -136,14 +135,12 @@ proptest! {
         seed in 0u64..5_000,
         threads in 1usize..=8,
         queue in 1usize..128,
-        dynamic in 0u8..2,
     ) {
         let pairs = workload(distinct, total, exponent, seed);
-        let schedule = if dynamic == 1 { Schedule::Dynamic } else { Schedule::Static };
-        let uncached = Executor::new(chaos(seed, 1, Schedule::Static, 64).content_keyed(true))
+        let uncached = Executor::new(chaos(seed, 1, 64).content_keyed(true))
             .run(&stages(), pairs.clone());
         let cached = Executor::new(
-            chaos(seed, threads, schedule, queue).revision_cache(CachePolicy::exact()),
+            chaos(seed, threads, queue).revision_cache(CachePolicy::exact()),
         )
         .run(&stages(), pairs);
         assert_same(&uncached, &cached, "cached vs uncached");
@@ -163,7 +160,7 @@ proptest! {
         cache in 0u8..2,
     ) {
         let pairs = workload(distinct, total, 1.0, seed);
-        let mut config = chaos(seed, threads, Schedule::Dynamic, 32);
+        let mut config = chaos(seed, threads, 32);
         if cache == 1 {
             config = config.revision_cache(CachePolicy::exact());
         }
@@ -239,7 +236,7 @@ fn temp_path(tag: &str) -> PathBuf {
 fn warm_cache_crash_resume_converges_to_uninterrupted_digest() {
     let seed = 0xCA5E;
     let pairs = workload(12, 90, 1.1, seed);
-    let config = chaos(seed, 3, Schedule::Dynamic, 16).revision_cache(CachePolicy::exact());
+    let config = chaos(seed, 3, 16).revision_cache(CachePolicy::exact());
 
     let gold = Executor::new(config.clone()).run(&stages(), pairs.clone());
 
@@ -275,7 +272,7 @@ fn warm_cache_crash_resume_converges_to_uninterrupted_digest() {
 fn journal_refuses_resume_under_a_different_cache_policy() {
     let seed = 0xCAFE;
     let pairs = workload(10, 40, 1.0, seed);
-    let cached = chaos(seed, 2, Schedule::Static, 32).revision_cache(CachePolicy::exact());
+    let cached = chaos(seed, 2, 32).revision_cache(CachePolicy::exact());
     let path = temp_path("policy.wal");
 
     let mut journal = Journal::create(&path).expect("create journal");
@@ -285,9 +282,9 @@ fn journal_refuses_resume_under_a_different_cache_policy() {
     drop(journal);
 
     for other in [
-        chaos(seed, 2, Schedule::Static, 32),
-        chaos(seed, 2, Schedule::Static, 32).revision_cache(CachePolicy::exact().near(2, 4)),
-        chaos(seed, 2, Schedule::Static, 32).revision_cache(CachePolicy::exact().capacity(8)),
+        chaos(seed, 2, 32),
+        chaos(seed, 2, 32).revision_cache(CachePolicy::exact().near(2, 4)),
+        chaos(seed, 2, 32).revision_cache(CachePolicy::exact().capacity(8)),
     ] {
         let mut journal = Journal::open(&path).expect("reopen");
         let err = Executor::new(other).run_journaled(&stages(), pairs.clone(), &mut journal);
@@ -307,7 +304,7 @@ fn sharded_journaled_resume_matches_uninterrupted_run() {
     let seed = 0x5AD;
     let shards = 3;
     let pairs = workload(15, 120, 1.0, seed);
-    let config = chaos(seed, 2, Schedule::Dynamic, 16).revision_cache(CachePolicy::exact());
+    let config = chaos(seed, 2, 16).revision_cache(CachePolicy::exact());
 
     let gold = run_sharded(
         &config,
@@ -352,14 +349,12 @@ fn sharded_journaled_resume_matches_uninterrupted_run() {
 /// duplicate skew), driven by environment variables; a no-op without
 /// them so plain `cargo test` stays fast. Each cell checks the cached
 /// and the sharded-cached run against the uncached content-keyed
-/// reference, under both schedules.
+/// reference.
 #[test]
 fn cache_matrix_cell() {
-    let (Ok(seed), Ok(shards), Ok(skew)) = (
-        std::env::var("COACHLM_CACHE_SEED"),
-        std::env::var("COACHLM_SHARDS"),
-        std::env::var("COACHLM_SKEW"),
-    ) else {
+    let Some([seed, shards, skew]) =
+        cell_vars(["COACHLM_CACHE_SEED", "COACHLM_SHARDS", "COACHLM_SKEW"])
+    else {
         return;
     };
     let seed: u64 = seed.parse().expect("COACHLM_CACHE_SEED must be a u64");
@@ -367,33 +362,53 @@ fn cache_matrix_cell() {
     let skew: f64 = skew.parse().expect("COACHLM_SKEW must be an f64");
 
     let pairs = workload(25, 300, skew, seed ^ 0xCAC4E);
-    let reference = Executor::new(chaos(seed, 1, Schedule::Static, 64).content_keyed(true))
-        .run(&stages(), pairs.clone());
-    for schedule in [Schedule::Static, Schedule::Dynamic] {
-        for threads in [1usize, 4] {
-            let config = chaos(seed, threads, schedule, 16).revision_cache(CachePolicy::exact());
-            let cached = Executor::new(config.clone()).run(&stages(), pairs.clone());
-            assert_same(
-                &reference,
-                &cached,
-                &format!("cached {schedule:?} x{threads} skew {skew}"),
-            );
-            let sharded = run_sharded(
-                &config,
-                &stages(),
-                StreamSource::batch(pairs.clone()),
-                shards,
-            )
-            .expect("batch feed is always shardable");
-            assert_same(
-                &reference,
-                &sharded.output,
-                &format!("sharded {schedule:?} x{threads} s{shards} skew {skew}"),
-            );
-            assert_eq!(
-                sharded.output.revision_cache.exact_hits, cached.revision_cache.exact_hits,
-                "co-location preserves the hit tally"
-            );
-        }
+    let reference =
+        Executor::new(chaos(seed, 1, 64).content_keyed(true)).run(&stages(), pairs.clone());
+    for threads in [1usize, 4] {
+        let config = chaos(seed, threads, 16).revision_cache(CachePolicy::exact());
+        let cached = Executor::new(config.clone()).run(&stages(), pairs.clone());
+        assert_same(
+            &reference,
+            &cached,
+            &format!("cached x{threads} skew {skew}"),
+        );
+        let sharded = run_sharded(
+            &config,
+            &stages(),
+            StreamSource::batch(pairs.clone()),
+            shards,
+        )
+        .expect("batch feed is always shardable");
+        assert_same(
+            &reference,
+            &sharded.output,
+            &format!("sharded x{threads} s{shards} skew {skew}"),
+        );
+        assert_eq!(
+            sharded.output.revision_cache.exact_hits, cached.revision_cache.exact_hits,
+            "co-location preserves the hit tally"
+        );
     }
+}
+
+/// Reads a CI matrix cell's variables: `None` when none is set (plain
+/// `cargo test` skips the cell); panics naming the missing ones when only
+/// some are, so a cell never passes without running.
+fn cell_vars<const N: usize>(names: [&str; N]) -> Option<[String; N]> {
+    let values = names.map(|name| std::env::var(name).ok());
+    if values.iter().all(Option::is_none) {
+        return None;
+    }
+    let missing: Vec<&str> = names
+        .iter()
+        .zip(&values)
+        .filter(|(_, v)| v.is_none())
+        .map(|(n, _)| *n)
+        .collect();
+    assert!(
+        missing.is_empty(),
+        "matrix cell is missing {}",
+        missing.join(", ")
+    );
+    Some(values.map(Option::unwrap_or_default))
 }

@@ -7,16 +7,15 @@
 //!   the torn tail to the last consistent frontier, and the resumed run
 //!   is bit-identical to an uninterrupted one in every deterministic
 //!   field (items, reports, quarantine, breaker evolution).
-//! * **Cross-config resume** — a journal written at one thread count and
-//!   schedule resumes at any other, because outcomes never depend on
-//!   either.
+//! * **Cross-config resume** — a journal written at one thread count
+//!   resumes at any other, because outcomes never depend on it.
 //! * **Chaos composition** — the above holds with a [`FaultPlan`]
 //!   injecting transient/permanent faults and deadline-busting latency,
 //!   and with a circuit breaker tripping mid-batch.
 //!
 //! `crash_matrix_cell` is the CI entry point: `scripts/ci.sh` runs it
-//! under `COACHLM_CRASH_SEED` × `COACHLM_KILL_POINT` ×
-//! `COACHLM_SCHEDULE` to sweep the crash matrix.
+//! under `COACHLM_CRASH_SEED` × `COACHLM_KILL_POINT` to sweep the crash
+//! matrix.
 
 use std::path::PathBuf;
 use std::sync::atomic::{AtomicU64, Ordering};
@@ -33,8 +32,7 @@ use coachlm::expert::filter::preliminary_filter;
 use coachlm::expert::pool::ExpertPool;
 use coachlm::expert::revision::ExpertReviser;
 use coachlm::runtime::{
-    BreakerPolicy, ChainOutput, Executor, ExecutorConfig, FaultPlan, Journal, RetryPolicy,
-    Schedule, Stage,
+    BreakerPolicy, ChainOutput, Executor, ExecutorConfig, FaultPlan, Journal, RetryPolicy, Stage,
 };
 use proptest::prelude::*;
 
@@ -66,10 +64,9 @@ fn chain(f: &'static Fixtures) -> Vec<Box<dyn Stage + 'static>> {
 /// The chaos config every test runs under: transient + permanent faults,
 /// latency spikes past the coach-revise deadline budget, and a breaker
 /// that trips mid-batch — the richest behaviour the journal must replay.
-fn config(seed: u64, threads: usize, schedule: Schedule) -> ExecutorConfig {
+fn config(seed: u64, threads: usize) -> ExecutorConfig {
     ExecutorConfig::new(seed)
         .threads(threads)
-        .schedule(schedule)
         .fault_plan(
             FaultPlan::new(seed ^ 0xFA)
                 .transient(0.2)
@@ -104,7 +101,7 @@ fn dataset(n: usize, seed: u64) -> Dataset {
 
 /// Golden uninterrupted run (no journal involved at all).
 fn golden(d: &Dataset, seed: u64) -> ChainOutput {
-    Executor::new(config(seed, 1, Schedule::Static)).run_dataset(&chain(fixtures()), d)
+    Executor::new(config(seed, 1)).run_dataset(&chain(fixtures()), d)
 }
 
 /// Writes a complete journal for the run and returns its bytes.
@@ -112,7 +109,7 @@ fn full_journal_bytes(d: &Dataset, seed: u64, path: &PathBuf) -> Vec<u8> {
     // sync_every(1) keeps the record stream ordered on disk record by
     // record, so truncation points cover every commit depth.
     let mut journal = Journal::create(path).expect("create journal").sync_every(1);
-    Executor::new(config(seed, 4, Schedule::Dynamic))
+    Executor::new(config(seed, 4))
         .run_journaled(&chain(fixtures()), d.pairs.clone(), &mut journal)
         .expect("journaled run");
     drop(journal);
@@ -121,7 +118,6 @@ fn full_journal_bytes(d: &Dataset, seed: u64, path: &PathBuf) -> Vec<u8> {
 
 /// Truncates the journal to `len` bytes, recovers it, resumes, and checks
 /// the result against the golden run.
-#[allow(clippy::too_many_arguments)]
 fn resume_at(
     path: &PathBuf,
     bytes: &[u8],
@@ -129,18 +125,17 @@ fn resume_at(
     d: &Dataset,
     seed: u64,
     threads: usize,
-    schedule: Schedule,
     gold: &ChainOutput,
 ) {
     std::fs::write(path, &bytes[..len]).expect("truncate journal");
     let mut journal = Journal::open(path).expect("recover truncated journal");
-    let resumed = Executor::new(config(seed, threads, schedule))
+    let resumed = Executor::new(config(seed, threads))
         .resume_from(&chain(fixtures()), d.pairs.clone(), &mut journal)
         .expect("resume");
     assert_eq!(
         resumed.digest(),
         gold.digest(),
-        "cut at byte {len}/{}: resumed run diverged ({schedule:?} x{threads})",
+        "cut at byte {len}/{}: resumed run diverged (x{threads})",
         bytes.len()
     );
     assert_eq!(
@@ -194,21 +189,8 @@ fn kill_at_every_byte_offset_of_the_tail_resumes_bit_identical() {
     for (i, len) in cuts.into_iter().enumerate() {
         // Alternate resume configs so the sweep also covers cross-config
         // resume without multiplying its cost.
-        let (threads, schedule) = match i % 3 {
-            0 => (1, Schedule::Static),
-            1 => (4, Schedule::Dynamic),
-            _ => (3, Schedule::Static),
-        };
-        resume_at(
-            &path,
-            &bytes,
-            len as usize,
-            &d,
-            seed,
-            threads,
-            schedule,
-            &gold,
-        );
+        let threads = [1, 4, 3][i % 3];
+        resume_at(&path, &bytes, len as usize, &d, seed, threads, &gold);
     }
     std::fs::remove_file(&path).ok();
 }
@@ -226,7 +208,7 @@ fn double_crash_still_converges() {
     // First crash: keep a quarter of the journal, resume fully.
     std::fs::write(&path, &bytes[..bytes.len() / 4]).unwrap();
     let mut journal = Journal::open(&path).unwrap();
-    Executor::new(config(seed, 2, Schedule::Dynamic))
+    Executor::new(config(seed, 2))
         .resume_from(&chain(fixtures()), d.pairs.clone(), &mut journal)
         .unwrap();
     drop(journal);
@@ -244,53 +226,41 @@ fn double_crash_still_converges() {
         &d,
         seed,
         4,
-        Schedule::Static,
         &gold,
     );
     std::fs::remove_file(&path).ok();
 }
 
-// Randomised crash matrix: any (seed, kill fraction, thread count,
-// schedule) resumes bit-identical to the uninterrupted run.
+// Randomised crash matrix: any (seed, kill fraction, thread count)
+// resumes bit-identical to the uninterrupted run.
 proptest! {
     #[test]
     fn any_crash_point_resumes_bit_identical(
         seed in 0u64..1_000,
         kill_permille in 0usize..1_000,
         threads in 1usize..9,
-        dynamic in 0u8..2,
     ) {
         let d = dataset(40, seed ^ 0x9A9A);
         let gold = golden(&d, seed);
         let path = temp_journal("prop");
         let bytes = full_journal_bytes(&d, seed, &path);
         let len = bytes.len() * kill_permille / 1_000;
-        let schedule = if dynamic == 1 { Schedule::Dynamic } else { Schedule::Static };
-        resume_at(&path, &bytes, len, &d, seed, threads, schedule, &gold);
+        resume_at(&path, &bytes, len, &d, seed, threads, &gold);
         std::fs::remove_file(&path).ok();
     }
 }
 
-/// CI crash-matrix entry point: one cell per (seed, kill point, schedule),
-/// driven by environment variables. Without them the test is a no-op, so
-/// a plain `cargo test` stays fast.
+/// CI crash-matrix entry point: one cell per (seed, kill point), driven
+/// by environment variables. Without them the test is a no-op, so a plain
+/// `cargo test` stays fast.
 #[test]
 fn crash_matrix_cell() {
-    let (Ok(seed), Ok(kill), Ok(schedule)) = (
-        std::env::var("COACHLM_CRASH_SEED"),
-        std::env::var("COACHLM_KILL_POINT"),
-        std::env::var("COACHLM_SCHEDULE"),
-    ) else {
+    let Some([seed, kill]) = cell_vars(["COACHLM_CRASH_SEED", "COACHLM_KILL_POINT"]) else {
         return;
     };
     let seed: u64 = seed.parse().expect("COACHLM_CRASH_SEED must be a u64");
     let kill_percent: usize = kill.parse().expect("COACHLM_KILL_POINT must be 0..=100");
     assert!(kill_percent <= 100, "COACHLM_KILL_POINT must be 0..=100");
-    let schedule = match schedule.as_str() {
-        "static" => Schedule::Static,
-        "dynamic" => Schedule::Dynamic,
-        other => panic!("COACHLM_SCHEDULE must be static|dynamic, got {other}"),
-    };
 
     let d = dataset(200, seed ^ 0xCE11);
     let gold = golden(&d, seed);
@@ -298,7 +268,29 @@ fn crash_matrix_cell() {
     let bytes = full_journal_bytes(&d, seed, &path);
     let len = bytes.len() * kill_percent / 100;
     for threads in [1, 4, 8, 16] {
-        resume_at(&path, &bytes, len, &d, seed, threads, schedule, &gold);
+        resume_at(&path, &bytes, len, &d, seed, threads, &gold);
     }
     std::fs::remove_file(&path).ok();
+}
+
+/// Reads a CI matrix cell's variables: `None` when none is set (plain
+/// `cargo test` skips the cell); panics naming the missing ones when only
+/// some are, so a cell never passes without running.
+fn cell_vars<const N: usize>(names: [&str; N]) -> Option<[String; N]> {
+    let values = names.map(|name| std::env::var(name).ok());
+    if values.iter().all(Option::is_none) {
+        return None;
+    }
+    let missing: Vec<&str> = names
+        .iter()
+        .zip(&values)
+        .filter(|(_, v)| v.is_none())
+        .map(|(n, _)| *n)
+        .collect();
+    assert!(
+        missing.is_empty(),
+        "matrix cell is missing {}",
+        missing.join(", ")
+    );
+    Some(values.map(Option::unwrap_or_default))
 }

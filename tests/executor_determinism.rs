@@ -15,7 +15,7 @@ use coachlm::expert::filter::{preliminary_filter, PreliminaryFilterStage};
 use coachlm::expert::pool::ExpertPool;
 use coachlm::expert::revision::{ExpertReviseStage, ExpertReviser, RevisionRecord};
 use coachlm::judge::chatgpt::{ChatGptRater, ChatGptRatingStage};
-use coachlm::runtime::{ChainOutput, Executor, ExecutorConfig, Schedule, Stage};
+use coachlm::runtime::{ChainOutput, Executor, ExecutorConfig, Stage};
 use proptest::prelude::*;
 
 /// Shared fixtures that are expensive to build (the proptest loop runs many
@@ -78,23 +78,8 @@ fn chain(sel: u8, f: &'static Fixtures) -> Vec<Box<dyn Stage + 'static>> {
 }
 
 fn run(sel: u8, dataset: &Dataset, seed: u64, threads: usize) -> ChainOutput {
-    run_scheduled(sel, dataset, seed, threads, Schedule::Dynamic)
-}
-
-fn run_scheduled(
-    sel: u8,
-    dataset: &Dataset,
-    seed: u64,
-    threads: usize,
-    schedule: Schedule,
-) -> ChainOutput {
     let stages = chain(sel, fixtures());
-    Executor::new(
-        ExecutorConfig::new(seed)
-            .threads(threads)
-            .schedule(schedule),
-    )
-    .run_dataset(&stages, dataset)
+    Executor::new(ExecutorConfig::new(seed).threads(threads)).run_dataset(&stages, dataset)
 }
 
 fn assert_same(a: &ChainOutput, b: &ChainOutput) -> Result<(), proptest::TestCaseError> {
@@ -127,20 +112,6 @@ proptest! {
         let sequential = run(sel, &dataset, chain_seed, 1);
         let parallel = run(sel, &dataset, chain_seed, threads);
         assert_same(&parallel, &sequential)?;
-    }
-
-    #[test]
-    fn static_and_dynamic_schedules_agree(
-        size in 1usize..200,
-        data_seed in 0u64..1000,
-        chain_seed in 0u64..10_000,
-        threads in 2usize..=16,
-        sel in 0u8..6,
-    ) {
-        let (dataset, _) = generate(&GeneratorConfig::small(size, data_seed));
-        let fixed = run_scheduled(sel, &dataset, chain_seed, threads, Schedule::Static);
-        let dynamic = run_scheduled(sel, &dataset, chain_seed, threads, Schedule::Dynamic);
-        assert_same(&dynamic, &fixed)?;
     }
 
     #[test]

@@ -7,13 +7,13 @@
 //!   sum to the input size.
 //! * **Invariance** — the faulted result (pairs, tags, dispositions,
 //!   failure records, retry/quarantine/fault counters, backoff time) is
-//!   identical across 1..=16 worker threads and both schedules.
+//!   identical across 1..=16 worker threads.
 //! * **Transparency** — a zero-fault plan produces output byte-identical
 //!   to a run with no plan configured at all, and items that survive
 //!   transient faults via retries are byte-identical to the unfaulted run.
 //!
-//! `fault_matrix_cell` is the CI entry point: `scripts/ci.sh` runs it under
-//! `COACHLM_FAULT_SEED` × `COACHLM_SCHEDULE` to sweep the fault matrix.
+//! `fault_matrix_cell` is the CI entry point: `scripts/ci.sh` runs it once
+//! per `COACHLM_FAULT_SEED` to sweep the fault matrix.
 
 use std::sync::OnceLock;
 use std::time::Duration;
@@ -28,7 +28,7 @@ use coachlm::expert::filter::{preliminary_filter, PreliminaryFilterStage};
 use coachlm::expert::pool::ExpertPool;
 use coachlm::expert::revision::ExpertReviser;
 use coachlm::runtime::{
-    ChainOutput, Disposition, Executor, ExecutorConfig, FaultPlan, RetryPolicy, Schedule, Stage,
+    ChainOutput, Disposition, Executor, ExecutorConfig, FaultPlan, RetryPolicy, Stage,
 };
 use proptest::prelude::*;
 
@@ -67,15 +67,9 @@ fn chain(sel: u8, f: &'static Fixtures) -> Vec<Box<dyn Stage + 'static>> {
     }
 }
 
-fn faulty_config(
-    chain_seed: u64,
-    threads: usize,
-    schedule: Schedule,
-    plan: FaultPlan,
-) -> ExecutorConfig {
+fn faulty_config(chain_seed: u64, threads: usize, plan: FaultPlan) -> ExecutorConfig {
     ExecutorConfig::new(chain_seed)
         .threads(threads)
-        .schedule(schedule)
         .fault_plan(plan)
         .retry_policy(RetryPolicy::new(3, Duration::from_millis(10)))
 }
@@ -85,11 +79,10 @@ fn run_chaos(
     dataset: &Dataset,
     chain_seed: u64,
     threads: usize,
-    schedule: Schedule,
     plan: FaultPlan,
 ) -> ChainOutput {
     let stages = chain(sel, fixtures());
-    Executor::new(faulty_config(chain_seed, threads, schedule, plan)).run_dataset(&stages, dataset)
+    Executor::new(faulty_config(chain_seed, threads, plan)).run_dataset(&stages, dataset)
 }
 
 /// The partition property: counting by disposition covers every input item
@@ -158,7 +151,7 @@ proptest! {
             .transient(transient)
             .permanent(permanent)
             .latency(0.05, Duration::from_millis(2));
-        let out = run_chaos(sel, &dataset, chain_seed, threads, Schedule::Dynamic, plan);
+        let out = run_chaos(sel, &dataset, chain_seed, threads, plan);
         assert_partition(&out, dataset.len())?;
     }
 
@@ -175,11 +168,9 @@ proptest! {
         let plan = FaultPlan::new(fault_seed)
             .transient(0.25)
             .permanent(0.05);
-        let baseline = run_chaos(sel, &dataset, chain_seed, 1, Schedule::Static, plan.clone());
-        for schedule in [Schedule::Static, Schedule::Dynamic] {
-            let run = run_chaos(sel, &dataset, chain_seed, threads, schedule, plan.clone());
-            assert_same(&run, &baseline)?;
-        }
+        let baseline = run_chaos(sel, &dataset, chain_seed, 1, plan.clone());
+        let run = run_chaos(sel, &dataset, chain_seed, threads, plan);
+        assert_same(&run, &baseline)?;
     }
 
     #[test]
@@ -196,8 +187,7 @@ proptest! {
         let stages = chain(sel, fixtures());
         let plain = Executor::new(ExecutorConfig::new(chain_seed).threads(threads))
             .run_dataset(&stages, &dataset);
-        let inert = run_chaos(sel, &dataset, chain_seed, threads, Schedule::Dynamic,
-                              FaultPlan::new(9));
+        let inert = run_chaos(sel, &dataset, chain_seed, threads, FaultPlan::new(9));
         assert_same(&inert, &plain)?;
         prop_assert_eq!(inert.total_retries(), 0);
         prop_assert_eq!(inert.total_quarantined(), 0);
@@ -216,7 +206,7 @@ proptest! {
         // through, and must end up exactly as in the unfaulted run (stage
         // RNG is keyed per (stage, item), not per attempt).
         let plan = FaultPlan::new(fault_seed).transient(0.3);
-        let faulted = run_chaos(sel, &dataset, chain_seed, 4, Schedule::Dynamic, plan);
+        let faulted = run_chaos(sel, &dataset, chain_seed, 4, plan);
         let stages = chain(sel, fixtures());
         let clean = Executor::new(ExecutorConfig::new(chain_seed).threads(4))
             .run_dataset(&stages, &dataset);
@@ -237,12 +227,7 @@ fn pipeline_reports_degraded_throughput_under_faults() {
     let degraded = run_batch(
         Some(&f.coach),
         &raw,
-        &faulty_config(
-            5,
-            4,
-            Schedule::Dynamic,
-            FaultPlan::new(17).transient(0.2).permanent(0.04),
-        ),
+        &faulty_config(5, 4, FaultPlan::new(17).transient(0.2).permanent(0.04)),
     )
     .unwrap();
     assert_eq!(healthy.quarantined, 0);
@@ -257,17 +242,16 @@ fn pipeline_reports_degraded_throughput_under_faults() {
 }
 
 /// One cell of the CI fault matrix: `COACHLM_FAULT_SEED` picks the plan
-/// seed and `COACHLM_SCHEDULE` the schedule; the cell checks the partition
-/// and thread-invariance properties at a fixed, CI-sized workload.
+/// seed (11 when unset; a value that does not parse fails the cell); the
+/// cell checks the partition and thread-invariance properties at a fixed,
+/// CI-sized workload.
 #[test]
 fn fault_matrix_cell() {
-    let fault_seed: u64 = std::env::var("COACHLM_FAULT_SEED")
-        .ok()
-        .and_then(|v| v.parse().ok())
-        .unwrap_or(11);
-    let schedule = match std::env::var("COACHLM_SCHEDULE").as_deref() {
-        Ok("static") => Schedule::Static,
-        _ => Schedule::Dynamic,
+    let fault_seed: u64 = match std::env::var("COACHLM_FAULT_SEED") {
+        Ok(v) => v
+            .parse()
+            .unwrap_or_else(|_| panic!("COACHLM_FAULT_SEED must be a u64, got {v:?}")),
+        Err(_) => 11,
     };
     let (dataset, _) = generate(&GeneratorConfig::small(250, 0xCE11));
     let plan = FaultPlan::new(fault_seed)
@@ -275,10 +259,10 @@ fn fault_matrix_cell() {
         .permanent(0.05)
         .latency(0.1, Duration::from_millis(1));
     for sel in 0u8..3 {
-        let baseline = run_chaos(sel, &dataset, 0xC1, 1, schedule, plan.clone());
+        let baseline = run_chaos(sel, &dataset, 0xC1, 1, plan.clone());
         assert_partition(&baseline, dataset.len()).unwrap();
         for threads in [2, 8] {
-            let run = run_chaos(sel, &dataset, 0xC1, threads, schedule, plan.clone());
+            let run = run_chaos(sel, &dataset, 0xC1, threads, plan.clone());
             assert_same(&run, &baseline).unwrap();
         }
     }

@@ -21,7 +21,7 @@ use coachlm::expert::filter::preliminary_filter;
 use coachlm::expert::pool::ExpertPool;
 use coachlm::expert::revision::ExpertReviser;
 use coachlm::judge::chatgpt::ChatGptRater;
-use coachlm::runtime::{ExecutorConfig, FaultPlan, RetryPolicy, Schedule};
+use coachlm::runtime::{ExecutorConfig, FaultPlan, RetryPolicy};
 use serde::{Deserialize, Serialize};
 use std::path::PathBuf;
 use std::time::Duration;
@@ -93,7 +93,6 @@ fn compute_metrics() -> GoldenMetrics {
         &raw,
         &ExecutorConfig::new(SEED)
             .threads(4)
-            .schedule(Schedule::Dynamic)
             .fault_plan(FaultPlan::new(29).transient(0.2).permanent(0.05))
             .retry_policy(RetryPolicy::new(3, Duration::from_millis(10))),
     )

@@ -92,6 +92,51 @@ fn expert_reviser_handles_adversarial_input() {
     }
 }
 
+/// The expert reviser's grammar fix finds "could of" in case-folded text.
+/// Folding shortens the Kelvin sign (3 bytes) to `k` (1 byte), so the cut
+/// must be taken in the original text: once it landed inside `é` and
+/// panicked, which took the whole in-process run down with it.
+#[test]
+fn expert_grammar_fix_after_a_shrinking_fold_does_not_panic() {
+    let pair = InstructionPair::new(
+        7,
+        "Explain why the café sample cooled so fast.",
+        "\u{212A}é could of condensed, so the café sample cooled quickly overnight.",
+        Category(0),
+    );
+    let rec = ExpertReviser::new(1)
+        .revise(&ExpertPool::paper_pool(), &pair)
+        .expect("the grammar error needs revision");
+    assert!(
+        rec.revised.response.contains("could have condensed"),
+        "{}",
+        rec.revised.response
+    );
+    assert!(!rec.revised.response.contains("could of"));
+}
+
+/// As above, with the shrinking folds all before the phrase: the fix must
+/// replace "could of" itself, not the bytes six places to its right.
+#[test]
+fn expert_grammar_fix_after_a_shrinking_fold_replaces_the_phrase() {
+    let pair = InstructionPair::new(
+        7,
+        "Explain why the café sample cooled so fast.",
+        "At 300 \u{212A} \u{212A}\u{212A} the gas could of condensed, so it cooled.",
+        Category(0),
+    );
+    let rec = ExpertReviser::new(1)
+        .revise(&ExpertPool::paper_pool(), &pair)
+        .expect("the grammar error needs revision");
+    assert!(
+        rec.revised
+            .response
+            .contains("\u{212A}\u{212A} the gas could have condensed, so it cooled."),
+        "{}",
+        rec.revised.response
+    );
+}
+
 #[test]
 fn dataset_revision_of_adversarial_dataset_completes() {
     let mut d = Dataset::new("adversarial");

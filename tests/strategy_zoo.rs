@@ -5,8 +5,8 @@
 //!
 //! * **Strategy determinism** — every registered strategy (CoachLM,
 //!   Reflection, Self-Review, auto-evol, filtering, no-op) produces a
-//!   digest-identical output across thread counts 1..=8, both schedules,
-//!   and queue capacities, with transient/permanent/latency faults, a
+//!   digest-identical output across thread counts 1..=8 and queue
+//!   capacities, with transient/permanent/latency faults, a
 //!   retry policy, and a breaker all active. The looping stages
 //!   (`revise-until-pass`, `evolve`) are the interesting cases: their
 //!   per-iteration RNG streams and fault rolls must not depend on worker
@@ -28,8 +28,7 @@
 //!   the iteration budget ever being exceeded.
 //!
 //! `tournament_matrix_cell` is the CI entry point: `scripts/ci.sh` runs it
-//! under `COACHLM_TOURN_SEED` × `COACHLM_TOURN_SCHEDULE` ×
-//! `COACHLM_TOURN_THREADS`.
+//! under `COACHLM_TOURN_SEED` × `COACHLM_TOURN_THREADS`.
 
 use std::path::PathBuf;
 use std::sync::atomic::{AtomicU64, Ordering};
@@ -49,7 +48,7 @@ use coachlm::judge::tournament::{run_tournament, Contestant, TournamentResult};
 use coachlm::judge::PandaLm;
 use coachlm::runtime::{
     BreakerPolicy, BreakerState, ChainOutput, Disposition, Executor, ExecutorConfig, FaultPlan,
-    Journal, RetryPolicy, Schedule,
+    Journal, RetryPolicy,
 };
 use proptest::prelude::*;
 
@@ -84,10 +83,9 @@ fn dataset(n: usize, seed: u64) -> Dataset {
 
 /// The chaos config: transient and permanent faults, deadline-busting
 /// latency, retries, and a breaker — same shape as the streaming suite.
-fn chaos_config(seed: u64, threads: usize, schedule: Schedule, queue: usize) -> ExecutorConfig {
+fn chaos_config(seed: u64, threads: usize, queue: usize) -> ExecutorConfig {
     ExecutorConfig::new(seed)
         .threads(threads)
-        .schedule(schedule)
         .queue_capacity(queue)
         .fault_plan(
             FaultPlan::new(seed ^ 0xFA)
@@ -122,7 +120,7 @@ fn assert_same(a: &ChainOutput, b: &ChainOutput, what: &str) {
 
 proptest! {
     // The headline property: no knob of the execution substrate — thread
-    // count, schedule, queue capacity — changes any strategy's output,
+    // count, queue capacity — changes any strategy's output,
     // even with faults, retries, and a breaker active.
     #[test]
     fn strategy_digest_is_invariant_under_threads_queue_schedule(
@@ -131,7 +129,6 @@ proptest! {
         chain_seed in 0u64..10_000,
         threads in 2usize..=8,
         queue in 1usize..128,
-        dynamic in 0u8..2,
         strat in 0usize..6,
     ) {
         let d = dataset(size, data_seed);
@@ -139,11 +136,10 @@ proptest! {
         let names = z.names();
         let name = names[strat % names.len()];
         let strategy = z.get(name).expect("registered strategy");
-        let schedule = if dynamic == 1 { Schedule::Dynamic } else { Schedule::Static };
         let reference =
-            strategy.run(&d, &chaos_config(chain_seed, 1, Schedule::Static, 64));
+            strategy.run(&d, &chaos_config(chain_seed, 1, 64));
         let parallel =
-            strategy.run(&d, &chaos_config(chain_seed, threads, schedule, queue));
+            strategy.run(&d, &chaos_config(chain_seed, threads, queue));
         prop_assert_eq!(reference.digest(), parallel.digest());
         prop_assert_eq!(&reference.breaker_events, &parallel.breaker_events);
     }
@@ -156,7 +152,7 @@ proptest! {
 fn every_strategy_partitions_exactly_under_chaos() {
     let d = dataset(160, 0xACC7);
     for strategy in zoo().iter() {
-        let out = strategy.run(&d, &chaos_config(0x99, 4, Schedule::Dynamic, 16));
+        let out = strategy.run(&d, &chaos_config(0x99, 4, 16));
         let retained = out.retained().count();
         let dropped = out.dropped().count();
         let quarantined = out.quarantined().count();
@@ -273,14 +269,13 @@ fn self_review_crash_resume_kill_at_every_frame() {
     let strategy = SelfReviewStrategy::new();
     let stages = strategy.stages();
 
-    let gold =
-        Executor::new(chaos_config(seed, 1, Schedule::Static, 64)).run(&stages, d.pairs.clone());
+    let gold = Executor::new(chaos_config(seed, 1, 64)).run(&stages, d.pairs.clone());
 
     let path = temp_journal("self-review");
     let mut journal = Journal::create(&path)
         .expect("create journal")
         .sync_every(1);
-    Executor::new(chaos_config(seed, 4, Schedule::Dynamic, 16))
+    Executor::new(chaos_config(seed, 4, 16))
         .run_journaled(&stages, d.pairs.clone(), &mut journal)
         .expect("journaled run");
     drop(journal);
@@ -297,7 +292,7 @@ fn self_review_crash_resume_kill_at_every_frame() {
         for len in [cut, (cut + 5).min(bytes.len())] {
             std::fs::write(&path, &bytes[..len]).expect("truncate journal");
             let mut journal = Journal::open(&path).expect("recover truncated journal");
-            let resumed = Executor::new(chaos_config(seed, 3, Schedule::Static, 8))
+            let resumed = Executor::new(chaos_config(seed, 3, 8))
                 .run_journaled(&stages, d.pairs.clone(), &mut journal)
                 .expect("resume");
             assert_same(&resumed, &gold, &format!("cut at {len}/{}", bytes.len()));
@@ -435,40 +430,31 @@ fn latency_storm_trips_breaker_and_degrades_looping_stage() {
     assert_same(&out, &again, "latency storm determinism");
 }
 
-/// CI tournament-matrix entry point: one cell per (seed, schedule,
-/// threads), driven by environment variables; a plain `cargo test` skips
-/// it. Each cell re-runs every strategy under chaos at the cell's config,
-/// checks digests against the single-threaded static reference, and
-/// asserts the resulting tournament matrix is identical to the
-/// reference's.
+/// CI tournament-matrix entry point: one cell per (seed, threads),
+/// driven by environment variables; a plain `cargo test` skips it. Each
+/// cell re-runs every strategy under chaos at the cell's config, checks
+/// digests against the single-threaded reference, and asserts the
+/// resulting tournament matrix is identical to the reference's.
 #[test]
 fn tournament_matrix_cell() {
-    let (Ok(seed), Ok(schedule), Ok(threads)) = (
-        std::env::var("COACHLM_TOURN_SEED"),
-        std::env::var("COACHLM_TOURN_SCHEDULE"),
-        std::env::var("COACHLM_TOURN_THREADS"),
-    ) else {
+    let Some([seed, threads]) = cell_vars(["COACHLM_TOURN_SEED", "COACHLM_TOURN_THREADS"]) else {
         return;
     };
     let seed: u64 = seed.parse().expect("COACHLM_TOURN_SEED must be a u64");
     let threads: usize = threads
         .parse()
         .expect("COACHLM_TOURN_THREADS must be a usize");
-    let schedule = match schedule.as_str() {
-        "dynamic" => Schedule::Dynamic,
-        _ => Schedule::Static,
-    };
 
     let d = dataset(120, seed ^ 0x70_0E);
-    let reference_cfg = chaos_config(seed, 1, Schedule::Static, 64);
-    let cell_cfg = chaos_config(seed, threads, schedule, 16);
+    let reference_cfg = chaos_config(seed, 1, 64);
+    let cell_cfg = chaos_config(seed, threads, 16);
     for strategy in zoo().iter() {
         let reference = strategy.run(&d, &reference_cfg);
         let cell = strategy.run(&d, &cell_cfg);
         assert_same(
             &cell,
             &reference,
-            &format!("{} {schedule:?} x{threads}", strategy.name()),
+            &format!("{} x{threads}", strategy.name()),
         );
     }
     let reference_outputs = zoo_outputs(&d, &reference_cfg);
@@ -478,4 +464,26 @@ fn tournament_matrix_cell() {
         tournament_of(&cell_outputs, &d, seed),
         "tournament matrix must be execution-config invariant"
     );
+}
+
+/// Reads a CI matrix cell's variables: `None` when none is set (plain
+/// `cargo test` skips the cell); panics naming the missing ones when only
+/// some are, so a cell never passes without running.
+fn cell_vars<const N: usize>(names: [&str; N]) -> Option<[String; N]> {
+    let values = names.map(|name| std::env::var(name).ok());
+    if values.iter().all(Option::is_none) {
+        return None;
+    }
+    let missing: Vec<&str> = names
+        .iter()
+        .zip(&values)
+        .filter(|(_, v)| v.is_none())
+        .map(|(n, _)| *n)
+        .collect();
+    assert!(
+        missing.is_empty(),
+        "matrix cell is missing {}",
+        missing.join(", ")
+    );
+    Some(values.map(Option::unwrap_or_default))
 }

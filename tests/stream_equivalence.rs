@@ -9,7 +9,7 @@
 //!   under [`Feed::Batch`], and the executor's `run_dataset` is
 //!   digest-identical to `run_stream` over the same pairs.
 //! * **Streaming determinism** — with faults, retries, and a breaker
-//!   active, any (thread count 1..=16, queue capacity, schedule) produces
+//!   active, any (thread count 1..=16, queue capacity) produces
 //!   a digest-identical run: lane count and queue depth are performance
 //!   knobs, never semantics.
 //! * **Sustained-feed determinism** — admission-control shedding is a
@@ -41,7 +41,7 @@ use coachlm::expert::revision::{ExpertReviseStage, ExpertReviser, RevisionRecord
 use coachlm::judge::chatgpt::{ChatGptRater, ChatGptRatingStage};
 use coachlm::runtime::{
     BreakerPolicy, ChainOutput, Executor, ExecutorConfig, FaultPlan, Feed, Journal, RetryPolicy,
-    Schedule, Stage, StreamSource,
+    Stage, StreamSource,
 };
 use proptest::prelude::*;
 
@@ -110,10 +110,9 @@ fn dataset(n: usize, seed: u64) -> Dataset {
 /// The chaos config the determinism properties run under: transient and
 /// permanent faults, deadline-busting latency, retries, and a breaker —
 /// everything the streaming core must keep deterministic.
-fn chaos_config(seed: u64, threads: usize, schedule: Schedule, queue: usize) -> ExecutorConfig {
+fn chaos_config(seed: u64, threads: usize, queue: usize) -> ExecutorConfig {
     ExecutorConfig::new(seed)
         .threads(threads)
-        .schedule(schedule)
         .queue_capacity(queue)
         .fault_plan(
             FaultPlan::new(seed ^ 0xFA)
@@ -226,9 +225,9 @@ fn run_dataset_equals_run_stream_on_every_chain() {
 }
 
 proptest! {
-    // The headline determinism property: thread count, queue capacity,
-    // and schedule never change a streaming run's outcome, even with
-    // faults, retries, and a breaker active.
+    // The headline determinism property: thread count and queue capacity
+    // never change a streaming run's outcome, even with faults, retries,
+    // and a breaker active.
     #[test]
     fn streaming_digest_is_invariant_under_threads_queue_schedule(
         size in 1usize..120,
@@ -236,14 +235,12 @@ proptest! {
         chain_seed in 0u64..10_000,
         threads in 2usize..=16,
         queue in 1usize..256,
-        dynamic in 0u8..2,
         sel in 0u8..6,
     ) {
         let d = dataset(size, data_seed);
-        let schedule = if dynamic == 1 { Schedule::Dynamic } else { Schedule::Static };
-        let reference = Executor::new(chaos_config(chain_seed, 1, Schedule::Static, 64))
+        let reference = Executor::new(chaos_config(chain_seed, 1, 64))
             .run_stream(&chain(sel, fixtures()), StreamSource::batch(d.pairs.clone()));
-        let streamed = Executor::new(chaos_config(chain_seed, threads, schedule, queue))
+        let streamed = Executor::new(chaos_config(chain_seed, threads, queue))
             .run_stream(&chain(sel, fixtures()), StreamSource::batch(d.pairs.clone()));
         prop_assert_eq!(reference.digest(), streamed.digest());
         prop_assert_eq!(&reference.breaker_events, &streamed.breaker_events);
@@ -264,9 +261,9 @@ proptest! {
         let d = dataset(size, data_seed);
         let feed = overloaded_feed();
         let source = || StreamSource { pairs: d.pairs.clone(), feed: feed.clone() };
-        let reference = Executor::new(chaos_config(chain_seed, 1, Schedule::Static, 64))
+        let reference = Executor::new(chaos_config(chain_seed, 1, 64))
             .run_stream(&chain(sel, fixtures()), source());
-        let streamed = Executor::new(chaos_config(chain_seed, threads, Schedule::Dynamic, queue))
+        let streamed = Executor::new(chaos_config(chain_seed, threads, queue))
             .run_stream(&chain(sel, fixtures()), source());
         prop_assert_eq!(reference.digest(), streamed.digest());
         prop_assert_eq!(reference.shed, streamed.shed);
@@ -294,14 +291,13 @@ fn crash_resume_under_feed(feed: Feed, tag: &str) {
         feed: feed.clone(),
     };
 
-    let gold =
-        Executor::new(chaos_config(seed, 1, Schedule::Static, 64)).run_stream(&stages, source());
+    let gold = Executor::new(chaos_config(seed, 1, 64)).run_stream(&stages, source());
 
     let path = temp_journal(tag);
     let mut journal = Journal::create(&path)
         .expect("create journal")
         .sync_every(1);
-    Executor::new(chaos_config(seed, 4, Schedule::Dynamic, 16))
+    Executor::new(chaos_config(seed, 4, 16))
         .run_stream_journaled(&stages, source(), &mut journal)
         .expect("journaled streaming run");
     drop(journal);
@@ -311,7 +307,7 @@ fn crash_resume_under_feed(feed: Feed, tag: &str) {
         let len = bytes.len() * permille / 1_000;
         std::fs::write(&path, &bytes[..len]).expect("truncate journal");
         let mut journal = Journal::open(&path).expect("recover truncated journal");
-        let resumed = Executor::new(chaos_config(seed, 3, Schedule::Static, 8))
+        let resumed = Executor::new(chaos_config(seed, 3, 8))
             .run_stream_journaled(&stages, source(), &mut journal)
             .expect("resume");
         assert_same(
@@ -344,7 +340,7 @@ fn journal_refuses_resume_under_a_different_feed() {
     let path = temp_journal("feed-mismatch");
 
     let mut journal = Journal::create(&path).expect("create journal");
-    Executor::new(chaos_config(seed, 2, Schedule::Static, 32))
+    Executor::new(chaos_config(seed, 2, 32))
         .run_stream_journaled(
             &stages,
             StreamSource {
@@ -357,7 +353,7 @@ fn journal_refuses_resume_under_a_different_feed() {
     drop(journal);
 
     let mut journal = Journal::open(&path).expect("reopen");
-    let err = Executor::new(chaos_config(seed, 2, Schedule::Static, 32)).run_stream_journaled(
+    let err = Executor::new(chaos_config(seed, 2, 32)).run_stream_journaled(
         &stages,
         StreamSource::batch(d.pairs.clone()),
         &mut journal,
@@ -371,15 +367,13 @@ fn journal_refuses_resume_under_a_different_feed() {
 
 /// CI streaming-matrix entry point: one cell per (seed, threads, queue
 /// capacity), driven by environment variables. Without them the test is a
-/// no-op, so a plain `cargo test` stays fast. Each cell checks both
-/// schedules and both feeds against the single-threaded reference.
+/// no-op, so a plain `cargo test` stays fast. Each cell checks both feeds
+/// against the single-threaded reference.
 #[test]
 fn stream_matrix_cell() {
-    let (Ok(seed), Ok(threads), Ok(queue)) = (
-        std::env::var("COACHLM_STREAM_SEED"),
-        std::env::var("COACHLM_THREADS"),
-        std::env::var("COACHLM_QUEUE"),
-    ) else {
+    let Some([seed, threads, queue]) =
+        cell_vars(["COACHLM_STREAM_SEED", "COACHLM_THREADS", "COACHLM_QUEUE"])
+    else {
         return;
     };
     let seed: u64 = seed.parse().expect("COACHLM_STREAM_SEED must be a u64");
@@ -393,17 +387,37 @@ fn stream_matrix_cell() {
                 pairs: d.pairs.clone(),
                 feed: feed.clone(),
             };
-            let reference = Executor::new(chaos_config(seed, 1, Schedule::Static, 64))
+            let reference = Executor::new(chaos_config(seed, 1, 64))
                 .run_stream(&chain(sel, fixtures()), source());
-            for schedule in [Schedule::Static, Schedule::Dynamic] {
-                let cell = Executor::new(chaos_config(seed, threads, schedule, queue))
-                    .run_stream(&chain(sel, fixtures()), source());
-                assert_same(
-                    &cell,
-                    &reference,
-                    &format!("chain {sel} {schedule:?} x{threads} q{queue}"),
-                );
-            }
+            let cell = Executor::new(chaos_config(seed, threads, queue))
+                .run_stream(&chain(sel, fixtures()), source());
+            assert_same(
+                &cell,
+                &reference,
+                &format!("chain {sel} x{threads} q{queue}"),
+            );
         }
     }
+}
+
+/// Reads a CI matrix cell's variables: `None` when none is set (plain
+/// `cargo test` skips the cell); panics naming the missing ones when only
+/// some are, so a cell never passes without running.
+fn cell_vars<const N: usize>(names: [&str; N]) -> Option<[String; N]> {
+    let values = names.map(|name| std::env::var(name).ok());
+    if values.iter().all(Option::is_none) {
+        return None;
+    }
+    let missing: Vec<&str> = names
+        .iter()
+        .zip(&values)
+        .filter(|(_, v)| v.is_none())
+        .map(|(n, _)| *n)
+        .collect();
+    assert!(
+        missing.is_empty(),
+        "matrix cell is missing {}",
+        missing.join(", ")
+    );
+    Some(values.map(Option::unwrap_or_default))
 }
