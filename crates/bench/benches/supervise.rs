@@ -38,8 +38,11 @@ fn sample_dataset() -> Dataset {
 }
 
 /// The manual batch chain (no coach): workers rebuild it from the spec
-/// alone, so a spawn costs process setup + wire traffic, not model
-/// training.
+/// alone, so a spawn costs process setup + wire traffic. These figures
+/// are therefore coach-less. With a coach, the parent trains it once per
+/// process and ships it in the job params (about 160 KB), and each worker
+/// attempt decodes it and loads its backbone (a few milliseconds);
+/// coachbench's `durable_shards` workload measures that chain.
 fn spec() -> BatchJobSpec {
     BatchJobSpec {
         seed: 0x5E7,

@@ -57,9 +57,10 @@ const CRASH_SHARDS: usize = 4;
 /// Item frames shard 0's worker emits before the chaos kill lands.
 const CRASH_KILL_AFTER_FRAMES: u64 = 3;
 
-/// Synthetic training pairs for the cell's self-contained coach. Worker
-/// processes re-derive the coach from the job spec on every attempt
-/// (including the post-crash restart), so training must stay cheap.
+/// Synthetic training pairs for the cell's self-contained coach. The repro
+/// process trains it once and ships the encoded model to its worker
+/// processes, which decode it on every attempt (including the post-crash
+/// restart) and never train.
 const CRASH_TRAIN_PAIRS: u32 = 400;
 
 fn storm_breaker() -> BreakerPolicy {

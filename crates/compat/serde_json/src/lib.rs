@@ -212,16 +212,25 @@ fn write_string(out: &mut String, s: &str) {
 
 // ---- parsing --------------------------------------------------------------
 
+/// Deepest array/object nesting the parser accepts (the real crate's
+/// default recursion limit). The parser recurses once per level, so
+/// without a bound a few hundred kilobytes of `[` would overflow the stack.
+const MAX_DEPTH: usize = 128;
+
 struct Parser<'a> {
     bytes: &'a [u8],
     pos: usize,
+    /// Arrays and objects currently open.
+    depth: usize,
 }
 
-/// Parses JSON text into a [`Value`] tree.
+/// Parses JSON text into a [`Value`] tree. Nesting deeper than 128
+/// arrays/objects is an error.
 pub fn parse_value(s: &str) -> Result<Value> {
     let mut p = Parser {
         bytes: s.as_bytes(),
         pos: 0,
+        depth: 0,
     };
     p.skip_ws();
     let v = p.value()?;
@@ -293,11 +302,23 @@ impl<'a> Parser<'a> {
                 }
             }
             Some(b'"') => self.string().map(Value::Str),
-            Some(b'[') => self.array(),
-            Some(b'{') => self.object(),
+            Some(b'[') => self.nested(Self::array),
+            Some(b'{') => self.nested(Self::object),
             Some(b) if b == b'-' || b.is_ascii_digit() => self.number(),
             _ => Err(self.err("expected a JSON value")),
         }
+    }
+
+    /// Parses one array or object a level deeper, refusing past
+    /// [`MAX_DEPTH`].
+    fn nested(&mut self, parse: fn(&mut Self) -> Result<Value>) -> Result<Value> {
+        if self.depth == MAX_DEPTH {
+            return Err(self.err(&format!("nesting deeper than {MAX_DEPTH} levels")));
+        }
+        self.depth += 1;
+        let v = parse(self);
+        self.depth -= 1;
+        v
     }
 
     fn array(&mut self) -> Result<Value> {
@@ -505,6 +526,20 @@ mod tests {
         assert!(parse_value(r#"{"a":}"#).is_err());
         assert!(parse_value("[1,2").is_err());
         assert!(from_str::<u64>("\"x\"").is_err());
+    }
+
+    #[test]
+    fn nesting_is_bounded_instead_of_overflowing_the_stack() {
+        let nest = |n: usize| "[".repeat(n) + &"]".repeat(n);
+        assert!(parse_value(&nest(MAX_DEPTH)).is_ok());
+        assert!(parse_value(&nest(MAX_DEPTH + 1)).is_err());
+        // Objects count too: 2k + 1 levels of `[{"a": … [] … }]`.
+        let mixed = |k: usize| "[{\"a\":".repeat(k) + "[]" + &"}]".repeat(k);
+        assert!(parse_value(&mixed(63)).is_ok());
+        assert!(parse_value(&mixed(64)).is_err());
+        // 100,000 levels: an error, not a stack overflow.
+        assert!(parse_value(&"[".repeat(100_000)).is_err());
+        assert!(parse_value(&nest(100_000)).is_err());
     }
 
     #[test]

@@ -12,8 +12,10 @@ use coachlm_expert::revision::RevisionRecord;
 use coachlm_lm::adapter::{Adapter, AdapterConfig};
 use coachlm_lm::backbone::{Backbone, BackboneKind};
 use coachlm_lm::transducer::{RevisionOutcome, Transducer};
+use coachlm_text::fxhash::fingerprint_fields;
 use rand::Rng;
 use serde::{Deserialize, Serialize};
+use std::sync::OnceLock;
 
 /// The Fig 3 revision prompt wrapped around an input pair.
 pub fn revision_prompt(instruction: &str, response: &str) -> String {
@@ -46,13 +48,24 @@ impl Default for CoachConfig {
     }
 }
 
+/// Everything coach training produces: the configuration it ran under,
+/// the trained adapter, and the ids of `C_α`. This is the coach minus its
+/// frozen backbone, which [`Backbone::load`] rebuilds from
+/// `config.backbone`, and it is exactly what [`CoachLm::to_bytes`] encodes.
+#[derive(Debug, Serialize, Deserialize)]
+struct CoachState {
+    config: CoachConfig,
+    adapter: Adapter,
+    trained_ids: Vec<u64>,
+}
+
 /// A trained CoachLM: θ_c = frozen backbone + trained adapter.
 #[derive(Debug)]
 pub struct CoachLm {
-    config: CoachConfig,
+    state: CoachState,
     backbone: Backbone,
-    adapter: Adapter,
-    trained_ids: Vec<u64>,
+    /// Hash of [`CoachLm::to_bytes`], computed on first use.
+    fingerprint: OnceLock<u64>,
 }
 
 impl CoachLm {
@@ -74,27 +87,70 @@ impl CoachLm {
         }
         adapter.finalize();
         Self {
-            config,
+            state: CoachState {
+                config,
+                adapter,
+                trained_ids,
+            },
             backbone,
-            adapter,
-            trained_ids,
+            fingerprint: OnceLock::new(),
         }
+    }
+
+    /// The coach's canonical byte form: its [`CoachConfig`], trained
+    /// adapter and `C_α` ids as JSON, without the frozen backbone. Every
+    /// hash map is written as a key-sorted entry list, so the bytes depend
+    /// on the model alone, never on hash-map layout, and
+    /// `to_bytes(from_bytes(b)) == b`.
+    pub fn to_bytes(&self) -> Vec<u8> {
+        serde_json::to_string(&self.state)
+            // lint: allow(P1, reason = "serialisation fails only on a non-string map key, and every map in a coach state is written as an entry list")
+            .expect("a coach state always serialises")
+            .into_bytes()
+    }
+
+    /// Decodes [`CoachLm::to_bytes`] output and rebuilds the backbone with
+    /// [`Backbone::load`] (about a millisecond). `None` unless `bytes` is
+    /// exactly the canonical encoding of some coach: malformed JSON, a
+    /// missing or mistyped field, and any other spelling of a valid model
+    /// (extra whitespace, reordered entries, `06` for `6`) are all refused,
+    /// so accepted bytes and the model determine each other.
+    pub fn from_bytes(bytes: &[u8]) -> Option<CoachLm> {
+        let state: CoachState = serde_json::from_str(std::str::from_utf8(bytes).ok()?).ok()?;
+        if serde_json::to_string(&state).ok()?.as_bytes() != bytes {
+            return None;
+        }
+        Some(CoachLm {
+            backbone: Backbone::load(state.config.backbone),
+            state,
+            fingerprint: OnceLock::from(fingerprint_fields(&[bytes])),
+        })
+    }
+
+    /// A hash of [`CoachLm::to_bytes`]: equal for equal learned state,
+    /// computed once per coach. [`crate::infer::CoachReviseStage`] reports
+    /// it as its state fingerprint, so a journal written under one coach
+    /// refuses to resume under another.
+    pub(crate) fn fingerprint(&self) -> u64 {
+        *self
+            .fingerprint
+            .get_or_init(|| fingerprint_fields(&[&self.to_bytes()]))
     }
 
     /// Ids of the pairs in the training subset `C_α` (the §III-B1 leakage
     /// rule keeps these pairs' originals at inference).
     pub fn trained_ids(&self) -> &[u64] {
-        &self.trained_ids
+        &self.state.trained_ids
     }
 
     /// The training configuration.
     pub fn config(&self) -> &CoachConfig {
-        &self.config
+        &self.state.config
     }
 
     /// Number of training examples after α selection.
     pub fn trained_on(&self) -> usize {
-        self.trained_ids.len()
+        self.state.trained_ids.len()
     }
 
     /// The underlying backbone.
@@ -104,12 +160,12 @@ impl CoachLm {
 
     /// The trained adapter.
     pub fn adapter(&self) -> &Adapter {
-        &self.adapter
+        &self.state.adapter
     }
 
     /// Probability an applicable repair fires at decode time.
     pub fn apply_probability(&self) -> f64 {
-        Transducer::new(&self.backbone, &self.adapter).apply_probability()
+        Transducer::new(&self.backbone, &self.state.adapter).apply_probability()
     }
 
     /// Revises one instruction pair (beam size 1, §III-A3).
@@ -119,7 +175,7 @@ impl CoachLm {
         instruction: &str,
         response: &str,
     ) -> RevisionOutcome {
-        Transducer::new(&self.backbone, &self.adapter).revise_pair(rng, instruction, response)
+        Transducer::new(&self.backbone, &self.state.adapter).revise_pair(rng, instruction, response)
     }
 }
 
@@ -259,6 +315,48 @@ mod tests {
             out.instruction
         );
         assert!(!out.repairs.is_empty());
+    }
+
+    #[test]
+    fn byte_form_rebuilds_the_same_coach() {
+        let coach = CoachLm::train(CoachConfig::default(), &expert_records(600, 9));
+        let bytes = coach.to_bytes();
+        let back = CoachLm::from_bytes(&bytes).expect("canonical bytes decode");
+        assert_eq!(back.to_bytes(), bytes, "re-encoding is byte-identical");
+        assert_eq!(back.fingerprint(), coach.fingerprint());
+        assert_eq!(back.trained_ids(), coach.trained_ids());
+        assert_eq!(back.config(), coach.config());
+        // Same model, same draws: the decoded coach revises identically.
+        for seed in 0..16 {
+            let revise = |c: &CoachLm| {
+                c.revise_pair(
+                    &mut StdRng::seed_from_u64(seed),
+                    "Explain teh water cycle in alot of detail",
+                    "Water evaporates becuase of heat.",
+                )
+            };
+            assert_eq!(revise(&back), revise(&coach), "seed {seed}");
+        }
+    }
+
+    #[test]
+    fn byte_form_refuses_all_but_the_canonical_spelling() {
+        let coach = CoachLm::train(CoachConfig::default(), &expert_records(300, 4));
+        let bytes = coach.to_bytes();
+        assert!(CoachLm::from_bytes(&bytes[..bytes.len() - 1]).is_none());
+        assert!(CoachLm::from_bytes(b"").is_none());
+        assert!(CoachLm::from_bytes(b"{}").is_none());
+        // Valid JSON for the same model, spelled differently.
+        let mut spaced = b" ".to_vec();
+        spaced.extend_from_slice(&bytes);
+        assert!(CoachLm::from_bytes(&spaced).is_none());
+        let text = String::from_utf8(bytes).expect("JSON is UTF-8");
+        let respelled = text.replacen("\"alpha\":0.3", "\"alpha\":3e-1", 1);
+        assert_ne!(respelled, text);
+        assert!(CoachLm::from_bytes(respelled.as_bytes()).is_none());
+
+        let other = CoachLm::train(CoachConfig::default(), &expert_records(300, 5));
+        assert_ne!(other.fingerprint(), coach.fingerprint());
     }
 
     #[test]

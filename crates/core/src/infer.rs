@@ -152,6 +152,10 @@ impl Stage for CoachReviseStage<'_> {
         // allocation and the virtual-time throughput figures only.
         std::time::Duration::from_millis(840)
     }
+
+    fn state_fingerprint(&self) -> u64 {
+        self.coach.fingerprint()
+    }
 }
 
 /// Revises a whole dataset (Eq. 2) on the shared executor. Pairs in

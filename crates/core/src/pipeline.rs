@@ -27,6 +27,7 @@ use coachlm_runtime::{
 };
 use serde::Serialize;
 use std::fmt;
+use std::sync::{Mutex, PoisonError};
 
 /// Why a pipeline batch could not produce a report.
 #[derive(Debug)]
@@ -469,14 +470,16 @@ pub fn run_batch_sharded_journaled(
 }
 
 /// Chain name the supervised batch pipeline registers with the worker
-/// protocol's job factory (see [`run_batch_supervised`]).
-pub const BATCH_CHAIN: &str = "coachlm/batch-v1";
+/// protocol's job factory (see [`run_batch_supervised`]). Version 2: the
+/// params carry the trained model after the [`BatchJobSpec`] head.
+pub const BATCH_CHAIN: &str = "coachlm/batch-v2";
 
-/// How a supervised worker trains its own CoachLM. Worker processes start
-/// from nothing but the wire bytes, so the coach cannot be shipped — it is
-/// re-derived in each worker from this deterministic training recipe
-/// (synthetic corpus → preliminary filter → expert revision records →
-/// [`CoachLm::train`]), which yields the identical model on every side.
+/// How the parent trains the coach a supervised batch ships: the
+/// deterministic recipe of [`trained_coach`] (synthetic corpus →
+/// preliminary filter → expert revision records → [`CoachLm::train`]).
+/// [`run_batch_supervised`] trains it at most once per process and sends
+/// the model's [`CoachLm::to_bytes`] in the job params; workers decode
+/// those bytes and never train.
 #[derive(Debug, Clone, Copy, PartialEq, Eq)]
 pub struct CoachTrainSpec {
     /// Seed for the synthetic training corpus and the expert reviser.
@@ -485,24 +488,28 @@ pub struct CoachTrainSpec {
     pub pairs: u32,
 }
 
-/// The self-contained parameter block for the [`BATCH_CHAIN`] supervised
-/// chain: everything a worker process needs to rebuild the exact executor
-/// config and stage chain the parent runs.
+/// The fixed-width head of the [`BATCH_CHAIN`] job params: the executor
+/// config a worker rebuilds, and which coach, if any, the batch runs. The
+/// encoded model follows the head when `coach` is set.
 #[derive(Debug, Clone, Copy, PartialEq, Eq)]
 pub struct BatchJobSpec {
     /// Executor seed (stage RNG and derived stage seeds).
     pub seed: u64,
     /// Executor worker threads inside each shard process.
     pub threads: u32,
-    /// Train and run the CoachLM revise stage; `None` is the manual batch.
+    /// Train, ship and run the CoachLM revise stage; `None` is the manual
+    /// batch.
     pub coach: Option<CoachTrainSpec>,
 }
 
 impl BatchJobSpec {
-    /// Serialises the spec into the opaque `params` bytes of the worker
-    /// protocol's JOB frame (fixed-width little-endian fields).
+    /// Length of [`BatchJobSpec::encode`]'s output.
+    const LEN: usize = 25;
+
+    /// Serialises the spec into the head of the worker protocol's JOB
+    /// params (fixed-width little-endian fields).
     pub fn encode(&self) -> Vec<u8> {
-        let mut out = Vec::with_capacity(25);
+        let mut out = Vec::with_capacity(Self::LEN);
         out.extend_from_slice(&self.seed.to_le_bytes());
         out.extend_from_slice(&self.threads.to_le_bytes());
         match self.coach {
@@ -522,7 +529,7 @@ impl BatchJobSpec {
 
     /// Inverse of [`BatchJobSpec::encode`]; `None` on malformed bytes.
     pub fn decode(bytes: &[u8]) -> Option<BatchJobSpec> {
-        if bytes.len() != 25 {
+        if bytes.len() != Self::LEN {
             return None;
         }
         let seed = u64::from_le_bytes(bytes[0..8].try_into().ok()?);
@@ -546,8 +553,8 @@ impl BatchJobSpec {
 }
 
 /// Trains a CoachLM from the deterministic synthetic recipe — the same
-/// corpus → filter → expert-revision → train path the test suite uses,
-/// parameterised so supervised workers can re-derive the parent's model.
+/// corpus → filter → expert-revision → train path the test suite uses.
+/// Not memoized: every call trains.
 pub fn trained_coach(seed: u64, pairs: u32) -> CoachLm {
     let (d, _) = generate(&GeneratorConfig::small(pairs as usize, seed));
     let kept = preliminary_filter(&d, seed).kept;
@@ -555,9 +562,46 @@ pub fn trained_coach(seed: u64, pairs: u32) -> CoachLm {
     CoachLm::train(CoachConfig::default(), &records)
 }
 
+/// The last coach this process shipped: its training spec and encoded
+/// model. One slot, so a process that keeps submitting supervised batches
+/// under one coach trains it once.
+static SHIPPED_COACH: Mutex<Option<(CoachTrainSpec, Vec<u8>)>> = Mutex::new(None);
+
+/// The [`BATCH_CHAIN`] params for `spec`: the encoded spec, then the
+/// encoded model when the batch runs a coach, trained on a
+/// [`SHIPPED_COACH`] miss.
+fn batch_params(spec: &BatchJobSpec) -> Vec<u8> {
+    let mut params = spec.encode();
+    if let Some(coach) = spec.coach {
+        // The slot is only ever replaced whole, so a lock poisoned by a
+        // panicking training run still holds a consistent entry.
+        let mut slot = SHIPPED_COACH.lock().unwrap_or_else(PoisonError::into_inner);
+        if slot.as_ref().is_some_and(|(key, _)| *key != coach) {
+            *slot = None;
+        }
+        let (_, model) =
+            slot.get_or_insert_with(|| (coach, trained_coach(coach.seed, coach.pairs).to_bytes()));
+        params.extend_from_slice(model);
+    }
+    params
+}
+
+/// Inverse of [`batch_params`]. `None` for params shorter than the spec,
+/// a coach flag without model bytes or model bytes without the flag, and
+/// model bytes [`CoachLm::from_bytes`] refuses.
+fn decode_batch_params(params: &[u8]) -> Option<(BatchJobSpec, Option<CoachLm>)> {
+    let (head, model) = params.split_at_checked(BatchJobSpec::LEN)?;
+    let spec = BatchJobSpec::decode(head)?;
+    let coach = match (spec.coach, model.is_empty()) {
+        (None, true) => None,
+        (Some(_), false) => Some(CoachLm::from_bytes(model)?),
+        _ => return None,
+    };
+    Some((spec, coach))
+}
+
 /// The batch pipeline as a process-shippable supervised job: owns the
-/// (re-derived) coach so the borrowed stage chain has something to point
-/// at on the worker side.
+/// decoded coach so the borrowed stage chain has something to point at.
 struct SupervisedBatchJob {
     config: ExecutorConfig,
     coach: Option<CoachLm>,
@@ -574,17 +618,19 @@ impl SupervisedJob for SupervisedBatchJob {
 }
 
 /// The pipeline's [`coachlm_runtime::JobFactory`]: rebuilds the
-/// [`BATCH_CHAIN`] job from its wire params. Pass this to
+/// [`BATCH_CHAIN`] job from its wire params, decoding the shipped model.
+/// The parent (for replay) and every worker attempt decode the same bytes,
+/// so both sides run the same coach by construction. Pass this to
 /// [`coachlm_runtime::worker_boot`] at the top of any binary that calls
 /// [`run_batch_supervised`].
 pub fn batch_job_factory(chain: &str, params: &[u8]) -> Option<Box<dyn SupervisedJob>> {
     if chain != BATCH_CHAIN {
         return None;
     }
-    let spec = BatchJobSpec::decode(params)?;
+    let (spec, coach) = decode_batch_params(params)?;
     Some(Box::new(SupervisedBatchJob {
         config: ExecutorConfig::new(spec.seed).threads(spec.threads as usize),
-        coach: spec.coach.map(|c| trained_coach(c.seed, c.pairs)),
+        coach,
     }))
 }
 
@@ -596,6 +642,11 @@ pub fn batch_job_factory(chain: &str, params: &[u8]) -> Option<Box<dyn Supervise
 /// report is digest-identical to [`run_batch_sharded_journaled`] with the
 /// same spec, and [`ShardedPipelineReport::supervision`] carries the
 /// restart/failover/poison counters.
+///
+/// With `spec.coach` set, the coach is trained here, in the calling
+/// process, the first time its [`CoachTrainSpec`] is seen (later calls
+/// reuse the encoded model), and shipped to the workers in the job
+/// params: no worker, restart, failover or bisection attempt trains.
 ///
 /// The calling binary must invoke
 /// [`coachlm_runtime::worker_boot`]`(`[`batch_job_factory`]`)` first thing
@@ -610,7 +661,7 @@ pub fn run_batch_supervised(
     let out = run_sharded_process(
         batch_job_factory,
         BATCH_CHAIN,
-        &spec.encode(),
+        &batch_params(spec),
         StreamSource::batch(raw.pairs.clone()),
         shards,
         dir,
@@ -819,6 +870,140 @@ mod tests {
         // An uncached run reports all zeros.
         let uncached = run_batch(None, &raw, &config(13, 4)).unwrap();
         assert_eq!(uncached.revision_cache, CacheStats::default());
+    }
+
+    /// A small coach keeps the shipped model, and so each decode, cheap.
+    const SHIP: CoachTrainSpec = CoachTrainSpec {
+        seed: 3,
+        pairs: 150,
+    };
+
+    fn shipping_spec(coach: Option<CoachTrainSpec>) -> BatchJobSpec {
+        BatchJobSpec {
+            seed: 0x5EED,
+            threads: 2,
+            coach,
+        }
+    }
+
+    /// What [`batch_params`] sends for a decoded job: the spec's head,
+    /// then the model's bytes.
+    fn reencode((spec, coach): &(BatchJobSpec, Option<CoachLm>)) -> Vec<u8> {
+        let mut params = spec.encode();
+        if let Some(c) = coach {
+            params.extend_from_slice(&c.to_bytes());
+        }
+        params
+    }
+
+    #[test]
+    fn job_params_ship_the_trained_coach() {
+        let coach = trained_coach(SHIP.seed, SHIP.pairs);
+        let params = batch_params(&shipping_spec(Some(SHIP)));
+        let mut want = shipping_spec(Some(SHIP)).encode();
+        want.extend_from_slice(&coach.to_bytes());
+        assert_eq!(params, want);
+        let decoded = decode_batch_params(&params).expect("real params decode");
+        assert_eq!(decoded.0, shipping_spec(Some(SHIP)));
+        let shipped = decoded.1.as_ref().expect("the coach is shipped");
+        assert_eq!(shipped.fingerprint(), coach.fingerprint());
+        assert_eq!(reencode(&decoded), params);
+
+        // The one-slot memo follows the spec: a different coach replaces
+        // it, and the first one comes back intact.
+        let other = CoachTrainSpec { seed: 4, ..SHIP };
+        let other_params = batch_params(&shipping_spec(Some(other)));
+        assert_eq!(
+            &other_params[BatchJobSpec::LEN..],
+            trained_coach(other.seed, other.pairs).to_bytes().as_slice()
+        );
+        assert_eq!(batch_params(&shipping_spec(Some(SHIP))), params);
+
+        let manual = batch_params(&shipping_spec(None));
+        assert_eq!(manual, shipping_spec(None).encode());
+        assert!(matches!(decode_batch_params(&manual), Some((_, None))));
+    }
+
+    #[test]
+    fn malformed_job_params_are_refused() {
+        let params = batch_params(&shipping_spec(Some(SHIP)));
+        let (head, model) = params.split_at(BatchJobSpec::LEN);
+        let manual_head = shipping_spec(None).encode();
+        let mut model_without_flag = manual_head.clone();
+        model_without_flag.extend_from_slice(model);
+        let mut bad_model = params.clone();
+        bad_model.pop();
+        for (what, bytes) in [
+            ("shorter than the spec", &params[..BatchJobSpec::LEN - 1]),
+            ("a coach flag without model bytes", head),
+            ("model bytes without the flag", &model_without_flag[..]),
+            ("bad model bytes", &bad_model[..]),
+        ] {
+            assert!(decode_batch_params(bytes).is_none(), "{what}");
+            assert!(batch_job_factory(BATCH_CHAIN, bytes).is_none(), "{what}");
+        }
+        assert!(batch_job_factory("coachlm/batch-v1", &params).is_none());
+        assert!(batch_job_factory(BATCH_CHAIN, &params).is_some());
+    }
+
+    /// Seeded byte mutations of real params — bit flips, truncations,
+    /// extensions and splices — never panic the factory, and any params it
+    /// accepts re-encode byte for byte.
+    #[test]
+    fn mutated_job_params_never_panic_the_factory() {
+        use rand::Rng;
+        let real = batch_params(&shipping_spec(Some(SHIP)));
+        let manual = batch_params(&shipping_spec(None));
+        let model = real[BatchJobSpec::LEN..].to_vec();
+        let (mut accepted, mut refused) = (0, 0);
+        for case in 0..proptest::cases() {
+            let mut rng = proptest::case_rng("mutated_job_params", case);
+            let mut m = if rng.gen_bool(0.75) {
+                real.clone()
+            } else {
+                manual.clone()
+            };
+            for _ in 0..rng.gen_range(1..=3) {
+                let at = rng.gen_range(0..=m.len());
+                match rng.gen_range(0..4) {
+                    // Flip one bit, in the head half the time.
+                    0 if !m.is_empty() => {
+                        let i = if rng.gen_bool(0.5) {
+                            rng.gen_range(0..m.len().min(BatchJobSpec::LEN))
+                        } else {
+                            rng.gen_range(0..m.len())
+                        };
+                        m[i] ^= 1u8 << rng.gen_range(0..8u32);
+                    }
+                    1 => m.truncate(at),
+                    2 => {
+                        let n = rng.gen_range(1..=16);
+                        m.extend((0..n).map(|_| rng.gen_range(0..=u8::MAX)));
+                    }
+                    // Splice a slice of the model bytes in at `at`.
+                    _ => {
+                        let from = rng.gen_range(0..model.len());
+                        let to = (from + rng.gen_range(1..=64usize)).min(model.len());
+                        let cut = (at + rng.gen_range(0..=64usize)).min(m.len());
+                        m.splice(at..cut, model[from..to].iter().copied());
+                    }
+                }
+            }
+            let job = batch_job_factory(BATCH_CHAIN, &m);
+            match decode_batch_params(&m) {
+                Some(decoded) => {
+                    assert!(job.is_some(), "case {case}: decodes but no job");
+                    assert_eq!(reencode(&decoded), m, "case {case}: re-encoding differs");
+                    accepted += 1;
+                }
+                None => {
+                    assert!(job.is_none(), "case {case}: a job from refused params");
+                    refused += 1;
+                }
+            }
+        }
+        assert!(refused > 0, "no mutation was refused");
+        println!("mutated job params: {accepted} accepted, {refused} refused");
     }
 
     #[test]

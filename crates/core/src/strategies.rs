@@ -497,6 +497,9 @@ impl<S: Stage> Stage for BorrowedStage<'_, S> {
     fn iteration_budget(&self) -> u32 {
         self.0.iteration_budget()
     }
+    fn state_fingerprint(&self) -> u64 {
+        self.0.state_fingerprint()
+    }
 }
 
 // ---------------------------------------------------------------------------

@@ -15,7 +15,7 @@ use coachlm_text::normalize::fold_case;
 use serde::{Deserialize, Serialize};
 
 /// What a learned augmentation adds to a pair.
-#[derive(Debug, Clone, Copy, PartialEq, Eq, Hash, Serialize, Deserialize)]
+#[derive(Debug, Clone, Copy, PartialEq, Eq, PartialOrd, Ord, Hash, Serialize, Deserialize)]
 pub enum AugmentKind {
     /// Expand a thin response with reasoning/explanation.
     ExpandResponse,
@@ -75,24 +75,25 @@ const MAX_TO_LEN: usize = 8;
 /// A set of learned rules, accumulated over training-pair sides.
 #[derive(Debug, Clone, Default, Serialize, Deserialize)]
 pub struct RuleSet {
-    // JSON objects need string keys, so the phrase map round-trips through
-    // a list of entries.
-    #[serde(with = "phrase_map_serde")]
+    // Both maps round-trip through key-sorted entry lists: JSON objects
+    // need string keys, and the sort makes the encoding canonical whatever
+    // the hash-map layout (a trained coach is shipped and fingerprinted
+    // by these bytes).
+    #[serde(with = "sorted_map_serde")]
     phrase: FxHashMap<Vec<String>, (Vec<String>, u64)>,
+    #[serde(with = "sorted_map_serde")]
     augment: FxHashMap<AugmentKind, (Vec<String>, u64)>,
 }
 
 /// A phrase-map entry: source phrase → (replacement, support count).
 type PhraseEntry = (Vec<String>, (Vec<String>, u64));
 
-mod phrase_map_serde {
-    use super::PhraseEntry;
+mod sorted_map_serde {
     use coachlm_text::fxhash::FxHashMap;
     use serde::{Deserialize, Error, Serialize, Value};
+    use std::hash::Hash;
 
-    type Map = FxHashMap<Vec<String>, (Vec<String>, u64)>;
-
-    pub fn to_value(map: &Map) -> Value {
+    pub fn to_value<K: Ord + Serialize, V: Serialize>(map: &FxHashMap<K, V>) -> Value {
         // lint: allow(D3, reason = "entries are collected and sorted by key on the next line before serialisation")
         let mut entries: Vec<_> = map.iter().collect();
         entries.sort_by(|a, b| a.0.cmp(b.0)); // deterministic output
@@ -104,8 +105,10 @@ mod phrase_map_serde {
         )
     }
 
-    pub fn from_value(v: &Value) -> Result<Map, Error> {
-        let entries: Vec<PhraseEntry> = Deserialize::from_value(v)?;
+    pub fn from_value<K: Deserialize + Eq + Hash, V: Deserialize>(
+        v: &Value,
+    ) -> Result<FxHashMap<K, V>, Error> {
+        let entries: Vec<(K, V)> = Deserialize::from_value(v)?;
         Ok(entries.into_iter().collect())
     }
 }

@@ -548,9 +548,9 @@ impl Executor {
     /// thread count and queue capacity, with any [`FaultPlan`].
     ///
     /// Fails with [`JournalError::Incompatible`] when the journal belongs
-    /// to a different run (seed, stages, policies, or input changed), and
-    /// with [`JournalError::Io`] when journal writes fail (the run itself
-    /// still completes before the error is surfaced).
+    /// to a different run (seed, stages, learned stage state, policies, or
+    /// input changed), and with [`JournalError::Io`] when journal writes
+    /// fail (the run itself still completes before the error is surfaced).
     pub fn run_journaled(
         &self,
         stages: &[Box<dyn Stage + '_>],
@@ -595,8 +595,8 @@ impl Executor {
                 }
                 if h.fingerprint != fingerprint {
                     return Err(JournalError::Incompatible(
-                        "run fingerprint mismatch: seed, stages, policies, or input differ \
-                         from the run that wrote this journal"
+                        "run fingerprint mismatch: seed, stages, learned stage state, policies, \
+                         or input differ from the run that wrote this journal"
                             .to_string(),
                     ));
                 }
@@ -666,7 +666,8 @@ impl Executor {
 
     /// Hash of everything that determines run outcomes: the config's
     /// outcome-bearing knobs (see [`ExecutorConfig::fingerprint_into`]),
-    /// stage names, deadlines, and iteration budgets, the feed (arrival
+    /// stage names, deadlines, iteration budgets, and learned-state
+    /// fingerprints ([`Stage::state_fingerprint`]), the feed (arrival
     /// model), and the full input content. Thread count and queue
     /// capacity are deliberately excluded — they never affect results,
     /// and a journal written by a 16-thread run must resume on a
@@ -694,6 +695,7 @@ impl Executor {
             // looping stage may take, which changes outcomes — a journal
             // written under one budget must not resume under another.
             h.write_u32(stage.iteration_budget().max(1));
+            h.write_u64(stage.state_fingerprint());
         }
         feed.fingerprint_into(&mut h);
         h.write_u64(pairs.len() as u64);
@@ -1141,6 +1143,41 @@ mod tests {
         assert!(
             err.is_err(),
             "a resume under a different iteration budget must be refused"
+        );
+        std::fs::remove_file(&path).ok();
+    }
+
+    /// A stage with learned state: same name and config, different model.
+    struct Learned(u64);
+
+    impl Stage for Learned {
+        fn name(&self) -> &str {
+            "learned"
+        }
+        fn process(&self, item: &mut StageItem, _ctx: &mut StageCtx<'_>) -> StageOutcome {
+            item.pair.response.push_str(&format!(" <{}>", self.0));
+            StageOutcome::Ok
+        }
+        fn state_fingerprint(&self) -> u64 {
+            self.0
+        }
+    }
+
+    #[test]
+    fn learned_state_is_part_of_the_journal_fingerprint() {
+        let path = temp_journal("learned-state");
+        let mut journal = Journal::create(&path).unwrap();
+        let a: Vec<Box<dyn Stage>> = vec![Box::new(Learned(1))];
+        Executor::new(ExecutorConfig::new(1))
+            .run_journaled(&a, pairs(10), &mut journal)
+            .unwrap();
+        drop(journal);
+        let mut journal = Journal::open(&path).unwrap();
+        let b: Vec<Box<dyn Stage>> = vec![Box::new(Learned(2))];
+        let err = Executor::new(ExecutorConfig::new(1)).run_journaled(&b, pairs(10), &mut journal);
+        assert!(
+            matches!(err, Err(JournalError::Incompatible(_))),
+            "a resume under different learned state must be refused"
         );
         std::fs::remove_file(&path).ok();
     }

@@ -116,6 +116,16 @@ pub trait Stage: Sync {
     fn iteration_budget(&self) -> u32 {
         1
     }
+
+    /// A fingerprint of learned state the stage's outcomes depend on
+    /// beyond its name and the executor config — a trained model, say.
+    /// Defaults to 0, for stages with no such state. It is part of the
+    /// journal fingerprint, so a journal written under one model is
+    /// refused on resume under another instead of replaying the first
+    /// model's output as the second's.
+    fn state_fingerprint(&self) -> u64 {
+        0
+    }
 }
 
 /// A pair flowing through a stage chain, with its bookkeeping.

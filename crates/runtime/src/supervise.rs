@@ -129,6 +129,11 @@ const KIND_JOURNAL_HEADER: u8 = 1;
 /// Worker → parent: the journal's own item record kind.
 const KIND_JOURNAL_ITEM: u8 = 2;
 
+/// The smallest PAIR frame on the wire: the 12-byte frame header, then
+/// kind (1), id (8), category (4) and two empty length-prefixed strings
+/// (4 + 4).
+const MIN_PAIR_FRAME: usize = 12 + 1 + 8 + 4 + 4 + 4;
+
 /// A job the supervised driver can ship across a process boundary: enough
 /// owned state to build the executor config and the stage chain on either
 /// side. Reconstructed in the worker from `(chain, params)` by the same
@@ -574,7 +579,11 @@ fn worker_main(factory: JobFactory) -> Result<(), SuperviseError> {
     std::io::stdin().lock().read_to_end(&mut input)?;
     let mut pos = 0usize;
     let spec = decode_job(take_frame(&input, &mut pos)?)?;
-    let mut pairs = Vec::with_capacity(usize::try_from(spec.pair_count).unwrap_or(0));
+    // The count is a claim from the frame; the bytes actually read bound
+    // how many PAIR frames can follow it.
+    let room = (input.len() - pos) / MIN_PAIR_FRAME;
+    let claimed = usize::try_from(spec.pair_count).unwrap_or(usize::MAX);
+    let mut pairs = Vec::with_capacity(claimed.min(room));
     loop {
         let payload = take_frame(&input, &mut pos)?;
         let mut dec = Dec::new(payload);
@@ -1260,6 +1269,17 @@ mod tests {
         let mut dec = Dec::new(&encoded);
         assert_eq!(dec.u8(), Some(KIND_PAIR));
         assert_eq!(decode_pair(&mut dec), Some(p));
+    }
+
+    #[test]
+    fn min_pair_frame_is_the_empty_pair_frame() {
+        let empty = InstructionPair {
+            id: 0,
+            instruction: String::new(),
+            response: String::new(),
+            category: Category(0),
+        };
+        assert_eq!(frame_bytes(&encode_pair(&empty)).len(), MIN_PAIR_FRAME);
     }
 
     #[test]

@@ -30,7 +30,9 @@ use std::time::Duration;
 use coachlm::core::baselines::{AlpaGasusStage, CleanStage, HumanMergeStage};
 use coachlm::core::coach::{CoachConfig, CoachLm};
 use coachlm::core::infer::{revise_dataset, revise_stream, CoachReviseStage};
-use coachlm::core::pipeline::{run_batch, run_stream, ExpertAnnotateStage};
+use coachlm::core::pipeline::{
+    run_batch, run_batch_journaled, run_stream, trained_coach, ExpertAnnotateStage, PipelineError,
+};
 use coachlm::data::generator::{generate, GeneratorConfig};
 use coachlm::data::pair::Dataset;
 use coachlm::expert::filter::{
@@ -40,8 +42,8 @@ use coachlm::expert::pool::ExpertPool;
 use coachlm::expert::revision::{ExpertReviseStage, ExpertReviser, RevisionRecord};
 use coachlm::judge::chatgpt::{ChatGptRater, ChatGptRatingStage};
 use coachlm::runtime::{
-    BreakerPolicy, ChainOutput, Executor, ExecutorConfig, FaultPlan, Feed, Journal, RetryPolicy,
-    Stage, StreamSource,
+    BreakerPolicy, ChainOutput, Executor, ExecutorConfig, FaultPlan, Feed, Journal, JournalError,
+    RetryPolicy, Stage, StreamSource,
 };
 use proptest::prelude::*;
 
@@ -363,6 +365,41 @@ fn journal_refuses_resume_under_a_different_feed() {
         "batch resume of a sustained journal must fail"
     );
     std::fs::remove_file(&path).ok();
+}
+
+/// The coach's learned state is part of the run fingerprint: a journal
+/// written under one trained coach must refuse to resume under another,
+/// instead of replaying the first coach's revisions as the second's run.
+#[test]
+fn journal_refuses_resume_under_a_different_coach() {
+    let mut d = dataset(60, 0xC0AC);
+    // Ids clear of both coaches' training ids, which the revise stage
+    // would skip as §III-B1 leakage.
+    for p in &mut d.pairs {
+        p.id += 1 << 32;
+    }
+    let config = ExecutorConfig::new(0xC0AC).threads(2);
+    let (a, b) = (trained_coach(9, 400), trained_coach(10, 400));
+    let run_a = run_batch(Some(&a), &d, &config).expect("coach A run");
+    let run_b = run_batch(Some(&b), &d, &config).expect("coach B run");
+    assert_ne!(run_a.output, run_b.output, "the coaches revise differently");
+
+    let path = temp_journal("coach-mismatch");
+    let mut journal = Journal::create(&path).expect("create journal");
+    run_batch_journaled(Some(&a), &d, &config, &mut journal).expect("coach A journaled run");
+    drop(journal);
+
+    let mut journal = Journal::open(&path).expect("reopen");
+    let resumed = run_batch_journaled(Some(&b), &d, &config, &mut journal);
+    std::fs::remove_file(&path).ok();
+    match resumed {
+        Err(PipelineError::Journal(JournalError::Incompatible(_))) => {}
+        Err(e) => panic!("refused for the wrong reason: {e}"),
+        Ok(r) => panic!(
+            "coach B resumed coach A's journal ({} pairs replayed)",
+            r.replayed
+        ),
+    }
 }
 
 /// CI streaming-matrix entry point: one cell per (seed, threads, queue

@@ -28,13 +28,14 @@
 //! * **`sync_every` tail-loss bound** — after a kill, the worker journal
 //!   on disk trails the parent's received frames by at most `sync_every`
 //!   records, and a same-dir rerun resumes from the journal.
-//! * **Pipeline integration** — `run_batch_supervised` (with a
-//!   worker-side re-trained coach) matches `run_batch_sharded_journaled`
-//!   and recovers across a kill.
+//! * **Pipeline integration** — `run_batch_supervised` (with the coach
+//!   trained in the parent and shipped to the workers in the job params)
+//!   matches `run_batch_sharded_journaled` and recovers across a kill.
 //!
 //! `supervise_matrix_cell` is the CI entry point: `scripts/ci.sh` runs it
 //! under `COACHLM_SUPERVISE_SEED` × `COACHLM_SUPERVISE_SHARDS` ×
-//! `COACHLM_SUPERVISE_KILL` (early/late/none).
+//! `COACHLM_SUPERVISE_KILL` (early/late/none). Setting only some of the
+//! three fails the run and names the missing ones.
 
 use std::collections::BTreeSet;
 use std::path::PathBuf;
@@ -547,8 +548,9 @@ fn sync_every_bounds_tail_loss() {
 }
 
 /// Pipeline integration: `run_batch_supervised` — worker processes
-/// re-deriving the coach from its training spec — matches the in-process
-/// sharded journaled pipeline and recovers across a worker kill.
+/// decoding the coach the parent trained and shipped — matches the
+/// in-process sharded journaled pipeline and recovers across a worker
+/// kill.
 fn run_batch_supervised_matches_sharded() {
     use coachlm::data::generator::{generate, GeneratorConfig};
     let spec = BatchJobSpec {
@@ -600,16 +602,11 @@ fn run_batch_supervised_matches_sharded() {
 /// CI matrix entry point: one supervised-vs-in-process cell driven by
 /// `COACHLM_SUPERVISE_SEED` / `COACHLM_SUPERVISE_SHARDS` /
 /// `COACHLM_SUPERVISE_KILL` (early | late | none).
-fn supervise_matrix_cell() {
-    let seed: u64 = std::env::var("COACHLM_SUPERVISE_SEED")
-        .expect("COACHLM_SUPERVISE_SEED")
+fn supervise_matrix_cell([seed, shards, kill]: [String; 3]) {
+    let seed: u64 = seed.parse().expect("COACHLM_SUPERVISE_SEED must be a u64");
+    let shards: usize = shards
         .parse()
-        .expect("seed must be a u64");
-    let shards: usize = std::env::var("COACHLM_SUPERVISE_SHARDS")
-        .expect("COACHLM_SUPERVISE_SHARDS")
-        .parse()
-        .expect("shards must be a usize");
-    let kill = std::env::var("COACHLM_SUPERVISE_KILL").expect("COACHLM_SUPERVISE_KILL");
+        .expect("COACHLM_SUPERVISE_SHARDS must be a usize");
     let threads = 2u32;
     let pairs = chaos_pairs(32, seed);
     let worker_kills = match kill.as_str() {
@@ -666,13 +663,39 @@ fn supervise_matrix_cell() {
     println!("supervise_matrix_cell seed={seed} shards={shards} kill={kill} ... ok");
 }
 
+/// Reads a CI matrix cell's variables: `None` when none is set (the plain
+/// suite runs instead); panics naming the missing ones when only some are,
+/// so a cell never passes without running.
+fn cell_vars<const N: usize>(names: [&str; N]) -> Option<[String; N]> {
+    let values = names.map(|name| std::env::var(name).ok());
+    if values.iter().all(Option::is_none) {
+        return None;
+    }
+    let missing: Vec<&str> = names
+        .iter()
+        .zip(&values)
+        .filter(|(_, v)| v.is_none())
+        .map(|(n, _)| *n)
+        .collect();
+    assert!(
+        missing.is_empty(),
+        "matrix cell is missing {}",
+        missing.join(", ")
+    );
+    Some(values.map(Option::unwrap_or_default))
+}
+
 fn main() {
     // Must run before anything touches stdout: worker re-invocations of
     // this binary speak the frame protocol on stdout and never return.
     worker_boot(factory);
 
-    if std::env::var_os("COACHLM_SUPERVISE_SEED").is_some() {
-        supervise_matrix_cell();
+    if let Some(vars) = cell_vars([
+        "COACHLM_SUPERVISE_SEED",
+        "COACHLM_SUPERVISE_SHARDS",
+        "COACHLM_SUPERVISE_KILL",
+    ]) {
+        supervise_matrix_cell(vars);
         return;
     }
 
