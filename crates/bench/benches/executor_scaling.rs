@@ -8,11 +8,12 @@
 //!   — real elapsed time on whatever cores the host grants. On a
 //!   single-core container these barely move with the thread count.
 //! * **Virtual-time figures** (`.../sim` records) — the streaming core's
-//!   deterministic service-time model ([`Stage::service_time`]): each
-//!   item charges its stage's modeled service to a lane, and the sink's
+//!   deterministic service-time model ([`Stage::service_time`]): with no
+//!   breaker every lane runs the whole chain, each item charges its
+//!   modeled chain service to the first free lane, and the sink's
 //!   recurrence yields the makespan a machine with that many real lanes
-//!   would see. `sim_speedup_vs_1` is the pipeline-parallel scaling claim
-//!   and is host-independent.
+//!   would see. `sim_speedup_vs_1` is modeled, not measured: the
+//!   data-parallel scaling claim, host-independent.
 
 use coachlm_data::generator::generate;
 use coachlm_data::{Dataset, GeneratorConfig};
@@ -91,7 +92,7 @@ impl Stage for PipeStage {
 }
 
 /// The two-stage streaming chain: a light front stage feeding a heavier
-/// revise-like stage, so lane allocation and pipelining both matter.
+/// revise-like stage.
 fn stream_chain() -> Vec<Box<dyn Stage + 'static>> {
     vec![
         Box::new(PipeStage {

@@ -849,6 +849,77 @@ mod tests {
         }
     }
 
+    /// A stage summary without its measured fields (`cpu_seconds` and the
+    /// `samples_per_sec` derived from it).
+    fn counted(s: &StageSummary) -> (String, usize, usize, usize, u64, u64, usize) {
+        let StageSummary {
+            stage,
+            items_in,
+            items_out,
+            quarantined,
+            retries,
+            timeouts,
+            degraded,
+            cpu_seconds: _,
+            samples_per_sec: _,
+        } = s;
+        (
+            stage.clone(),
+            *items_in,
+            *items_out,
+            *quarantined,
+            *retries,
+            *timeouts,
+            *degraded,
+        )
+    }
+
+    #[test]
+    fn trained_chain_report_is_thread_count_invariant() {
+        use coachlm_runtime::{BreakerPolicy, FaultPlan, RetryPolicy};
+        use std::time::Duration;
+        let c = coach(8);
+        let (raw, _) = generate(&GeneratorConfig::small(300, 49));
+        let base = run_batch(Some(&c), &raw, &config(12, 1)).unwrap();
+        assert!(base.human_revised > 0 && base.post_edited > 0);
+        let base_stages: Vec<_> = base.stage_summaries.iter().map(counted).collect();
+        for threads in [2, 3, 8] {
+            let report = run_batch(Some(&c), &raw, &config(12, threads)).unwrap();
+            assert_eq!(report.output, base.output, "threads = {threads}");
+            assert_eq!(
+                report.human_revised, base.human_revised,
+                "threads = {threads}"
+            );
+            assert_eq!(report.post_edited, base.post_edited, "threads = {threads}");
+            let stages: Vec<_> = report.stage_summaries.iter().map(counted).collect();
+            assert_eq!(stages, base_stages, "threads = {threads}");
+        }
+
+        let chaos = |threads| {
+            config(12, threads)
+                .fault_plan(
+                    FaultPlan::new(21)
+                        .transient(0.2)
+                        .permanent(0.05)
+                        .latency(0.3, Duration::from_secs(8)),
+                )
+                .retry_policy(RetryPolicy::new(3, Duration::from_millis(10)))
+                .breaker(
+                    BreakerPolicy::new()
+                        .window(32)
+                        .trip_ratio(0.2)
+                        .min_failures(4)
+                        .cooldown_epochs(1)
+                        .probes(4),
+                )
+        };
+        let one = run_batch(Some(&c), &raw, &chaos(1)).unwrap();
+        let eight = run_batch(Some(&c), &raw, &chaos(8)).unwrap();
+        assert!(!one.breaker_events.is_empty(), "the breaker never tripped");
+        assert_eq!(eight.output, one.output);
+        assert_eq!(eight.breaker_events, one.breaker_events);
+    }
+
     #[test]
     fn cached_batch_absorbs_duplicate_traffic() {
         use coachlm_data::generator::{zipfian_duplicates, ZipfianConfig};

@@ -1,5 +1,5 @@
-//! The deterministic executor: public entry points over the
-//! pipeline-parallel streaming core in [`crate::stream`].
+//! The deterministic executor: public entry points over the streaming
+//! core in [`crate::stream`].
 
 use crate::breaker::BreakerEvent;
 use crate::breaker::BreakerPolicy;
@@ -500,16 +500,16 @@ impl Executor {
 
     /// Runs `stages` over a streaming source.
     ///
-    /// Items flow through the stage chain pipeline-parallel: the chain is
-    /// partitioned into contiguous stage groups, each group gets one or
-    /// more worker lanes (lanes sum to the configured thread count), and
-    /// chunks of items move from group to group over bounded, sequenced
-    /// queues with backpressure — stage *k+1* processes item *i* while
-    /// stage *k* processes item *i+1*, with no batch barriers. Breaker
-    /// transitions, journal frames, and report merging key off
-    /// deterministic logical epochs (fixed index windows), so the output
-    /// is digest-identical at any thread count or queue capacity — see
-    /// [`crate::stream`] for the full model.
+    /// Chunks of items flow over bounded, sequenced queues with
+    /// backpressure and no batch barriers. Without a [`BreakerPolicy`]
+    /// the run is data-parallel: each of the configured threads takes the
+    /// next chunk and runs the whole chain on it, and the sink restores
+    /// input order. With a breaker, the chain is cut into contiguous
+    /// stage groups of one lane each, so every stage sees items in index
+    /// order. Breaker transitions, journal frames, and report merging key
+    /// off deterministic logical epochs (fixed index windows), so the
+    /// output is digest-identical at any thread count or queue capacity —
+    /// see [`crate::stream`] for the full model.
     ///
     /// A [`Feed::Sustained`] source models continuous arrivals with
     /// admission control: arrivals that find the admission backlog full
@@ -1310,6 +1310,35 @@ mod tests {
         assert_eq!(q.len(), 22);
         assert!(q.items.iter().all(|i| i.failure.stage == "flaky"));
         assert!(q.items.iter().all(|i| i.pair.id == i.index as u64));
+    }
+
+    /// Regression: under a breaker, a zero-service stage after the last
+    /// closed group made the lane partition underflow ("attempt to
+    /// subtract with overflow" in debug builds).
+    #[test]
+    fn zero_service_stage_under_a_breaker_runs() {
+        struct Free;
+        impl Stage for Free {
+            fn name(&self) -> &str {
+                "free"
+            }
+            fn process(&self, _item: &mut StageItem, _ctx: &mut StageCtx<'_>) -> StageOutcome {
+                StageOutcome::Ok
+            }
+            fn service_time(&self) -> Duration {
+                Duration::ZERO
+            }
+        }
+        let stages: Vec<Box<dyn Stage>> = vec![Box::new(Scribble), Box::new(Free)];
+        let plain = Executor::new(ExecutorConfig::new(4).threads(1)).run(&stages, pairs(20));
+        for threads in [1, 2] {
+            let config = ExecutorConfig::new(4)
+                .threads(threads)
+                .breaker(BreakerPolicy::new());
+            let out = Executor::new(config).run(&stages, pairs(20));
+            assert_eq!(out.report("free").unwrap().items_in, 20);
+            assert_eq!(out.digest(), plain.digest(), "threads = {threads}");
+        }
     }
 
     #[test]

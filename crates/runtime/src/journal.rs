@@ -250,19 +250,23 @@ impl Journal {
         let mut pos: usize = 0;
         while let Some((payload, end)) = next_frame(&data, pos) {
             let mut dec = Dec::new(payload);
+            // A record is kept only once its whole payload decoded: one
+            // with trailing bytes ends the log like any other refusal.
             let parsed = match dec.u8() {
-                Some(1) if header.is_none() => decode_header(&mut dec).map(|h| {
-                    header = Some(h);
-                }),
-                Some(2) if header.is_some() => decode_item(&mut dec).map(|t| {
-                    committed.insert(t.index, t);
-                }),
+                Some(1) if header.is_none() => decode_header(&mut dec)
+                    .filter(|_| dec.exhausted())
+                    .map(|h| header = Some(h)),
+                Some(2) if header.is_some() => {
+                    decode_item(&mut dec).filter(|_| dec.exhausted()).map(|t| {
+                        committed.insert(t.index, t);
+                    })
+                }
                 // Unknown kind, duplicate header, or an item before the
                 // header: not a log this build wrote — stop at the last
                 // good frontier.
                 _ => None,
             };
-            if parsed.is_none() || !dec.exhausted() {
+            if parsed.is_none() {
                 break;
             }
             spans.push((pos as u64, end as u64));
@@ -330,9 +334,7 @@ impl Journal {
     pub(crate) fn write_header(&mut self, h: HeaderRecord) -> Result<(), std::io::Error> {
         let mut enc = Enc::new();
         enc.u8(1);
-        enc.u32(h.version);
-        enc.u64(h.input_len);
-        enc.u64(h.fingerprint);
+        encode_header(&mut enc, &h);
         self.header = Some(h);
         self.append_frame(enc.into_payload())
     }
@@ -469,6 +471,12 @@ fn next_frame(data: &[u8], pos: usize) -> Option<(&[u8], usize)> {
         return None;
     }
     Some((payload, pos + 12 + len as usize))
+}
+
+fn encode_header(enc: &mut Enc, h: &HeaderRecord) {
+    enc.u32(h.version);
+    enc.u64(h.input_len);
+    enc.u64(h.fingerprint);
 }
 
 fn decode_header(dec: &mut Dec<'_>) -> Option<HeaderRecord> {
@@ -714,6 +722,8 @@ impl<'a> Dec<'a> {
 #[cfg(test)]
 mod tests {
     use super::*;
+    use rand::rngs::StdRng;
+    use rand::{Rng, SeedableRng};
     use std::sync::atomic::{AtomicU64, Ordering};
 
     static UNIQUE: AtomicU64 = AtomicU64::new(0);
@@ -904,6 +914,156 @@ mod tests {
         assert!(std::fs::metadata(&path2).unwrap().len() > 0);
         std::fs::remove_file(&path).ok();
         std::fs::remove_file(&path2).ok();
+    }
+
+    /// Applies one to three seeded mutations to `base`: a bit flip, a
+    /// truncation, random bytes appended, or a slice of `donor` spliced in.
+    fn mutate(rng: &mut StdRng, base: &[u8], donor: &[u8]) -> Vec<u8> {
+        let mut m = base.to_vec();
+        for _ in 0..rng.gen_range(1..=3) {
+            let at = rng.gen_range(0..=m.len());
+            match rng.gen_range(0..4) {
+                0 if !m.is_empty() => {
+                    let i = rng.gen_range(0..m.len());
+                    m[i] ^= 1u8 << rng.gen_range(0..8u32);
+                }
+                1 => m.truncate(at),
+                2 => {
+                    let n = rng.gen_range(1..=16);
+                    m.extend((0..n).map(|_| rng.gen_range(0..=u8::MAX)));
+                }
+                _ => {
+                    let from = rng.gen_range(0..donor.len());
+                    let to = (from + rng.gen_range(1..=64usize)).min(donor.len());
+                    let cut = (at + rng.gen_range(0..=64usize)).min(m.len());
+                    m.splice(at..cut, donor[from..to].iter().copied());
+                }
+            }
+        }
+        m
+    }
+
+    /// A decoded record payload.
+    enum Record {
+        Header(HeaderRecord),
+        Item(ItemTrace),
+    }
+
+    /// Decodes one record payload as [`Journal::open`] does, or refuses
+    /// it; an accepted record must re-encode to exactly `payload`.
+    fn accept(payload: &[u8], header_seen: bool) -> Option<Record> {
+        let mut dec = Dec::new(payload);
+        let record = match dec.u8()? {
+            1 if !header_seen => Record::Header(decode_header(&mut dec)?),
+            2 if header_seen => Record::Item(decode_item(&mut dec)?),
+            _ => return None,
+        };
+        if !dec.exhausted() {
+            return None;
+        }
+        let mut enc = Enc::new();
+        match &record {
+            Record::Header(h) => {
+                enc.u8(1);
+                encode_header(&mut enc, h);
+            }
+            Record::Item(t) => {
+                enc.u8(2);
+                encode_item(&mut enc, t);
+            }
+        }
+        assert_eq!(enc.into_payload(), payload, "accepted record re-encodes");
+        Some(record)
+    }
+
+    /// Seeded bit flips, truncations, extensions and splices of a real
+    /// journal never panic the frame scanners, `decode_item` or
+    /// [`Journal::open`]: every frame is accepted and re-encodes byte for
+    /// byte, or is refused, and `open` keeps exactly the accepted prefix.
+    #[test]
+    fn mutated_journal_bytes_never_panic_the_decoders() {
+        let path = temp_path("fuzz-real");
+        let mut j = Journal::create(&path).unwrap();
+        j.write_header(header()).unwrap();
+        for i in 0..6 {
+            j.append(&trace(i)).unwrap();
+        }
+        j.sync().unwrap();
+        let spans = j.record_spans().to_vec();
+        drop(j);
+        let real = std::fs::read(&path).unwrap();
+        let header_frame = &real[..spans[0].1 as usize];
+        // Item payloads without their kind byte.
+        let bodies: Vec<&[u8]> = spans[1..]
+            .iter()
+            .map(|&(start, end)| &real[start as usize + 13..end as usize])
+            .collect();
+
+        let fuzz = temp_path("fuzz-case");
+        let (mut whole_files, mut cut_files) = (0, 0);
+        let (mut accepted, mut refused) = (0, 0);
+        for case in 0..256u64 {
+            let mut rng = StdRng::seed_from_u64(0x10F2 ^ case);
+            // Whole files: each frame scans and decodes, or ends the log.
+            let m = mutate(&mut rng, &real, &real);
+            let (mut pos, mut header_seen) = (0, false);
+            let mut kept = BTreeMap::new();
+            loop {
+                let next = next_frame(&m, pos);
+                match scan_frame(&m, pos) {
+                    FrameScan::Frame { payload, end } => {
+                        assert_eq!(next, Some((payload, end)), "case {case} at {pos}");
+                    }
+                    FrameScan::NeedMore | FrameScan::Corrupt => {
+                        assert_eq!(next, None, "case {case} at {pos}");
+                    }
+                }
+                let Some((payload, end)) = next else { break };
+                match accept(payload, header_seen) {
+                    Some(Record::Header(_)) => header_seen = true,
+                    Some(Record::Item(t)) => {
+                        kept.insert(t.index, t);
+                    }
+                    None => break,
+                }
+                pos = end;
+            }
+            if pos < m.len() {
+                cut_files += 1;
+            } else {
+                whole_files += 1;
+            }
+            std::fs::write(&fuzz, &m).unwrap();
+            let opened = Journal::open(&fuzz).expect("recovery is not an IO error");
+            assert_eq!(opened.header().is_some(), header_seen, "case {case}");
+            assert_eq!(opened.committed_traces(), &kept, "case {case}");
+            assert_eq!(opened.record_spans().last().map_or(0, |s| s.1), pos as u64);
+            assert_eq!(std::fs::metadata(&fuzz).unwrap().len(), pos as u64);
+
+            // Item payloads under a valid checksum reach `decode_item`,
+            // which refuses them or decodes a record that re-encodes.
+            let body = bodies[rng.gen_range(0..bodies.len())];
+            let mut payload = vec![2u8];
+            payload.extend(mutate(&mut rng, body, &real));
+            let decoded = accept(&payload, true).is_some();
+            if decoded {
+                accepted += 1;
+            } else {
+                refused += 1;
+            }
+            let mut file = header_frame.to_vec();
+            file.extend(frame_bytes(&payload));
+            std::fs::write(&fuzz, &file).unwrap();
+            let opened = Journal::open(&fuzz).expect("recovery is not an IO error");
+            assert_eq!(opened.committed(), usize::from(decoded), "case {case}");
+        }
+        std::fs::remove_file(&path).ok();
+        std::fs::remove_file(&fuzz).ok();
+        assert!(cut_files > 0 && refused > 0, "no mutation was refused");
+        println!(
+            "mutated journals: {whole_files} read whole, {cut_files} cut at a refused frame; \
+             mutated item records: {accepted} accepted, {refused} refused"
+        );
     }
 
     /// The `sync_every` durability contract the supervised restart path

@@ -1,19 +1,20 @@
 //! # coachlm-runtime
 //!
 //! The shared dataset-processing runtime: a [`Stage`] trait over
-//! instruction pairs and a deterministic pipeline-parallel streaming
-//! [`Executor`] that runs a stage chain over a dataset or a continuous
-//! stream of arrivals.
+//! instruction pairs and a deterministic streaming [`Executor`] that runs
+//! a stage chain over a dataset or a continuous stream of arrivals.
 //!
 //! Every processing path in the workspace — cleaning, CoachLM revision,
 //! expert filtering and annotation, baseline construction, ChatGPT-judge
 //! rating — is expressed as a chain of stages and executed here, instead
 //! of each module hand-rolling its own thread pool and RNG plumbing.
 //!
-//! The core ([`stream`], PR 6) is a streaming pipeline: the chain is
-//! partitioned into contiguous stage groups, each group gets one or more
-//! worker lanes, and chunks of items flow group-to-group over bounded
-//! sequenced queues with backpressure — no batch barriers. The classic
+//! The core ([`stream`]) moves chunks of items over bounded sequenced
+//! queues with backpressure — no batch barriers. Without a circuit
+//! breaker it is data-parallel: every worker lane takes the next chunk
+//! and runs the whole chain on it. With a breaker the chain is cut into
+//! contiguous stage groups of one lane each, so every stage's breaker
+//! sees items in index order. The classic
 //! batch entry points ([`Executor::run`], [`Executor::run_journaled`])
 //! are thin wrappers feeding a bounded [`StreamSource::batch`] source;
 //! [`Executor::run_stream`] additionally accepts a [`Feed::Sustained`]
@@ -28,12 +29,14 @@
 //!   `chain seed × stage salt × pair id` — no sequential stream is shared
 //!   across items, so neither chunk boundaries nor which lane claims a
 //!   chunk can shift draws;
-//! * items flow through every queue in input order and are processed in
-//!   place, so output order is input order by construction;
+//! * every queue releases chunks in input order, however many lanes
+//!   worked on them, and items are processed in place, so output order
+//!   is input order by construction;
 //! * counters merge by summation, which is commutative;
 //! * epoch-keyed state (circuit breakers, journal commit frames) follows
 //!   **logical epochs** — fixed windows of input *indices* — rather than
-//!   wall-clock batches, so it evolves identically at any parallelism.
+//!   wall-clock batches, and each stage's breaker runs on a single lane,
+//!   so it evolves identically at any parallelism.
 //!
 //! Chunk width ([`adaptive_chunk_size`]) is therefore a wall-clock knob
 //! only. The one field that varies across runs is

@@ -1,40 +1,48 @@
-//! The pipeline-parallel streaming core.
+//! The streaming core.
 //!
-//! Items flow through the stage chain over bounded, *sequenced* queues:
-//! the chain is partitioned into contiguous **stage groups**, each group
-//! gets one or more worker **lanes**, and chunks of items move from group
-//! to group in strict input order — stage *k+1* processes item *i* while
-//! stage *k* processes item *i+1*. There are no batch barriers; the only
-//! synchronisation points are the bounded queues themselves
-//! (backpressure) and the deterministic **logical epochs** described
-//! below.
+//! Items flow through the stage chain over bounded, *sequenced* queues in
+//! chunks. The chain is split into contiguous **stage groups**, each
+//! served by one or more worker **lanes** ([`plan_topology`]):
+//!
+//! * **Without a breaker** the run is data-parallel: one group covers the
+//!   whole chain and every lane is in it. Each lane takes the next chunk
+//!   off the input queue and runs every stage on it; the output queue
+//!   hands chunks to the sink in index order.
+//! * **With a breaker** each stage's breaker epochs must evolve in index
+//!   order, so every group has one lane and chunks move from group to
+//!   group in strict input order.
+//!
+//! There are no batch barriers; the only synchronisation points are the
+//! bounded queues themselves (backpressure) and the deterministic
+//! **logical epochs** described below.
 //!
 //! ## Logical epochs
 //!
 //! A logical epoch is a fixed window of input *indices* (the breaker
 //! policy's `window` when a breaker is configured, the config's
-//! `epoch_len` otherwise). Every slot — executed, dropped, quarantined,
-//! shed, or replayed from a journal — flows through every queue in index
-//! order, so each stage group observes epoch boundaries locally and
-//! sequentially: breaker tallies close and state transitions fire at
-//! exactly the same indices as the epoch-synchronous batch executor did,
-//! which is what keeps streaming runs digest-identical to the reference
-//! order at any thread count or queue capacity. The sink
-//! commits journal frames in index order and fsyncs at epoch boundaries,
-//! so `resume_from` re-enters at the exact frontier.
+//! `epoch_len` otherwise). Under a breaker every slot — executed,
+//! dropped, quarantined, shed, or replayed from a journal — flows through
+//! its group's one lane in index order, so each group observes epoch
+//! boundaries locally and sequentially: breaker tallies close and state
+//! transitions fire at exactly the same indices as the epoch-synchronous
+//! batch executor did. Every other per-item effect is seeded per
+//! (stage, item), so whichever lane runs an item, the run stays
+//! digest-identical to the reference order at any thread count or queue
+//! capacity. The sink commits journal frames in index order and fsyncs
+//! at epoch boundaries, so `resume_from` re-enters at the exact frontier.
 //!
 //! ## Virtual time
 //!
 //! Wall-clock throughput depends on the host; the streaming report
 //! instead carries a *modeled* elapsed time computed by the sink from
-//! each stage's declared [`Stage::service_time`], the configured lane
-//! allocation, and the deterministic backoff/latency channels. The
-//! recurrence is the classic pipelined multi-server one: an item starts
-//! on a group when both the item is ready (previous group done, or its
-//! arrival time under a sustained feed) and one of the group's lanes is
-//! free. The result is deterministic for a fixed config and is excluded
-//! from the output digest (it legitimately varies with the thread
-//! count, which the digest must not).
+//! each stage's declared [`Stage::service_time`], the lane topology
+//! actually built, and the deterministic backoff/latency channels. The
+//! recurrence is the classic multi-server one: an item starts on a group
+//! when both the item is ready (previous group done, or its arrival time
+//! under a sustained feed) and one of the group's lanes is free. The
+//! result is deterministic for a fixed config and is excluded from the
+//! output digest (it legitimately varies with the thread count, which
+//! the digest must not).
 //!
 //! ## Admission control
 //!
@@ -350,9 +358,9 @@ pub(crate) struct GroupPlan {
 }
 
 /// The pipeline shape for a run: contiguous stage groups and their lane
-/// counts. Worker lanes sum to the configured thread count; the same
-/// shape drives both the real OS threads and the virtual-time model, so
-/// the modeled speedup is the speedup of the topology actually built.
+/// counts. The same shape drives both the real OS threads and the
+/// virtual-time model, so the modeled speedup is the speedup of the
+/// topology actually built.
 #[derive(Debug, Clone, PartialEq, Eq)]
 pub(crate) struct Topology {
     pub(crate) groups: Vec<GroupPlan>,
@@ -364,77 +372,54 @@ impl Topology {
     }
 }
 
-/// Partitions `service.len()` stages into `min(threads, stages)`
-/// contiguous groups and allocates the `threads` lanes across them
-/// proportionally to modeled service time (each group keeps at least
-/// one). `single_lane` (set when a breaker is configured) pins every
-/// group to one lane so per-stage epoch evolution stays sequential.
-pub(crate) fn plan_topology(service: &[u64], threads: usize, single_lane: bool) -> Topology {
+/// Plans the lanes for a chain of `service.len()` stages.
+///
+/// Without a breaker the plan is data-parallel: one group covering the
+/// whole chain, with all `threads` lanes. Each lane takes the next chunk
+/// off the sequenced input queue and runs every stage on it; the output
+/// queue restores index order.
+///
+/// With a breaker, each stage's epochs must evolve sequentially, so every
+/// group runs on one lane: the chain is cut into `min(threads, stages)`
+/// contiguous groups, balanced greedily by modeled service time.
+pub(crate) fn plan_topology(service: &[u64], threads: usize, breaker: bool) -> Topology {
     let s = service.len();
     let threads = threads.max(1);
     if s == 0 {
         return Topology { groups: Vec::new() };
     }
-    let mut groups: Vec<GroupPlan> = Vec::new();
-    if threads >= s {
-        for k in 0..s {
+    if !breaker {
+        return Topology {
+            groups: vec![GroupPlan {
+                stages: 0..s,
+                lanes: threads,
+            }],
+        };
+    }
+    let mut groups = Vec::new();
+    let mut remaining_groups = threads.min(s);
+    let mut remaining_total: u128 = service.iter().map(|&x| u128::from(x)).sum();
+    let (mut start, mut acc) = (0usize, 0u128);
+    for (k, &sv) in service.iter().enumerate() {
+        acc += u128::from(sv);
+        let target = remaining_total / remaining_groups as u128;
+        // Close early enough that every remaining group gets a stage.
+        let stages_left = s - k - 1;
+        if remaining_groups > 1 && (acc >= target || stages_left < remaining_groups) {
             groups.push(GroupPlan {
-                stages: k..k + 1,
+                stages: start..k + 1,
                 lanes: 1,
             });
-        }
-        if !single_lane {
-            // Hand the surplus lanes to the heaviest per-lane groups,
-            // one at a time (deterministic tie-break: lowest index).
-            for _ in 0..threads - s {
-                let mut best = 0usize;
-                for g in 1..groups.len() {
-                    let (a, b) = (&groups[best], &groups[g]);
-                    // service/lanes comparison without division:
-                    // pick g when service[g]*lanes[best] > service[best]*lanes[g].
-                    let sa = service[a.stages.start] as u128 * b.lanes as u128;
-                    let sb = service[b.stages.start] as u128 * a.lanes as u128;
-                    if sb > sa {
-                        best = g;
-                    }
-                }
-                groups[best].lanes += 1;
-            }
-        }
-    } else {
-        // Fewer lanes than stages: balance contiguous groups by total
-        // service so the bottleneck group stays as light as possible.
-        let total: u128 = service.iter().map(|&x| x as u128).sum();
-        let mut start = 0usize;
-        let mut acc: u128 = 0;
-        let mut remaining_groups = threads;
-        let mut remaining_total = total;
-        for (k, &sv) in service.iter().enumerate() {
-            acc += sv as u128;
-            let stages_left = s - k - 1;
-            let target = remaining_total / remaining_groups.max(1) as u128;
-            let must_close = stages_left < remaining_groups - 1;
-            if remaining_groups > 0 && (acc >= target || must_close) && k + 1 > start {
-                groups.push(GroupPlan {
-                    stages: start..k + 1,
-                    lanes: 1,
-                });
-                start = k + 1;
-                remaining_total = remaining_total.saturating_sub(acc);
-                acc = 0;
-                remaining_groups -= 1;
-            }
-        }
-        if start < s {
-            match groups.last_mut() {
-                Some(last) => last.stages.end = s,
-                None => groups.push(GroupPlan {
-                    stages: 0..s,
-                    lanes: 1,
-                }),
-            }
+            start = k + 1;
+            remaining_total -= acc;
+            acc = 0;
+            remaining_groups -= 1;
         }
     }
+    groups.push(GroupPlan {
+        stages: start..s,
+        lanes: 1,
+    });
     Topology { groups }
 }
 
@@ -1401,41 +1386,57 @@ mod tests {
     use super::*;
 
     #[test]
-    fn topology_gives_every_stage_a_lane() {
-        let t = plan_topology(&[100, 100, 100], 8, false);
-        assert_eq!(t.groups.len(), 3);
-        assert_eq!(t.total_lanes(), 8);
-        assert!(t.groups.iter().all(|g| g.lanes >= 1));
-        // Contiguous, covering, in order.
-        assert_eq!(t.groups[0].stages, 0..1);
-        assert_eq!(t.groups[2].stages, 2..3);
+    fn topology_without_breaker_is_one_group_with_every_lane() {
+        for service in [&[100u64][..], &[100, 100, 100], &[1_000_000, 10, 10, 0]] {
+            for threads in [1, 2, 8] {
+                let t = plan_topology(service, threads, false);
+                assert_eq!(
+                    t.groups,
+                    vec![GroupPlan {
+                        stages: 0..service.len(),
+                        lanes: threads,
+                    }],
+                    "{service:?} at threads = {threads}"
+                );
+            }
+        }
+        assert!(plan_topology(&[], 4, false).groups.is_empty());
     }
 
     #[test]
-    fn topology_lanes_follow_service_weight() {
-        // One heavy stage: the surplus lanes all land on it.
-        let t = plan_topology(&[1_000_000, 10, 10], 6, false);
-        assert_eq!(t.groups[0].lanes, 4);
-        assert_eq!(t.groups[1].lanes, 1);
-        assert_eq!(t.groups[2].lanes, 1);
+    fn topology_under_breaker_is_contiguous_single_lane_groups() {
+        for service in [
+            &[100u64][..],
+            &[100, 100],
+            &[100, 100, 100, 100],
+            &[1_000_000, 10, 10],
+            &[0, 5, 0, 0, 7],
+            &[0, 0, 0],
+        ] {
+            for threads in 1..=8 {
+                let t = plan_topology(service, threads, true);
+                let what = format!("{service:?} at threads = {threads}");
+                assert_eq!(t.groups.len(), threads.min(service.len()), "{what}");
+                let mut next = 0;
+                for g in &t.groups {
+                    assert_eq!(g.lanes, 1, "{what}");
+                    assert_eq!(g.stages.start, next, "{what}: not contiguous");
+                    assert!(!g.stages.is_empty(), "{what}: empty group");
+                    next = g.stages.end;
+                }
+                assert_eq!(next, service.len(), "{what}: not covering");
+            }
+        }
+        assert!(plan_topology(&[], 4, true).groups.is_empty());
     }
 
+    /// Regression: the partition closed groups one stage too late, so a
+    /// light prefix swallowed a group and one of three threads got no lane.
     #[test]
-    fn topology_groups_stages_when_threads_are_scarce() {
-        let t = plan_topology(&[100, 100, 100, 100], 2, false);
-        assert_eq!(t.groups.len(), 2);
-        assert_eq!(t.total_lanes(), 2);
-        assert_eq!(t.groups[0].stages.start, 0);
-        assert_eq!(t.groups.last().unwrap().stages.end, 4);
-        // Contiguity: each group starts where the previous ended.
-        assert_eq!(t.groups[0].stages.end, t.groups[1].stages.start);
-    }
-
-    #[test]
-    fn topology_single_lane_under_breaker() {
-        let t = plan_topology(&[100, 100], 8, true);
-        assert_eq!(t.groups.len(), 2);
-        assert!(t.groups.iter().all(|g| g.lanes == 1));
+    fn breaker_partition_gives_each_of_three_threads_a_group() {
+        let t = plan_topology(&[1, 1, 1, 1000], 3, true);
+        let stages: Vec<Range<usize>> = t.groups.iter().map(|g| g.stages.clone()).collect();
+        assert_eq!(stages, vec![0..2, 2..3, 3..4]);
     }
 
     #[test]

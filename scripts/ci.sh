@@ -63,11 +63,13 @@ for seed in 11 29 53; do
 done
 
 # Streaming matrix: one cell per (seed, thread count, queue capacity).
-# Each cell runs every ported chain through the pipeline-parallel
-# streaming core — batch and sustained feeds, faults and breaker active —
-# and checks digest equality against the
-# single-threaded reference. Thread count and queue depth are
-# performance knobs only; any divergence here is a determinism bug.
+# Each cell runs every ported chain through the streaming core with
+# faults active, over batch and sustained feeds, under both lane
+# topologies: with a breaker (contiguous stage groups, one lane each) and
+# without one (every lane runs the whole chain). It checks digest
+# equality against the single-threaded reference. Thread count and queue
+# depth are performance knobs only; any divergence here is a determinism
+# bug.
 echo "==> streaming matrix (3 seeds x 2 thread counts x 2 queue capacities)"
 for seed in 11 29 53; do
     for threads in 2 8; do

@@ -1,5 +1,4 @@
-//! Equivalence and determinism suite for the pipeline-parallel streaming
-//! core.
+//! Equivalence and determinism suite for the streaming core.
 //!
 //! Properties pinned here:
 //!
@@ -20,7 +19,8 @@
 //!   a journal written under one feed refuses to resume under another.
 //!
 //! `stream_matrix_cell` is the CI entry point: `scripts/ci.sh` runs it
-//! under `COACHLM_STREAM_SEED` × `COACHLM_THREADS` × `COACHLM_QUEUE`.
+//! under `COACHLM_STREAM_SEED` × `COACHLM_THREADS` × `COACHLM_QUEUE`, and
+//! each cell runs with and without the breaker.
 
 use std::path::PathBuf;
 use std::sync::atomic::{AtomicU64, Ordering};
@@ -113,6 +113,19 @@ fn dataset(n: usize, seed: u64) -> Dataset {
 /// permanent faults, deadline-busting latency, retries, and a breaker —
 /// everything the streaming core must keep deterministic.
 fn chaos_config(seed: u64, threads: usize, queue: usize) -> ExecutorConfig {
+    fault_config(seed, threads, queue).breaker(
+        BreakerPolicy::new()
+            .window(32)
+            .trip_ratio(0.2)
+            .min_failures(4)
+            .cooldown_epochs(1)
+            .probes(4),
+    )
+}
+
+/// [`chaos_config`] without the breaker. A breaker keeps every stage group
+/// on one lane; without one, every lane runs the whole chain.
+fn fault_config(seed: u64, threads: usize, queue: usize) -> ExecutorConfig {
     ExecutorConfig::new(seed)
         .threads(threads)
         .queue_capacity(queue)
@@ -123,14 +136,6 @@ fn chaos_config(seed: u64, threads: usize, queue: usize) -> ExecutorConfig {
                 .latency(0.3, Duration::from_secs(8)),
         )
         .retry_policy(RetryPolicy::new(3, Duration::from_millis(10)))
-        .breaker(
-            BreakerPolicy::new()
-                .window(32)
-                .trip_ratio(0.2)
-                .min_failures(4)
-                .cooldown_epochs(1)
-                .probes(4),
-        )
 }
 
 /// A sustained feed hot enough to shed a visible slice of the batch.
@@ -404,8 +409,9 @@ fn journal_refuses_resume_under_a_different_coach() {
 
 /// CI streaming-matrix entry point: one cell per (seed, threads, queue
 /// capacity), driven by environment variables. Without them the test is a
-/// no-op, so a plain `cargo test` stays fast. Each cell checks both feeds
-/// against the single-threaded reference.
+/// no-op, so a plain `cargo test` stays fast. Each cell checks both feeds,
+/// with the breaker (single-lane stage groups) and without it (every lane
+/// runs the whole chain), against the single-threaded reference.
 #[test]
 fn stream_matrix_cell() {
     let Some([seed, threads, queue]) =
@@ -418,21 +424,25 @@ fn stream_matrix_cell() {
     let queue: usize = queue.parse().expect("COACHLM_QUEUE must be a usize");
 
     let d = dataset(200, seed ^ 0x57E0);
-    for sel in 0..6u8 {
-        for feed in [Feed::Batch, overloaded_feed()] {
-            let source = || StreamSource {
-                pairs: d.pairs.clone(),
-                feed: feed.clone(),
-            };
-            let reference = Executor::new(chaos_config(seed, 1, 64))
-                .run_stream(&chain(sel, fixtures()), source());
-            let cell = Executor::new(chaos_config(seed, threads, queue))
-                .run_stream(&chain(sel, fixtures()), source());
-            assert_same(
-                &cell,
-                &reference,
-                &format!("chain {sel} x{threads} q{queue}"),
-            );
+    for breaker in [true, false] {
+        let config = if breaker { chaos_config } else { fault_config };
+        let topology = if breaker { "breaker" } else { "no breaker" };
+        for sel in 0..6u8 {
+            for feed in [Feed::Batch, overloaded_feed()] {
+                let source = || StreamSource {
+                    pairs: d.pairs.clone(),
+                    feed: feed.clone(),
+                };
+                let reference = Executor::new(config(seed, 1, 64))
+                    .run_stream(&chain(sel, fixtures()), source());
+                let cell = Executor::new(config(seed, threads, queue))
+                    .run_stream(&chain(sel, fixtures()), source());
+                assert_same(
+                    &cell,
+                    &reference,
+                    &format!("{topology}: chain {sel} x{threads} q{queue}"),
+                );
+            }
         }
     }
 }
