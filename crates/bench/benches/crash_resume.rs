@@ -63,7 +63,7 @@ fn bench_journal_overhead(c: &mut Criterion) {
     group.bench_function("unjournaled", |b| {
         b.iter(|| {
             let stages: Vec<Box<dyn Stage>> = vec![Box::new(ScoreStage)];
-            black_box(Executor::new(config()).run_dataset(&stages, &dataset))
+            black_box(Executor::new(config()).run(&stages, dataset.pairs.clone()))
         });
     });
     for sync_every in [1usize, 32, 1_000] {
@@ -123,7 +123,7 @@ fn bench_resume_replay(c: &mut Criterion) {
                     std::fs::write(&resume_path, &bytes[..cut]).expect("truncate");
                     let mut journal = Journal::open(&resume_path).expect("recover");
                     let out = Executor::new(config())
-                        .resume_from(&stages, dataset.pairs.clone(), &mut journal)
+                        .run_journaled(&stages, dataset.pairs.clone(), &mut journal)
                         .expect("resume");
                     drop(journal);
                     std::fs::remove_file(&resume_path).ok();

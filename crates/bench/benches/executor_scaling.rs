@@ -204,7 +204,7 @@ fn bench_skewed_batch(c: &mut Criterion) {
                 b.iter(|| {
                     let stages: Vec<Box<dyn Stage>> = vec![Box::new(SkewedStage { heavy_from })];
                     let executor = Executor::new(ExecutorConfig::new(9).threads(threads));
-                    black_box(executor.run_dataset(&stages, &dataset))
+                    black_box(executor.run(&stages, dataset.pairs.clone()))
                 });
             },
         );

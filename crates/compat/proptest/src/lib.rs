@@ -11,6 +11,9 @@
 //!
 //! No shrinking: a failing case reports its inputs and panics. Case count
 //! defaults to 64 per property (`PROPTEST_CASES` overrides).
+//!
+//! Beyond upstream's API, [`mutate`] is the one seeded byte mutator the
+//! workspace's decoder fuzz tests share.
 
 use rand::rngs::StdRng;
 use rand::{Rng, SeedableRng};
@@ -57,6 +60,34 @@ pub fn case_rng(name: &str, case: u64) -> StdRng {
         h = (h ^ b as u64).wrapping_mul(0x100_0000_01b3);
     }
     StdRng::seed_from_u64(h ^ case.wrapping_mul(0x9E37_79B9_7F4A_7C15))
+}
+
+/// Applies one to three seeded mutations to `base`: a bit flip, a
+/// truncation, random bytes appended, or a slice of `donor` (which must
+/// not be empty) spliced in.
+pub fn mutate(rng: &mut StdRng, base: &[u8], donor: &[u8]) -> Vec<u8> {
+    let mut m = base.to_vec();
+    for _ in 0..rng.gen_range(1..=3) {
+        let at = rng.gen_range(0..=m.len());
+        match rng.gen_range(0..4) {
+            0 if !m.is_empty() => {
+                let i = rng.gen_range(0..m.len());
+                m[i] ^= 1u8 << rng.gen_range(0..8u32);
+            }
+            1 => m.truncate(at),
+            2 => {
+                let n = rng.gen_range(1..=16);
+                m.extend((0..n).map(|_| rng.gen_range(0..=u8::MAX)));
+            }
+            _ => {
+                let from = rng.gen_range(0..donor.len());
+                let to = (from + rng.gen_range(1..=64usize)).min(donor.len());
+                let cut = (at + rng.gen_range(0..=64usize)).min(m.len());
+                m.splice(at..cut, donor[from..to].iter().copied());
+            }
+        }
+    }
+    m
 }
 
 // ---- range strategies -----------------------------------------------------

@@ -71,7 +71,7 @@ pub fn build_cleaned(original: &Dataset) -> Dataset {
     // Cleaning draws no randomness, so the seed is arbitrary.
     let stages: Vec<Box<dyn Stage>> = vec![Box::new(CleanStage)];
     Executor::new(ExecutorConfig::new(0))
-        .run_dataset(&stages, original)
+        .run(&stages, original.pairs.clone())
         .dataset(format!("{}-cleaned", original.name))
 }
 
@@ -123,7 +123,7 @@ pub fn build_alpagasus(original: &Dataset, rater: &ChatGptRater, threshold: f64)
     let stages: Vec<Box<dyn Stage + '_>> = vec![Box::new(AlpaGasusStage::new(rater, threshold))];
     // The rater derives all randomness from pair ids, so the seed is unused.
     Executor::new(ExecutorConfig::new(0))
-        .run_dataset(&stages, original)
+        .run(&stages, original.pairs.clone())
         .dataset(format!("{}-alpagasus", original.name))
 }
 
@@ -175,7 +175,7 @@ impl Stage for HumanMergeStage {
 pub fn build_human_merged(original: &Dataset, records: &[&RevisionRecord], take: usize) -> Dataset {
     let stages: Vec<Box<dyn Stage>> = vec![Box::new(HumanMergeStage::new(records, take))];
     Executor::new(ExecutorConfig::new(0))
-        .run_dataset(&stages, original)
+        .run(&stages, original.pairs.clone())
         .dataset(format!("{}-human", original.name))
 }
 

@@ -19,8 +19,7 @@ use crate::coach::CoachLm;
 use coachlm_data::pair::Dataset;
 use coachlm_lm::transducer::RepairTag;
 use coachlm_runtime::{
-    ChainOutput, Executor, ExecutorConfig, Feed, Journal, JournalError, Stage, StageCtx, StageItem,
-    StageOutcome, StreamSource,
+    ChainOutput, Executor, ExecutorConfig, Stage, StageCtx, StageItem, StageOutcome,
 };
 use coachlm_text::clean;
 use coachlm_text::fxhash::{FxHashMap, FxHashSet};
@@ -162,45 +161,9 @@ impl Stage for CoachReviseStage<'_> {
 /// CoachLM's training subset keep their originals (the §III-B1 leakage
 /// rule). Thread count comes from `config` and never affects the result.
 pub fn revise_dataset(coach: &CoachLm, input: &Dataset, config: &ExecutorConfig) -> RevisedDataset {
-    revise_stream(coach, input, config, Feed::Batch)
-}
-
-/// Revises a whole dataset under an explicit arrival model.
-/// [`revise_dataset`] is this with [`Feed::Batch`]; a [`Feed::Sustained`]
-/// feed models the deployed revision service absorbing continuous
-/// traffic, with overload arrivals shed deterministically at admission —
-/// discarded up front with a `shed:admission` tag, so they are absent
-/// from the output dataset and from every revision tally.
-pub fn revise_stream(
-    coach: &CoachLm,
-    input: &Dataset,
-    config: &ExecutorConfig,
-    feed: Feed,
-) -> RevisedDataset {
     let stages: Vec<Box<dyn Stage + '_>> = vec![Box::new(CoachReviseStage::new(coach))];
-    let source = StreamSource {
-        pairs: input.pairs.clone(),
-        feed,
-    };
-    let out = Executor::new(config.clone()).run_stream(&stages, source);
+    let out = Executor::new(config.clone()).run(&stages, input.pairs.clone());
     RevisedDataset::from_chain(&out, &input.name)
-}
-
-/// Revises a whole dataset like [`revise_dataset`], journaling every
-/// committed pair so a crashed sweep resumes instead of restarting: call
-/// it again with a journal recovered by [`Journal::open`] and the same
-/// input and config, and only the uncommitted frontier re-runs. The
-/// result is identical to an uninterrupted [`revise_dataset`] in every
-/// deterministic field.
-pub fn revise_dataset_journaled(
-    coach: &CoachLm,
-    input: &Dataset,
-    config: &ExecutorConfig,
-    journal: &mut Journal,
-) -> Result<RevisedDataset, JournalError> {
-    let stages: Vec<Box<dyn Stage + '_>> = vec![Box::new(CoachReviseStage::new(coach))];
-    let out = Executor::new(config.clone()).run_journaled(&stages, input.pairs.clone(), journal)?;
-    Ok(RevisedDataset::from_chain(&out, &input.name))
 }
 
 #[cfg(test)]

@@ -45,6 +45,6 @@ pub mod student;
 
 pub use alpha::select_alpha;
 pub use coach::{CoachConfig, CoachLm};
-pub use infer::{revise_dataset, revise_stream, RevisedDataset};
+pub use infer::{revise_dataset, RevisedDataset};
 pub use strategies::{Strategy, StrategyZoo};
 pub use student::{tune_student, StudentModel};

@@ -65,7 +65,7 @@ pub trait Strategy: Sync {
     /// result.
     fn run(&self, input: &Dataset, config: &ExecutorConfig) -> ChainOutput {
         let stages = self.stages();
-        Executor::new(config.clone()).run_dataset(&stages, input)
+        Executor::new(config.clone()).run(&stages, input.pairs.clone())
     }
 
     /// The strategy's output dataset, named `{input}-{strategy}`.

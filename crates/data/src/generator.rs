@@ -197,10 +197,6 @@ pub struct ZipfianConfig {
     pub total: usize,
     /// Zipf exponent `s`; `0.0` is uniform, `~1.1` is web-like skew.
     pub exponent: f64,
-    /// Fraction of draws perturbed into *near*-duplicates (a couple of
-    /// appended words) instead of exact copies — exercises the cache's
-    /// bounded-edit-distance tier.
-    pub near_fraction: f64,
     /// Compact mode uses cheap templated text (suitable for 10M+ pair
     /// stress runs); otherwise base contents come from the full
     /// ALPACA52K-like generator.
@@ -217,21 +213,11 @@ impl ZipfianConfig {
             distinct,
             total,
             exponent,
-            near_fraction: 0.0,
             compact: true,
             seed,
         }
     }
 }
-
-/// Word suffixes appended to realise near-duplicates. Two words each, so
-/// a near-duplicate sits at word edit distance 2 from its base content.
-const NEAR_SUFFIXES: [&str; 4] = [
-    " please elaborate",
-    " with examples",
-    " briefly though",
-    " for beginners",
-];
 
 /// Generates a duplicate-heavy dataset: `total` pairs Zipf-drawn from
 /// `distinct` base contents. Duplicates share instruction, response, and
@@ -282,13 +268,9 @@ pub fn zipfian_duplicates(config: &ZipfianConfig) -> Dataset {
         let u: f64 = rng.gen_range(0.0..total_weight);
         let k = cumulative.partition_point(|&c| c <= u).min(distinct - 1);
         let (instruction, response, cat) = &base[k];
-        let mut instruction = instruction.clone();
-        if config.near_fraction > 0.0 && rng.gen_bool(config.near_fraction.min(1.0)) {
-            instruction.push_str(NEAR_SUFFIXES[rng.gen_range(0..NEAR_SUFFIXES.len())]);
-        }
         dataset.pairs.push(InstructionPair::new(
             id,
-            instruction,
+            instruction.clone(),
             response.clone(),
             *cat,
         ));
@@ -699,28 +681,6 @@ mod tests {
         }
         let flat_top = flat_counts.values().copied().max().unwrap();
         assert!(flat_top < 200, "uniform head drew {flat_top} of 5000");
-    }
-
-    #[test]
-    fn zipfian_near_fraction_perturbs_instructions_only_slightly() {
-        let config = ZipfianConfig {
-            near_fraction: 0.5,
-            ..ZipfianConfig::stress(10, 2000, 0.9, 3)
-        };
-        let d = zipfian_duplicates(&config);
-        let near = d
-            .iter()
-            .filter(|p| NEAR_SUFFIXES.iter().any(|s| p.instruction.ends_with(s)))
-            .count();
-        let share = near as f64 / d.len() as f64;
-        assert!((share - 0.5).abs() < 0.05, "near share {share}");
-        // Every near-duplicate is exactly two appended words.
-        for p in d.iter().take(200) {
-            if let Some(suffix) = NEAR_SUFFIXES.iter().find(|s| p.instruction.ends_with(*s)) {
-                let base = &p.instruction[..p.instruction.len() - suffix.len()];
-                assert!(base.ends_with('.'), "suffix appended to a full base");
-            }
-        }
     }
 
     #[test]

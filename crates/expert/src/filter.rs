@@ -8,9 +8,7 @@
 //! diversity of revision".
 
 use coachlm_data::pair::Dataset;
-use coachlm_runtime::{
-    Executor, ExecutorConfig, Feed, Stage, StageCtx, StageItem, StageOutcome, StreamSource,
-};
+use coachlm_runtime::{Executor, ExecutorConfig, Stage, StageCtx, StageItem, StageOutcome};
 use coachlm_text::lexicon;
 use rand::Rng;
 use serde::Serialize;
@@ -170,29 +168,14 @@ impl Stage for PreliminaryFilterStage {
 
 /// Runs the preliminary filter over a dataset on the shared executor.
 pub fn preliminary_filter(dataset: &Dataset, seed: u64) -> FilterOutcome {
-    preliminary_filter_stream(dataset, seed, Feed::Batch)
-}
-
-/// Runs the preliminary filter under an explicit arrival model.
-/// [`preliminary_filter`] is this with [`Feed::Batch`]; under a
-/// [`Feed::Sustained`] feed, arrivals shed at admission never reach the
-/// filter stage and appear in neither `kept` nor `excluded`.
-pub fn preliminary_filter_stream(dataset: &Dataset, seed: u64, feed: Feed) -> FilterOutcome {
     let stages: Vec<Box<dyn Stage>> = vec![Box::new(PreliminaryFilterStage)];
-    let source = StreamSource {
-        pairs: dataset.pairs.clone(),
-        feed,
-    };
-    let run = Executor::new(ExecutorConfig::new(seed)).run_stream(&stages, source);
+    let run = Executor::new(ExecutorConfig::new(seed)).run(&stages, dataset.pairs.clone());
     let mut out = FilterOutcome {
         kept: Vec::with_capacity(dataset.len()),
         excluded: Vec::new(),
         retained_for_diversity: Vec::new(),
     };
     for item in &run.items {
-        if item.has_tag("shed:admission") {
-            continue;
-        }
         match item.tags.first() {
             Some(tag) if item.retained => {
                 let reason = tag

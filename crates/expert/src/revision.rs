@@ -13,9 +13,7 @@ use crate::pool::ExpertPool;
 use coachlm_data::pair::{Dataset, InstructionPair};
 use coachlm_judge::criteria::{CriteriaEngine, PairScores};
 use coachlm_lm::knowledge::KnowledgeBase;
-use coachlm_runtime::{
-    Executor, ExecutorConfig, Feed, Stage, StageCtx, StageItem, StageOutcome, StreamSource,
-};
+use coachlm_runtime::{Executor, ExecutorConfig, Stage, StageCtx, StageItem, StageOutcome};
 use coachlm_text::fxhash::FxHashSet;
 use coachlm_text::lexicon;
 use coachlm_text::normalize;
@@ -217,29 +215,11 @@ impl ExpertReviser {
         dataset: &Dataset,
         kept_ids: &[u64],
     ) -> Vec<RevisionRecord> {
-        self.revise_stream(pool, dataset, kept_ids, Feed::Batch)
-    }
-
-    /// Revises every kept pair under an explicit arrival model.
-    /// [`revise_dataset`](Self::revise_dataset) is this with
-    /// [`Feed::Batch`]; under a [`Feed::Sustained`] feed, pairs shed at
-    /// admission never reach the reviser and produce no record.
-    pub fn revise_stream(
-        &self,
-        pool: &ExpertPool,
-        dataset: &Dataset,
-        kept_ids: &[u64],
-        feed: Feed,
-    ) -> Vec<RevisionRecord> {
         let stages: Vec<Box<dyn Stage + '_>> =
             vec![Box::new(ExpertReviseStage::new(self, pool, kept_ids))];
-        let source = StreamSource {
-            pairs: dataset.pairs.clone(),
-            feed,
-        };
         // The reviser seeds its own RNG per pair id, so the chain seed only
         // namespaces the (unused) ctx RNG.
-        let run = Executor::new(ExecutorConfig::new(self.seed)).run_stream(&stages, source);
+        let run = Executor::new(ExecutorConfig::new(self.seed)).run(&stages, dataset.pairs.clone());
         run.items
             .into_iter()
             .filter_map(|mut item| item.take_payload::<RevisionRecord>())

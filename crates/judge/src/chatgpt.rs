@@ -8,8 +8,7 @@
 use crate::criteria::CriteriaEngine;
 use coachlm_data::pair::Dataset;
 use coachlm_runtime::{
-    Executor, ExecutorConfig, Feed, Stage, StageCtx, StageItem, StageOutcome, StageReport,
-    StreamSource,
+    Executor, ExecutorConfig, Stage, StageCtx, StageItem, StageOutcome, StageReport,
 };
 use rand::rngs::StdRng;
 use rand::{Rng, SeedableRng};
@@ -85,20 +84,8 @@ impl ChatGptRater {
 
     /// Rates a whole dataset on the shared executor.
     pub fn rate_dataset(&self, d: &Dataset) -> RatingSummary {
-        self.rate_stream(d, Feed::Batch)
-    }
-
-    /// Rates a dataset under an explicit arrival model.
-    /// [`rate_dataset`](Self::rate_dataset) is this with [`Feed::Batch`];
-    /// under a [`Feed::Sustained`] feed, pairs shed at admission are
-    /// never rated and contribute nothing to the histogram.
-    pub fn rate_stream(&self, d: &Dataset, feed: Feed) -> RatingSummary {
         let stages: Vec<Box<dyn Stage + '_>> = vec![Box::new(ChatGptRatingStage::new(self))];
-        let source = StreamSource {
-            pairs: d.pairs.clone(),
-            feed,
-        };
-        let run = Executor::new(ExecutorConfig::new(self.seed)).run_stream(&stages, source);
+        let run = Executor::new(ExecutorConfig::new(self.seed)).run(&stages, d.pairs.clone());
         RatingSummary::from_report(
             run.report(ChatGptRatingStage::NAME)
                 // lint: allow(P1, reason = "the chain built two lines above contains exactly this stage; a missing report is a construction bug, not a data condition")

@@ -172,20 +172,29 @@ fn workspace_summary(rel: &str) -> FileSummary {
 }
 
 #[test]
-fn parser_sees_cache_policy_fields_and_fingerprint_body() {
-    let s = workspace_summary("crates/runtime/src/cache.rs");
+fn parser_sees_breaker_policy_fields_and_fingerprint_body() {
+    let s = workspace_summary("crates/runtime/src/breaker.rs");
     let ty = s
         .types
         .iter()
-        .find(|t| t.name == "CachePolicy")
-        .expect("CachePolicy parsed");
+        .find(|t| t.name == "BreakerPolicy")
+        .expect("BreakerPolicy parsed");
     let names: Vec<&str> = ty.fields.iter().map(|f| f.name.as_str()).collect();
-    assert_eq!(names, vec!["near_distance", "near_probes", "capacity"]);
+    assert_eq!(
+        names,
+        vec![
+            "window",
+            "trip_ratio",
+            "min_failures",
+            "cooldown_epochs",
+            "probes"
+        ]
+    );
     let fp = s
         .fns
         .iter()
-        .find(|f| f.name == "fingerprint_into" && f.self_ty.as_deref() == Some("CachePolicy"))
-        .expect("CachePolicy::fingerprint_into parsed");
+        .find(|f| f.name == "fingerprint_into" && f.self_ty.as_deref() == Some("BreakerPolicy"))
+        .expect("BreakerPolicy::fingerprint_into parsed");
     for field in &names {
         assert!(
             fp.mentions.iter().any(|m| m == field),

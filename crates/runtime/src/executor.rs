@@ -13,7 +13,6 @@ use coachlm_data::{Dataset, InstructionPair};
 use coachlm_text::fxhash::FxHasher;
 use std::collections::BTreeMap;
 use std::hash::Hasher;
-use std::sync::Mutex;
 use std::time::Duration;
 
 /// How a chain run is parallelised, seeded, and hardened.
@@ -121,11 +120,6 @@ impl ExecutorConfig {
         self
     }
 
-    /// The configured worker count.
-    pub fn thread_count(&self) -> usize {
-        self.threads
-    }
-
     /// The configured bounded-queue capacity, in items.
     pub fn queue_capacity_items(&self) -> usize {
         self.queue_capacity
@@ -162,14 +156,9 @@ impl ExecutorConfig {
         self.content_keyed || self.revision_cache.is_some()
     }
 
-    /// The configured revision-cache policy, if caching is enabled.
-    pub fn revision_cache_policy(&self) -> Option<&CachePolicy> {
-        self.revision_cache.as_ref()
-    }
-
     /// Folds every outcome-bearing knob into the run fingerprint: seed,
-    /// retry policy, fault plan, breaker policy, content keying, and the
-    /// revision-cache policy. `threads`, `queue_capacity`, and
+    /// retry policy, fault plan, breaker policy, content keying, and
+    /// whether the revision cache is on. `threads`, `queue_capacity`, and
     /// `epoch_len` are deliberately excluded (see the `allow(F1)`
     /// justifications on the fields) — they shift wall-clock behaviour
     /// only, and a journal written under one setting must resume under
@@ -187,19 +176,13 @@ impl ExecutorConfig {
             }
         }
         // Content keying changes every RNG stream and fault roll, and the
-        // cache policy decides which items replay instead of execute —
+        // cache decides which items replay instead of execute —
         // both are part of run outcomes. Hash the *effective* keying,
         // matching what the executor actually keys on.
         h.write_u8(u8::from(
             self.content_keyed || self.revision_cache.is_some(),
         ));
-        match &self.revision_cache {
-            None => h.write_u8(0),
-            Some(policy) => {
-                h.write_u8(1);
-                policy.fingerprint_into(h);
-            }
-        }
+        h.write_u8(u8::from(self.revision_cache.is_some()));
     }
 }
 
@@ -411,68 +394,6 @@ pub(crate) fn item_digest(item: &StageItem) -> u64 {
     h.finish()
 }
 
-/// Shared handle the sink appends committed-item records through. IO
-/// errors are captured (first one wins) rather than panicking a worker;
-/// the run finishes and the error surfaces from `run_journaled`.
-pub(crate) struct JournalSession<'j> {
-    inner: Mutex<SessionInner<'j>>,
-}
-
-struct SessionInner<'j> {
-    journal: &'j mut Journal,
-    error: Option<std::io::Error>,
-}
-
-impl<'j> JournalSession<'j> {
-    fn new(journal: &'j mut Journal) -> Self {
-        JournalSession {
-            inner: Mutex::new(SessionInner {
-                journal,
-                error: None,
-            }),
-        }
-    }
-
-    /// Appends one committed item. After the first IO error the session
-    /// goes quiet: the run still completes, the journal just stops growing.
-    pub(crate) fn append(&self, trace: &ItemTrace) {
-        let mut inner = self
-            .inner
-            .lock()
-            .unwrap_or_else(|poisoned| poisoned.into_inner());
-        if inner.error.is_some() {
-            return;
-        }
-        if let Err(e) = inner.journal.append(trace) {
-            inner.error = Some(e);
-        }
-    }
-
-    /// Flushes and fsyncs everything appended so far — the epoch-frame
-    /// commit the sink issues at logical-epoch boundaries. IO errors are
-    /// captured like append errors.
-    pub(crate) fn sync(&self) {
-        let mut inner = self
-            .inner
-            .lock()
-            .unwrap_or_else(|poisoned| poisoned.into_inner());
-        if inner.error.is_some() {
-            return;
-        }
-        if let Err(e) = inner.journal.sync() {
-            inner.error = Some(e);
-        }
-    }
-
-    fn finish(self) -> (&'j mut Journal, Option<std::io::Error>) {
-        let inner = self
-            .inner
-            .into_inner()
-            .unwrap_or_else(|poisoned| poisoned.into_inner());
-        (inner.journal, inner.error)
-    }
-}
-
 impl Executor {
     /// An executor with the given config.
     pub fn new(config: ExecutorConfig) -> Self {
@@ -523,17 +444,13 @@ impl Executor {
             .enumerate()
             .map(|(i, p)| Slot::live(StageItem::new(i, p), false))
             .collect();
-        self.stream_core(stages, feed, slots, 0, None)
-    }
-
-    /// Runs `stages` over a dataset's pairs (cloned; the input is kept).
-    pub fn run_dataset(&self, stages: &[Box<dyn Stage + '_>], dataset: &Dataset) -> ChainOutput {
-        self.run(stages, dataset.pairs.clone())
+        self.stream_core(stages, feed, slots, 0, None).0
     }
 
     /// Runs `stages` over `pairs`, journaling every committed item to
-    /// `journal` so a killed process can [`resume_from`](Self::resume_from)
-    /// where it left off.
+    /// `journal` so a killed process can resume where it left off: the
+    /// same call both starts and resumes a journaled run, so a
+    /// crash-restart loop needs no "first time?" branch.
     ///
     /// On a fresh journal this writes the header (format version, input
     /// length, and a fingerprint of everything that determines outcomes)
@@ -608,9 +525,7 @@ impl Executor {
                 Ok(Slot::live(StageItem::new(i, pair), true))
             })?;
 
-        let session = JournalSession::new(journal);
-        let out = self.stream_core(stages, feed, slots, replayed, Some(&session));
-        let (journal, io_error) = session.finish();
+        let (out, io_error) = self.stream_core(stages, feed, slots, replayed, Some(&mut *journal));
         journal.sync()?;
         if let Some(e) = io_error {
             return Err(e.into());
@@ -647,21 +562,9 @@ impl Executor {
             item.failure = Some(failure.clone());
             Ok(Slot::replayed(item, Vec::new()))
         })?;
-        Ok(self.stream_core(stages, Feed::Batch, slots, replayed, None))
-    }
-
-    /// Resumes a run from a recovered journal: replays its committed
-    /// records and executes only the remaining frontier. An alias for
-    /// [`run_journaled`](Self::run_journaled) — the same call both starts
-    /// and resumes a journaled run, so a crash-restart loop needs no
-    /// "first time?" branch.
-    pub fn resume_from(
-        &self,
-        stages: &[Box<dyn Stage + '_>],
-        pairs: Vec<InstructionPair>,
-        journal: &mut Journal,
-    ) -> Result<ChainOutput, JournalError> {
-        self.run_journaled(stages, pairs, journal)
+        Ok(self
+            .stream_core(stages, Feed::Batch, slots, replayed, None)
+            .0)
     }
 
     /// Hash of everything that determines run outcomes: the config's
@@ -714,15 +617,16 @@ impl Executor {
     /// modeled service times), derives the logical-epoch window (the
     /// breaker's window when one is configured, the config's `epoch_len`
     /// otherwise), and hands the slot sequence — live and replayed alike,
-    /// in index order — to the streaming engine.
+    /// in index order — to the streaming engine. Returns the output and
+    /// the first journal write error, if any.
     fn stream_core(
         &self,
         stages: &[Box<dyn Stage + '_>],
         feed: Feed,
         slots: Vec<Slot>,
         replayed: usize,
-        session: Option<&JournalSession<'_>>,
-    ) -> ChainOutput {
+        journal: Option<&mut Journal>,
+    ) -> (ChainOutput, Option<std::io::Error>) {
         let salts: Vec<u64> = stages
             .iter()
             .enumerate()
@@ -757,18 +661,18 @@ impl Executor {
             retry: &self.config.retry,
             breaker: self.config.breaker.as_ref(),
             window,
-            session,
             content_keyed: self.config.is_content_keyed(),
-            cache: self.config.revision_cache.as_ref(),
+            cache: self.config.revision_cache.is_some(),
         };
         let run = run_pipeline(
             &env,
+            journal,
             self.config.threads,
             self.config.queue_capacity,
             &feed,
             slots,
         );
-        ChainOutput {
+        let out = ChainOutput {
             items: run.items,
             reports: run.reports,
             breaker_events: run.breaker_events,
@@ -776,7 +680,8 @@ impl Executor {
             shed: run.shed,
             sim_elapsed: run.sim_elapsed,
             revision_cache: run.revision,
-        }
+        };
+        (out, run.journal_error)
     }
 }
 
@@ -1535,6 +1440,30 @@ mod tests {
         std::fs::remove_file(&path).ok();
     }
 
+    /// A journal on a full disk neither panics nor hangs the run: the
+    /// first write error is kept, later appends are skipped, the run
+    /// completes, and the error surfaces as `Io` after the final sync.
+    #[cfg(target_os = "linux")]
+    #[test]
+    fn full_disk_journal_fails_the_run_with_an_io_error() {
+        for threads in [1, 2] {
+            let mut journal = Journal::create("/dev/full").unwrap();
+            let err = Executor::new(ExecutorConfig::new(17).threads(threads))
+                .run_journaled(&chain(), pairs(200), &mut journal)
+                .map(|_| ())
+                .unwrap_err();
+            assert!(
+                matches!(err, JournalError::Io(_)),
+                "threads {threads}: {err}"
+            );
+            assert!(
+                journal.committed() < 200,
+                "threads {threads}: appends went on"
+            );
+            println!("threads {threads}: {err}");
+        }
+    }
+
     #[test]
     fn resume_after_a_torn_tail_reproduces_the_uninterrupted_run() {
         let path = temp_journal("resume");
@@ -1562,7 +1491,7 @@ mod tests {
         let committed = recovered.committed();
         assert_eq!(committed, 30);
         let resumed = Executor::new(config(3))
-            .resume_from(&chain(), pairs(60), &mut recovered)
+            .run_journaled(&chain(), pairs(60), &mut recovered)
             .unwrap();
         assert_eq!(resumed.replayed, committed);
         assert_eq!(resumed.digest(), golden.digest());
@@ -1865,7 +1794,7 @@ mod tests {
             std::fs::write(&path, &full[..cut as usize]).unwrap();
             let mut recovered = Journal::open(&path).unwrap();
             let resumed = Executor::new(config(threads))
-                .resume_from(&stages(), pairs(100), &mut recovered)
+                .run_journaled(&stages(), pairs(100), &mut recovered)
                 .unwrap();
             assert!(resumed.replayed > 0, "cut {frac_num}/4 should replay");
             assert_eq!(

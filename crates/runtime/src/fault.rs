@@ -217,10 +217,8 @@ pub struct FailureRecord {
 /// One quarantined pair with its failure account.
 #[derive(Debug, Clone, PartialEq, Serialize, Deserialize)]
 pub struct QuarantinedPair {
-    /// The item's position in the chain input, so quarantines from
-    /// resumed partial runs can be [`merge`](Quarantine::merge)d back into
-    /// a deterministic order. Defaults to 0 when absent from older
-    /// serialised quarantines.
+    /// The item's position in the chain input. Defaults to 0 when absent
+    /// from older serialised quarantines.
     #[serde(default)]
     pub index: usize,
     /// The pair in the state it entered the failing stage (failed attempts
@@ -234,9 +232,11 @@ pub struct QuarantinedPair {
 
 /// The quarantine channel of one chain run: every item that exhausted its
 /// retries or hit a permanent fault, with structured failure records, in
-/// input order. The §IV-A remediation story needs these *recoverable* —
-/// quarantine serialises to JSON so a later batch (or a human) can re-run
-/// exactly the failed pairs.
+/// input order. [`ChainOutput::quarantine`](crate::ChainOutput::quarantine)
+/// builds it, for a sharded or supervised run from the merged output.
+/// The §IV-A remediation story needs these *recoverable* — quarantine
+/// serialises to JSON so a later batch (or a human) can re-run exactly
+/// the failed pairs.
 #[derive(Debug, Clone, PartialEq, Default, Serialize, Deserialize)]
 #[must_use]
 pub struct Quarantine {
@@ -264,23 +264,6 @@ impl Quarantine {
             name: self.name.clone(),
             pairs: self.items.iter().map(|q| q.pair.clone()).collect(),
         }
-    }
-
-    /// Combines this quarantine with another — e.g. the quarantine of a
-    /// crashed partial run with the quarantine of its resumed remainder.
-    ///
-    /// The result keeps `self`'s name, is sorted by `(failing stage, item
-    /// index)`, and drops duplicate `(stage, index)` entries (an item
-    /// replayed from a journal appears in both halves; the first copy
-    /// wins). Merging is therefore order-independent on the items:
-    /// `a.merge(b)` and `b.merge(a)` carry identical item lists.
-    pub fn merge(mut self, other: Quarantine) -> Quarantine {
-        self.items.extend(other.items);
-        self.items
-            .sort_by(|a, b| (&a.failure.stage, a.index).cmp(&(&b.failure.stage, b.index)));
-        self.items
-            .dedup_by(|a, b| a.failure.stage == b.failure.stage && a.index == b.index);
-        self
     }
 }
 
@@ -367,53 +350,5 @@ mod tests {
         assert_eq!(d.pairs[0].id, 3);
         assert!(!q.is_empty());
         assert_eq!(q.len(), 1);
-    }
-
-    fn qp(stage: &str, index: usize) -> QuarantinedPair {
-        use coachlm_data::Category;
-        QuarantinedPair {
-            index,
-            pair: InstructionPair::new(index as u64, "Q?", "A.", Category(0)),
-            failure: FailureRecord {
-                stage: stage.into(),
-                attempts: 1,
-                error: "injected: permanent".into(),
-                kind: FailureKind::Fatal,
-            },
-        }
-    }
-
-    #[test]
-    fn merge_sorts_dedups_and_is_order_independent() {
-        let a = Quarantine {
-            name: "first-half".into(),
-            items: vec![qp("revise", 9), qp("clean", 4), qp("revise", 2)],
-        };
-        let b = Quarantine {
-            name: "second-half".into(),
-            items: vec![qp("clean", 1), qp("revise", 2), qp("revise", 7)],
-        };
-        let ab = a.clone().merge(b.clone());
-        let ba = b.merge(a);
-        // Same items either way (names keep the receiver's).
-        assert_eq!(ab.items, ba.items);
-        assert_eq!(ab.name, "first-half");
-        assert_eq!(ba.name, "second-half");
-        // Sorted by (stage, index), duplicate (revise, 2) collapsed.
-        let keys: Vec<(&str, usize)> = ab
-            .items
-            .iter()
-            .map(|q| (q.failure.stage.as_str(), q.index))
-            .collect();
-        assert_eq!(
-            keys,
-            vec![
-                ("clean", 1),
-                ("clean", 4),
-                ("revise", 2),
-                ("revise", 7),
-                ("revise", 9)
-            ]
-        );
     }
 }

@@ -172,8 +172,8 @@ pub(crate) struct ItemTrace {
 /// An append-only, checksummed, fsync-batched record log for one chain
 /// run, with torn-tail recovery on open. See the module docs for the
 /// format and guarantees; drive it through
-/// [`Executor::run_journaled`](crate::Executor::run_journaled) /
-/// [`Executor::resume_from`](crate::Executor::resume_from).
+/// [`Executor::run_journaled`](crate::Executor::run_journaled), which
+/// both starts and resumes a run.
 pub struct Journal {
     file: File,
     path: PathBuf,
@@ -722,6 +722,7 @@ impl<'a> Dec<'a> {
 #[cfg(test)]
 mod tests {
     use super::*;
+    use proptest::mutate;
     use rand::rngs::StdRng;
     use rand::{Rng, SeedableRng};
     use std::sync::atomic::{AtomicU64, Ordering};
@@ -914,33 +915,6 @@ mod tests {
         assert!(std::fs::metadata(&path2).unwrap().len() > 0);
         std::fs::remove_file(&path).ok();
         std::fs::remove_file(&path2).ok();
-    }
-
-    /// Applies one to three seeded mutations to `base`: a bit flip, a
-    /// truncation, random bytes appended, or a slice of `donor` spliced in.
-    fn mutate(rng: &mut StdRng, base: &[u8], donor: &[u8]) -> Vec<u8> {
-        let mut m = base.to_vec();
-        for _ in 0..rng.gen_range(1..=3) {
-            let at = rng.gen_range(0..=m.len());
-            match rng.gen_range(0..4) {
-                0 if !m.is_empty() => {
-                    let i = rng.gen_range(0..m.len());
-                    m[i] ^= 1u8 << rng.gen_range(0..8u32);
-                }
-                1 => m.truncate(at),
-                2 => {
-                    let n = rng.gen_range(1..=16);
-                    m.extend((0..n).map(|_| rng.gen_range(0..=u8::MAX)));
-                }
-                _ => {
-                    let from = rng.gen_range(0..donor.len());
-                    let to = (from + rng.gen_range(1..=64usize)).min(donor.len());
-                    let cut = (at + rng.gen_range(0..=64usize)).min(m.len());
-                    m.splice(at..cut, donor[from..to].iter().copied());
-                }
-            }
-        }
-        m
     }
 
     /// A decoded record payload.

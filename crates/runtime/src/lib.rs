@@ -64,15 +64,15 @@
 //!
 //! ## Durability & overload protection
 //!
-//! Three further layers make long production sweeps survivable:
+//! Four further layers make long production sweeps survivable:
 //!
 //! * **Crash recovery** — [`Executor::run_journaled`] appends one
-//!   checksummed record per committed item to a [`Journal`];
-//!   [`Executor::resume_from`] replays the recovered records without
-//!   re-executing them and re-enters the batch at the exact frontier,
-//!   reproducing every deterministic output field bit-for-bit versus an
-//!   uninterrupted run. Torn tail records are detected and dropped on
-//!   [`Journal::open`].
+//!   checksummed record per committed item to a [`Journal`]. Called again
+//!   with the journal [`Journal::open`] recovered, it replays the
+//!   recovered records without re-executing them and re-enters the batch
+//!   at the exact frontier, reproducing every deterministic output field
+//!   bit-for-bit versus an uninterrupted run. Torn tail records are
+//!   detected and dropped on [`Journal::open`].
 //! * **Deadlines** — a stage may declare a simulated-time budget via
 //!   [`Stage::deadline`]; injected latency beyond it becomes a
 //!   `Retryable` timeout feeding the retry/quarantine machinery, so a
@@ -97,14 +97,13 @@
 //!   ([`ExecutorConfig::revision_cache`]), a content-addressed [`cache`]
 //!   memoizes each item's full chain result; duplicates skip the whole
 //!   stage topology and replay the memoized journal-visible effects at
-//!   the sink, digest-identical to the uncached content-keyed run. An
-//!   optional bounded-edit-distance near-match tier trades exactness for
-//!   hit rate (hits tagged `cache:near`). Tallies surface in
-//!   [`ChainOutput::revision_cache`].
+//!   the sink, digest-identical to the uncached content-keyed run.
+//!   Matching is exact, so every pair keeps its own revision. Tallies
+//!   surface in [`ChainOutput::revision_cache`].
 //! * **Sharding** — [`shard::run_sharded`] partitions the input by
 //!   content hash across N worker shards (each with its own journal and
 //!   cache via [`shard::run_sharded_journaled`]) and deterministically
-//!   merges their outputs, reports, and quarantines back into one
+//!   merges their outputs and reports back into one
 //!   [`ChainOutput`]-shaped result, order-independently.
 //!
 //! ## Process isolation
@@ -114,7 +113,7 @@
 //! shard's work is shipped to a re-invocation of the current binary over
 //! checksummed pipes, supervised through deterministic restart (resuming
 //! from the worker's own journal), failover of exhausted shards, and
-//! poison-item bisection into [`Quarantine`]. Merged output is digest-
+//! poison-item bisection that quarantines the culprit. Merged output is digest-
 //! identical to [`shard::run_sharded_journaled`] under any kill schedule.
 
 #![deny(unused_must_use)]

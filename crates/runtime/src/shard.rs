@@ -18,9 +18,6 @@
 //!
 //! * items are placed by global index — a permutation, not a fold;
 //! * per-stage [`StageReport`]s merge by field summation (commutative);
-//! * per-shard [`Quarantine`]s fold through [`Quarantine::merge`], which
-//!   sorts by `(failing stage, item index)` and dedups — `a.merge(b)`
-//!   and `b.merge(a)` carry identical item lists;
 //! * `sim_elapsed` is the max over shards (shards run concurrently in
 //!   deployment), and the tally fields sum.
 //!
@@ -48,7 +45,6 @@
 
 use crate::cache::{content_key, CacheStats};
 use crate::executor::{ChainOutput, Executor, ExecutorConfig};
-use crate::fault::Quarantine;
 use crate::journal::{Journal, JournalError};
 use crate::report::StageReport;
 use crate::stage::{Stage, StageItem};
@@ -173,9 +169,6 @@ pub struct ShardedOutput {
     /// `sim_elapsed` the across-shard makespan. Digest-identical to the
     /// unsharded run of the same config at any shard count.
     pub output: ChainOutput,
-    /// Per-shard quarantines folded through [`Quarantine::merge`]
-    /// (order-independent; equals `output.quarantine(..)`).
-    pub quarantine: Quarantine,
     /// Per-shard accounting, in shard order.
     pub shards: Vec<ShardStats>,
 }
@@ -275,7 +268,7 @@ pub(crate) fn partition_source(source: StreamSource, shards: usize) -> Partition
 }
 
 /// The deterministic merge: places items by global index (restoring it on
-/// each), sums the per-stage tallies, and folds the quarantines. Takes
+/// each) and sums the per-stage tallies. Takes
 /// one [`ChainOutput`] per shard, in shard order. Shared between the
 /// in-process and multi-process drivers.
 pub(crate) fn merge_outputs(
@@ -297,17 +290,13 @@ pub(crate) fn merge_outputs(
             ..StageReport::default()
         })
         .collect();
-    let mut quarantine = Quarantine {
-        name: "sharded".to_string(),
-        items: Vec::new(),
-    };
     let shards = outputs.len();
     let mut stats = Vec::with_capacity(shards);
     let mut replayed = 0usize;
     let mut revision = CacheStats::default();
     let mut sim_elapsed = Duration::ZERO;
     let shed = n - global_idx.iter().map(Vec::len).sum::<usize>();
-    for (s, mut out) in outputs.into_iter().enumerate() {
+    for (s, out) in outputs.into_iter().enumerate() {
         debug_assert!(out.breaker_events.is_empty());
         stats.push(ShardStats {
             shard: s,
@@ -319,15 +308,12 @@ pub(crate) fn merge_outputs(
         replayed += out.replayed;
         revision.absorb(out.revision_cache);
         sim_elapsed = sim_elapsed.max(out.sim_elapsed);
-        for (item, &g) in out.items.iter_mut().zip(&global_idx[s]) {
-            item.index = g;
-        }
-        quarantine = quarantine.merge(out.quarantine(format!("shard-{s}")));
         for (report, delta) in reports.iter_mut().zip(out.reports) {
             merge_report(report, delta);
         }
-        for (item, &g) in out.items.into_iter().zip(&global_idx[s]) {
+        for (mut item, &g) in out.items.into_iter().zip(&global_idx[s]) {
             debug_assert!(slots[g].is_none(), "global index {g} assigned twice");
+            item.index = g;
             slots[g] = Some(item);
         }
     }
@@ -347,7 +333,6 @@ pub(crate) fn merge_outputs(
     };
     ShardedOutput {
         output,
-        quarantine,
         shards: stats,
     }
 }
@@ -491,17 +476,6 @@ mod tests {
             .expect("breaker-free config shards");
             assert_eq!(sharded.output.digest(), base.digest(), "shards = {shards}");
             assert_eq!(sharded.output.items.len(), 120);
-            // The merged quarantine is in `Quarantine::merge` canonical
-            // order (stage, then index); canonicalize the baseline the
-            // same way before comparing.
-            let canonical = base.quarantine("q").merge(Quarantine {
-                name: String::new(),
-                items: Vec::new(),
-            });
-            assert_eq!(
-                sharded.quarantine.items, canonical.items,
-                "shards = {shards}"
-            );
             assert_eq!(sharded.shards.len(), shards);
             let routed: usize = sharded.shards.iter().map(|s| s.items).sum();
             assert_eq!(routed, 120);

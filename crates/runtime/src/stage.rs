@@ -179,11 +179,6 @@ impl StageItem {
         self.failure = Some(record);
     }
 
-    /// `true` when the item was quarantined by a failing stage.
-    pub fn is_quarantined(&self) -> bool {
-        self.failure.is_some()
-    }
-
     /// The item's terminal state. Exactly one disposition holds per item,
     /// which is what makes retained/dropped/quarantined an exact partition
     /// of the input.
@@ -308,7 +303,6 @@ mod tests {
             kind: FailureKind::RetriesExhausted,
         });
         assert!(!item.retained);
-        assert!(item.is_quarantined());
         assert_eq!(item.disposition(), Disposition::Quarantined);
         assert!(item.has_tag("quarantined:coach-revise"));
         assert_eq!(item.failure.as_ref().unwrap().attempts, 3);

@@ -29,7 +29,8 @@
 //! (stage, item), so whichever lane runs an item, the run stays
 //! digest-identical to the reference order at any thread count or queue
 //! capacity. The sink commits journal frames in index order and fsyncs
-//! at epoch boundaries, so `resume_from` re-enters at the exact frontier.
+//! at epoch boundaries, so a resumed journaled run re-enters at the exact
+//! frontier.
 //!
 //! ## Virtual time
 //!
@@ -57,10 +58,10 @@
 //! any other disposition.
 
 use crate::breaker::{Breaker, BreakerEvent, BreakerPolicy, StageMode};
-use crate::cache::{content_key, plan_hits, CachePolicy, CacheStats, SlotHit};
-use crate::executor::{adaptive_chunk_size, item_digest, item_seed, JournalSession};
+use crate::cache::{content_key, plan_hits, CacheStats, SlotHit};
+use crate::executor::{adaptive_chunk_size, item_digest, item_seed};
 use crate::fault::{FailureKind, FailureRecord, Fault, FaultPlan, RetryPolicy};
-use crate::journal::{ItemTrace, StageTrace};
+use crate::journal::{ItemTrace, Journal, StageTrace};
 use crate::report::StageReport;
 use crate::simtime::Stopwatch;
 use crate::stage::{Disposition, Stage, StageCtx, StageItem, StageOutcome};
@@ -157,7 +158,7 @@ impl StreamSource {
 /// One item in flight, with everything the pipeline accumulates on it.
 pub(crate) struct Slot {
     pub(crate) item: StageItem,
-    /// Building journal record (live slots under a session only).
+    /// Building journal record (live slots of a journaled run only).
     pub(crate) trace: Option<ItemTrace>,
     /// `Some` for items replayed from a journal: the recorded per-stage
     /// deltas, consumed for report/breaker tallies instead of execution.
@@ -424,7 +425,7 @@ pub(crate) fn plan_topology(service: &[u64], threads: usize, breaker: bool) -> T
 }
 
 /// Everything the streaming engine needs, borrowed once per run.
-pub(crate) struct StreamEnv<'a, 'b, 'j> {
+pub(crate) struct StreamEnv<'a, 'b> {
     pub(crate) stages: &'a [Box<dyn Stage + 'b>],
     pub(crate) salts: &'a [u64],
     pub(crate) deadlines: &'a [Option<Duration>],
@@ -438,12 +439,11 @@ pub(crate) struct StreamEnv<'a, 'b, 'j> {
     pub(crate) breaker: Option<&'a BreakerPolicy>,
     /// Logical epoch length, items (breaker window, or `epoch_len`).
     pub(crate) window: usize,
-    pub(crate) session: Option<&'a JournalSession<'j>>,
     /// Key per-item randomness on content fingerprints instead of pair
     /// ids (see [`crate::cache`]). Forced on by a revision cache.
     pub(crate) content_keyed: bool,
-    /// Revision-cache policy, if caching is enabled for this run.
-    pub(crate) cache: Option<&'a CachePolicy>,
+    /// Whether the revision cache is enabled for this run.
+    pub(crate) cache: bool,
 }
 
 /// Per-stage accumulation local to one worker lane.
@@ -515,8 +515,8 @@ struct LaneOut {
 /// chunks for one stage group, detecting logical-epoch boundaries from
 /// the item indices flowing past and driving the group's breakers
 /// exactly as the epoch-synchronous batch loop did.
-struct GroupWorker<'e, 'a, 'b, 'j> {
-    env: &'e StreamEnv<'a, 'b, 'j>,
+struct GroupWorker<'e, 'a, 'b> {
+    env: &'e StreamEnv<'a, 'b>,
     group: usize,
     range: Range<usize>,
     /// `seed ^ salt` per stage, hoisted out of the per-item loop (the
@@ -534,8 +534,8 @@ struct GroupWorker<'e, 'a, 'b, 'j> {
     scratch: BTreeMap<String, u64>,
 }
 
-impl<'e, 'a, 'b, 'j> GroupWorker<'e, 'a, 'b, 'j> {
-    fn new(env: &'e StreamEnv<'a, 'b, 'j>, group: usize, range: Range<usize>) -> Self {
+impl<'e, 'a, 'b> GroupWorker<'e, 'a, 'b> {
+    fn new(env: &'e StreamEnv<'a, 'b>, group: usize, range: Range<usize>) -> Self {
         let len = range.len();
         let breakers = env
             .breaker
@@ -900,9 +900,14 @@ struct HitReplayer {
 
 /// The ordered consumer at the end of the pipe: collects items in index
 /// order, finalizes and appends journal records, fsyncs at logical-epoch
-/// boundaries, and runs the virtual-time recurrence.
-struct Sink<'e, 'a, 'b, 'j> {
-    env: &'e StreamEnv<'a, 'b, 'j>,
+/// boundaries, and runs the virtual-time recurrence. It is the only
+/// writer of the run's journal.
+struct Sink<'e, 'a, 'b> {
+    env: &'e StreamEnv<'a, 'b>,
+    /// The run's journal, until a write to it fails.
+    journal: Option<&'e mut Journal>,
+    /// The first journal IO error; the writes after it are skipped.
+    journal_error: Option<std::io::Error>,
     /// One min-heap of lane free-times per group, for the recurrence.
     lanes: Vec<BinaryHeap<Reverse<u64>>>,
     items: Vec<StageItem>,
@@ -912,15 +917,18 @@ struct Sink<'e, 'a, 'b, 'j> {
     hits: Option<HitReplayer>,
 }
 
-impl<'e, 'a, 'b, 'j> Sink<'e, 'a, 'b, 'j> {
+impl<'e, 'a, 'b> Sink<'e, 'a, 'b> {
     fn new(
-        env: &'e StreamEnv<'a, 'b, 'j>,
+        env: &'e StreamEnv<'a, 'b>,
+        journal: Option<&'e mut Journal>,
         topology: &Topology,
         n: usize,
         hits: Option<HitReplayer>,
     ) -> Self {
         Sink {
             env,
+            journal,
+            journal_error: None,
             lanes: topology
                 .groups
                 .iter()
@@ -957,9 +965,6 @@ impl<'e, 'a, 'b, 'j> Sink<'e, 'a, 'b, 'j> {
         slot.item.tags = rep.tags.clone();
         slot.item.retained = rep.retained;
         slot.item.failure = rep.failure.clone();
-        if hit.near {
-            slot.item.tag("cache:near");
-        }
         for e in &rep.stages {
             merge_trace_delta(&mut hr.reports[e.stage as usize], e);
         }
@@ -1015,9 +1020,7 @@ impl<'e, 'a, 'b, 'j> Sink<'e, 'a, 'b, 'j> {
                 if epoch != prev {
                     // Commit frame: everything up to the epoch boundary
                     // is durable before the next epoch's records land.
-                    if let Some(session) = self.env.session {
-                        session.sync();
-                    }
+                    self.write_journal(Journal::sync);
                 }
             }
             self.prev_epoch = Some(epoch);
@@ -1045,7 +1048,7 @@ impl<'e, 'a, 'b, 'j> Sink<'e, 'a, 'b, 'j> {
             } else {
                 self.capture_rep(&slot);
             }
-            if let Some(session) = self.env.session {
+            if self.journal.is_some() {
                 if let Some(mut trace) = slot.trace.take() {
                     let item = &slot.item;
                     trace.disposition = match item.disposition() {
@@ -1060,10 +1063,22 @@ impl<'e, 'a, 'b, 'j> Sink<'e, 'a, 'b, 'j> {
                     trace.tags = item.tags.clone();
                     trace.failure = item.failure.clone();
                     trace.digest = item_digest(item);
-                    session.append(&trace);
+                    self.write_journal(|journal| journal.append(&trace));
                 }
             }
             self.items.push(slot.item);
+        }
+    }
+
+    /// Runs one journal write. The first IO error drops the journal, so
+    /// the run still completes and every later write is skipped; the
+    /// error is handed back in [`SinkOut`].
+    fn write_journal(&mut self, write: impl FnOnce(&mut Journal) -> std::io::Result<()>) {
+        if let Some(journal) = self.journal.as_deref_mut() {
+            if let Err(e) = write(journal) {
+                self.journal = None;
+                self.journal_error = Some(e);
+            }
         }
     }
 
@@ -1073,6 +1088,7 @@ impl<'e, 'a, 'b, 'j> Sink<'e, 'a, 'b, 'j> {
             sim_elapsed: Duration::from_nanos(self.makespan),
             shed: self.shed,
             hit_reports: self.hits.map(|hr| hr.reports).unwrap_or_default(),
+            journal_error: self.journal_error,
         }
     }
 }
@@ -1084,6 +1100,8 @@ struct SinkOut {
     shed: usize,
     /// Per-stage report deltas from cache-hit replays (empty uncached).
     hit_reports: Vec<StageReport>,
+    /// The first journal IO error, if any write failed.
+    journal_error: Option<std::io::Error>,
 }
 
 /// Applies the feed to the slot sequence: stamps virtual arrival times
@@ -1198,12 +1216,16 @@ pub(crate) struct StreamRun {
     pub(crate) sim_elapsed: Duration,
     /// Revision-cache tallies (all zeros when no cache is configured).
     pub(crate) revision: CacheStats,
+    /// The first journal IO error, if any write failed.
+    pub(crate) journal_error: Option<std::io::Error>,
 }
 
 /// Runs the pipeline over the prepared slots. The single entry point for
-/// both batch-fed and sustained streaming runs, journaled or not.
+/// both batch-fed and sustained streaming runs, journaled (the sink
+/// appends to `journal`) or not.
 pub(crate) fn run_pipeline(
-    env: &StreamEnv<'_, '_, '_>,
+    env: &StreamEnv<'_, '_>,
+    journal: Option<&mut Journal>,
     threads: usize,
     queue_capacity: usize,
     feed: &Feed,
@@ -1223,7 +1245,7 @@ pub(crate) fn run_pipeline(
     }
     // Revision-cache pre-pass: a sequential, thread-independent scan
     // that marks duplicate slots as hits on their earliest occurrence.
-    let cache_plan = env.cache.map(|policy| plan_hits(&mut slots, policy));
+    let cache_plan = env.cache.then(|| plan_hits(&mut slots));
     let mut replayer = cache_plan.as_ref().map(|plan| {
         // Live representatives with dependents need their per-stage
         // deltas captured even when no journal is attached.
@@ -1264,7 +1286,7 @@ pub(crate) fn run_pipeline(
     let sequential = topology.groups.len() <= 1 && total_lanes <= 1;
     let sink_out = if topology.groups.is_empty() {
         // Stage-less chain: the sink alone sees every slot.
-        let mut sink = Sink::new(env, &topology, n, replayer.take());
+        let mut sink = Sink::new(env, journal, &topology, n, replayer.take());
         for chunk in chunks {
             sink.consume(chunk);
         }
@@ -1273,7 +1295,7 @@ pub(crate) fn run_pipeline(
         // One group, one lane: drive the exact same worker and sink
         // inline, skipping thread and queue overhead entirely.
         let mut worker = GroupWorker::new(env, 0, topology.groups[0].stages.clone());
-        let mut sink = Sink::new(env, &topology, n, replayer.take());
+        let mut sink = Sink::new(env, journal, &topology, n, replayer.take());
         for mut chunk in chunks {
             worker.process_chunk(&mut chunk);
             sink.consume(chunk);
@@ -1309,7 +1331,7 @@ pub(crate) fn run_pipeline(
             let sink_hits = replayer.take();
             let sink_handle = scope.spawn(move || {
                 let _guard = AbortOnPanic(queues);
-                let mut sink = Sink::new(env, topology, n, sink_hits);
+                let mut sink = Sink::new(env, journal, topology, n, sink_hits);
                 while let Some(chunk) = queues[groups].pop() {
                     sink.consume(chunk);
                 }
@@ -1350,6 +1372,7 @@ pub(crate) fn run_pipeline(
         shed: sink_out.shed,
         sim_elapsed: sink_out.sim_elapsed,
         revision,
+        journal_error: sink_out.journal_error,
     }
 }
 

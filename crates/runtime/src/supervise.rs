@@ -20,9 +20,8 @@
 //! [`crate::Journal`]'s module docs). Parent → worker:
 //!
 //! ```text
-//! JOB   (0x10)  proto version, chain name, opaque job params, shard
-//!               coordinates, attempt number, journal path, fsync policy,
-//!               chaos kill spec, pair count
+//! JOB   (0x10)  proto version, chain name, opaque job params, journal
+//!               path, fsync policy, chaos kill spec, pair count
 //! PAIR  (0x11)  one input pair (id, category, instruction, response)
 //! END   (0x12)  end of input
 //! ```
@@ -85,7 +84,7 @@
 
 use crate::cache::CacheStats;
 use crate::executor::{rekey_trace, ChainOutput, Executor};
-use crate::fault::{FailureKind, FailureRecord, Quarantine};
+use crate::fault::{FailureKind, FailureRecord};
 use crate::journal::{
     decode_item, encode_item, frame_bytes, scan_frame, Dec, Enc, FrameScan, ItemTrace, Journal,
     JournalError,
@@ -109,7 +108,9 @@ use std::sync::{Arc, Mutex};
 pub const ENV_WORKER: &str = "COACHLM_SUPERVISE_WORKER";
 
 /// Wire protocol version, checked by the worker before trusting the job.
-const PROTO_VERSION: u32 = 1;
+/// v2 dropped the JOB frame's shard coordinates, attempt number and
+/// kill-spec padding, and the DONE frame's near-hit tally.
+const PROTO_VERSION: u32 = 2;
 
 /// Worker exit code for protocol/journal errors (as opposed to crashes).
 const EXIT_PROTOCOL: i32 = 86;
@@ -295,8 +296,6 @@ pub struct SupervisedOutput {
     /// the same chain/config/input (kill schedules included, as long as
     /// no poison item was quarantined by bisection).
     pub output: ChainOutput,
-    /// Merged per-shard quarantines (bisected poison items included).
-    pub quarantine: Quarantine,
     /// Per-shard accounting, in shard order.
     pub shards: Vec<ShardStats>,
     /// Per-shard supervision counters, in shard order.
@@ -521,16 +520,10 @@ fn decode_job(payload: &[u8]) -> Result<JobSpec, SuperviseError> {
         }
         let chain = dec.str()?;
         let params = dec.bytes()?;
-        let _shard = dec.u32()?;
-        let _shards_total = dec.u32()?;
-        let _attempt = dec.u32()?;
         let journal_path = PathBuf::from(dec.str()?);
         let sync_every = dec.u32()? as usize;
         let kill = match dec.u8()? {
-            0 => {
-                let _ = dec.u64()?;
-                None
-            }
+            0 => None,
             1 => Some((dec.u64()?, KillMode::Boundary)),
             2 => Some((dec.u64()?, KillMode::MidFrame)),
             3 => Some((dec.u64()?, KillMode::CorruptFrame)),
@@ -559,17 +552,21 @@ fn encode_pair(pair: &InstructionPair) -> Vec<u8> {
     enc.into_payload()
 }
 
-fn decode_pair(dec: &mut Dec<'_>) -> Option<InstructionPair> {
-    let id = dec.u64()?;
-    let category = u16::try_from(dec.u32()?).ok()?;
-    let instruction = dec.str()?;
-    let response = dec.str()?;
-    dec.exhausted().then_some(InstructionPair {
-        id,
-        instruction,
-        response,
-        category: Category(category),
-    })
+/// Decodes a PAIR frame's body (after its kind byte).
+fn decode_pair(dec: &mut Dec<'_>) -> Result<InstructionPair, SuperviseError> {
+    let pair = (|| {
+        let id = dec.u64()?;
+        let category = u16::try_from(dec.u32()?).ok()?;
+        let instruction = dec.str()?;
+        let response = dec.str()?;
+        dec.exhausted().then_some(InstructionPair {
+            id,
+            instruction,
+            response,
+            category: Category(category),
+        })
+    })();
+    pair.ok_or_else(|| protocol("malformed PAIR frame"))
 }
 
 /// The worker protocol body: parse the job, resume the journal, tee every
@@ -588,10 +585,7 @@ fn worker_main(factory: JobFactory) -> Result<(), SuperviseError> {
         let payload = take_frame(&input, &mut pos)?;
         let mut dec = Dec::new(payload);
         match dec.u8() {
-            Some(KIND_PAIR) => {
-                let pair = decode_pair(&mut dec).ok_or_else(|| protocol("malformed PAIR frame"))?;
-                pairs.push(pair);
-            }
+            Some(KIND_PAIR) => pairs.push(decode_pair(&mut dec)?),
             Some(KIND_END) => break,
             _ => return Err(protocol("unexpected frame kind on worker stdin")),
         }
@@ -638,17 +632,13 @@ fn worker_main(factory: JobFactory) -> Result<(), SuperviseError> {
 
     let out = Executor::new(config).run_journaled(&stages, pairs, &mut journal)?;
 
-    let mut enc = Enc::new();
-    enc.u8(KIND_DONE);
-    enc.u64(out.digest());
-    enc.u64(out.replayed as u64);
-    enc.u64(out.items.len() as u64);
-    enc.u64(out.revision_cache.exact_hits);
-    enc.u64(out.revision_cache.near_hits);
-    enc.u64(out.revision_cache.misses);
-    enc.u64(out.revision_cache.entries);
-    enc.u64(u64::try_from(out.sim_elapsed.as_nanos()).unwrap_or(u64::MAX));
-    let frame = frame_bytes(&enc.into_payload());
+    let frame = frame_bytes(&encode_done(&DoneFrame {
+        digest: out.digest(),
+        replayed: out.replayed as u64,
+        total: out.items.len() as u64,
+        cache: out.revision_cache,
+        sim_nanos: u64::try_from(out.sim_elapsed.as_nanos()).unwrap_or(u64::MAX),
+    }));
     let mut w = lock_wire(&wire);
     w.emit(&frame, false);
     w.flush();
@@ -671,33 +661,45 @@ struct DoneFrame {
     sim_nanos: u64,
 }
 
-fn decode_done(dec: &mut Dec<'_>) -> Option<DoneFrame> {
-    let digest = dec.u64()?;
-    let replayed = dec.u64()?;
-    let total = dec.u64()?;
-    let cache = CacheStats {
-        exact_hits: dec.u64()?,
-        near_hits: dec.u64()?,
-        misses: dec.u64()?,
-        entries: dec.u64()?,
-    };
-    let sim_nanos = dec.u64()?;
-    dec.exhausted().then_some(DoneFrame {
-        digest,
-        replayed,
-        total,
-        cache,
-        sim_nanos,
-    })
+fn encode_done(done: &DoneFrame) -> Vec<u8> {
+    let mut enc = Enc::new();
+    enc.u8(KIND_DONE);
+    enc.u64(done.digest);
+    enc.u64(done.replayed);
+    enc.u64(done.total);
+    enc.u64(done.cache.exact_hits);
+    enc.u64(done.cache.misses);
+    enc.u64(done.cache.entries);
+    enc.u64(done.sim_nanos);
+    enc.into_payload()
 }
 
-#[allow(clippy::too_many_arguments)]
+/// Decodes a DONE frame's body (after its kind byte).
+fn decode_done(dec: &mut Dec<'_>) -> Result<DoneFrame, SuperviseError> {
+    let done = (|| {
+        let digest = dec.u64()?;
+        let replayed = dec.u64()?;
+        let total = dec.u64()?;
+        let cache = CacheStats {
+            exact_hits: dec.u64()?,
+            misses: dec.u64()?,
+            entries: dec.u64()?,
+        };
+        let sim_nanos = dec.u64()?;
+        dec.exhausted().then_some(DoneFrame {
+            digest,
+            replayed,
+            total,
+            cache,
+            sim_nanos,
+        })
+    })();
+    done.ok_or_else(|| protocol("malformed DONE frame"))
+}
+
 fn encode_job(
     chain: &str,
     params: &[u8],
-    shard: usize,
-    shards_total: usize,
-    attempt: u32,
     journal_path: &Path,
     sync_every: usize,
     kill: Option<(u64, KillMode)>,
@@ -708,16 +710,10 @@ fn encode_job(
     enc.u32(PROTO_VERSION);
     enc.str(chain);
     enc.bytes(params);
-    enc.u32(shard as u32);
-    enc.u32(shards_total as u32);
-    enc.u32(attempt);
     enc.str(&journal_path.to_string_lossy());
     enc.u32(sync_every as u32);
     match kill {
-        None => {
-            enc.u8(0);
-            enc.u64(0);
-        }
+        None => enc.u8(0),
         Some((after, mode)) => {
             enc.u8(match mode {
                 KillMode::Boundary => 1,
@@ -767,9 +763,6 @@ fn run_attempt(
     chain: &str,
     params: &[u8],
     pairs: &[InstructionPair],
-    shard: usize,
-    shards_total: usize,
-    attempt: u32,
     journal_path: &Path,
     sync_every: usize,
     worker_env: &[(String, String)],
@@ -800,9 +793,6 @@ fn run_attempt(
         let job = encode_job(
             chain,
             params,
-            shard,
-            shards_total,
-            attempt,
             journal_path,
             sync_every,
             worker_kill,
@@ -887,7 +877,7 @@ fn run_attempt(
                             }
                         }
                         Some(KIND_DONE) => match decode_done(&mut dec) {
-                            Some(d) if d.total == pairs.len() as u64 => done = Some(d),
+                            Ok(d) if d.total == pairs.len() as u64 => done = Some(d),
                             _ => {
                                 corrupt = true;
                                 break 'read;
@@ -925,7 +915,6 @@ fn run_with_restarts(
     params: &[u8],
     pairs: &[InstructionPair],
     shard: usize,
-    shards_total: usize,
     journal_path: &Path,
     max_restarts: u32,
     sync_every: usize,
@@ -950,9 +939,6 @@ fn run_with_restarts(
             chain,
             params,
             pairs,
-            shard,
-            shards_total,
-            attempt,
             journal_path,
             sync_every,
             worker_env,
@@ -999,7 +985,6 @@ fn resolve_subset(
         params,
         subset,
         usize::MAX,
-        0,
         &journal_path,
         budget,
         sync_every,
@@ -1106,7 +1091,6 @@ pub fn run_sharded_process(
                         params,
                         part,
                         s,
-                        shards,
                         &journal_path,
                         opts.max_restarts,
                         opts.sync_every,
@@ -1224,7 +1208,6 @@ pub fn run_sharded_process(
     let merged = merge_outputs(&stages, shed_items, &global_idx, n, outputs);
     Ok(SupervisedOutput {
         output: merged.output,
-        quarantine: merged.quarantine,
         shards: merged.shards,
         supervision,
     })
@@ -1233,6 +1216,9 @@ pub fn run_sharded_process(
 #[cfg(test)]
 mod tests {
     use super::*;
+    use proptest::mutate;
+    use rand::rngs::StdRng;
+    use rand::SeedableRng;
 
     fn pair(id: u64) -> InstructionPair {
         InstructionPair {
@@ -1248,9 +1234,6 @@ mod tests {
         let job = encode_job(
             "chaos/basic",
             &[1, 2, 3],
-            2,
-            4,
-            7,
             Path::new("/tmp/x.wal"),
             16,
             Some((42, KillMode::MidFrame)),
@@ -1268,7 +1251,7 @@ mod tests {
         let encoded = encode_pair(&p);
         let mut dec = Dec::new(&encoded);
         assert_eq!(dec.u8(), Some(KIND_PAIR));
-        assert_eq!(decode_pair(&mut dec), Some(p));
+        assert_eq!(decode_pair(&mut dec).ok(), Some(p));
     }
 
     #[test]
@@ -1286,9 +1269,88 @@ mod tests {
     fn malformed_job_frames_are_rejected() {
         assert!(decode_job(&[]).is_err());
         assert!(decode_job(&[KIND_PAIR]).is_err());
-        let mut job = encode_job("c", &[], 0, 1, 0, Path::new("j.wal"), 1, None, 0);
+        let mut job = encode_job("c", &[], Path::new("j.wal"), 1, None, 0);
         job.push(0xEE); // trailing garbage in a checksummed frame
         assert!(decode_job(&job).is_err());
+    }
+
+    /// Decodes one control payload as its reader does (JOB and PAIR in the
+    /// worker, DONE in the parent), or refuses it with a typed error; an
+    /// accepted payload must re-encode to exactly `payload`.
+    fn accept(payload: &[u8]) -> Result<(), SuperviseError> {
+        let mut dec = Dec::new(payload);
+        let again = match dec.u8() {
+            Some(KIND_JOB) => {
+                let spec = decode_job(payload)?;
+                encode_job(
+                    &spec.chain,
+                    &spec.params,
+                    &spec.journal_path,
+                    spec.sync_every,
+                    spec.kill,
+                    spec.pair_count,
+                )
+            }
+            Some(KIND_PAIR) => encode_pair(&decode_pair(&mut dec)?),
+            Some(KIND_DONE) => encode_done(&decode_done(&mut dec)?),
+            _ => return Err(protocol("unexpected frame kind")),
+        };
+        assert_eq!(again, payload, "accepted frame re-encodes");
+        Ok(())
+    }
+
+    /// Seeded bit flips, truncations, extensions and splices of real JOB,
+    /// PAIR and DONE payloads never panic their decoders: each is refused
+    /// with a typed error or decodes to a frame that re-encodes byte for
+    /// byte. (Item frames are journal records; the journal fuzz covers
+    /// them.)
+    #[test]
+    fn mutated_control_frames_never_panic_the_decoders() {
+        let frames = [
+            encode_job(
+                "chaos/basic",
+                &[7; 40],
+                Path::new("/tmp/worker-shard-0-of-2.wal"),
+                32,
+                None,
+                3,
+            ),
+            encode_job(
+                "chaos/basic",
+                &[],
+                Path::new("j.wal"),
+                1,
+                Some((5, KillMode::CorruptFrame)),
+                0,
+            ),
+            encode_pair(&pair(3)),
+            encode_done(&DoneFrame {
+                digest: 0x00D1_6E57,
+                replayed: 4,
+                total: 9,
+                cache: CacheStats {
+                    exact_hits: 5,
+                    misses: 4,
+                    entries: 4,
+                },
+                sim_nanos: 1_711_500_000,
+            }),
+        ];
+        for frame in &frames {
+            accept(frame).expect("a real frame decodes");
+        }
+        let donor = frames.concat();
+        let (mut accepted, mut refused) = (0, 0);
+        for case in 0..256u64 {
+            let mut rng = StdRng::seed_from_u64(0x5E4F ^ case);
+            let base = &frames[case as usize % frames.len()];
+            match accept(&mutate(&mut rng, base, &donor)) {
+                Ok(()) => accepted += 1,
+                Err(_) => refused += 1,
+            }
+        }
+        assert!(refused > 0, "no mutation was refused");
+        println!("mutated control frames: {accepted} accepted, {refused} refused");
     }
 
     #[test]

@@ -131,7 +131,7 @@ for seed in 11 53; do
     done
 done
 
-# Optional: regenerate BENCH_4.json from the Criterion suite. Off by
+# Optional: regenerate BENCH_5.json from the Criterion suite. Off by
 # default because benches dominate CI wall-clock; enable with COACHLM_BENCH=1.
 if [ "${COACHLM_BENCH:-0}" = "1" ]; then
     echo "==> scripts/bench.sh"

@@ -100,7 +100,7 @@ fn quarantine_round_trips_from_a_real_faulted_run() {
             .fault_plan(FaultPlan::new(5).transient(0.3).permanent(0.1))
             .retry_policy(RetryPolicy::new(2, std::time::Duration::from_millis(1))),
     )
-    .run_dataset(&stages, &d);
+    .run(&stages, d.pairs.clone());
     let q = out.quarantine("clean-quarantine");
     assert!(
         !q.is_empty(),
@@ -141,47 +141,6 @@ fn extended_stage_report_round_trips() {
         back.total_time(),
         back.cpu_time + back.backoff_time + back.latency_time
     );
-}
-
-#[test]
-fn merged_quarantines_round_trip_like_a_resumed_run() {
-    use coachlm::core::baselines::CleanStage;
-    use coachlm::runtime::{Executor, ExecutorConfig, FaultPlan, Quarantine, RetryPolicy, Stage};
-    let (d, _) = generate(&GeneratorConfig::small(300, 9));
-    let stages: Vec<Box<dyn Stage>> = vec![Box::new(CleanStage)];
-    let full = Executor::new(
-        ExecutorConfig::new(1)
-            .threads(4)
-            .fault_plan(FaultPlan::new(5).transient(0.3).permanent(0.1))
-            .retry_policy(RetryPolicy::new(2, std::time::Duration::from_millis(1))),
-    )
-    .run_dataset(&stages, &d)
-    .quarantine("merged");
-    assert!(
-        full.len() >= 4,
-        "the plan's rates guarantee quarantined pairs"
-    );
-
-    // Model an interrupted sweep: two partial quarantines with an
-    // overlapping item (recorded on both sides of the crash). Merging in
-    // either order reproduces the uninterrupted quarantine exactly.
-    let mid = full.len() / 2;
-    let first = Quarantine {
-        name: "merged".into(),
-        items: full.items[..=mid].to_vec(),
-    };
-    let second = Quarantine {
-        name: "merged".into(),
-        items: full.items[mid..].to_vec(),
-    };
-    let ab = first.clone().merge(second.clone());
-    assert_eq!(ab, full);
-    let ba = second.merge(first);
-    assert_eq!(ba, full);
-
-    let json = serde_json::to_string(&ab).unwrap();
-    let back: Quarantine = serde_json::from_str(&json).unwrap();
-    assert_eq!(back, ab);
 }
 
 #[test]

@@ -2,11 +2,8 @@
 //!
 //! Properties pinned here:
 //!
-//! * **Batch = stream** — every ported chain entry point (`run_batch`,
-//!   `revise_dataset`, `preliminary_filter`, expert revision, ChatGPT
-//!   rating) produces identical results through its streaming variant
-//!   under [`Feed::Batch`], and the executor's `run_dataset` is
-//!   digest-identical to `run_stream` over the same pairs.
+//! * **Batch = stream** — the pipeline's `run_batch` produces the same
+//!   report as `run_stream` under [`Feed::Batch`].
 //! * **Streaming determinism** — with faults, retries, and a breaker
 //!   active, any (thread count 1..=16, queue capacity) produces
 //!   a digest-identical run: lane count and queue depth are performance
@@ -29,15 +26,13 @@ use std::time::Duration;
 
 use coachlm::core::baselines::{AlpaGasusStage, CleanStage, HumanMergeStage};
 use coachlm::core::coach::{CoachConfig, CoachLm};
-use coachlm::core::infer::{revise_dataset, revise_stream, CoachReviseStage};
+use coachlm::core::infer::CoachReviseStage;
 use coachlm::core::pipeline::{
     run_batch, run_batch_journaled, run_stream, trained_coach, ExpertAnnotateStage, PipelineError,
 };
 use coachlm::data::generator::{generate, GeneratorConfig};
 use coachlm::data::pair::Dataset;
-use coachlm::expert::filter::{
-    preliminary_filter, preliminary_filter_stream, PreliminaryFilterStage,
-};
+use coachlm::expert::filter::{preliminary_filter, PreliminaryFilterStage};
 use coachlm::expert::pool::ExpertPool;
 use coachlm::expert::revision::{ExpertReviseStage, ExpertReviser, RevisionRecord};
 use coachlm::judge::chatgpt::{ChatGptRater, ChatGptRatingStage};
@@ -186,9 +181,9 @@ fn json<T: serde::Serialize>(v: &T) -> serde_json::Value {
     value
 }
 
-/// Every chain-level batch entry point equals its streaming variant under
-/// `Feed::Batch` — the old APIs are thin wrappers, and this pins that they
-/// stay behaviour-identical, not just type-compatible.
+/// The pipeline's batch entry point equals its streaming variant under
+/// `Feed::Batch`: `run_batch` is a thin wrapper, and this pins that it
+/// stays behaviour-identical, not just type-compatible.
 #[test]
 fn chain_entry_points_agree_batch_vs_stream() {
     let f = fixtures();
@@ -198,37 +193,6 @@ fn chain_entry_points_agree_batch_vs_stream() {
     let batch = run_batch(Some(&f.coach), &d, &config).expect("batch pipeline");
     let stream = run_stream(Some(&f.coach), &d, &config, Feed::Batch).expect("stream pipeline");
     assert_eq!(json(&batch), json(&stream), "pipeline report");
-
-    let revised = revise_dataset(&f.coach, &d, &config);
-    let revised_s = revise_stream(&f.coach, &d, &config, Feed::Batch);
-    assert_eq!(json(&revised), json(&revised_s), "revise");
-
-    let filtered = preliminary_filter(&d, 0x22);
-    let filtered_s = preliminary_filter_stream(&d, 0x22, Feed::Batch);
-    assert_eq!(json(&filtered), json(&filtered_s), "preliminary filter");
-
-    let records = f.reviser.revise_dataset(&f.pool, &d, &f.kept);
-    let records_s = f.reviser.revise_stream(&f.pool, &d, &f.kept, Feed::Batch);
-    assert_eq!(json(&records), json(&records_s), "expert revision");
-
-    let rated = f.rater.rate_dataset(&d);
-    let rated_s = f.rater.rate_stream(&d, Feed::Batch);
-    assert_eq!(json(&rated), json(&rated_s), "chatgpt rating");
-}
-
-/// Executor-level batch = stream over every ported chain shape.
-#[test]
-fn run_dataset_equals_run_stream_on_every_chain() {
-    let d = dataset(120, 0xD15C);
-    for sel in 0..6u8 {
-        for threads in [1usize, 4] {
-            let stages = chain(sel, fixtures());
-            let exec = Executor::new(ExecutorConfig::new(0x33).threads(threads));
-            let batch = exec.run_dataset(&stages, &d);
-            let stream = exec.run_stream(&stages, StreamSource::batch(d.pairs.clone()));
-            assert_same(&batch, &stream, &format!("chain {sel} x{threads}"));
-        }
-    }
 }
 
 proptest! {

@@ -437,8 +437,8 @@ fn poison_bisection_quarantines_the_culprit() {
 
     // The culprit — and only the culprit — is quarantined, with the
     // supervisor's structured failure record.
-    let poisoned: Vec<_> = out
-        .quarantine
+    let quarantine = out.output.quarantine("q");
+    let poisoned: Vec<_> = quarantine
         .items
         .iter()
         .filter(|q| q.failure.stage == "supervise")
