@@ -63,7 +63,7 @@ fn bench_journal_overhead(c: &mut Criterion) {
     group.bench_function("unjournaled", |b| {
         b.iter(|| {
             let stages: Vec<Box<dyn Stage>> = vec![Box::new(ScoreStage)];
-            black_box(Executor::new(config()).run(&stages, dataset.pairs.clone()))
+            black_box(Executor::new(config()).run(&stages, &dataset.pairs))
         });
     });
     for sync_every in [1usize, 32, 1_000] {
@@ -78,7 +78,7 @@ fn bench_journal_overhead(c: &mut Criterion) {
                         .expect("create journal")
                         .sync_every(sync_every);
                     let out = Executor::new(config())
-                        .run_journaled(&stages, dataset.pairs.clone(), &mut journal)
+                        .run_journaled(&stages, &dataset.pairs, &mut journal)
                         .expect("journaled run");
                     drop(journal);
                     std::fs::remove_file(&path).ok();
@@ -103,7 +103,7 @@ fn bench_resume_replay(c: &mut Criterion) {
         .expect("create journal")
         .sync_every(1);
     Executor::new(config())
-        .run_journaled(&stages, dataset.pairs.clone(), &mut journal)
+        .run_journaled(&stages, &dataset.pairs, &mut journal)
         .expect("journaled run");
     let spans = journal.record_spans().to_vec();
     drop(journal);
@@ -123,7 +123,7 @@ fn bench_resume_replay(c: &mut Criterion) {
                     std::fs::write(&resume_path, &bytes[..cut]).expect("truncate");
                     let mut journal = Journal::open(&resume_path).expect("recover");
                     let out = Executor::new(config())
-                        .run_journaled(&stages, dataset.pairs.clone(), &mut journal)
+                        .run_journaled(&stages, &dataset.pairs, &mut journal)
                         .expect("resume");
                     drop(journal);
                     std::fs::remove_file(&resume_path).ok();

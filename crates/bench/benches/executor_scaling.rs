@@ -125,10 +125,7 @@ fn bench_stream_scaling(c: &mut Criterion) {
                 b.iter(|| {
                     let executor = Executor::new(ExecutorConfig::new(9).threads(threads));
                     black_box(
-                        executor.run_stream(
-                            &stream_chain(),
-                            StreamSource::batch(dataset.pairs.clone()),
-                        ),
+                        executor.run_stream(&stream_chain(), StreamSource::batch(&dataset.pairs)),
                     )
                 });
             },
@@ -146,7 +143,7 @@ fn bench_stream_scaling(c: &mut Criterion) {
         let config = ExecutorConfig::new(9).threads(threads);
         let chunk = adaptive_chunk_size(full.len(), threads, config.queue_capacity_items());
         let executor = Executor::new(config);
-        let out = executor.run_stream(&stream_chain(), StreamSource::batch(full.pairs.clone()));
+        let out = executor.run_stream(&stream_chain(), StreamSource::batch(&full.pairs));
         let sim = out.sim_elapsed.as_secs_f64().max(f64::MIN_POSITIVE);
         let base = *sim_base.get_or_insert(sim);
         append_metric(
@@ -178,10 +175,7 @@ fn bench_stream_queue_depth(c: &mut Criterion) {
                     let executor =
                         Executor::new(ExecutorConfig::new(9).threads(4).queue_capacity(capacity));
                     black_box(
-                        executor.run_stream(
-                            &stream_chain(),
-                            StreamSource::batch(dataset.pairs.clone()),
-                        ),
+                        executor.run_stream(&stream_chain(), StreamSource::batch(&dataset.pairs)),
                     )
                 });
             },
@@ -204,7 +198,7 @@ fn bench_skewed_batch(c: &mut Criterion) {
                 b.iter(|| {
                     let stages: Vec<Box<dyn Stage>> = vec![Box::new(SkewedStage { heavy_from })];
                     let executor = Executor::new(ExecutorConfig::new(9).threads(threads));
-                    black_box(executor.run(&stages, dataset.pairs.clone()))
+                    black_box(executor.run(&stages, &dataset.pairs))
                 });
             },
         );

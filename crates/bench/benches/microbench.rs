@@ -10,9 +10,7 @@ use coachlm_expert::pool::ExpertPool;
 use coachlm_expert::revision::ExpertReviser;
 use coachlm_judge::criteria::CriteriaEngine;
 use coachlm_judge::pandalm::PandaLm;
-use coachlm_text::editdist::{
-    char_edit_distance, edit_distance, edit_distance_bounded, word_edit_distance, WordDistance,
-};
+use coachlm_text::editdist::{char_edit_distance, edit_distance, word_edit_distance, WordDistance};
 use coachlm_text::intern::Interner;
 use criterion::{black_box, criterion_group, criterion_main, BenchmarkId, Criterion, Throughput};
 use rand::rngs::StdRng;
@@ -67,15 +65,6 @@ fn bench_editdist(c: &mut Criterion) {
             },
         );
     }
-    g.bench_function("bounded/k=5", |b| {
-        b.iter(|| {
-            edit_distance_bounded(
-                black_box(SHORT_A.as_bytes()),
-                black_box(SHORT_B.as_bytes()),
-                5,
-            )
-        })
-    });
     g.finish();
 }
 

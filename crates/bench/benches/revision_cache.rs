@@ -83,7 +83,7 @@ struct CellResult {
     wall: Duration,
 }
 
-fn run_cell(config: &ExecutorConfig, pairs: Vec<InstructionPair>, shards: usize) -> CellResult {
+fn run_cell(config: &ExecutorConfig, pairs: &[InstructionPair], shards: usize) -> CellResult {
     let stages = service_chain();
     let start = Instant::now();
     let out = if shards <= 1 {
@@ -130,7 +130,7 @@ fn bench_skew_sweep(_c: &mut Criterion) {
                 zipfian_duplicates(&ZipfianConfig::stress(distinct, TOTAL, skew, 0xCAC4E)).pairs;
             let uncached = run_cell(
                 &ExecutorConfig::new(7).threads(threads).content_keyed(true),
-                pairs.clone(),
+                &pairs,
                 1,
             );
             let sim_base = uncached
@@ -150,7 +150,7 @@ fn bench_skew_sweep(_c: &mut Criterion) {
                 &ExecutorConfig::new(7)
                     .threads(threads)
                     .revision_cache(CachePolicy::exact()),
-                pairs,
+                &pairs,
                 1,
             );
             assert_eq!(
@@ -200,7 +200,7 @@ fn bench_dedup_stress(_c: &mut Criterion) {
             .threads(threads)
             .queue_capacity(queue)
             .content_keyed(true),
-        pairs.clone(),
+        &pairs,
         1,
     );
     let sim_base = uncached
@@ -222,7 +222,7 @@ fn bench_dedup_stress(_c: &mut Criterion) {
             .threads(threads)
             .queue_capacity(queue)
             .revision_cache(CachePolicy::exact()),
-        pairs,
+        &pairs,
         shards,
     );
     emit(

@@ -71,8 +71,8 @@ pub fn build_cleaned(original: &Dataset) -> Dataset {
     // Cleaning draws no randomness, so the seed is arbitrary.
     let stages: Vec<Box<dyn Stage>> = vec![Box::new(CleanStage)];
     Executor::new(ExecutorConfig::new(0))
-        .run(&stages, original.pairs.clone())
-        .dataset(format!("{}-cleaned", original.name))
+        .run(&stages, &original.pairs)
+        .into_dataset(format!("{}-cleaned", original.name))
 }
 
 /// AlpaGasus filtering as a stage: discard every pair the ChatGPT rater
@@ -123,8 +123,8 @@ pub fn build_alpagasus(original: &Dataset, rater: &ChatGptRater, threshold: f64)
     let stages: Vec<Box<dyn Stage + '_>> = vec![Box::new(AlpaGasusStage::new(rater, threshold))];
     // The rater derives all randomness from pair ids, so the seed is unused.
     Executor::new(ExecutorConfig::new(0))
-        .run(&stages, original.pairs.clone())
-        .dataset(format!("{}-alpagasus", original.name))
+        .run(&stages, &original.pairs)
+        .into_dataset(format!("{}-alpagasus", original.name))
 }
 
 /// The §III-C human-merge as a stage: pairs with an expert revision on file
@@ -175,8 +175,8 @@ impl Stage for HumanMergeStage {
 pub fn build_human_merged(original: &Dataset, records: &[&RevisionRecord], take: usize) -> Dataset {
     let stages: Vec<Box<dyn Stage>> = vec![Box::new(HumanMergeStage::new(records, take))];
     Executor::new(ExecutorConfig::new(0))
-        .run(&stages, original.pairs.clone())
-        .dataset(format!("{}-human", original.name))
+        .run(&stages, &original.pairs)
+        .into_dataset(format!("{}-human", original.name))
 }
 
 /// Model group in Table IX.

@@ -52,9 +52,9 @@ pub struct RevisedDataset {
 
 impl RevisedDataset {
     /// Reads the revision accounting out of a chain run that included a
-    /// [`CoachReviseStage`]. The dataset keeps every retained pair, named
-    /// `{input}-coachlm` after the paper's `D_c`.
-    pub fn from_chain(out: &ChainOutput, input_name: &str) -> Self {
+    /// [`CoachReviseStage`], then moves every retained pair out into the
+    /// dataset, named `{input}-coachlm` after the paper's `D_c`.
+    pub fn from_chain(out: ChainOutput, input_name: &str) -> Self {
         let report = out
             .report(CoachReviseStage::NAME)
             // lint: allow(P1, reason = "structural invariant: every caller builds its chain with a CoachReviseStage two lines earlier; a missing report is a construction bug, not a data condition")
@@ -67,7 +67,6 @@ impl RevisedDataset {
             }
         }
         RevisedDataset {
-            dataset: out.dataset(format!("{input_name}-coachlm")),
             replaced_invalid: report.counter("invalid") as usize,
             leakage_skipped: report.counter("leakage") as usize,
             instructions_changed: report.counter("instruction-changed") as usize,
@@ -75,6 +74,7 @@ impl RevisedDataset {
             repair_counts,
             quarantined: out.total_quarantined(),
             degraded: out.total_degraded(),
+            dataset: out.into_dataset(format!("{input_name}-coachlm")),
         }
     }
 }
@@ -162,8 +162,8 @@ impl Stage for CoachReviseStage<'_> {
 /// rule). Thread count comes from `config` and never affects the result.
 pub fn revise_dataset(coach: &CoachLm, input: &Dataset, config: &ExecutorConfig) -> RevisedDataset {
     let stages: Vec<Box<dyn Stage + '_>> = vec![Box::new(CoachReviseStage::new(coach))];
-    let out = Executor::new(config.clone()).run(&stages, input.pairs.clone());
-    RevisedDataset::from_chain(&out, &input.name)
+    let out = Executor::new(config.clone()).run(&stages, &input.pairs);
+    RevisedDataset::from_chain(out, &input.name)
 }
 
 #[cfg(test)]

@@ -264,9 +264,10 @@ pub struct PipelineReport {
 }
 
 impl PipelineReport {
-    /// Derives the batch report from a chain run.
+    /// Derives the batch report from a chain run, moving the retained
+    /// pairs out of it into [`output`](Self::output).
     fn from_chain(
-        out: &ChainOutput,
+        mut out: ChainOutput,
         raw: &Dataset,
         with_coachlm: bool,
     ) -> Result<Self, PipelineError> {
@@ -286,10 +287,10 @@ impl PipelineReport {
             post_edited,
         };
         let person_days = workload.person_days(&production_throughputs());
-        let output = out.dataset(format!("{}-produced", raw.name));
         let coachlm_samples_per_sec = out
             .report(CoachReviseStage::NAME)
             .map_or(0.0, StageReport::samples_per_sec);
+        let produced = out.retained().count();
         Ok(PipelineReport {
             with_coachlm,
             raw_pairs: raw.len(),
@@ -297,7 +298,7 @@ impl PipelineReport {
             post_edited,
             person_days,
             pairs_per_person_day: if person_days > 0.0 {
-                output.len() as f64 / person_days
+                produced as f64 / person_days
             } else {
                 0.0
             },
@@ -306,13 +307,13 @@ impl PipelineReport {
             retries: out.total_retries(),
             dropped: out.dropped().count(),
             degraded: out.total_degraded(),
-            breaker_events: out.breaker_events.clone(),
+            breaker_events: std::mem::take(&mut out.breaker_events),
             replayed: out.replayed,
             shed: out.shed,
             revision_cache: out.revision_cache,
             sim_elapsed_secs: out.sim_elapsed.as_secs_f64(),
             stage_summaries: out.reports.iter().map(StageSummary::from).collect(),
-            output,
+            output: out.into_dataset(format!("{}-produced", raw.name)),
         })
     }
 }
@@ -366,11 +367,11 @@ pub fn run_stream(
 ) -> Result<PipelineReport, PipelineError> {
     let stages = batch_stages(coach, config);
     let source = StreamSource {
-        pairs: raw.pairs.clone(),
+        pairs: &raw.pairs,
         feed,
     };
     let out = Executor::new(config.clone()).run_stream(&stages, source);
-    PipelineReport::from_chain(&out, raw, coach.is_some())
+    PipelineReport::from_chain(out, raw, coach.is_some())
 }
 
 /// Runs one batch like [`run_batch`], journaling every committed pair to
@@ -387,8 +388,8 @@ pub fn run_batch_journaled(
     journal: &mut Journal,
 ) -> Result<PipelineReport, PipelineError> {
     let stages = batch_stages(coach, config);
-    let out = Executor::new(config.clone()).run_journaled(&stages, raw.pairs.clone(), journal)?;
-    PipelineReport::from_chain(&out, raw, coach.is_some())
+    let out = Executor::new(config.clone()).run_journaled(&stages, &raw.pairs, journal)?;
+    PipelineReport::from_chain(out, raw, coach.is_some())
 }
 
 /// Report of one sharded batch: the merged chain report plus per-shard
@@ -426,13 +427,8 @@ pub fn run_batch_sharded(
     shards: usize,
 ) -> Result<ShardedPipelineReport, PipelineError> {
     let stages = batch_stages(coach, config);
-    let out = shard::run_sharded(
-        config,
-        &stages,
-        StreamSource::batch(raw.pairs.clone()),
-        shards,
-    )?;
-    let report = PipelineReport::from_chain(&out.output, raw, coach.is_some())?;
+    let out = shard::run_sharded(config, &stages, StreamSource::batch(&raw.pairs), shards)?;
+    let report = PipelineReport::from_chain(out.output, raw, coach.is_some())?;
     Ok(ShardedPipelineReport {
         report,
         shards: out.shards,
@@ -457,11 +453,11 @@ pub fn run_batch_sharded_journaled(
     let out = shard::run_sharded_journaled(
         config,
         &stages,
-        StreamSource::batch(raw.pairs.clone()),
+        StreamSource::batch(&raw.pairs),
         shards,
         dir,
     )?;
-    let report = PipelineReport::from_chain(&out.output, raw, coach.is_some())?;
+    let report = PipelineReport::from_chain(out.output, raw, coach.is_some())?;
     Ok(ShardedPipelineReport {
         report,
         shards: out.shards,
@@ -662,12 +658,12 @@ pub fn run_batch_supervised(
         batch_job_factory,
         BATCH_CHAIN,
         &batch_params(spec),
-        StreamSource::batch(raw.pairs.clone()),
+        StreamSource::batch(&raw.pairs),
         shards,
         dir,
         opts,
     )?;
-    let report = PipelineReport::from_chain(&out.output, raw, spec.coach.is_some())?;
+    let report = PipelineReport::from_chain(out.output, raw, spec.coach.is_some())?;
     Ok(ShardedPipelineReport {
         report,
         shards: out.shards,

@@ -65,13 +65,13 @@ pub trait Strategy: Sync {
     /// result.
     fn run(&self, input: &Dataset, config: &ExecutorConfig) -> ChainOutput {
         let stages = self.stages();
-        Executor::new(config.clone()).run(&stages, input.pairs.clone())
+        Executor::new(config.clone()).run(&stages, &input.pairs)
     }
 
     /// The strategy's output dataset, named `{input}-{strategy}`.
     fn dataset(&self, input: &Dataset, config: &ExecutorConfig) -> Dataset {
         self.run(input, config)
-            .dataset(format!("{}-{}", input.name, self.name()))
+            .into_dataset(format!("{}-{}", input.name, self.name()))
     }
 }
 
@@ -977,7 +977,7 @@ mod tests {
             .map(|p| engine.score_pair(&p.instruction, &p.response).response)
             .sum::<f64>()
             / input.pairs.len() as f64;
-        let revised = out.dataset("arena-self-review");
+        let revised = out.into_dataset("arena-self-review");
         let after: f64 = revised
             .pairs
             .iter()
@@ -1019,7 +1019,7 @@ mod tests {
             + report.counter("evolve:deepen")
             + report.counter("evolve:concretize");
         assert_eq!(trajectory, report.iterations);
-        for (orig, evolved) in input.pairs.iter().zip(out.dataset("x").pairs.iter()) {
+        for (orig, evolved) in input.pairs.iter().zip(out.into_dataset("x").pairs.iter()) {
             assert!(
                 token::word_count(&evolved.instruction) > token::word_count(&orig.instruction),
                 "every instruction gains complexity"

@@ -169,7 +169,7 @@ impl Stage for PreliminaryFilterStage {
 /// Runs the preliminary filter over a dataset on the shared executor.
 pub fn preliminary_filter(dataset: &Dataset, seed: u64) -> FilterOutcome {
     let stages: Vec<Box<dyn Stage>> = vec![Box::new(PreliminaryFilterStage)];
-    let run = Executor::new(ExecutorConfig::new(seed)).run(&stages, dataset.pairs.clone());
+    let run = Executor::new(ExecutorConfig::new(seed)).run(&stages, &dataset.pairs);
     let mut out = FilterOutcome {
         kept: Vec::with_capacity(dataset.len()),
         excluded: Vec::new(),

@@ -219,7 +219,7 @@ impl ExpertReviser {
             vec![Box::new(ExpertReviseStage::new(self, pool, kept_ids))];
         // The reviser seeds its own RNG per pair id, so the chain seed only
         // namespaces the (unused) ctx RNG.
-        let run = Executor::new(ExecutorConfig::new(self.seed)).run(&stages, dataset.pairs.clone());
+        let run = Executor::new(ExecutorConfig::new(self.seed)).run(&stages, &dataset.pairs);
         run.items
             .into_iter()
             .filter_map(|mut item| item.take_payload::<RevisionRecord>())

@@ -85,7 +85,7 @@ impl ChatGptRater {
     /// Rates a whole dataset on the shared executor.
     pub fn rate_dataset(&self, d: &Dataset) -> RatingSummary {
         let stages: Vec<Box<dyn Stage + '_>> = vec![Box::new(ChatGptRatingStage::new(self))];
-        let run = Executor::new(ExecutorConfig::new(self.seed)).run(&stages, d.pairs.clone());
+        let run = Executor::new(ExecutorConfig::new(self.seed)).run(&stages, &d.pairs);
         RatingSummary::from_report(
             run.report(ChatGptRatingStage::NAME)
                 // lint: allow(P1, reason = "the chain built two lines above contains exactly this stage; a missing report is a construction bug, not a data condition")

@@ -23,14 +23,16 @@
 //! a cached run digest-identical to an uncached content-keyed run at any
 //! thread count or queue capacity, faults included.
 //!
-//! The machinery is a deterministic **dedup pre-pass** at admission: slots
-//! are scanned once, sequentially, in index order; the first non-shed
-//! occurrence of each content key becomes the *representative*, and later
-//! occurrences are marked as hits pointing at it. Workers skip hit slots
-//! entirely (they charge zero virtual time — the throughput win); the
-//! ordered sink, which always sees the representative before its
-//! duplicates, replays the representative's journal-visible effects onto
-//! each hit: terminal item state, report deltas, and (under a journal) a
+//! The machinery is a deterministic **dedup pre-pass** at admission: the
+//! borrowed input is scanned once, sequentially, in index order, before
+//! any slot exists; the first non-shed occurrence of each content key
+//! becomes the *representative*, and later occurrences are marked as hits
+//! pointing at it. A hit's slot copies no input — it shares the
+//! representative's original — and workers skip it entirely (it charges
+//! zero virtual time — the throughput win); the ordered sink, which always
+//! sees the representative before its duplicates, replays the
+//! representative's journal-visible effects onto each hit: its text,
+//! terminal item state, report deltas, and (under a journal) a
 //! synthesized per-item record, so crash-resume with a warm cache
 //! converges to the uninterrupted digest.
 //!
@@ -39,7 +41,6 @@
 //! may legitimately diverge under a breaker. The executor rejects the
 //! combination.
 
-use crate::stream::Slot;
 use coachlm_data::InstructionPair;
 use coachlm_text::fxhash::{fingerprint_fields, FxHashMap};
 
@@ -115,8 +116,8 @@ pub(crate) fn content_key(pair: &InstructionPair) -> u64 {
     ])
 }
 
-/// A hit recorded on a live slot by the pre-pass: replay the effects of
-/// the representative with item index `rep`.
+/// A hit recorded on a live input index by the pre-pass: replay the
+/// effects of the representative with item index `rep`.
 #[derive(Debug, Clone, Copy)]
 pub(crate) struct SlotHit {
     pub(crate) rep: usize,
@@ -124,6 +125,8 @@ pub(crate) struct SlotHit {
 
 /// Output of the dedup pre-pass.
 pub(crate) struct CachePlan {
+    /// Per input index, the hit it is (`None` for every other index).
+    pub(crate) hits: Vec<Option<SlotHit>>,
     /// Representative *item index* → number of live dependent hits. The
     /// sink stores a representative's result only while this is non-zero,
     /// decrementing per replay, so store memory is bounded by in-flight
@@ -132,49 +135,54 @@ pub(crate) struct CachePlan {
     pub(crate) stats: CacheStats,
 }
 
-/// The dedup pre-pass: scans the slot sequence once, in index order, and
+/// The dedup pre-pass: scans the borrowed input once, in index order, and
 /// marks every live duplicate with a [`SlotHit`] pointing at its
 /// representative (the first non-shed occurrence of the content).
 ///
-/// The pass reads only input content and shed flags — both identical
-/// between a fresh run and a journal-resumed one — so the hit assignment
-/// is a pure function of the run's inputs. Replayed slots participate in
+/// The pass reads only input content, the admission plan's `shed` marks
+/// and which indices replay a journal record — all identical between a
+/// fresh run and a journal-resumed one — so the hit assignment is a pure
+/// function of the run's inputs. Replayed indices participate in
 /// representative selection (their committed results feed live
 /// duplicates via the sink's replay store) but are never marked as hits
 /// themselves: their state is already final.
-pub(crate) fn plan_hits(slots: &mut [Slot]) -> CachePlan {
+pub(crate) fn plan_hits(
+    pairs: &[InstructionPair],
+    shed: Option<&[bool]>,
+    replayed: impl Fn(usize) -> bool,
+) -> CachePlan {
     let mut by_key: FxHashMap<u64, Vec<usize>> = FxHashMap::default();
+    let mut hits = vec![None; pairs.len()];
     let mut uses: FxHashMap<usize, usize> = FxHashMap::default();
     let mut stats = CacheStats::default();
 
-    for i in 0..slots.len() {
-        if slots[i].shed {
+    for (i, pair) in pairs.iter().enumerate() {
+        if shed.is_some_and(|shed| shed[i]) {
             continue;
         }
-        let key = content_key(&slots[i].item.original);
+        let key = content_key(pair);
         // Full-content comparison behind the fingerprint, so a 64-bit
         // collision degrades to a miss instead of a wrong replay.
-        let rep_pos = by_key.get(&key).and_then(|cands| {
+        let rep = by_key.get(&key).and_then(|cands| {
             cands
                 .iter()
                 .copied()
-                .find(|&c| same_content(&slots[c].item.original, &slots[i].item.original))
+                .find(|&c| same_content(&pairs[c], pair))
         });
-        let Some(rep_pos) = rep_pos else {
+        let Some(rep) = rep else {
             stats.misses += 1;
             by_key.entry(key).or_default().push(i);
             continue;
         };
         stats.exact_hits += 1;
-        if slots[i].replay.is_none() {
-            let rep = slots[rep_pos].item.index;
-            slots[i].hit = Some(SlotHit { rep });
+        if !replayed(i) {
+            hits[i] = Some(SlotHit { rep });
             *uses.entry(rep).or_insert(0) += 1;
         }
     }
     // Every miss became a representative.
     stats.entries = stats.misses;
-    CachePlan { uses, stats }
+    CachePlan { hits, uses, stats }
 }
 
 fn same_content(a: &InstructionPair, b: &InstructionPair) -> bool {
@@ -184,7 +192,6 @@ fn same_content(a: &InstructionPair, b: &InstructionPair) -> bool {
 #[cfg(test)]
 mod tests {
     use super::*;
-    use crate::stage::StageItem;
     use coachlm_data::Category;
 
     fn pair(id: u64, instruction: &str, response: &str, cat: u16) -> InstructionPair {
@@ -194,10 +201,6 @@ mod tests {
             response.to_string(),
             Category(cat),
         )
-    }
-
-    fn slot(index: usize, p: InstructionPair) -> Slot {
-        Slot::live(StageItem::new(index, p), false)
     }
 
     #[test]
@@ -213,17 +216,17 @@ mod tests {
 
     #[test]
     fn first_occurrence_is_rep_later_ones_hit() {
-        let mut slots = vec![
-            slot(0, pair(0, "q", "a", 0)),
-            slot(1, pair(1, "other", "b", 0)),
-            slot(2, pair(2, "q", "a", 0)),
-            slot(3, pair(3, "q", "a", 0)),
+        let pairs = [
+            pair(0, "q", "a", 0),
+            pair(1, "other", "b", 0),
+            pair(2, "q", "a", 0),
+            pair(3, "q", "a", 0),
         ];
-        let plan = plan_hits(&mut slots);
-        assert!(slots[0].hit.is_none());
-        assert!(slots[1].hit.is_none());
-        assert_eq!(slots[2].hit.map(|h| h.rep), Some(0));
-        assert_eq!(slots[3].hit.map(|h| h.rep), Some(0));
+        let plan = plan_hits(&pairs, None, |_| false);
+        assert!(plan.hits[0].is_none());
+        assert!(plan.hits[1].is_none());
+        assert_eq!(plan.hits[2].map(|h| h.rep), Some(0));
+        assert_eq!(plan.hits[3].map(|h| h.rep), Some(0));
         assert_eq!(plan.uses.get(&0), Some(&2));
         assert_eq!(plan.stats.exact_hits, 2);
         assert_eq!(plan.stats.misses, 2);
@@ -233,18 +236,16 @@ mod tests {
 
     #[test]
     fn shed_slots_are_excluded_entirely() {
-        let mut slots = vec![
-            slot(0, pair(0, "q", "a", 0)),
-            slot(1, pair(1, "q", "a", 0)),
-            slot(2, pair(2, "q", "a", 0)),
+        let pairs = [
+            pair(0, "q", "a", 0),
+            pair(1, "q", "a", 0),
+            pair(2, "q", "a", 0),
         ];
-        slots[0].shed = true;
-        slots[0].item.discard("shed:admission");
-        let plan = plan_hits(&mut slots);
+        let plan = plan_hits(&pairs, Some(&[true, false, false]), |_| false);
         // The shed slot is neither a rep nor a hit; slot 1 is the rep.
-        assert!(slots[0].hit.is_none());
-        assert!(slots[1].hit.is_none());
-        assert_eq!(slots[2].hit.map(|h| h.rep), Some(1));
+        assert!(plan.hits[0].is_none());
+        assert!(plan.hits[1].is_none());
+        assert_eq!(plan.hits[2].map(|h| h.rep), Some(1));
         assert_eq!(plan.stats.lookups(), 2);
     }
 }

@@ -4,11 +4,13 @@
 use crate::breaker::BreakerEvent;
 use crate::breaker::BreakerPolicy;
 use crate::cache::{CachePolicy, CacheStats};
-use crate::fault::{FailureKind, FaultPlan, Quarantine, QuarantinedPair, RetryPolicy};
-use crate::journal::{HeaderRecord, ItemTrace, Journal, JournalError, StageTrace, JOURNAL_VERSION};
+use crate::fault::{
+    FailureKind, FailureRecord, FaultPlan, Quarantine, QuarantinedPair, RetryPolicy,
+};
+use crate::journal::{HeaderRecord, ItemTrace, Journal, JournalError, JOURNAL_VERSION};
 use crate::report::StageReport;
 use crate::stage::{Disposition, Stage, StageItem};
-use crate::stream::{run_pipeline, Feed, Slot, StreamEnv, StreamSource};
+use crate::stream::{run_pipeline, Feed, Replay, StreamEnv, StreamSource};
 use coachlm_data::{Dataset, InstructionPair};
 use coachlm_text::fxhash::FxHasher;
 use std::collections::BTreeMap;
@@ -248,11 +250,16 @@ impl ChainOutput {
         self.items.iter().filter(|i| i.failure.is_some())
     }
 
-    /// Collects the retained pairs into a dataset.
-    pub fn dataset(&self, name: impl Into<String>) -> Dataset {
+    /// Moves the retained pairs out into a dataset, consuming the output.
+    pub fn into_dataset(self, name: impl Into<String>) -> Dataset {
         Dataset {
             name: name.into(),
-            pairs: self.retained().map(|i| i.pair.clone()).collect(),
+            pairs: self
+                .items
+                .into_iter()
+                .filter(|i| i.retained)
+                .map(|i| i.pair)
+                .collect(),
         }
     }
 
@@ -359,24 +366,47 @@ fn state_code(s: crate::breaker::BreakerState) -> u8 {
 /// records and re-verified on replay so a journal that no longer matches
 /// its run is rejected instead of silently diverging.
 pub(crate) fn item_digest(item: &StageItem) -> u64 {
+    let pair = &item.pair;
+    state_digest(
+        item.index,
+        pair.id,
+        item.disposition(),
+        &pair.instruction,
+        &pair.response,
+        &item.tags,
+        item.failure.as_ref(),
+    )
+}
+
+/// [`item_digest`] over the parts of an item's terminal state, so a
+/// journal record can be checked without building its item.
+fn state_digest(
+    index: usize,
+    pair_id: u64,
+    disposition: Disposition,
+    instruction: &str,
+    response: &str,
+    tags: &[String],
+    failure: Option<&FailureRecord>,
+) -> u64 {
     let mut h = FxHasher::default();
-    h.write_u64(item.index as u64);
-    h.write_u64(item.pair.id);
-    h.write_u8(match item.disposition() {
+    h.write_u64(index as u64);
+    h.write_u64(pair_id);
+    h.write_u8(match disposition {
         Disposition::Retained => 0,
         Disposition::Dropped => 1,
         Disposition::Quarantined => 2,
     });
-    h.write(item.pair.instruction.as_bytes());
+    h.write(instruction.as_bytes());
     h.write_u8(0xFE);
-    h.write(item.pair.response.as_bytes());
+    h.write(response.as_bytes());
     h.write_u8(0xFE);
-    h.write_u64(item.tags.len() as u64);
-    for tag in &item.tags {
+    h.write_u64(tags.len() as u64);
+    for tag in tags {
         h.write(tag.as_bytes());
         h.write_u8(0xFE);
     }
-    match &item.failure {
+    match failure {
         None => h.write_u8(0),
         Some(f) => {
             h.write_u8(1);
@@ -415,7 +445,7 @@ impl Executor {
     /// with a [`crate::fault::FailureRecord`]. With the default inert
     /// [`FaultPlan`], no breaker, and stages that only return
     /// `Ok`/`Drop`, behaviour is identical to the pre-fault executor.
-    pub fn run(&self, stages: &[Box<dyn Stage + '_>], pairs: Vec<InstructionPair>) -> ChainOutput {
+    pub fn run(&self, stages: &[Box<dyn Stage + '_>], pairs: &[InstructionPair]) -> ChainOutput {
         self.run_stream(stages, StreamSource::batch(pairs))
     }
 
@@ -437,14 +467,12 @@ impl Executor {
     /// are shed up front (counted in [`ChainOutput::shed`], tagged
     /// `shed:admission`). Shedding depends only on the feed parameters,
     /// never on threads or queues.
-    pub fn run_stream(&self, stages: &[Box<dyn Stage + '_>], source: StreamSource) -> ChainOutput {
-        let StreamSource { pairs, feed } = source;
-        let slots: Vec<Slot> = pairs
-            .into_iter()
-            .enumerate()
-            .map(|(i, p)| Slot::live(StageItem::new(i, p), false))
-            .collect();
-        self.stream_core(stages, feed, slots, 0, None).0
+    pub fn run_stream(
+        &self,
+        stages: &[Box<dyn Stage + '_>],
+        source: StreamSource<'_>,
+    ) -> ChainOutput {
+        self.stream_core(stages, source, Replay::none(), None).0
     }
 
     /// Runs `stages` over `pairs`, journaling every committed item to
@@ -471,7 +499,7 @@ impl Executor {
     pub fn run_journaled(
         &self,
         stages: &[Box<dyn Stage + '_>],
-        pairs: Vec<InstructionPair>,
+        pairs: &[InstructionPair],
         journal: &mut Journal,
     ) -> Result<ChainOutput, JournalError> {
         self.run_stream_journaled(stages, StreamSource::batch(pairs), journal)
@@ -485,12 +513,11 @@ impl Executor {
     pub fn run_stream_journaled(
         &self,
         stages: &[Box<dyn Stage + '_>],
-        source: StreamSource,
+        source: StreamSource<'_>,
         journal: &mut Journal,
     ) -> Result<ChainOutput, JournalError> {
-        let StreamSource { pairs, feed } = source;
-        let fingerprint = self.fingerprint(stages, &pairs, &feed);
-        let input_len = pairs.len() as u64;
+        let fingerprint = self.fingerprint(stages, source.pairs, &source.feed);
+        let input_len = source.pairs.len() as u64;
         match journal.header() {
             None => journal.write_header(HeaderRecord {
                 version: JOURNAL_VERSION,
@@ -520,12 +547,13 @@ impl Executor {
             }
         }
 
-        let (slots, replayed) =
-            trace_slots(stages.len(), pairs, journal.take_committed(), |i, pair| {
-                Ok(Slot::live(StageItem::new(i, pair), true))
-            })?;
-
-        let (out, io_error) = self.stream_core(stages, feed, slots, replayed, Some(&mut *journal));
+        let traces = journal.take_committed();
+        check_traces(stages.len(), source.pairs, &traces, None)?;
+        let replay = Replay {
+            traces,
+            imposed: None,
+        };
+        let (out, io_error) = self.stream_core(stages, source, replay, Some(&mut *journal));
         journal.sync()?;
         if let Some(e) = io_error {
             return Err(e.into());
@@ -546,24 +574,17 @@ impl Executor {
     pub(crate) fn replay_collected(
         &self,
         stages: &[Box<dyn Stage + '_>],
-        pairs: Vec<InstructionPair>,
+        pairs: &[InstructionPair],
         traces: BTreeMap<u64, ItemTrace>,
-        imposed: &BTreeMap<u64, crate::fault::FailureRecord>,
+        imposed: &BTreeMap<u64, FailureRecord>,
     ) -> Result<ChainOutput, JournalError> {
-        let (slots, replayed) = trace_slots(stages.len(), pairs, traces, |i, pair| {
-            let Some(failure) = imposed.get(&(i as u64)) else {
-                return Err(JournalError::Incompatible(format!(
-                    "item {i}: no trace collected and no imposed failure — \
-                     replay-only reconstruction cannot execute it"
-                )));
-            };
-            let mut item = StageItem::new(i, pair);
-            item.retained = false;
-            item.failure = Some(failure.clone());
-            Ok(Slot::replayed(item, Vec::new()))
-        })?;
+        check_traces(stages.len(), pairs, &traces, Some(imposed))?;
+        let replay = Replay {
+            traces,
+            imposed: Some(imposed),
+        };
         Ok(self
-            .stream_core(stages, Feed::Batch, slots, replayed, None)
+            .stream_core(stages, StreamSource::batch(pairs), replay, None)
             .0)
     }
 
@@ -616,17 +637,17 @@ impl Executor {
     /// The shared core: builds the per-stage tables (salts, deadlines,
     /// modeled service times), derives the logical-epoch window (the
     /// breaker's window when one is configured, the config's `epoch_len`
-    /// otherwise), and hands the slot sequence — live and replayed alike,
-    /// in index order — to the streaming engine. Returns the output and
-    /// the first journal write error, if any.
+    /// otherwise), and hands the borrowed source and the checked journal
+    /// records to the streaming engine. Returns the output and the first
+    /// journal write error, if any.
     fn stream_core(
         &self,
         stages: &[Box<dyn Stage + '_>],
-        feed: Feed,
-        slots: Vec<Slot>,
-        replayed: usize,
+        source: StreamSource<'_>,
+        replay: Replay<'_>,
         journal: Option<&mut Journal>,
     ) -> (ChainOutput, Option<std::io::Error>) {
+        let replayed = replay.traces.len();
         let salts: Vec<u64> = stages
             .iter()
             .enumerate()
@@ -669,8 +690,8 @@ impl Executor {
             journal,
             self.config.threads,
             self.config.queue_capacity,
-            &feed,
-            slots,
+            source,
+            replay,
         );
         let out = ChainOutput {
             items: run.items,
@@ -685,25 +706,27 @@ impl Executor {
     }
 }
 
-/// The one trace-to-slots loop behind journal resume and supervised
-/// reconstruction. For each input index that has a trace it checks the
-/// pair id, rebuilds the item through [`apply_trace`] (which verifies the
-/// digest), checks every recorded stage index against the chain length,
-/// and emits a replayed slot; an index without a trace is handed to
-/// `untraced`. Traces left over past the end of the input are rejected.
-/// Returns the slots and how many of them were replayed.
-fn trace_slots(
+/// The one trace check behind journal resume and supervised
+/// reconstruction, run over the whole input before any stage runs. For
+/// each input index that has a trace it checks the pair id, the recorded
+/// digest of the state the trace rebuilds (see [`trace_digest`]) and every
+/// recorded stage index against the chain length. In a replay-only run
+/// (`imposed` set) an index without a trace must carry an imposed
+/// failure. Traces past the end of the input are rejected.
+fn check_traces(
     chain_len: usize,
-    pairs: Vec<InstructionPair>,
-    mut traces: BTreeMap<u64, ItemTrace>,
-    mut untraced: impl FnMut(usize, InstructionPair) -> Result<Slot, JournalError>,
-) -> Result<(Vec<Slot>, usize), JournalError> {
-    let input_len = pairs.len();
-    let mut replayed = 0usize;
-    let mut slots = Vec::with_capacity(input_len);
-    for (i, pair) in pairs.into_iter().enumerate() {
-        let Some(trace) = traces.remove(&(i as u64)) else {
-            slots.push(untraced(i, pair)?);
+    pairs: &[InstructionPair],
+    traces: &BTreeMap<u64, ItemTrace>,
+    imposed: Option<&BTreeMap<u64, FailureRecord>>,
+) -> Result<(), JournalError> {
+    for (i, pair) in pairs.iter().enumerate() {
+        let Some(trace) = traces.get(&(i as u64)) else {
+            if imposed.is_some_and(|imposed| !imposed.contains_key(&(i as u64))) {
+                return Err(JournalError::Incompatible(format!(
+                    "item {i}: no trace collected and no imposed failure — \
+                     replay-only reconstruction cannot execute it"
+                )));
+            }
             continue;
         };
         if trace.pair_id != pair.id {
@@ -712,64 +735,73 @@ fn trace_slots(
                 trace.pair_id, pair.id
             )));
         }
-        let (item, stage_traces) = apply_trace(i, pair, trace)?;
-        if let Some(e) = stage_traces.iter().find(|e| e.stage as usize >= chain_len) {
+        check_digest(i, pair, trace)?;
+        if let Some(e) = trace.stages.iter().find(|e| e.stage as usize >= chain_len) {
             return Err(JournalError::Incompatible(format!(
                 "item {i}: trace references stage {} but the chain has {chain_len}",
                 e.stage
             )));
         }
-        replayed += 1;
-        slots.push(Slot::replayed(item, stage_traces));
     }
-    if let Some(&index) = traces.keys().next() {
+    let input_len = pairs.len();
+    if let Some((&index, _)) = traces.range(input_len as u64..).next() {
         return Err(JournalError::Incompatible(format!(
             "trace set records item {index}, beyond the {input_len}-item input"
         )));
     }
-    Ok((slots, replayed))
+    Ok(())
 }
 
-/// Rebuilds an item's terminal state from its journal record, verifying
-/// the content digest so a stale or hand-edited record cannot smuggle in a
-/// divergent item.
-fn apply_trace(
+/// The digest of the terminal state a journal record rebuilds on `pair`
+/// at `index` — what [`item_digest`] returns for the replayed item —
+/// computed without building it. Fails on a disposition the record cannot
+/// carry.
+fn trace_digest(
     index: usize,
-    pair: InstructionPair,
-    trace: ItemTrace,
-) -> Result<(StageItem, Vec<StageTrace>), JournalError> {
-    let mut item = StageItem::new(index, pair);
-    if let Some(instruction) = trace.instruction {
-        item.pair.instruction = instruction;
-    }
-    if let Some(response) = trace.response {
-        item.pair.response = response;
-    }
-    item.tags = trace.tags;
-    match trace.disposition {
-        0 => {}
-        1 => item.retained = false,
+    pair: &InstructionPair,
+    trace: &ItemTrace,
+) -> Result<u64, JournalError> {
+    let (disposition, failure) = match trace.disposition {
+        0 => (Disposition::Retained, None),
+        1 => (Disposition::Dropped, None),
         2 => {
-            let Some(failure) = trace.failure else {
+            let Some(failure) = &trace.failure else {
                 return Err(JournalError::Incompatible(format!(
                     "item {index}: quarantined record carries no failure"
                 )));
             };
-            item.retained = false;
-            item.failure = Some(failure);
+            (Disposition::Quarantined, Some(failure))
         }
         d => {
             return Err(JournalError::Incompatible(format!(
                 "item {index}: unknown disposition {d}"
             )));
         }
-    }
-    if item_digest(&item) != trace.digest {
+    };
+    Ok(state_digest(
+        index,
+        pair.id,
+        disposition,
+        trace.instruction.as_deref().unwrap_or(&pair.instruction),
+        trace.response.as_deref().unwrap_or(&pair.response),
+        &trace.tags,
+        failure,
+    ))
+}
+
+/// Verifies a record's content digest, so a stale or hand-edited record
+/// cannot smuggle in a divergent item.
+fn check_digest(
+    index: usize,
+    pair: &InstructionPair,
+    trace: &ItemTrace,
+) -> Result<(), JournalError> {
+    if trace_digest(index, pair, trace)? != trace.digest {
         return Err(JournalError::Incompatible(format!(
             "item {index}: replayed state does not match its recorded digest"
         )));
     }
-    Ok((item, trace.stages))
+    Ok(())
 }
 
 /// Re-keys a collected trace onto a new input index: verifies the trace
@@ -781,7 +813,7 @@ fn apply_trace(
 /// position-dependent about an item lives in its index alone — stage
 /// outcomes key on pair id and content — so the translation is exact.
 pub(crate) fn rekey_trace(
-    pair: InstructionPair,
+    pair: &InstructionPair,
     trace: ItemTrace,
     new_index: u64,
 ) -> Result<ItemTrace, JournalError> {
@@ -791,14 +823,10 @@ pub(crate) fn rekey_trace(
             trace.pair_id, pair.id
         )));
     }
-    let old_index = trace.index as usize;
-    let shadow = trace.clone();
-    let (mut item, stages) = apply_trace(old_index, pair, shadow)?;
-    item.index = new_index as usize;
+    check_digest(trace.index as usize, pair, &trace)?;
     Ok(ItemTrace {
         index: new_index,
-        digest: item_digest(&item),
-        stages,
+        digest: trace_digest(new_index as usize, pair, &trace)?,
         ..trace
     })
 }
@@ -849,6 +877,7 @@ pub fn adaptive_chunk_size(n: usize, lanes: usize, queue_capacity: usize) -> usi
 mod tests {
     use super::*;
     use crate::breaker::BreakerState;
+    use crate::journal::StageTrace;
     use crate::stage::{StageCtx, StageOutcome};
     use coachlm_data::Category;
     use rand::Rng;
@@ -983,7 +1012,7 @@ mod tests {
     #[test]
     fn looping_stage_is_bounded_and_counts_iterations() {
         let stages: Vec<Box<dyn Stage>> = vec![Box::new(Polish { budget: 3 })];
-        let out = Executor::new(ExecutorConfig::new(9).threads(4)).run(&stages, pairs(40));
+        let out = Executor::new(ExecutorConfig::new(9).threads(4)).run(&stages, &pairs(40));
         let report = out.report("polish").unwrap();
         let mut expected = 0u64;
         for item in &out.items {
@@ -1005,7 +1034,7 @@ mod tests {
 
     #[test]
     fn plain_stages_report_one_iteration_per_item() {
-        let out = Executor::new(ExecutorConfig::new(3).threads(2)).run(&chain(), pairs(30));
+        let out = Executor::new(ExecutorConfig::new(3).threads(2)).run(&chain(), &pairs(30));
         let r = out.report("scribble").unwrap();
         assert_eq!(r.iterations, r.items_in as u64);
     }
@@ -1026,9 +1055,9 @@ mod tests {
             Polish { budget: 4 },
             Duration::from_secs(5),
         ))];
-        let base = Executor::new(config(1)).run(&stages, pairs(60));
+        let base = Executor::new(config(1)).run(&stages, &pairs(60));
         for threads in [2, 8] {
-            let out = Executor::new(config(threads)).run(&stages, pairs(60));
+            let out = Executor::new(config(threads)).run(&stages, &pairs(60));
             assert_eq!(out.digest(), base.digest());
         }
     }
@@ -1039,12 +1068,12 @@ mod tests {
         let mut journal = Journal::create(&path).unwrap();
         let a: Vec<Box<dyn Stage>> = vec![Box::new(Polish { budget: 3 })];
         Executor::new(ExecutorConfig::new(1))
-            .run_journaled(&a, pairs(10), &mut journal)
+            .run_journaled(&a, &pairs(10), &mut journal)
             .unwrap();
         drop(journal);
         let mut journal = Journal::open(&path).unwrap();
         let b: Vec<Box<dyn Stage>> = vec![Box::new(Polish { budget: 5 })];
-        let err = Executor::new(ExecutorConfig::new(1)).run_journaled(&b, pairs(10), &mut journal);
+        let err = Executor::new(ExecutorConfig::new(1)).run_journaled(&b, &pairs(10), &mut journal);
         assert!(
             err.is_err(),
             "a resume under a different iteration budget must be refused"
@@ -1074,12 +1103,12 @@ mod tests {
         let mut journal = Journal::create(&path).unwrap();
         let a: Vec<Box<dyn Stage>> = vec![Box::new(Learned(1))];
         Executor::new(ExecutorConfig::new(1))
-            .run_journaled(&a, pairs(10), &mut journal)
+            .run_journaled(&a, &pairs(10), &mut journal)
             .unwrap();
         drop(journal);
         let mut journal = Journal::open(&path).unwrap();
         let b: Vec<Box<dyn Stage>> = vec![Box::new(Learned(2))];
-        let err = Executor::new(ExecutorConfig::new(1)).run_journaled(&b, pairs(10), &mut journal);
+        let err = Executor::new(ExecutorConfig::new(1)).run_journaled(&b, &pairs(10), &mut journal);
         assert!(
             matches!(err, Err(JournalError::Incompatible(_))),
             "a resume under different learned state must be refused"
@@ -1089,10 +1118,10 @@ mod tests {
 
     #[test]
     fn output_is_thread_count_invariant() {
-        let base = Executor::new(ExecutorConfig::new(11).threads(1)).run(&chain(), pairs(101));
+        let base = Executor::new(ExecutorConfig::new(11).threads(1)).run(&chain(), &pairs(101));
         for threads in [2, 3, 8] {
             let out =
-                Executor::new(ExecutorConfig::new(11).threads(threads)).run(&chain(), pairs(101));
+                Executor::new(ExecutorConfig::new(11).threads(threads)).run(&chain(), &pairs(101));
             assert_eq!(out.items.len(), base.items.len());
             for (a, b) in out.items.iter().zip(&base.items) {
                 assert_eq!(a.pair, b.pair);
@@ -1112,7 +1141,7 @@ mod tests {
     #[test]
     fn dropped_items_skip_later_stages_and_counts_add_up() {
         let stages: Vec<Box<dyn Stage>> = vec![Box::new(DropFifths), Box::new(Scribble)];
-        let out = Executor::new(ExecutorConfig::new(5).threads(4)).run(&stages, pairs(50));
+        let out = Executor::new(ExecutorConfig::new(5).threads(4)).run(&stages, &pairs(50));
         let filter = out.report("drop-fifths").unwrap();
         assert_eq!(filter.items_in, 50);
         assert_eq!(filter.items_out, 40);
@@ -1126,7 +1155,7 @@ mod tests {
             .iter()
             .filter(|i| !i.retained)
             .all(|i| !i.response_changed() && i.has_tag("fifth")));
-        assert_eq!(out.dataset("kept").len(), 40);
+        assert_eq!(out.into_dataset("kept").len(), 40);
     }
 
     #[test]
@@ -1146,9 +1175,9 @@ mod tests {
 
     #[test]
     fn seed_changes_results_and_same_seed_repeats() {
-        let a = Executor::new(ExecutorConfig::new(1).threads(2)).run(&chain(), pairs(40));
-        let b = Executor::new(ExecutorConfig::new(1).threads(2)).run(&chain(), pairs(40));
-        let c = Executor::new(ExecutorConfig::new(2).threads(2)).run(&chain(), pairs(40));
+        let a = Executor::new(ExecutorConfig::new(1).threads(2)).run(&chain(), &pairs(40));
+        let b = Executor::new(ExecutorConfig::new(1).threads(2)).run(&chain(), &pairs(40));
+        let c = Executor::new(ExecutorConfig::new(2).threads(2)).run(&chain(), &pairs(40));
         let text = |o: &ChainOutput| {
             o.items
                 .iter()
@@ -1163,7 +1192,7 @@ mod tests {
 
     #[test]
     fn empty_input_yields_empty_reports() {
-        let out = Executor::new(ExecutorConfig::default()).run(&chain(), Vec::new());
+        let out = Executor::new(ExecutorConfig::default()).run(&chain(), &[]);
         assert!(out.items.is_empty());
         assert_eq!(out.reports.len(), 2);
         assert!(out.reports.iter().all(|r| r.items_in == 0));
@@ -1181,7 +1210,7 @@ mod tests {
             }),
             Box::new(Scribble),
         ];
-        let out = Executor::new(ExecutorConfig::new(1).threads(4)).run(&stages, pairs(70));
+        let out = Executor::new(ExecutorConfig::new(1).threads(4)).run(&stages, &pairs(70));
         // id 0 is divisible by both; fatal wins (checked first). 5s are
         // fatal, remaining 7s exhaust retries; everything else passes.
         for item in &out.items {
@@ -1235,12 +1264,12 @@ mod tests {
             }
         }
         let stages: Vec<Box<dyn Stage>> = vec![Box::new(Scribble), Box::new(Free)];
-        let plain = Executor::new(ExecutorConfig::new(4).threads(1)).run(&stages, pairs(20));
+        let plain = Executor::new(ExecutorConfig::new(4).threads(1)).run(&stages, &pairs(20));
         for threads in [1, 2] {
             let config = ExecutorConfig::new(4)
                 .threads(threads)
                 .breaker(BreakerPolicy::new());
-            let out = Executor::new(config).run(&stages, pairs(20));
+            let out = Executor::new(config).run(&stages, &pairs(20));
             assert_eq!(out.report("free").unwrap().items_in, 20);
             assert_eq!(out.digest(), plain.digest(), "threads = {threads}");
         }
@@ -1258,7 +1287,7 @@ mod tests {
             }
         }
         let stages: Vec<Box<dyn Stage>> = vec![Box::new(DropAll)];
-        let out = Executor::new(ExecutorConfig::new(0).threads(2)).run(&stages, pairs(10));
+        let out = Executor::new(ExecutorConfig::new(0).threads(2)).run(&stages, &pairs(10));
         assert_eq!(out.dropped().count(), 10);
         assert_eq!(out.quarantined().count(), 0);
         assert!(out.items.iter().all(|i| i.has_tag("drop:drop-all")));
@@ -1274,7 +1303,7 @@ mod tests {
                     .threads(threads)
                     .fault_plan(plan.clone()),
             )
-            .run(&chain(), pairs(200))
+            .run(&chain(), &pairs(200))
         };
         let base = run_with(1);
         let (r, d, q) = (
@@ -1305,14 +1334,14 @@ mod tests {
 
     #[test]
     fn transient_survivors_match_the_unfaulted_run() {
-        let clean = Executor::new(ExecutorConfig::new(7).threads(3)).run(&chain(), pairs(150));
+        let clean = Executor::new(ExecutorConfig::new(7).threads(3)).run(&chain(), &pairs(150));
         let faulted = Executor::new(
             ExecutorConfig::new(7)
                 .threads(3)
                 .fault_plan(FaultPlan::new(4).transient(0.25))
                 .retry_policy(RetryPolicy::new(4, Duration::from_millis(5))),
         )
-        .run(&chain(), pairs(150));
+        .run(&chain(), &pairs(150));
         // Stage RNG is per (stage, item), not per attempt: any item that
         // survives its transient faults produces exactly the text the
         // unfaulted run produced.
@@ -1335,7 +1364,7 @@ mod tests {
                 .threads(2)
                 .fault_plan(FaultPlan::new(8).latency(1.0, spike)),
         )
-        .run(&chain(), pairs(20));
+        .run(&chain(), &pairs(20));
         // Every (stage, item) attempt rolled a spike; nothing failed.
         assert_eq!(out.quarantined().count(), 0);
         let scribble = out.report("scribble").unwrap();
@@ -1359,7 +1388,7 @@ mod tests {
                 .fault_plan(FaultPlan::new(5).transient(1.0))
                 .retry_policy(retry),
         )
-        .run(&stages, pairs(8));
+        .run(&stages, &pairs(8));
         assert_eq!(out.quarantined().count(), 8);
         let r = out.report("scribble").unwrap();
         assert_eq!(r.cpu_time, Duration::ZERO);
@@ -1381,7 +1410,7 @@ mod tests {
                 .threads(2)
                 .fault_plan(FaultPlan::new(6).latency(1.0, spike)),
         )
-        .run(&stages, pairs(12));
+        .run(&stages, &pairs(12));
         let max = RetryPolicy::default().max_attempts;
         // Every attempt spikes past the budget: the body never runs, the
         // item times out until retries run dry.
@@ -1411,9 +1440,9 @@ mod tests {
         ];
         let plan = FaultPlan::new(8).latency(1.0, spike);
         let with_budget = Executor::new(ExecutorConfig::new(1).threads(2).fault_plan(plan.clone()))
-            .run(&budgeted, pairs(20));
+            .run(&budgeted, &pairs(20));
         let without = Executor::new(ExecutorConfig::new(1).threads(2).fault_plan(plan))
-            .run(&chain(), pairs(20));
+            .run(&chain(), &pairs(20));
         // A generous budget changes nothing: same outputs, same charges.
         assert_eq!(with_budget.digest(), without.digest());
         let r = with_budget.report("scribble").unwrap();
@@ -1429,10 +1458,10 @@ mod tests {
                 .threads(4)
                 .fault_plan(FaultPlan::new(29).transient(0.2).permanent(0.05))
         };
-        let plain = Executor::new(config()).run(&chain(), pairs(80));
+        let plain = Executor::new(config()).run(&chain(), &pairs(80));
         let mut journal = Journal::create(&path).unwrap();
         let journaled = Executor::new(config())
-            .run_journaled(&chain(), pairs(80), &mut journal)
+            .run_journaled(&chain(), &pairs(80), &mut journal)
             .unwrap();
         assert_eq!(journaled.replayed, 0);
         assert_eq!(journaled.digest(), plain.digest());
@@ -1449,7 +1478,7 @@ mod tests {
         for threads in [1, 2] {
             let mut journal = Journal::create("/dev/full").unwrap();
             let err = Executor::new(ExecutorConfig::new(17).threads(threads))
-                .run_journaled(&chain(), pairs(200), &mut journal)
+                .run_journaled(&chain(), &pairs(200), &mut journal)
                 .map(|_| ())
                 .unwrap_err();
             assert!(
@@ -1472,11 +1501,11 @@ mod tests {
                 .threads(threads)
                 .fault_plan(FaultPlan::new(29).transient(0.2).permanent(0.05))
         };
-        let golden = Executor::new(config(1)).run(&chain(), pairs(60));
+        let golden = Executor::new(config(1)).run(&chain(), &pairs(60));
 
         let mut journal = Journal::create(&path).unwrap();
         Executor::new(config(4))
-            .run_journaled(&chain(), pairs(60), &mut journal)
+            .run_journaled(&chain(), &pairs(60), &mut journal)
             .unwrap();
         let spans = journal.record_spans().to_vec();
         drop(journal);
@@ -1491,7 +1520,7 @@ mod tests {
         let committed = recovered.committed();
         assert_eq!(committed, 30);
         let resumed = Executor::new(config(3))
-            .run_journaled(&chain(), pairs(60), &mut recovered)
+            .run_journaled(&chain(), &pairs(60), &mut recovered)
             .unwrap();
         assert_eq!(resumed.replayed, committed);
         assert_eq!(resumed.digest(), golden.digest());
@@ -1511,14 +1540,14 @@ mod tests {
         let path = temp_journal("mismatch");
         let mut journal = Journal::create(&path).unwrap();
         Executor::new(ExecutorConfig::new(1))
-            .run_journaled(&chain(), pairs(10), &mut journal)
+            .run_journaled(&chain(), &pairs(10), &mut journal)
             .unwrap();
         drop(journal);
 
         let mut recovered = Journal::open(&path).unwrap();
         // Different seed → different fingerprint → refuse to resume.
         let err = Executor::new(ExecutorConfig::new(2))
-            .run_journaled(&chain(), pairs(10), &mut recovered)
+            .run_journaled(&chain(), &pairs(10), &mut recovered)
             .map(|_| ())
             .unwrap_err();
         assert!(matches!(err, JournalError::Incompatible(_)), "{err}");
@@ -1526,7 +1555,7 @@ mod tests {
         let mut recovered = Journal::open(&path).unwrap();
         // Different input length is rejected before fingerprinting aligns.
         let err = Executor::new(ExecutorConfig::new(1))
-            .run_journaled(&chain(), pairs(11), &mut recovered)
+            .run_journaled(&chain(), &pairs(11), &mut recovered)
             .map(|_| ())
             .unwrap_err();
         assert!(matches!(err, JournalError::Incompatible(_)), "{err}");
@@ -1561,7 +1590,7 @@ mod tests {
         let replay = |traces, imposed: &BTreeMap<u64, crate::fault::FailureRecord>| {
             Executor::new(ExecutorConfig::new(1)).replay_collected(
                 &chain(),
-                input.clone(),
+                &input,
                 traces,
                 imposed,
             )
@@ -1667,7 +1696,7 @@ mod tests {
                     .threads(threads)
                     .breaker(policy.clone()),
             )
-            .run(&stages, pairs(40))
+            .run(&stages, &pairs(40))
         };
         let out = run(1);
         // Epoch 0: 10 failures → trips. Epoch 1: all degraded, cooldown
@@ -1727,7 +1756,7 @@ mod tests {
             .probes(2);
         let stages: Vec<Box<dyn Stage>> = vec![Box::new(AlwaysFatal)];
         let out = Executor::new(ExecutorConfig::new(0).threads(4).breaker(policy))
-            .run(&stages, pairs(40));
+            .run(&stages, &pairs(40));
         // Trip, probe, re-trip: epochs 0 C→O, 1 O→HO, 2 HO→O, 3 O→HO.
         let transitions: Vec<(usize, BreakerState, BreakerState)> = out
             .breaker_events
@@ -1775,13 +1804,13 @@ mod tests {
                 Box::new(DropFifths),
             ]
         };
-        let golden = Executor::new(config(1)).run(&stages(), pairs(100));
+        let golden = Executor::new(config(1)).run(&stages(), &pairs(100));
         assert!(!golden.breaker_events.is_empty(), "storm should trip");
         assert!(golden.report("scribble").unwrap().timeouts > 0);
 
         let mut journal = Journal::create(&path).unwrap();
         Executor::new(config(4))
-            .run_journaled(&stages(), pairs(100), &mut journal)
+            .run_journaled(&stages(), &pairs(100), &mut journal)
             .unwrap();
         let spans = journal.record_spans().to_vec();
         drop(journal);
@@ -1794,7 +1823,7 @@ mod tests {
             std::fs::write(&path, &full[..cut as usize]).unwrap();
             let mut recovered = Journal::open(&path).unwrap();
             let resumed = Executor::new(config(threads))
-                .run_journaled(&stages(), pairs(100), &mut recovered)
+                .run_journaled(&stages(), &pairs(100), &mut recovered)
                 .unwrap();
             assert!(resumed.replayed > 0, "cut {frac_num}/4 should replay");
             assert_eq!(

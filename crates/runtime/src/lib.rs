@@ -20,6 +20,14 @@
 //! [`Executor::run_stream`] additionally accepts a [`Feed::Sustained`]
 //! arrival model with deterministic admission-control shedding.
 //!
+//! Every entry point borrows its input as `&[InstructionPair]`. A
+//! pre-pass over the borrowed pairs decides admission, cache hits and
+//! journal replay per index; the slots themselves are built one chunk at
+//! a time as the pipe pulls them, so the items in flight are bounded by
+//! the queues and a run's memory is its output plus per-index marks.
+//!
+//! [`InstructionPair`]: coachlm_data::InstructionPair
+//!
 //! Determinism contract: for a fixed stage chain, input, feed, and seed,
 //! the output items and every [`StageReport`]'s item counts and counters
 //! are identical for **any** thread count and queue capacity. This holds

@@ -195,7 +195,7 @@ impl std::fmt::Debug for ShardedOutput {
 pub fn run_sharded(
     config: &ExecutorConfig,
     stages: &[Box<dyn Stage + '_>],
-    source: StreamSource,
+    source: StreamSource<'_>,
     shards: usize,
 ) -> Result<ShardedOutput, ShardConfigError> {
     match run_sharded_inner(config, stages, source, shards, None) {
@@ -215,7 +215,7 @@ pub fn run_sharded(
 pub fn run_sharded_journaled(
     config: &ExecutorConfig,
     stages: &[Box<dyn Stage + '_>],
-    source: StreamSource,
+    source: StreamSource<'_>,
     shards: usize,
     dir: &Path,
 ) -> Result<ShardedOutput, ShardError> {
@@ -241,22 +241,24 @@ pub(crate) struct Partitioned {
 /// Partitions a source across `shards` by content hash, applying global
 /// admission first: shedding is a pure function of arrival order over the
 /// whole input (see module docs), so it must happen before partitioning.
-pub(crate) fn partition_source(source: StreamSource, shards: usize) -> Partitioned {
+/// Each shard gets its own copy of its pairs, the one copy of the input a
+/// sharded run makes.
+pub(crate) fn partition_source(source: StreamSource<'_>, shards: usize) -> Partitioned {
     let StreamSource { pairs, feed } = source;
     let n = pairs.len();
     let admission = admission_plan(&feed, std::iter::repeat_n(None, n));
     let mut shed_items: Vec<StageItem> = Vec::new();
     let mut partitions: Vec<Vec<InstructionPair>> = vec![Vec::new(); shards];
     let mut global_idx: Vec<Vec<usize>> = vec![Vec::new(); shards];
-    for (g, pair) in pairs.into_iter().enumerate() {
+    for (g, pair) in pairs.iter().enumerate() {
         if admission.as_ref().is_some_and(|plan| plan[g]) {
-            let mut item = StageItem::new(g, pair);
+            let mut item = StageItem::new(g, pair.clone());
             item.discard("shed:admission");
             shed_items.push(item);
             continue;
         }
-        let s = shard_of(&pair, shards);
-        partitions[s].push(pair);
+        let s = shard_of(pair, shards);
+        partitions[s].push(pair.clone());
         global_idx[s].push(g);
     }
     Partitioned {
@@ -340,7 +342,7 @@ pub(crate) fn merge_outputs(
 fn run_sharded_inner(
     config: &ExecutorConfig,
     stages: &[Box<dyn Stage + '_>],
-    source: StreamSource,
+    source: StreamSource<'_>,
     shards: usize,
     journal_dir: Option<&Path>,
 ) -> Result<ShardedOutput, ShardError> {
@@ -364,7 +366,7 @@ fn run_sharded_inner(
                 scope.spawn(move || -> Result<ChainOutput, JournalError> {
                     let executor = Executor::new(config.clone());
                     match journal_dir {
-                        None => Ok(executor.run(stages, part)),
+                        None => Ok(executor.run(stages, &part)),
                         Some(dir) => {
                             let path = dir.join(format!("shard-{s}-of-{shards}.wal"));
                             let mut journal = if path.exists() {
@@ -372,7 +374,7 @@ fn run_sharded_inner(
                             } else {
                                 Journal::create(&path)?
                             };
-                            executor.run_journaled(stages, part, &mut journal)
+                            executor.run_journaled(stages, &part, &mut journal)
                         }
                     }
                 })
@@ -465,15 +467,11 @@ mod tests {
         let config = ExecutorConfig::new(41)
             .threads(2)
             .fault_plan(FaultPlan::new(13).transient(0.15).permanent(0.03));
-        let base = Executor::new(config.clone()).run(&stages(), mixed_pairs(120));
+        let input = mixed_pairs(120);
+        let base = Executor::new(config.clone()).run(&stages(), &input);
         for shards in [1, 2, 4, 7] {
-            let sharded = run_sharded(
-                &config,
-                &stages(),
-                StreamSource::batch(mixed_pairs(120)),
-                shards,
-            )
-            .expect("breaker-free config shards");
+            let sharded = run_sharded(&config, &stages(), StreamSource::batch(&input), shards)
+                .expect("breaker-free config shards");
             assert_eq!(sharded.output.digest(), base.digest(), "shards = {shards}");
             assert_eq!(sharded.output.items.len(), 120);
             assert_eq!(sharded.shards.len(), shards);
@@ -507,8 +505,9 @@ mod tests {
     #[test]
     fn duplicates_co_locate_so_shard_caches_keep_their_hit_rate() {
         let config = ExecutorConfig::new(9).revision_cache(CachePolicy::exact());
-        let unsharded = Executor::new(config.clone()).run(&stages(), dup_pairs(210));
-        let sharded = run_sharded(&config, &stages(), StreamSource::batch(dup_pairs(210)), 4)
+        let input = dup_pairs(210);
+        let unsharded = Executor::new(config.clone()).run(&stages(), &input);
+        let sharded = run_sharded(&config, &stages(), StreamSource::batch(&input), 4)
             .expect("breaker-free config shards");
         assert_eq!(sharded.output.digest(), unsharded.digest());
         // Routing by content fingerprint keeps every duplicate cluster on
@@ -527,7 +526,8 @@ mod tests {
     #[test]
     fn sustained_feed_sheds_globally_before_partitioning() {
         let config = ExecutorConfig::new(3);
-        let source = || StreamSource::sustained(mixed_pairs(300), 100.0, 40.0, 10);
+        let input = mixed_pairs(300);
+        let source = || StreamSource::sustained(&input, 100.0, 40.0, 10);
         let base = Executor::new(config.clone()).run_stream(&stages(), source());
         assert!(base.shed > 0, "overload must shed");
         for shards in [2, 5] {
@@ -556,13 +556,9 @@ mod tests {
             Err(ShardConfigError::BreakerWithSustainedFeed)
         );
         // The drivers surface the same typed error instead of asserting.
-        let err = run_sharded(
-            &breakered,
-            &stages(),
-            StreamSource::batch(mixed_pairs(8)),
-            2,
-        )
-        .expect_err("breaker must be rejected");
+        let input = mixed_pairs(8);
+        let err = run_sharded(&breakered, &stages(), StreamSource::batch(&input), 2)
+            .expect_err("breaker must be rejected");
         assert_eq!(err, ShardConfigError::Breaker);
         let dir =
             std::env::temp_dir().join(format!("coachlm-shard-validate-{}", std::process::id()));
@@ -570,7 +566,7 @@ mod tests {
         let err = run_sharded_journaled(
             &breakered,
             &stages(),
-            StreamSource::sustained(mixed_pairs(8), 100.0, 40.0, 10),
+            StreamSource::sustained(&input, 100.0, 40.0, 10),
             2,
             &dir,
         )
@@ -587,7 +583,7 @@ mod tests {
         let ok = run_sharded(
             &ExecutorConfig::new(5),
             &stages(),
-            StreamSource::batch(mixed_pairs(8)),
+            StreamSource::batch(&input),
             2,
         );
         assert!(ok.is_ok());

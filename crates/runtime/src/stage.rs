@@ -5,6 +5,7 @@ use coachlm_data::InstructionPair;
 use rand::rngs::StdRng;
 use std::any::Any;
 use std::collections::BTreeMap;
+use std::sync::Arc;
 
 /// What one attempt at processing one item produced.
 ///
@@ -135,8 +136,12 @@ pub trait Stage: Sync {
 pub struct StageItem {
     /// Position in the input dataset (output order preserves it).
     pub index: usize,
-    /// The pair as it entered the chain, untouched.
-    pub original: InstructionPair,
+    /// The pair as it entered the chain, untouched. A revision-cache hit
+    /// shares its representative's, which has the same content but the
+    /// representative's id, so it stays private: read it through
+    /// [`instruction_changed`](Self::instruction_changed) and
+    /// [`response_changed`](Self::response_changed).
+    original: Arc<InstructionPair>,
     /// The pair in its current, possibly rewritten, state.
     pub pair: InstructionPair,
     /// `false` once a stage discards the item (or the executor quarantines
@@ -155,13 +160,43 @@ impl StageItem {
     pub fn new(index: usize, pair: InstructionPair) -> Self {
         StageItem {
             index,
-            original: pair.clone(),
+            original: Arc::new(pair.clone()),
             pair,
             retained: true,
             tags: Vec::new(),
             failure: None,
             payload: None,
         }
+    }
+
+    /// A revision-cache hit on `input`: it shares `original` with its
+    /// representative, whose content is the same, and carries no text of
+    /// its own until the sink writes the representative's result into
+    /// it. It copies nothing from the input but the id and category.
+    pub(crate) fn sharing(
+        index: usize,
+        input: &InstructionPair,
+        original: Arc<InstructionPair>,
+    ) -> Self {
+        StageItem {
+            index,
+            original,
+            pair: InstructionPair {
+                id: input.id,
+                instruction: String::new(),
+                response: String::new(),
+                category: input.category,
+            },
+            retained: true,
+            tags: Vec::new(),
+            failure: None,
+            payload: None,
+        }
+    }
+
+    /// The pair as it entered the chain, shared with any cache hits on it.
+    pub(crate) fn original(&self) -> &Arc<InstructionPair> {
+        &self.original
     }
 
     /// Drops the item from the chain, recording why.

@@ -16,6 +16,17 @@
 //! bounded queues themselves (backpressure) and the deterministic
 //! **logical epochs** described below.
 //!
+//! ## Slots per chunk
+//!
+//! A run borrows its input ([`StreamSource`]). Everything that reads the
+//! whole input — the admission plan, the revision-cache pre-pass and the
+//! check of journal records — runs first and leaves per-index marks
+//! only. The slots are built from the borrowed pairs one chunk at a time,
+//! when the pipe pulls the chunk, so no whole-input slot buffer exists
+//! and the slots in flight are bounded by the queue capacity. A cache hit
+//! copies no input at all: it shares its representative's original, and
+//! the sink writes its text once, from the representative's result.
+//!
 //! ## Logical epochs
 //!
 //! A logical epoch is a fixed window of input *indices* (the breaker
@@ -58,7 +69,7 @@
 //! any other disposition.
 
 use crate::breaker::{Breaker, BreakerEvent, BreakerPolicy, StageMode};
-use crate::cache::{content_key, plan_hits, CacheStats, SlotHit};
+use crate::cache::{content_key, plan_hits, CachePlan, CacheStats, SlotHit};
 use crate::executor::{adaptive_chunk_size, item_digest, item_seed};
 use crate::fault::{FailureKind, FailureRecord, Fault, FaultPlan, RetryPolicy};
 use crate::journal::{ItemTrace, Journal, StageTrace};
@@ -73,7 +84,7 @@ use std::cmp::Reverse;
 use std::collections::{BTreeMap, BinaryHeap, VecDeque};
 use std::hash::Hasher;
 use std::ops::Range;
-use std::sync::{Condvar, Mutex};
+use std::sync::{Arc, Condvar, Mutex};
 use std::time::Duration;
 
 /// How items enter a streaming run.
@@ -119,18 +130,22 @@ impl Feed {
     }
 }
 
-/// A source for a streaming run: the pairs plus how they arrive.
+/// A source for a streaming run: the borrowed pairs plus how they arrive.
+///
+/// The run never copies the input as a whole: it builds each chunk's
+/// slots from the borrowed pairs when the pipe pulls that chunk, and
+/// copies only the pairs it executes or returns.
 #[derive(Debug, Clone)]
-pub struct StreamSource {
+pub struct StreamSource<'p> {
     /// The input pairs, in index order.
-    pub pairs: Vec<InstructionPair>,
+    pub pairs: &'p [InstructionPair],
     /// The arrival model.
     pub feed: Feed,
 }
 
-impl StreamSource {
+impl<'p> StreamSource<'p> {
     /// A batch source: everything available at time zero, nothing shed.
-    pub fn batch(pairs: Vec<InstructionPair>) -> Self {
+    pub fn batch(pairs: &'p [InstructionPair]) -> Self {
         StreamSource {
             pairs,
             feed: Feed::Batch,
@@ -139,7 +154,7 @@ impl StreamSource {
 
     /// A sustained-traffic source (see [`Feed::Sustained`]).
     pub fn sustained(
-        pairs: Vec<InstructionPair>,
+        pairs: &'p [InstructionPair],
         rate_per_sec: f64,
         drain_per_sec: f64,
         backlog_capacity: usize,
@@ -155,28 +170,68 @@ impl StreamSource {
     }
 }
 
+/// What a run replays instead of executing, checked against the input
+/// before any stage runs (see `check_traces` in the executor): an index
+/// with a committed record replays it; any other index executes, or, in
+/// a replay-only reconstruction, is quarantined with the failure the
+/// supervisor imposed on it.
+pub(crate) struct Replay<'r> {
+    /// Checked records by input index, taken as their slots are built.
+    pub(crate) traces: BTreeMap<u64, ItemTrace>,
+    /// `Some` for a replay-only run: the failure of every untraced index.
+    pub(crate) imposed: Option<&'r BTreeMap<u64, FailureRecord>>,
+}
+
+impl Replay<'_> {
+    /// A fresh run: every index executes.
+    pub(crate) fn none() -> Self {
+        Replay {
+            traces: BTreeMap::new(),
+            imposed: None,
+        }
+    }
+
+    /// Whether index `i` replays instead of executing.
+    fn replays(&self, i: usize) -> bool {
+        self.imposed.is_some() || self.traces.contains_key(&(i as u64))
+    }
+
+    /// The admission outcome already committed for index `i`, if any:
+    /// replayed items re-apply their recorded shed, imposed ones were
+    /// never shed, live ones are decided afresh.
+    fn recorded_shed(&self, i: usize) -> Option<bool> {
+        match self.traces.get(&(i as u64)) {
+            Some(trace) => Some(trace.tags.iter().any(|t| t == SHED_TAG)),
+            None => self.imposed.map(|_| false),
+        }
+    }
+}
+
+/// The tag admission control discards a shed item with.
+const SHED_TAG: &str = "shed:admission";
+
 /// One item in flight, with everything the pipeline accumulates on it.
-pub(crate) struct Slot {
-    pub(crate) item: StageItem,
+struct Slot {
+    item: StageItem,
     /// Building journal record (live slots of a journaled run only).
-    pub(crate) trace: Option<ItemTrace>,
+    trace: Option<ItemTrace>,
     /// `Some` for items replayed from a journal: the recorded per-stage
     /// deltas, consumed for report/breaker tallies instead of execution.
-    pub(crate) replay: Option<Vec<StageTrace>>,
+    replay: Option<Vec<StageTrace>>,
     /// Virtual arrival time, nanos (0 under a batch feed).
     arrival: u64,
     /// Modeled service charge per stage group, nanos, filled as the slot
     /// flows; the sink runs the virtual-time recurrence over these.
     charge: Vec<u64>,
     /// Shed at admission (already discarded, flows through untouched).
-    pub(crate) shed: bool,
+    shed: bool,
     /// Determinism key: the per-(stage, item) RNG seeds and fault rolls
     /// key on this. The pair id normally; the content fingerprint in
     /// content-keyed runs, so identical content behaves identically.
-    pub(crate) key: u64,
+    key: u64,
     /// Set by the revision-cache pre-pass: skip execution and replay the
     /// representative's effects at the sink.
-    pub(crate) hit: Option<SlotHit>,
+    hit: Option<SlotHit>,
 }
 
 /// The empty per-item journal record a live slot builds as it flows.
@@ -196,26 +251,29 @@ fn fresh_trace(item: &StageItem) -> ItemTrace {
     }
 }
 
+/// Rebuilds a checked journal record's terminal item on its input pair.
+fn replayed_slot(index: usize, input: &InstructionPair, trace: ItemTrace) -> Slot {
+    let mut item = StageItem::new(index, input.clone());
+    if let Some(instruction) = trace.instruction {
+        item.pair.instruction = instruction;
+    }
+    if let Some(response) = trace.response {
+        item.pair.response = response;
+    }
+    item.tags = trace.tags;
+    item.retained = trace.disposition == 0;
+    if trace.disposition == 2 {
+        item.failure = trace.failure;
+    }
+    Slot::new(item, None, Some(trace.stages))
+}
+
 impl Slot {
-    pub(crate) fn live(item: StageItem, journaling: bool) -> Self {
-        let trace = journaling.then(|| fresh_trace(&item));
+    fn new(item: StageItem, trace: Option<ItemTrace>, replay: Option<Vec<StageTrace>>) -> Self {
         Slot {
             item,
             trace,
-            replay: None,
-            arrival: 0,
-            charge: Vec::new(),
-            shed: false,
-            key: 0,
-            hit: None,
-        }
-    }
-
-    pub(crate) fn replayed(item: StageItem, stages: Vec<StageTrace>) -> Self {
-        Slot {
-            item,
-            trace: None,
-            replay: Some(stages),
+            replay,
             arrival: 0,
             charge: Vec::new(),
             shed: false,
@@ -943,7 +1001,7 @@ impl<'e, 'a, 'b> Sink<'e, 'a, 'b> {
     }
 
     /// Replays the representative's recorded effects onto a hit slot:
-    /// terminal item state, per-stage report deltas, and (under a
+    /// text, terminal item state, per-stage report deltas, and (under a
     /// journal) the stage traces for the hit's own record. Because the
     /// sink consumes slots in index order and the pre-pass always picks
     /// the *earliest* occurrence as representative, the representative's
@@ -956,12 +1014,19 @@ impl<'e, 'a, 'b> Sink<'e, 'a, 'b> {
         let Some(rep) = hr.store.get(&hit.rep) else {
             unreachable!("representative committed before its hits");
         };
-        if let Some(instruction) = &rep.instruction {
-            slot.item.pair.instruction = instruction.clone();
-        }
-        if let Some(response) = &rep.response {
-            slot.item.pair.response = response.clone();
-        }
+        // The hit's text is written once, here: the representative's
+        // result where the chain changed it, else the shared original.
+        let original = slot.item.original();
+        let instruction = rep
+            .instruction
+            .clone()
+            .unwrap_or_else(|| original.instruction.clone());
+        let response = rep
+            .response
+            .clone()
+            .unwrap_or_else(|| original.response.clone());
+        slot.item.pair.instruction = instruction;
+        slot.item.pair.response = response;
         slot.item.tags = rep.tags.clone();
         slot.item.retained = rep.retained;
         slot.item.failure = rep.failure.clone();
@@ -1104,32 +1169,6 @@ struct SinkOut {
     journal_error: Option<std::io::Error>,
 }
 
-/// Applies the feed to the slot sequence: stamps virtual arrival times
-/// and marks the slots [`admission_plan`] sheds. Replayed slots re-apply
-/// their recorded admission outcome so a resumed sustained run
-/// reproduces the original shed set exactly.
-fn apply_feed(feed: &Feed, slots: &mut [Slot]) {
-    let Feed::Sustained { rate_per_sec, .. } = feed else {
-        return;
-    };
-    let recorded = slots.iter().map(|slot| {
-        slot.replay
-            .is_some()
-            .then(|| slot.item.has_tag("shed:admission"))
-    });
-    let Some(plan) = admission_plan(feed, recorded) else {
-        return;
-    };
-    let rate = rate_per_sec.max(1e-9);
-    for (i, (slot, shed)) in slots.iter_mut().zip(plan).enumerate() {
-        slot.arrival = (i as f64 / rate * 1e9) as u64;
-        slot.shed = shed;
-        if shed && slot.replay.is_none() {
-            slot.item.discard("shed:admission");
-        }
-    }
-}
-
 /// The fluid admission model: one shed decision per arrival (`true` =
 /// shed), or `None` for a batch feed. `recorded` yields, per index,
 /// `Some(shed)` when the outcome is already committed (a replayed slot:
@@ -1173,31 +1212,191 @@ pub(crate) fn admission_plan(
     Some(plan)
 }
 
-/// Cuts the slot sequence into chunks of at most `chunk_len` slots,
-/// never spanning a logical-epoch boundary (so epoch-frame commits and
-/// breaker windows align with chunk edges).
-fn build_chunks(slots: Vec<Slot>, chunk_len: usize, window: usize) -> Vec<Chunk> {
-    let chunk_len = chunk_len.max(1);
-    let mut chunks: Vec<Chunk> = Vec::with_capacity(slots.len() / chunk_len + 1);
-    let mut cur: Vec<Slot> = Vec::with_capacity(chunk_len);
-    for slot in slots {
-        let index = slot.item.index;
-        cur.push(slot);
-        if cur.len() >= chunk_len || (index + 1).is_multiple_of(window) {
-            chunks.push(Chunk {
-                seq: chunks.len() as u64,
-                slots: std::mem::replace(&mut cur, Vec::with_capacity(chunk_len)),
-            });
-        }
-    }
-    if !cur.is_empty() {
-        chunks.push(Chunk {
-            seq: chunks.len() as u64,
-            slots: cur,
-        });
-    }
-    chunks
+/// Builds a run's slots one chunk at a time, in index order, when the
+/// pipe pulls the chunk: no slot exists before its chunk is pulled, so
+/// the slots in flight are bounded by the queues, not by the input.
+/// Chunks hold at most `chunk_len` slots and never span a logical-epoch
+/// boundary, so epoch-frame commits and breaker windows align with chunk
+/// edges. Every decision that reads the whole input — admission, cache
+/// hits, journal replay — is made up front by the pre-pass in
+/// [`SlotBuilder::new`], which leaves only per-index marks.
+struct SlotBuilder<'p, 'r> {
+    pairs: &'p [InstructionPair],
+    replay: Replay<'r>,
+    /// Whether live slots build journal records.
+    journaling: bool,
+    content_keyed: bool,
+    /// The admission plan: shed or not per index (sustained feeds only).
+    shed: Option<Vec<bool>>,
+    /// Arrivals per second (sustained feeds only).
+    rate: Option<f64>,
+    /// Per index, the cache hit it is (cached runs only).
+    hits: Vec<Option<SlotHit>>,
+    /// Representatives some of whose hits are still to be built: how many
+    /// are left, and the original they share once the representative is
+    /// built.
+    shared: FxHashMap<usize, (usize, Option<Arc<InstructionPair>>)>,
+    chunk_len: usize,
+    window: usize,
+    /// Stage groups in the topology: each slot's charge vector length.
+    groups: usize,
+    next: usize,
+    seq: u64,
+    total: u64,
 }
+
+impl<'p, 'r> SlotBuilder<'p, 'r> {
+    /// Runs the pre-pass over the borrowed input: the admission plan, then
+    /// the revision-cache plan (whose per-index hits the builder keeps;
+    /// the representative counts and tallies are handed back for the
+    /// sink).
+    fn new(
+        env: &StreamEnv<'_, '_>,
+        source: StreamSource<'p>,
+        replay: Replay<'r>,
+        journaling: bool,
+        chunk_len: usize,
+        groups: usize,
+    ) -> (Self, Option<CachePlan>) {
+        let StreamSource { pairs, feed } = source;
+        let n = pairs.len();
+        let shed = admission_plan(&feed, (0..n).map(|i| replay.recorded_shed(i)));
+        let rate = match feed {
+            Feed::Sustained { rate_per_sec, .. } => Some(rate_per_sec.max(1e-9)),
+            Feed::Batch => None,
+        };
+        let mut cache = env
+            .cache
+            .then(|| plan_hits(pairs, shed.as_deref(), |i| replay.replays(i)));
+        let (hits, shared) = match cache.as_mut() {
+            Some(plan) => (
+                std::mem::take(&mut plan.hits),
+                // lint: allow(D3, reason = "entries are collected into another map keyed the same way; visit order cannot show")
+                plan.uses
+                    .iter()
+                    .map(|(&rep, &uses)| (rep, (uses, None)))
+                    .collect(),
+            ),
+            None => (Vec::new(), FxHashMap::default()),
+        };
+        let chunk_len = chunk_len.max(1);
+        let window = env.window.max(1);
+        let total = (n / window) * window.div_ceil(chunk_len) + (n % window).div_ceil(chunk_len);
+        let builder = SlotBuilder {
+            pairs,
+            replay,
+            journaling,
+            content_keyed: env.content_keyed,
+            shed,
+            rate,
+            hits,
+            shared,
+            chunk_len,
+            window,
+            groups,
+            next: 0,
+            seq: 0,
+            total: total as u64,
+        };
+        (builder, cache)
+    }
+
+    fn slot(&mut self, i: usize) -> Slot {
+        let input = &self.pairs[i];
+        let shed = self.shed.as_ref().is_some_and(|plan| plan[i]);
+        let trace = match self.replay.traces.first_entry() {
+            Some(entry) if *entry.key() == i as u64 => Some(entry.remove()),
+            _ => None,
+        };
+        let mut slot = if let Some(trace) = trace {
+            replayed_slot(i, input, trace)
+        } else if let Some(imposed) = self.replay.imposed {
+            let mut item = StageItem::new(i, input.clone());
+            item.retained = false;
+            item.failure = imposed.get(&(i as u64)).cloned();
+            Slot::new(item, None, Some(Vec::new()))
+        } else if let Some(hit) = self.hits.get(i).copied().flatten() {
+            let item = StageItem::sharing(i, input, self.share(hit.rep));
+            let trace = self.journaling.then(|| fresh_trace(&item));
+            Slot {
+                hit: Some(hit),
+                ..Slot::new(item, trace, None)
+            }
+        } else {
+            let mut item = StageItem::new(i, input.clone());
+            if shed {
+                item.discard(SHED_TAG);
+            }
+            // Live representatives with dependents need their per-stage
+            // deltas captured even when no journal is attached.
+            let rep = self.shared.contains_key(&i);
+            let trace = (self.journaling || rep).then(|| fresh_trace(&item));
+            // With content keying off the key is the pair id —
+            // bit-identical to the historical behaviour.
+            let key = if self.content_keyed {
+                content_key(input)
+            } else {
+                input.id
+            };
+            Slot {
+                key,
+                ..Slot::new(item, trace, None)
+            }
+        };
+        if let Some((_, original)) = self.shared.get_mut(&i) {
+            *original = Some(Arc::clone(slot.item.original()));
+        }
+        slot.shed = shed;
+        slot.arrival = self.rate.map_or(0, |rate| (i as f64 / rate * 1e9) as u64);
+        slot.charge = vec![0; self.groups];
+        slot
+    }
+
+    /// The original a hit on `rep` shares. The representative's slot is
+    /// always built first: it is the content's earliest occurrence.
+    fn share(&mut self, rep: usize) -> Arc<InstructionPair> {
+        let Some((left, original)) = self.shared.get_mut(&rep) else {
+            unreachable!("every hit's representative is tracked");
+        };
+        let Some(original) = original.clone() else {
+            unreachable!("a representative is built before its hits");
+        };
+        *left -= 1;
+        if *left == 0 {
+            self.shared.remove(&rep);
+        }
+        original
+    }
+}
+
+impl Iterator for SlotBuilder<'_, '_> {
+    type Item = Chunk;
+
+    fn next(&mut self) -> Option<Chunk> {
+        let start = self.next;
+        if start >= self.pairs.len() {
+            return None;
+        }
+        let epoch_end = (start - start % self.window).saturating_add(self.window);
+        let end = (start + self.chunk_len)
+            .min(epoch_end)
+            .min(self.pairs.len());
+        self.next = end;
+        let chunk = Chunk {
+            seq: self.seq,
+            slots: (start..end).map(|i| self.slot(i)).collect(),
+        };
+        self.seq += 1;
+        Some(chunk)
+    }
+
+    fn size_hint(&self) -> (usize, Option<usize>) {
+        let left = (self.total - self.seq) as usize;
+        (left, Some(left))
+    }
+}
+
+impl ExactSizeIterator for SlotBuilder<'_, '_> {}
 
 /// Joins a worker thread, re-raising its panic payload (if any) on the
 /// caller's thread instead of wrapping it in a second panic message.
@@ -1220,58 +1419,45 @@ pub(crate) struct StreamRun {
     pub(crate) journal_error: Option<std::io::Error>,
 }
 
-/// Runs the pipeline over the prepared slots. The single entry point for
+/// Runs the pipeline over a borrowed source. The single entry point for
 /// both batch-fed and sustained streaming runs, journaled (the sink
-/// appends to `journal`) or not.
+/// appends to `journal`) or not, fresh, resumed or replay-only.
 pub(crate) fn run_pipeline(
     env: &StreamEnv<'_, '_>,
     journal: Option<&mut Journal>,
     threads: usize,
     queue_capacity: usize,
-    feed: &Feed,
-    mut slots: Vec<Slot>,
+    source: StreamSource<'_>,
+    replay: Replay<'_>,
 ) -> StreamRun {
-    let n = slots.len();
-    apply_feed(feed, &mut slots);
-    // Stamp the determinism key every slot's RNG and fault rolls derive
-    // from. With content keying off this is the pair id — bit-identical
-    // to the historical behaviour.
-    for slot in &mut slots {
-        slot.key = if env.content_keyed {
-            content_key(&slot.item.original)
-        } else {
-            slot.item.pair.id
-        };
-    }
-    // Revision-cache pre-pass: a sequential, thread-independent scan
-    // that marks duplicate slots as hits on their earliest occurrence.
-    let cache_plan = env.cache.then(|| plan_hits(&mut slots));
-    let mut replayer = cache_plan.as_ref().map(|plan| {
-        // Live representatives with dependents need their per-stage
-        // deltas captured even when no journal is attached.
-        for slot in &mut slots {
-            if slot.replay.is_none()
-                && slot.trace.is_none()
-                && plan.uses.contains_key(&slot.item.index)
-            {
-                slot.trace = Some(fresh_trace(&slot.item));
-            }
-        }
-        HitReplayer {
-            uses: plan.uses.clone(),
-            store: FxHashMap::default(),
-            reports: vec![StageReport::default(); env.stages.len()],
-        }
-    });
-    let revision = cache_plan.map(|p| p.stats).unwrap_or_default();
+    let n = source.pairs.len();
     let topology = plan_topology(env.service, threads, env.breaker.is_some());
     let total_lanes = topology.total_lanes().max(1);
-    for slot in &mut slots {
-        slot.charge = vec![0; topology.groups.len()];
-    }
     let chunk_len = adaptive_chunk_size(n, total_lanes, queue_capacity);
-    let chunks = build_chunks(slots, chunk_len, env.window);
+    // The pre-pass: sequential, thread-independent scans of the input
+    // that decide shedding and mark duplicates as hits on their earliest
+    // occurrence. Slots are built later, one chunk at a time as the pipe
+    // pulls them.
+    let (chunks, cache_plan) = SlotBuilder::new(
+        env,
+        source,
+        replay,
+        journal.is_some(),
+        chunk_len,
+        topology.groups.len(),
+    );
     let total_chunks = chunks.len() as u64;
+    let (mut replayer, revision) = match cache_plan {
+        Some(plan) => {
+            let replayer = HitReplayer {
+                uses: plan.uses,
+                store: FxHashMap::default(),
+                reports: vec![StageReport::default(); env.stages.len()],
+            };
+            (Some(replayer), plan.stats)
+        }
+        None => (None, CacheStats::default()),
+    };
 
     let mut reports: Vec<StageReport> = env
         .stages
@@ -1407,6 +1593,7 @@ pub(crate) fn merge_report(a: &mut StageReport, b: StageReport) {
 #[cfg(test)]
 mod tests {
     use super::*;
+    use crate::fault::{FaultPlan, RetryPolicy};
 
     #[test]
     fn topology_without_breaker_is_one_group_with_every_lane() {
@@ -1519,25 +1706,47 @@ mod tests {
         });
     }
 
-    #[test]
-    fn chunks_never_span_epoch_boundaries() {
-        let slots: Vec<Slot> = (0..25)
+    fn pairs(n: usize) -> Vec<InstructionPair> {
+        (0..n)
             .map(|i| {
-                Slot::live(
-                    StageItem::new(
-                        i,
-                        InstructionPair::new(
-                            i as u64,
-                            "q".to_string(),
-                            "a".to_string(),
-                            coachlm_data::Category(0),
-                        ),
-                    ),
-                    false,
+                InstructionPair::new(
+                    i as u64,
+                    "q".to_string(),
+                    "a".to_string(),
+                    coachlm_data::Category(0),
                 )
             })
-            .collect();
-        let chunks = build_chunks(slots, 4, 10);
+            .collect()
+    }
+
+    /// The chunks a fresh, uncached, stage-less run over `source` builds.
+    fn build(source: StreamSource<'_>, chunk_len: usize, window: usize) -> Vec<Chunk> {
+        let (plan, retry) = (FaultPlan::none(), RetryPolicy::default());
+        let env = StreamEnv {
+            stages: &[],
+            salts: &[],
+            deadlines: &[],
+            service: &[],
+            budgets: &[],
+            seed: 0,
+            plan: &plan,
+            retry: &retry,
+            breaker: None,
+            window,
+            content_keyed: false,
+            cache: false,
+        };
+        let (chunks, _) = SlotBuilder::new(&env, source, Replay::none(), false, chunk_len, 0);
+        let len = chunks.len();
+        let chunks: Vec<Chunk> = chunks.collect();
+        assert_eq!(chunks.len(), len, "the builder knows its chunk count");
+        chunks
+    }
+
+    #[test]
+    fn chunks_never_span_epoch_boundaries() {
+        let input = pairs(25);
+        let chunks = build(StreamSource::batch(&input), 4, 10);
         let mut seen = 0usize;
         for c in &chunks {
             let lo = c.slots.first().map(|s| s.item.index).unwrap_or(0);
@@ -1552,22 +1761,15 @@ mod tests {
 
     #[test]
     fn sustained_feed_sheds_deterministically_above_capacity() {
-        let mk = |n: usize| -> Vec<Slot> {
-            (0..n)
-                .map(|i| {
-                    Slot::live(
-                        StageItem::new(
-                            i,
-                            InstructionPair::new(
-                                i as u64,
-                                "q".to_string(),
-                                "a".to_string(),
-                                coachlm_data::Category(0),
-                            ),
-                        ),
-                        false,
-                    )
-                })
+        let input = pairs(500);
+        let fed = |feed: &Feed, n: usize| -> Vec<Slot> {
+            let source = StreamSource {
+                pairs: &input[..n],
+                feed: feed.clone(),
+            };
+            build(source, 16, 256)
+                .into_iter()
+                .flat_map(|c| c.slots)
                 .collect()
         };
         // Arrivals at 100/s against a 40/s drain with room for 10: the
@@ -1577,10 +1779,8 @@ mod tests {
             drain_per_sec: 40.0,
             backlog_capacity: 10,
         };
-        let mut a = mk(500);
-        let mut b = mk(500);
-        apply_feed(&feed, &mut a);
-        apply_feed(&feed, &mut b);
+        let a = fed(&feed, 500);
+        let b = fed(&feed, 500);
         let shed_a: Vec<usize> = a.iter().filter(|s| s.shed).map(|s| s.item.index).collect();
         let shed_b: Vec<usize> = b.iter().filter(|s| s.shed).map(|s| s.item.index).collect();
         assert_eq!(shed_a, shed_b, "shedding is deterministic");
@@ -1593,13 +1793,11 @@ mod tests {
             drain_per_sec: 40.0,
             backlog_capacity: 10,
         };
-        let mut c = mk(200);
-        apply_feed(&calm, &mut c);
+        let c = fed(&calm, 200);
         assert!(c.iter().all(|s| !s.shed));
         assert!(c[199].arrival > c[1].arrival);
         // Batch feed: untouched.
-        let mut d = mk(50);
-        apply_feed(&Feed::Batch, &mut d);
+        let d = fed(&Feed::Batch, 50);
         assert!(d.iter().all(|s| !s.shed && s.arrival == 0));
     }
 }

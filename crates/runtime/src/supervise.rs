@@ -630,7 +630,7 @@ fn worker_main(factory: JobFactory) -> Result<(), SuperviseError> {
         }));
     }
 
-    let out = Executor::new(config).run_journaled(&stages, pairs, &mut journal)?;
+    let out = Executor::new(config).run_journaled(&stages, &pairs, &mut journal)?;
 
     let frame = frame_bytes(&encode_done(&DoneFrame {
         digest: out.digest(),
@@ -1032,8 +1032,10 @@ fn resolve_subset(
         )?;
         for (k, trace) in half_traces {
             let target = half[k as usize];
-            let pair = subset[target as usize].clone();
-            traces.insert(target, rekey_trace(pair, trace, target)?);
+            traces.insert(
+                target,
+                rekey_trace(&subset[target as usize], trace, target)?,
+            );
         }
         for (k, failure) in half_imposed {
             imposed.insert(half[k as usize], failure);
@@ -1059,7 +1061,7 @@ pub fn run_sharded_process(
     factory: JobFactory,
     chain: &str,
     params: &[u8],
-    source: StreamSource,
+    source: StreamSource<'_>,
     shards: usize,
     dir: &Path,
     opts: &SuperviseOptions,
@@ -1163,7 +1165,7 @@ pub fn run_sharded_process(
         }
         for (k, trace) in sub_traces {
             let target = missing[k as usize];
-            let pair = part[target as usize].clone();
+            let pair = &part[target as usize];
             states[s]
                 .traces
                 .insert(target, rekey_trace(pair, trace, target)?);
@@ -1182,7 +1184,7 @@ pub fn run_sharded_process(
     for (s, state) in states.iter_mut().enumerate() {
         let mut out = executor.replay_collected(
             &stages,
-            partitions[s].clone(),
+            &partitions[s],
             std::mem::take(&mut state.traces),
             &imposed[s],
         )?;

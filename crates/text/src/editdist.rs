@@ -8,13 +8,11 @@
 //! * **Dataset statistics (Table VII):** the revised ALPACA52K dataset is
 //!   characterised by average *word-level* edit distance.
 //!
-//! Four implementations are provided and cross-checked by tests:
+//! Three implementations are provided and cross-checked by tests:
 //!
 //! * [`edit_distance`] — classic two-row dynamic programming over any
 //!   `PartialEq` items, with common prefix/suffix trimming. O(nm) time,
 //!   O(min(n,m)) space.
-//! * [`edit_distance_bounded`] — banded DP that answers "distance, if ≤ k"
-//!   in O(k·min(n,m)) time; used by hot loops that only need a threshold.
 //! * [`myers`] — Myers' 1999 bit-parallel algorithm over bytes, processing
 //!   64 DP columns per machine word; the fast path for character-level
 //!   distance on ASCII text.
@@ -56,54 +54,6 @@ pub fn edit_distance<T: PartialEq>(a: &[T], b: &[T]) -> usize {
         std::mem::swap(&mut prev, &mut curr);
     }
     prev[b.len()]
-}
-
-/// Levenshtein distance if it is `<= bound`, else `None`.
-///
-/// Runs a banded DP with band half-width `bound`; cost O(bound·min(n,m)).
-pub fn edit_distance_bounded<T: PartialEq>(a: &[T], b: &[T], bound: usize) -> Option<usize> {
-    let (a, b) = trim_common(a, b);
-    let (a, b) = if a.len() < b.len() { (b, a) } else { (a, b) };
-    let (n, m) = (a.len(), b.len());
-    if n - m > bound {
-        return None;
-    }
-    if m == 0 {
-        return Some(n);
-    }
-    const INF: usize = usize::MAX / 2;
-    // Row over the shorter sequence `b`; band of columns [lo, hi] per row i.
-    let mut prev = vec![INF; m + 1];
-    let mut curr = vec![INF; m + 1];
-    for (j, p) in prev.iter_mut().enumerate().take(bound.min(m) + 1) {
-        *p = j;
-    }
-    for i in 1..=n {
-        let lo = i.saturating_sub(bound).max(1);
-        let hi = (i + bound).min(m);
-        if lo > hi {
-            return None;
-        }
-        curr[lo - 1] = if lo == 1 { i } else { INF };
-        let mut row_min = curr[lo - 1];
-        for j in lo..=hi {
-            let sub = prev[j - 1] + usize::from(a[i - 1] != b[j - 1]);
-            let del = prev[j].saturating_add(1);
-            let ins = curr[j - 1].saturating_add(1);
-            curr[j] = sub.min(del).min(ins);
-            row_min = row_min.min(curr[j]);
-        }
-        if row_min > bound {
-            return None;
-        }
-        std::mem::swap(&mut prev, &mut curr);
-        // Invalidate stale cells outside the next band.
-        if hi < m {
-            prev[hi + 1] = INF;
-        }
-    }
-    let d = prev[m];
-    (d <= bound).then_some(d)
 }
 
 /// Strips common prefix and suffix, returning the differing cores.
@@ -421,23 +371,6 @@ impl WordDistance {
         self.myers.distance(sa, sb)
     }
 
-    /// Word-level edit distance between `a` and `b` if it is `<= bound`,
-    /// else `None` — the `k`-bounded near-match query.
-    ///
-    /// Uses the banded DP ([`edit_distance_bounded`]) over the interned
-    /// word symbols, so a far-apart pair costs O(bound·words) instead of
-    /// O(words²); candidate probing in content-addressed caches runs this
-    /// against many stored entries and needs the early exit.
-    pub fn distance_bounded(&mut self, a: &str, b: &str, bound: usize) -> Option<usize> {
-        self.ensure_cached(a);
-        self.ensure_cached(b);
-        // lint: allow(P1, reason = "ensure_cached on the two lines above inserts both keys; the borrow rules force the re-lookup, not a data condition")
-        let sa = self.cache.get(a).expect("cached above");
-        // lint: allow(P1, reason = "ensure_cached on the lines above inserts both keys; the borrow rules force the re-lookup, not a data condition")
-        let sb = self.cache.get(b).expect("cached above");
-        edit_distance_bounded(sa, sb, bound)
-    }
-
     /// Clears the memoisation cache (the interner is retained). Call between
     /// datasets, not between records: keeping the cache across a whole
     /// ranking pass is what makes repeated instructions free.
@@ -516,22 +449,6 @@ mod tests {
     }
 
     #[test]
-    fn bounded_within_and_beyond() {
-        let (a, b) = ("kitten".as_bytes(), "sitting".as_bytes());
-        assert_eq!(edit_distance_bounded(a, b, 3), Some(3));
-        assert_eq!(edit_distance_bounded(a, b, 5), Some(3));
-        assert_eq!(edit_distance_bounded(a, b, 2), None);
-        assert_eq!(edit_distance_bounded(a, b, 0), None);
-        assert_eq!(edit_distance_bounded(a, a, 0), Some(0));
-    }
-
-    #[test]
-    fn bounded_length_gap_shortcut() {
-        assert_eq!(edit_distance_bounded(b"abcdefgh", b"a", 3), None);
-        assert_eq!(edit_distance_bounded(b"abcdefgh", b"a", 7), Some(7));
-    }
-
-    #[test]
     fn unicode_char_distance() {
         assert_eq!(char_edit_distance("café", "cafe"), 1);
         assert_eq!(char_edit_distance("日本語", "日本"), 1);
@@ -596,25 +513,6 @@ mod tests {
         // A short pattern right after a long one reuses the same scratch.
         let short: Vec<Sym> = vec![Sym(1), Sym(2)];
         assert_eq!(sm.distance(&short, &a), edit_distance(&short, &a));
-    }
-
-    #[test]
-    fn word_distance_bounded_matches_exact_within_bound() {
-        let mut wd = WordDistance::new();
-        let cases = [
-            ("rewrite this please", "please rewrite this text"),
-            ("the quick fox", "the slow fox"),
-            ("identical words here", "identical words here"),
-            ("", "anything at all"),
-        ];
-        for (a, b) in cases {
-            let exact = word_edit_distance(a, b);
-            assert_eq!(wd.distance_bounded(a, b, exact), Some(exact), "{a} vs {b}");
-            assert_eq!(wd.distance_bounded(a, b, exact + 3), Some(exact));
-            if exact > 0 {
-                assert_eq!(wd.distance_bounded(a, b, exact - 1), None);
-            }
-        }
     }
 
     #[test]

@@ -2,8 +2,7 @@
 
 use coachlm_text::diff::{diff_tokens, EditOp};
 use coachlm_text::editdist::{
-    char_edit_distance, edit_distance, edit_distance_bounded, myers, word_edit_distance, SymMyers,
-    WordDistance,
+    char_edit_distance, edit_distance, myers, word_edit_distance, SymMyers, WordDistance,
 };
 use coachlm_text::fxhash::FxHashMap;
 use coachlm_text::intern::{Interner, Sym};
@@ -97,17 +96,6 @@ proptest! {
     fn myers_blocked_matches_reference(a in "[ab]{65,140}", b in "[ab]{0,160}") {
         let want = reference_distance(a.as_bytes(), b.as_bytes());
         prop_assert_eq!(myers::distance(a.as_bytes(), b.as_bytes()), want);
-    }
-
-    #[test]
-    fn bounded_agrees_with_exact(a in "[a-c]{0,25}", b in "[a-c]{0,25}", k in 0usize..12) {
-        let exact = edit_distance(a.as_bytes(), b.as_bytes());
-        let bounded = edit_distance_bounded(a.as_bytes(), b.as_bytes(), k);
-        if exact <= k {
-            prop_assert_eq!(bounded, Some(exact));
-        } else {
-            prop_assert_eq!(bounded, None);
-        }
     }
 
     #[test]

@@ -112,6 +112,13 @@ fn assert_same(a: &ChainOutput, b: &ChainOutput, what: &str) {
         assert_eq!(x.retained, y.retained, "{what}: item {}", x.index);
         assert_eq!(x.tags, y.tags, "{what}: item {}", x.index);
         assert_eq!(x.failure, y.failure, "{what}: item {}", x.index);
+        // The digest hashes terminal text, not what it is compared with.
+        assert_eq!(
+            (x.instruction_changed(), x.response_changed()),
+            (y.instruction_changed(), y.response_changed()),
+            "{what}: item {} change flags",
+            x.index
+        );
     }
 }
 
@@ -131,14 +138,17 @@ proptest! {
     ) {
         let pairs = workload(distinct, total, exponent, seed);
         let uncached = Executor::new(chaos(seed, 1, 64).content_keyed(true))
-            .run(&stages(), pairs.clone());
-        let cached = Executor::new(
-            chaos(seed, threads, queue).revision_cache(CachePolicy::exact()),
-        )
-        .run(&stages(), pairs);
-        assert_same(&uncached, &cached, "cached vs uncached");
-        // Every admitted item is classified exactly once.
-        prop_assert_eq!(cached.revision_cache.lookups(), total as u64);
+            .run(&stages(), &pairs);
+        // Threads 1 and 2 every case, plus the sampled parallelism.
+        for threads in [1, 2, threads] {
+            let cached = Executor::new(
+                chaos(seed, threads, queue).revision_cache(CachePolicy::exact()),
+            )
+            .run(&stages(), &pairs);
+            assert_same(&uncached, &cached, &format!("cached x{threads} vs uncached"));
+            // Every admitted item is classified exactly once.
+            prop_assert_eq!(cached.revision_cache.lookups(), total as u64);
+        }
     }
 
     // Shard-merge order independence: any shard count reproduces the
@@ -157,8 +167,8 @@ proptest! {
         if cache == 1 {
             config = config.revision_cache(CachePolicy::exact());
         }
-        let base = Executor::new(config.clone()).run(&stages(), pairs.clone());
-        let sharded = run_sharded(&config, &stages(), StreamSource::batch(pairs), shards)
+        let base = Executor::new(config.clone()).run(&stages(), &pairs);
+        let sharded = run_sharded(&config, &stages(), StreamSource::batch(&pairs), shards)
             .expect("batch feed is always shardable");
         assert_same(&base, &sharded.output, "sharded vs unsharded");
         let routed: usize = sharded.shards.iter().map(|s| s.items).sum();
@@ -190,14 +200,14 @@ fn warm_cache_crash_resume_converges_to_uninterrupted_digest() {
     let pairs = workload(12, 90, 1.1, seed);
     let config = chaos(seed, 3, 16).revision_cache(CachePolicy::exact());
 
-    let gold = Executor::new(config.clone()).run(&stages(), pairs.clone());
+    let gold = Executor::new(config.clone()).run(&stages(), &pairs);
 
     let path = temp_path("warm.wal");
     let mut journal = Journal::create(&path)
         .expect("create journal")
         .sync_every(1);
     Executor::new(config.clone())
-        .run_journaled(&stages(), pairs.clone(), &mut journal)
+        .run_journaled(&stages(), &pairs, &mut journal)
         .expect("journaled cached run");
     drop(journal);
     let bytes = std::fs::read(&path).expect("read journal back");
@@ -207,7 +217,7 @@ fn warm_cache_crash_resume_converges_to_uninterrupted_digest() {
         std::fs::write(&path, &bytes[..len]).expect("truncate journal");
         let mut journal = Journal::open(&path).expect("recover truncated journal");
         let resumed = Executor::new(config.clone())
-            .run_journaled(&stages(), pairs.clone(), &mut journal)
+            .run_journaled(&stages(), &pairs, &mut journal)
             .expect("resume with warm cache");
         assert_same(&resumed, &gold, &format!("cut at {len}/{}", bytes.len()));
         assert_eq!(
@@ -229,12 +239,12 @@ fn journal_refuses_resume_under_a_different_cache_policy() {
 
     let mut journal = Journal::create(&path).expect("create journal");
     Executor::new(cached.clone())
-        .run_journaled(&stages(), pairs.clone(), &mut journal)
+        .run_journaled(&stages(), &pairs, &mut journal)
         .expect("cached journaled run");
     drop(journal);
 
     let mut journal = Journal::open(&path).expect("reopen");
-    let err = Executor::new(chaos(seed, 2, 32)).run_journaled(&stages(), pairs, &mut journal);
+    let err = Executor::new(chaos(seed, 2, 32)).run_journaled(&stages(), &pairs, &mut journal);
     assert!(
         matches!(err, Err(JournalError::Incompatible(_))),
         "dropping the cache must refuse to resume"
@@ -252,20 +262,15 @@ fn sharded_journaled_resume_matches_uninterrupted_run() {
     let pairs = workload(15, 120, 1.0, seed);
     let config = chaos(seed, 2, 16).revision_cache(CachePolicy::exact());
 
-    let gold = run_sharded(
-        &config,
-        &stages(),
-        StreamSource::batch(pairs.clone()),
-        shards,
-    )
-    .expect("batch feed is always shardable");
+    let gold = run_sharded(&config, &stages(), StreamSource::batch(&pairs), shards)
+        .expect("batch feed is always shardable");
 
     let dir = temp_path("sharded");
     std::fs::create_dir_all(&dir).expect("journal dir");
     let first = run_sharded_journaled(
         &config,
         &stages(),
-        StreamSource::batch(pairs.clone()),
+        StreamSource::batch(&pairs),
         shards,
         &dir,
     )
@@ -280,7 +285,7 @@ fn sharded_journaled_resume_matches_uninterrupted_run() {
     let resumed = run_sharded_journaled(
         &config,
         &stages(),
-        StreamSource::batch(pairs.clone()),
+        StreamSource::batch(&pairs),
         shards,
         &dir,
     )
@@ -308,23 +313,17 @@ fn cache_matrix_cell() {
     let skew: f64 = skew.parse().expect("COACHLM_SKEW must be an f64");
 
     let pairs = workload(25, 300, skew, seed ^ 0xCAC4E);
-    let reference =
-        Executor::new(chaos(seed, 1, 64).content_keyed(true)).run(&stages(), pairs.clone());
+    let reference = Executor::new(chaos(seed, 1, 64).content_keyed(true)).run(&stages(), &pairs);
     for threads in [1usize, 4] {
         let config = chaos(seed, threads, 16).revision_cache(CachePolicy::exact());
-        let cached = Executor::new(config.clone()).run(&stages(), pairs.clone());
+        let cached = Executor::new(config.clone()).run(&stages(), &pairs);
         assert_same(
             &reference,
             &cached,
             &format!("cached x{threads} skew {skew}"),
         );
-        let sharded = run_sharded(
-            &config,
-            &stages(),
-            StreamSource::batch(pairs.clone()),
-            shards,
-        )
-        .expect("batch feed is always shardable");
+        let sharded = run_sharded(&config, &stages(), StreamSource::batch(&pairs), shards)
+            .expect("batch feed is always shardable");
         assert_same(
             &reference,
             &sharded.output,

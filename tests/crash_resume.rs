@@ -101,7 +101,7 @@ fn dataset(n: usize, seed: u64) -> Dataset {
 
 /// Golden uninterrupted run (no journal involved at all).
 fn golden(d: &Dataset, seed: u64) -> ChainOutput {
-    Executor::new(config(seed, 1)).run(&chain(fixtures()), d.pairs.clone())
+    Executor::new(config(seed, 1)).run(&chain(fixtures()), &d.pairs)
 }
 
 /// Writes a complete journal for the run and returns its bytes.
@@ -110,7 +110,7 @@ fn full_journal_bytes(d: &Dataset, seed: u64, path: &PathBuf) -> Vec<u8> {
     // record, so truncation points cover every commit depth.
     let mut journal = Journal::create(path).expect("create journal").sync_every(1);
     Executor::new(config(seed, 4))
-        .run_journaled(&chain(fixtures()), d.pairs.clone(), &mut journal)
+        .run_journaled(&chain(fixtures()), &d.pairs, &mut journal)
         .expect("journaled run");
     drop(journal);
     std::fs::read(path).expect("read journal back")
@@ -130,7 +130,7 @@ fn resume_at(
     std::fs::write(path, &bytes[..len]).expect("truncate journal");
     let mut journal = Journal::open(path).expect("recover truncated journal");
     let resumed = Executor::new(config(seed, threads))
-        .run_journaled(&chain(fixtures()), d.pairs.clone(), &mut journal)
+        .run_journaled(&chain(fixtures()), &d.pairs, &mut journal)
         .expect("resume");
     assert_eq!(
         resumed.digest(),
@@ -209,7 +209,7 @@ fn double_crash_still_converges() {
     std::fs::write(&path, &bytes[..bytes.len() / 4]).unwrap();
     let mut journal = Journal::open(&path).unwrap();
     Executor::new(config(seed, 2))
-        .run_journaled(&chain(fixtures()), d.pairs.clone(), &mut journal)
+        .run_journaled(&chain(fixtures()), &d.pairs, &mut journal)
         .unwrap();
     drop(journal);
 

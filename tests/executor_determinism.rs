@@ -79,7 +79,7 @@ fn chain(sel: u8, f: &'static Fixtures) -> Vec<Box<dyn Stage + 'static>> {
 
 fn run(sel: u8, dataset: &Dataset, seed: u64, threads: usize) -> ChainOutput {
     let stages = chain(sel, fixtures());
-    Executor::new(ExecutorConfig::new(seed).threads(threads)).run(&stages, dataset.pairs.clone())
+    Executor::new(ExecutorConfig::new(seed).threads(threads)).run(&stages, &dataset.pairs)
 }
 
 fn assert_same(a: &ChainOutput, b: &ChainOutput) -> Result<(), proptest::TestCaseError> {

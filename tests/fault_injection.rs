@@ -82,7 +82,7 @@ fn run_chaos(
     plan: FaultPlan,
 ) -> ChainOutput {
     let stages = chain(sel, fixtures());
-    Executor::new(faulty_config(chain_seed, threads, plan)).run(&stages, dataset.pairs.clone())
+    Executor::new(faulty_config(chain_seed, threads, plan)).run(&stages, &dataset.pairs)
 }
 
 /// The partition property: counting by disposition covers every input item
@@ -186,7 +186,7 @@ proptest! {
         // run relative to a default config (no plan at all).
         let stages = chain(sel, fixtures());
         let plain = Executor::new(ExecutorConfig::new(chain_seed).threads(threads))
-            .run(&stages, dataset.pairs.clone());
+            .run(&stages, &dataset.pairs);
         let inert = run_chaos(sel, &dataset, chain_seed, threads, FaultPlan::new(9));
         assert_same(&inert, &plain)?;
         prop_assert_eq!(inert.total_retries(), 0);
@@ -209,7 +209,7 @@ proptest! {
         let faulted = run_chaos(sel, &dataset, chain_seed, 4, plan);
         let stages = chain(sel, fixtures());
         let clean = Executor::new(ExecutorConfig::new(chain_seed).threads(4))
-            .run(&stages, dataset.pairs.clone());
+            .run(&stages, &dataset.pairs);
         for (f, c) in faulted.items.iter().zip(&clean.items) {
             if f.failure.is_none() {
                 prop_assert_eq!(&f.pair, &c.pair);

@@ -100,7 +100,7 @@ fn quarantine_round_trips_from_a_real_faulted_run() {
             .fault_plan(FaultPlan::new(5).transient(0.3).permanent(0.1))
             .retry_policy(RetryPolicy::new(2, std::time::Duration::from_millis(1))),
     )
-    .run(&stages, d.pairs.clone());
+    .run(&stages, &d.pairs);
     let q = out.quarantine("clean-quarantine");
     assert!(
         !q.is_empty(),

@@ -269,14 +269,14 @@ fn self_review_crash_resume_kill_at_every_frame() {
     let strategy = SelfReviewStrategy::new();
     let stages = strategy.stages();
 
-    let gold = Executor::new(chaos_config(seed, 1, 64)).run(&stages, d.pairs.clone());
+    let gold = Executor::new(chaos_config(seed, 1, 64)).run(&stages, &d.pairs);
 
     let path = temp_journal("self-review");
     let mut journal = Journal::create(&path)
         .expect("create journal")
         .sync_every(1);
     Executor::new(chaos_config(seed, 4, 16))
-        .run_journaled(&stages, d.pairs.clone(), &mut journal)
+        .run_journaled(&stages, &d.pairs, &mut journal)
         .expect("journaled run");
     drop(journal);
     let bytes = std::fs::read(&path).expect("read journal back");
@@ -293,7 +293,7 @@ fn self_review_crash_resume_kill_at_every_frame() {
             std::fs::write(&path, &bytes[..len]).expect("truncate journal");
             let mut journal = Journal::open(&path).expect("recover truncated journal");
             let resumed = Executor::new(chaos_config(seed, 3, 8))
-                .run_journaled(&stages, d.pairs.clone(), &mut journal)
+                .run_journaled(&stages, &d.pairs, &mut journal)
                 .expect("resume");
             assert_same(&resumed, &gold, &format!("cut at {len}/{}", bytes.len()));
         }
@@ -388,7 +388,7 @@ fn latency_storm_trips_breaker_and_degrades_looping_stage() {
                     .probes(4),
             )
     };
-    let out = Executor::new(config(4)).run(&stages, d.pairs.clone());
+    let out = Executor::new(config(4)).run(&stages, &d.pairs);
 
     let report = out.report(ReviseUntilPassStage::NAME).expect("report");
     assert!(report.timeouts > 0, "the storm must cause timeouts");
@@ -416,7 +416,7 @@ fn latency_storm_trips_breaker_and_degrades_looping_stage() {
         out.items
             .iter()
             .filter(|i| i.retained)
-            .any(|i| i.pair == i.original),
+            .any(|i| i.pair == d.pairs[i.index]),
         "degraded items pass through unrevised"
     );
     // The iteration budget holds even in the storm.
@@ -426,7 +426,7 @@ fn latency_storm_trips_breaker_and_degrades_looping_stage() {
     );
     // And the whole evolution — trips, probes, degradations — is
     // deterministic across thread counts.
-    let again = Executor::new(config(8)).run(&stages, d.pairs.clone());
+    let again = Executor::new(config(8)).run(&stages, &d.pairs);
     assert_same(&out, &again, "latency storm determinism");
 }
 

@@ -210,9 +210,9 @@ proptest! {
     ) {
         let d = dataset(size, data_seed);
         let reference = Executor::new(chaos_config(chain_seed, 1, 64))
-            .run_stream(&chain(sel, fixtures()), StreamSource::batch(d.pairs.clone()));
+            .run_stream(&chain(sel, fixtures()), StreamSource::batch(&d.pairs));
         let streamed = Executor::new(chaos_config(chain_seed, threads, queue))
-            .run_stream(&chain(sel, fixtures()), StreamSource::batch(d.pairs.clone()));
+            .run_stream(&chain(sel, fixtures()), StreamSource::batch(&d.pairs));
         prop_assert_eq!(reference.digest(), streamed.digest());
         prop_assert_eq!(&reference.breaker_events, &streamed.breaker_events);
     }
@@ -231,7 +231,7 @@ proptest! {
     ) {
         let d = dataset(size, data_seed);
         let feed = overloaded_feed();
-        let source = || StreamSource { pairs: d.pairs.clone(), feed: feed.clone() };
+        let source = || StreamSource { pairs: &d.pairs, feed: feed.clone() };
         let reference = Executor::new(chaos_config(chain_seed, 1, 64))
             .run_stream(&chain(sel, fixtures()), source());
         let streamed = Executor::new(chaos_config(chain_seed, threads, queue))
@@ -258,7 +258,7 @@ fn crash_resume_under_feed(feed: Feed, tag: &str) {
     let d = dataset(80, seed);
     let stages = chain(2, fixtures());
     let source = || StreamSource {
-        pairs: d.pairs.clone(),
+        pairs: &d.pairs,
         feed: feed.clone(),
     };
 
@@ -315,7 +315,7 @@ fn journal_refuses_resume_under_a_different_feed() {
         .run_stream_journaled(
             &stages,
             StreamSource {
-                pairs: d.pairs.clone(),
+                pairs: &d.pairs,
                 feed: overloaded_feed(),
             },
             &mut journal,
@@ -326,7 +326,7 @@ fn journal_refuses_resume_under_a_different_feed() {
     let mut journal = Journal::open(&path).expect("reopen");
     let err = Executor::new(chaos_config(seed, 2, 32)).run_stream_journaled(
         &stages,
-        StreamSource::batch(d.pairs.clone()),
+        StreamSource::batch(&d.pairs),
         &mut journal,
     );
     assert!(
@@ -394,7 +394,7 @@ fn stream_matrix_cell() {
         for sel in 0..6u8 {
             for feed in [Feed::Batch, overloaded_feed()] {
                 let source = || StreamSource {
-                    pairs: d.pairs.clone(),
+                    pairs: &d.pairs,
                     feed: feed.clone(),
                 };
                 let reference = Executor::new(config(seed, 1, 64))

@@ -195,7 +195,7 @@ fn gold_digest(seed: u64, threads: u32, pairs: &[InstructionPair], shards: usize
     let out = run_sharded_journaled(
         &chaos_config(seed, threads),
         &chaos_stages(),
-        StreamSource::batch(pairs.to_vec()),
+        StreamSource::batch(pairs),
         shards,
         &dir,
     )
@@ -218,7 +218,7 @@ fn run_supervised(
         factory,
         CHAOS_CHAIN,
         &encode_chaos(seed, threads),
-        StreamSource::batch(pairs.to_vec()),
+        StreamSource::batch(pairs),
         shards,
         &dir,
         opts,
@@ -417,8 +417,8 @@ fn poison_bisection_quarantines_the_culprit() {
     // the fault plan fires *before* the stage body, so an item it
     // permanently faults would be quarantined organically without ever
     // reaching the abort.
-    let probe = coachlm::runtime::Executor::new(chaos_config(seed, threads))
-        .run(&chaos_stages(), pairs.clone());
+    let probe =
+        coachlm::runtime::Executor::new(chaos_config(seed, threads)).run(&chaos_stages(), &pairs);
     let victim = probe
         .items
         .iter()
@@ -501,7 +501,7 @@ fn sync_every_bounds_tail_loss() {
         factory,
         CHAOS_CHAIN,
         &encode_chaos(seed, threads),
-        StreamSource::batch(pairs.clone()),
+        StreamSource::batch(&pairs),
         shards,
         &dir,
         &opts,
@@ -534,7 +534,7 @@ fn sync_every_bounds_tail_loss() {
         factory,
         CHAOS_CHAIN,
         &encode_chaos(seed, threads),
-        StreamSource::batch(pairs),
+        StreamSource::batch(&pairs),
         shards,
         &dir,
         &SuperviseOptions {
