@@ -11,7 +11,7 @@ use crate::alpha::select_alpha;
 use coachlm_expert::revision::RevisionRecord;
 use coachlm_lm::adapter::{Adapter, AdapterConfig};
 use coachlm_lm::backbone::{Backbone, BackboneKind};
-use coachlm_lm::transducer::{RevisionOutcome, Transducer};
+use coachlm_lm::transducer::{DecodeTables, RevisionOutcome, Transducer};
 use coachlm_text::fxhash::fingerprint_fields;
 use rand::Rng;
 use serde::{Deserialize, Serialize};
@@ -64,6 +64,10 @@ struct CoachState {
 pub struct CoachLm {
     state: CoachState,
     backbone: Backbone,
+    /// What every revision reads and no revision changes, built from the
+    /// backbone and adapter by both constructors; derived, never
+    /// serialised.
+    tables: DecodeTables,
     /// Hash of [`CoachLm::to_bytes`], computed on first use.
     fingerprint: OnceLock<u64>,
 }
@@ -86,6 +90,7 @@ impl CoachLm {
             trained_ids.push(rec.id);
         }
         adapter.finalize();
+        let tables = DecodeTables::new(&backbone, &adapter);
         Self {
             state: CoachState {
                 config,
@@ -93,6 +98,7 @@ impl CoachLm {
                 trained_ids,
             },
             backbone,
+            tables,
             fingerprint: OnceLock::new(),
         }
     }
@@ -109,8 +115,9 @@ impl CoachLm {
             .into_bytes()
     }
 
-    /// Decodes [`CoachLm::to_bytes`] output and rebuilds the backbone with
-    /// [`Backbone::load`] (about a millisecond). `None` unless `bytes` is
+    /// Decodes [`CoachLm::to_bytes`] output, rebuilds the backbone with
+    /// [`Backbone::load`] (about a millisecond) and the decode tables from
+    /// it and the adapter (about two). `None` unless `bytes` is
     /// exactly the canonical encoding of some coach: malformed JSON, a
     /// missing or mistyped field, and any other spelling of a valid model
     /// (extra whitespace, reordered entries, `06` for `6`) are all refused,
@@ -120,8 +127,11 @@ impl CoachLm {
         if serde_json::to_string(&state).ok()?.as_bytes() != bytes {
             return None;
         }
+        let backbone = Backbone::load(state.config.backbone);
+        let tables = DecodeTables::new(&backbone, &state.adapter);
         Some(CoachLm {
-            backbone: Backbone::load(state.config.backbone),
+            backbone,
+            tables,
             state,
             fingerprint: OnceLock::from(fingerprint_fields(&[bytes])),
         })
@@ -165,7 +175,7 @@ impl CoachLm {
 
     /// Probability an applicable repair fires at decode time.
     pub fn apply_probability(&self) -> f64 {
-        Transducer::new(&self.backbone, &self.state.adapter).apply_probability()
+        self.transducer().apply_probability()
     }
 
     /// Revises one instruction pair (beam size 1, §III-A3).
@@ -175,7 +185,11 @@ impl CoachLm {
         instruction: &str,
         response: &str,
     ) -> RevisionOutcome {
-        Transducer::new(&self.backbone, &self.state.adapter).revise_pair(rng, instruction, response)
+        self.transducer().revise_pair(rng, instruction, response)
+    }
+
+    fn transducer(&self) -> Transducer<'_> {
+        Transducer::new(&self.backbone, &self.state.adapter, &self.tables)
     }
 }
 
@@ -186,6 +200,7 @@ mod tests {
     use coachlm_expert::filter::preliminary_filter;
     use coachlm_expert::pool::ExpertPool;
     use coachlm_expert::revision::ExpertReviser;
+    use coachlm_lm::transducer::RepairTag;
     use rand::rngs::StdRng;
     use rand::SeedableRng;
 
@@ -326,17 +341,25 @@ mod tests {
         assert_eq!(back.fingerprint(), coach.fingerprint());
         assert_eq!(back.trained_ids(), coach.trained_ids());
         assert_eq!(back.config(), coach.config());
-        // Same model, same draws: the decoded coach revises identically.
-        for seed in 0..16 {
+        // Same model, same draws: the decoded coach, whose decode tables
+        // were rebuilt from the bytes, revises real traffic identically.
+        let (traffic, _) = generate(&GeneratorConfig::small(200, 12));
+        let mut fired = std::collections::HashSet::new();
+        for (seed, pair) in (0u64..).zip(&traffic.pairs) {
             let revise = |c: &CoachLm| {
                 c.revise_pair(
                     &mut StdRng::seed_from_u64(seed),
-                    "Explain teh water cycle in alot of detail",
-                    "Water evaporates becuase of heat.",
+                    &pair.instruction,
+                    &pair.response,
                 )
             };
-            assert_eq!(revise(&back), revise(&coach), "seed {seed}");
+            let out = revise(&coach);
+            assert_eq!(revise(&back), out, "pair {seed}");
+            fired.extend(out.repairs);
         }
+        // The ranked expansions and the phrase index were both read.
+        assert!(fired.contains(&RepairTag::Expand), "{fired:?}");
+        assert!(fired.contains(&RepairTag::LearnedPhrase), "{fired:?}");
     }
 
     #[test]

@@ -98,7 +98,11 @@ pub struct Backbone {
     lm: NgramLm,
     knowledge: KnowledgeBase,
     // Dataset-scale revision re-scores the same filled templates millions of
-    // times; memoising fluency turns that hot path into a hash lookup.
+    // times; memoising fluency turns that hot path into a hash lookup. Only
+    // per-pair texts come here: the filled expansion templates (one topic
+    // word each) and the clarification templates. A coach ranks its learned
+    // expansion sentences once, straight from `lm`, so those no longer take
+    // this lock that every lane shares.
     fluency_cache: std::sync::Mutex<coachlm_text::fxhash::FxHashMap<Box<str>, f64>>,
 }
 

@@ -83,7 +83,11 @@ impl NgramLm {
 
     /// Log2 probability of a full text (BOS/EOS wrapped).
     pub fn log2_prob(&self, text: &str) -> f64 {
-        let seq = self.vocab.encode_text(text);
+        self.log2_prob_encoded(&self.vocab.encode_text(text))
+    }
+
+    /// Log2 probability of an encoded, BOS/EOS-wrapped sequence.
+    fn log2_prob_encoded(&self, seq: &[Sym]) -> f64 {
         let mut lp = 0.0;
         for i in 1..seq.len() {
             let p = self.prob(&seq[..i], seq[i]);
@@ -92,11 +96,12 @@ impl NgramLm {
         lp
     }
 
-    /// Per-word perplexity of `text`. Lower is more fluent.
+    /// Per-word perplexity of `text`. Lower is more fluent. The text is
+    /// encoded once and that sequence is scored.
     pub fn perplexity(&self, text: &str) -> f64 {
         let seq = self.vocab.encode_text(text);
         let events = (seq.len() - 1).max(1) as f64;
-        (2f64).powf(-self.log2_prob(text) / events)
+        (2f64).powf(-self.log2_prob_encoded(&seq) / events)
     }
 
     /// A bounded fluency score in [0, 1]: 1.0 for text the model finds
@@ -279,6 +284,28 @@ mod tests {
     #[should_panic(expected = "order")]
     fn zero_order_panics() {
         let _ = NgramLm::train(0, &["x"]);
+    }
+
+    /// The `perplexity` that encoded its text twice: once for the event
+    /// count, once more inside `log2_prob`.
+    fn reference_perplexity(m: &NgramLm, text: &str) -> f64 {
+        let seq = m.vocab().encode_text(text);
+        let events = (seq.len() - 1).max(1) as f64;
+        (2f64).powf(-m.log2_prob(text) / events)
+    }
+
+    #[test]
+    fn single_encode_perplexity_matches_the_reference_bit_for_bit() {
+        let m = NgramLm::train(3, &crate::corpus::corpus_slice(1.0));
+        let mut probes = crate::corpus::corpus_slice(1.0);
+        probes.extend(["", "zebra quantum xylophone", "The the the, of of."]);
+        for text in &probes {
+            assert_eq!(
+                m.perplexity(text).to_bits(),
+                reference_perplexity(&m, text).to_bits(),
+                "{text:?}"
+            );
+        }
     }
 
     #[test]

@@ -9,7 +9,7 @@
 //! paper observes when α grows past 0.3 (Fig 5a).
 
 use coachlm_text::diff::diff_tokens;
-use coachlm_text::fxhash::FxHashMap;
+use coachlm_text::fxhash::{FxHashMap, FxHashSet};
 use coachlm_text::lexicon;
 use coachlm_text::normalize::fold_case;
 use serde::{Deserialize, Serialize};
@@ -213,11 +213,18 @@ impl RuleSet {
             .map(|(texts, c)| (texts.as_slice(), *c))
     }
 
-    /// Longest phrase-rule source length present (decoding scans windows up
-    /// to this size).
-    pub fn max_from_len(&self) -> usize {
-        // lint: allow(D3, reason = "max over key lengths is commutative; visit order cannot change the result")
-        self.phrase.keys().map(Vec::len).max().unwrap_or(0)
+    /// The decode index over this set's phrase rules: which words start a
+    /// rule, and the longest rule source. Built once per coach.
+    pub(crate) fn phrase_index(&self) -> PhraseIndex {
+        let mut index = PhraseIndex::default();
+        // lint: allow(D3, reason = "keys feed a set insert and a max, and neither depends on visit order")
+        for from in self.phrase.keys() {
+            if let Some(first) = from.first() {
+                index.first_words.insert(first.clone());
+            }
+            index.max_from_len = index.max_from_len.max(from.len());
+        }
+        index
     }
 
     /// Retains only the `capacity` highest-support phrase rules — the
@@ -232,6 +239,43 @@ impl RuleSet {
         rules.sort_by(|a, b| b.1 .1.cmp(&a.1 .1).then_with(|| a.0.cmp(&b.0)));
         rules.truncate(capacity);
         self.phrase = rules.into_iter().collect();
+    }
+}
+
+#[cfg(test)]
+impl RuleSet {
+    /// Adds the phrase rule `from → to` unless `from` already has one, as
+    /// [`RuleSet::extract`] keeps the first replacement it sees.
+    pub(crate) fn insert_phrase_rule(&mut self, from: Vec<String>, to: Vec<String>) {
+        self.phrase.entry(from).or_insert((to, 1));
+    }
+
+    /// Replaces the material learned for `kind`.
+    pub(crate) fn set_augment_material(&mut self, kind: AugmentKind, texts: Vec<String>) {
+        self.augment.insert(kind, (texts, 1));
+    }
+}
+
+/// What decoding needs to know about a [`RuleSet`]'s phrase rules to skip
+/// the windows no rule can match: a window can match only where its first
+/// word starts some rule. Derived by [`RuleSet::phrase_index`], never
+/// serialised.
+#[derive(Debug, Default)]
+pub(crate) struct PhraseIndex {
+    first_words: FxHashSet<String>,
+    max_from_len: usize,
+}
+
+impl PhraseIndex {
+    /// Whether some phrase rule's source starts with the case-folded `word`.
+    pub(crate) fn starts_rule(&self, word: &str) -> bool {
+        self.first_words.contains(word)
+    }
+
+    /// Longest phrase-rule source length present (decoding scans windows up
+    /// to this size).
+    pub(crate) fn max_from_len(&self) -> usize {
+        self.max_from_len
     }
 }
 
@@ -377,9 +421,9 @@ mod tests {
     #[test]
     fn max_from_len_tracks_longest_rule() {
         let mut rs = RuleSet::new();
-        assert_eq!(rs.max_from_len(), 0);
+        assert_eq!(rs.phrase_index().max_from_len(), 0);
         rs.extract("you could of asked first", "you could have asked first");
-        assert!(rs.max_from_len() >= 1);
+        assert!(rs.phrase_index().max_from_len() >= 1);
     }
 
     #[test]

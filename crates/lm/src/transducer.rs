@@ -13,11 +13,12 @@
 use crate::adapter::Adapter;
 use crate::backbone::Backbone;
 use crate::knowledge::KnowledgeBase;
-use crate::rules::AugmentKind;
+use crate::rules::{AugmentKind, PhraseIndex, RuleSet};
 use coachlm_text::lexicon;
 use coachlm_text::normalize;
 use rand::Rng;
 use serde::{Deserialize, Serialize};
+use std::cmp::Ordering;
 
 /// What kind of repair was applied at a site.
 #[derive(Debug, Clone, Copy, PartialEq, Eq, Hash, Serialize, Deserialize)]
@@ -126,17 +127,113 @@ impl RevisionOutcome {
 /// "thin" and eligible for expansion.
 const THIN_RESPONSE_WORDS: usize = 60;
 
-/// A revision decoder over `(backbone, adapter)`.
+/// What decoding reads from a `(backbone, adapter)` pair that never
+/// changes once the adapter is trained: the learned expansion sentences,
+/// ranked by the backbone's fluency, and for each rule side the words
+/// that start a phrase rule. A coach builds these once, when it is
+/// trained or decoded from bytes; they are derived, never serialised.
+#[derive(Debug)]
+pub struct DecodeTables {
+    /// Learned `ExpandResponse` sentences in rank order.
+    expansions: Vec<RankedSentence>,
+    instruction_index: PhraseIndex,
+    response_index: PhraseIndex,
+}
+
+impl DecodeTables {
+    /// Ranks the adapter's learned expansion sentences with the backbone's
+    /// n-gram fluency and indexes both rule sides.
+    pub fn new(backbone: &Backbone, adapter: &Adapter) -> Self {
+        let learned = adapter
+            .response_rules
+            .augment_material(AugmentKind::ExpandResponse)
+            .map_or(&[][..], |(texts, _)| texts);
+        // Scored straight from the model: the fluency cache is left to the
+        // per-pair filled templates.
+        let mut expansions: Vec<RankedSentence> = learned
+            .iter()
+            .map(|text| RankedSentence::new(backbone.lm().fluency(text), text.clone()))
+            .collect();
+        expansions.sort_by(RankedSentence::rank);
+        Self {
+            expansions,
+            instruction_index: adapter.instruction_rules.phrase_index(),
+            response_index: adapter.response_rules.phrase_index(),
+        }
+    }
+}
+
+/// An expansion sentence with its rank key and whether it carries the
+/// expert bar's "for example" marker.
+#[derive(Debug)]
+struct RankedSentence {
+    fluency: f64,
+    text: String,
+    has_example: bool,
+}
+
+impl RankedSentence {
+    fn new(fluency: f64, text: String) -> Self {
+        Self {
+            fluency,
+            has_example: has_example(&text),
+            text,
+        }
+    }
+
+    /// Rank order: more fluent first, then by text. Stronger backbones
+    /// pick better prose.
+    fn rank(&self, other: &Self) -> Ordering {
+        other
+            .fluency
+            .total_cmp(&self.fluency)
+            .then_with(|| self.text.cmp(&other.text))
+    }
+}
+
+/// Whether a sentence carries the expert bar's concrete-example marker.
+fn has_example(text: &str) -> bool {
+    normalize::fold_case(text).contains("for example")
+}
+
+/// The learned and filled sentences as one list in rank order, merged
+/// lazily; a learned sentence goes first on a tie, as it did when both
+/// sat in one learned-then-filled list under a stable sort.
+struct RankedPool<'s> {
+    learned: std::iter::Peekable<std::slice::Iter<'s, RankedSentence>>,
+    filled: std::iter::Peekable<std::slice::Iter<'s, RankedSentence>>,
+}
+
+impl<'s> Iterator for RankedPool<'s> {
+    type Item = &'s RankedSentence;
+
+    fn next(&mut self) -> Option<&'s RankedSentence> {
+        match (self.learned.peek(), self.filled.peek()) {
+            (Some(l), Some(f)) if l.rank(f) == Ordering::Greater => self.filled.next(),
+            (Some(_), _) => self.learned.next(),
+            (None, _) => self.filled.next(),
+        }
+    }
+}
+
+/// A revision decoder over `(backbone, adapter)` and the [`DecodeTables`]
+/// built from them.
 #[derive(Debug)]
 pub struct Transducer<'a> {
     backbone: &'a Backbone,
     adapter: &'a Adapter,
+    tables: &'a DecodeTables,
 }
 
 impl<'a> Transducer<'a> {
-    /// Creates a transducer.
-    pub fn new(backbone: &'a Backbone, adapter: &'a Adapter) -> Self {
-        Self { backbone, adapter }
+    /// Creates a transducer. `tables` must come from
+    /// [`DecodeTables::new`] over the same backbone and adapter.
+    pub fn new(backbone: &'a Backbone, adapter: &'a Adapter, tables: &'a DecodeTables) -> Self {
+        Self {
+            backbone,
+            adapter,
+            tables,
+        }
     }
 
     /// The backbone in use.
@@ -246,7 +343,14 @@ impl<'a> Transducer<'a> {
         }
 
         // Lexical repairs: learned phrase rules + backbone typo/grammar.
-        let (fixed, tags) = apply_lexical(rng, p, kb, &self.adapter.instruction_rules, &text);
+        let (fixed, tags) = apply_lexical(
+            rng,
+            p,
+            kb,
+            &self.adapter.instruction_rules,
+            &self.tables.instruction_index,
+            &text,
+        );
         text = fixed;
         repairs.extend(tags);
 
@@ -336,7 +440,14 @@ impl<'a> Transducer<'a> {
         }
 
         // Lexical repairs: learned phrase rules + typo/grammar + facts.
-        let (fixed, tags) = apply_lexical(rng, p, kb, &self.adapter.response_rules, &text);
+        let (fixed, tags) = apply_lexical(
+            rng,
+            p,
+            kb,
+            &self.adapter.response_rules,
+            &self.tables.response_index,
+            &text,
+        );
         text = fixed;
         repairs.extend(tags);
         if let Some((wrong, right)) = kb.fact_correction(&text) {
@@ -411,6 +522,12 @@ impl<'a> Transducer<'a> {
 
     /// Like [`Self::compose_on_topic`], but skips sentences already present
     /// in `avoid` (prevents duplicate expansions after a rewrite).
+    ///
+    /// The learned sentences were ranked when the coach was built; only the
+    /// filled templates are scored here, and the two lists are merged
+    /// lazily. The draw needs the first `n + 3` sentences `avoid` does not
+    /// contain (the rotation starts at one of the first three), plus the
+    /// first "for example" sentence when the picks lack one.
     fn compose_on_topic_avoiding<R: Rng>(
         &self,
         rng: &mut R,
@@ -418,55 +535,61 @@ impl<'a> Transducer<'a> {
         n: usize,
         avoid: &str,
     ) -> String {
-        let learned = self
-            .adapter
-            .response_rules
-            .augment_material(AugmentKind::ExpandResponse)
-            .map_or(&[][..], |(texts, _)| texts);
         let topic_word = topic.first().map(String::as_str).unwrap_or("the topic");
-        let filled: Vec<String> = self
+        let mut filled: Vec<RankedSentence> = self
             .backbone
             .knowledge()
             .expansions()
             .iter()
-            .map(|t| KnowledgeBase::fill(t, topic_word))
+            .map(|t| {
+                let text = KnowledgeBase::fill(t, topic_word);
+                RankedSentence::new(self.backbone.fluency(&text), text)
+            })
             .collect();
-        // Rank by backbone fluency (stronger backbones pick better prose),
-        // then take a seeded rotation so output varies across pairs. The
-        // learned sentences are ranked where they are, not cloned.
-        let mut scored: Vec<(f64, &str)> = learned
-            .iter()
-            .chain(&filled)
-            .map(String::as_str)
-            .filter(|s| !avoid.contains(s))
-            .map(|s| (self.backbone.fluency(s), s))
+        filled.sort_by(RankedSentence::rank);
+        let mut pool = RankedPool {
+            learned: self.tables.expansions.iter().peekable(),
+            filled: filled.iter().peekable(),
+        };
+        let unused = |s: &&RankedSentence| !avoid.contains(&s.text);
+        let head: Vec<&RankedSentence> = pool
+            .by_ref()
+            .filter(unused)
+            .take(n.saturating_add(3))
             .collect();
-        if scored.is_empty() {
+        if head.is_empty() {
             return String::new();
         }
-        scored.sort_by(|a, b| b.0.total_cmp(&a.0).then_with(|| a.1.cmp(b.1)));
-        let start = rng.gen_range(0..scored.len().min(3));
-        let mut picked: Vec<&str> = scored
+        // A seeded rotation so output varies across pairs. A full head is
+        // longer than any rotation reaches, so cycling it equals cycling
+        // the whole list; a short head is the whole list.
+        let start = rng.gen_range(0..head.len().min(3));
+        let mut picked: Vec<&RankedSentence> = head
             .iter()
+            .copied()
             .cycle()
             .skip(start)
-            .take(n.min(scored.len()))
-            .map(|&(_, s)| s)
+            .take(n.min(head.len()))
             .collect();
         // The expert bar includes a concrete example; make sure one of the
         // picked sentences carries the marker when the pool has one.
-        let has_example = |s: &str| normalize::fold_case(s).contains("for example");
-        if !picked.iter().any(|s| has_example(s)) && !avoid.to_lowercase().contains("for example") {
-            if let Some(&(_, ex)) = scored.iter().find(|(_, s)| has_example(s)) {
+        if !picked.iter().any(|s| s.has_example) && !avoid.to_lowercase().contains("for example") {
+            let example = head
+                .iter()
+                .copied()
+                .chain(pool.filter(unused))
+                .find(|s| s.has_example);
+            if let Some(example) = example {
                 if let Some(last) = picked.last_mut() {
-                    *last = ex;
+                    *last = example;
                 } else {
-                    picked.push(ex);
+                    picked.push(example);
                 }
             }
         }
-        picked.dedup();
-        picked.join(" ")
+        picked.dedup_by(|a, b| a.text == b.text);
+        let texts: Vec<&str> = picked.iter().map(|s| s.text.as_str()).collect();
+        texts.join(" ")
     }
 
     /// Fills each template with the topic and returns the most fluent one.
@@ -524,24 +647,32 @@ fn choose_augment<'a, R: Rng>(
 }
 
 /// Lexical pass shared by both sides: learned phrase rules (longest match
-/// first), then backbone typo and grammar corrections.
+/// first), then backbone typo and grammar corrections. `index` is
+/// `rules.phrase_index()`, built once per coach.
 fn apply_lexical<R: Rng>(
     rng: &mut R,
     p: f64,
     kb: &KnowledgeBase,
-    rules: &crate::rules::RuleSet,
+    rules: &RuleSet,
+    index: &PhraseIndex,
     text: &str,
 ) -> (String, Vec<RepairTag>) {
     let mut tags = Vec::new();
     let words = coachlm_text::token::words(text);
     // Each word is folded once; rule windows are slices of these.
     let folded: Vec<String> = words.iter().map(|w| normalize::fold_case(w)).collect();
-    let max_len = rules.max_from_len().clamp(1, 5);
+    let max_len = index.max_from_len().clamp(1, 5);
     let mut out: Vec<&str> = Vec::with_capacity(words.len());
     let mut i = 0usize;
     'outer: while i < words.len() {
-        // Longest-match learned rule.
-        for len in (1..=max_len.min(words.len() - i)).rev() {
+        // Longest-match learned rule. A window whose first word starts no
+        // rule matches none, so only rule-starting words are tried.
+        let tries = if index.starts_rule(&folded[i]) {
+            max_len.min(words.len() - i)
+        } else {
+            0
+        };
+        for len in (1..=tries).rev() {
             let window = &folded[i..i + len];
             if let Some((to, _count)) = rules.phrase_replacement(window) {
                 if rng.gen_bool(p) {
@@ -617,7 +748,29 @@ mod tests {
     use rand::rngs::StdRng;
     use rand::SeedableRng;
 
-    fn strong_setup() -> (Backbone, Adapter) {
+    /// A backbone and adapter with the decode tables built from them.
+    struct Setup {
+        backbone: Backbone,
+        adapter: Adapter,
+        tables: DecodeTables,
+    }
+
+    impl Setup {
+        fn new(backbone: Backbone, adapter: Adapter) -> Self {
+            let tables = DecodeTables::new(&backbone, &adapter);
+            Self {
+                backbone,
+                adapter,
+                tables,
+            }
+        }
+
+        fn transducer(&self) -> Transducer<'_> {
+            Transducer::new(&self.backbone, &self.adapter, &self.tables)
+        }
+    }
+
+    fn strong_setup() -> Setup {
         let backbone = Backbone::load(BackboneKind::ChatGlm2_6b);
         let mut adapter = Adapter::new(AdapterConfig::default());
         // Enough substantive examples to saturate elicitation.
@@ -633,28 +786,30 @@ mod tests {
             );
         }
         adapter.finalize();
-        (backbone, adapter)
+        Setup::new(backbone, adapter)
     }
 
     #[test]
     fn trained_transducer_fires_reliably() {
-        let (b, a) = strong_setup();
-        let t = Transducer::new(&b, &a);
+        let setup = strong_setup();
+        let t = setup.transducer();
         assert!(t.apply_probability() > 0.9, "p = {}", t.apply_probability());
     }
 
     #[test]
     fn untrained_transducer_uses_prior_only() {
-        let b = Backbone::load(BackboneKind::ChatGlm2_6b);
-        let a = Adapter::new(AdapterConfig::default());
-        let t = Transducer::new(&b, &a);
-        assert!((t.apply_probability() - b.profile().alignment_prior).abs() < 1e-9);
+        let setup = Setup::new(
+            Backbone::load(BackboneKind::ChatGlm2_6b),
+            Adapter::new(AdapterConfig::default()),
+        );
+        let prior = setup.backbone.profile().alignment_prior;
+        assert!((setup.transducer().apply_probability() - prior).abs() < 1e-9);
     }
 
     #[test]
     fn fixes_typos_in_both_sides() {
-        let (b, a) = strong_setup();
-        let t = Transducer::new(&b, &a);
+        let setup = strong_setup();
+        let t = setup.transducer();
         let mut rng = StdRng::seed_from_u64(3);
         let out = t.revise_pair(
             &mut rng,
@@ -679,8 +834,8 @@ mod tests {
 
     #[test]
     fn expands_thin_responses() {
-        let (b, a) = strong_setup();
-        let t = Transducer::new(&b, &a);
+        let setup = strong_setup();
+        let t = setup.transducer();
         let mut rng = StdRng::seed_from_u64(11);
         let out = t.revise_pair(&mut rng, "Explain photosynthesis", "Plants make food.");
         let before = coachlm_text::token::word_count("Plants make food.");
@@ -695,8 +850,8 @@ mod tests {
 
     #[test]
     fn rewrites_irrelevant_responses_on_topic() {
-        let (b, a) = strong_setup();
-        let t = Transducer::new(&b, &a);
+        let setup = strong_setup();
+        let t = setup.transducer();
         let mut rng = StdRng::seed_from_u64(5);
         let out = t.revise_pair(
             &mut rng,
@@ -715,8 +870,8 @@ mod tests {
 
     #[test]
     fn replaces_unsafe_content() {
-        let (b, a) = strong_setup();
-        let t = Transducer::new(&b, &a);
+        let setup = strong_setup();
+        let t = setup.transducer();
         let mut rng = StdRng::seed_from_u64(9);
         let out = t.revise_pair(
             &mut rng,
@@ -736,8 +891,8 @@ mod tests {
 
     #[test]
     fn completes_truncated_responses() {
-        let (b, a) = strong_setup();
-        let t = Transducer::new(&b, &a);
+        let setup = strong_setup();
+        let t = setup.transducer();
         let mut rng = StdRng::seed_from_u64(21);
         let out = t.revise_pair(
             &mut rng,
@@ -754,8 +909,8 @@ mod tests {
 
     #[test]
     fn strips_infeasible_requirements() {
-        let (b, a) = strong_setup();
-        let t = Transducer::new(&b, &a);
+        let setup = strong_setup();
+        let t = setup.transducer();
         let mut rng = StdRng::seed_from_u64(2);
         let out = t.revise_pair(
             &mut rng,
@@ -775,8 +930,8 @@ mod tests {
 
     #[test]
     fn deterministic_given_seed() {
-        let (b, a) = strong_setup();
-        let t = Transducer::new(&b, &a);
+        let setup = strong_setup();
+        let t = setup.transducer();
         let mut r1 = StdRng::seed_from_u64(77);
         let mut r2 = StdRng::seed_from_u64(77);
         let o1 = t.revise_pair(&mut r1, "Explain teh tides", "The moon pulls water.");
@@ -786,8 +941,8 @@ mod tests {
 
     #[test]
     fn degenerate_outputs_flagged() {
-        let (b, a) = strong_setup();
-        let t = Transducer::new(&b, &a);
+        let setup = strong_setup();
+        let t = setup.transducer();
         let mut rng = StdRng::seed_from_u64(0);
         let mut degens = 0usize;
         for _ in 0..2000 {
@@ -810,12 +965,11 @@ mod tests {
 
     #[test]
     fn weak_backbone_repairs_less() {
-        let weak_b = Backbone::load(BackboneKind::Llama7b);
-        let strong_b = Backbone::load(BackboneKind::ChatGlm2_6b);
-        let empty = Adapter::new(AdapterConfig::default());
-        let tw = Transducer::new(&weak_b, &empty);
-        let ts = Transducer::new(&strong_b, &empty);
-        assert!(tw.apply_probability() < ts.apply_probability());
+        let untrained =
+            |kind| Setup::new(Backbone::load(kind), Adapter::new(AdapterConfig::default()));
+        let weak = untrained(BackboneKind::Llama7b);
+        let strong = untrained(BackboneKind::ChatGlm2_6b);
+        assert!(weak.transducer().apply_probability() < strong.transducer().apply_probability());
     }
 
     #[test]
@@ -882,5 +1036,359 @@ mod tests {
                 "case {case}: draw counts differ"
             );
         }
+    }
+
+    /// The `compose_on_topic_avoiding` the ranked tables replaced: it
+    /// scored and sorted every learned sentence beside the filled
+    /// templates on every call.
+    fn reference_compose_on_topic_avoiding<R: Rng>(
+        backbone: &Backbone,
+        adapter: &Adapter,
+        rng: &mut R,
+        topic: &[String],
+        n: usize,
+        avoid: &str,
+    ) -> String {
+        let learned = adapter
+            .response_rules
+            .augment_material(AugmentKind::ExpandResponse)
+            .map_or(&[][..], |(texts, _)| texts);
+        let topic_word = topic.first().map(String::as_str).unwrap_or("the topic");
+        let filled: Vec<String> = backbone
+            .knowledge()
+            .expansions()
+            .iter()
+            .map(|t| KnowledgeBase::fill(t, topic_word))
+            .collect();
+        let mut scored: Vec<(f64, &str)> = learned
+            .iter()
+            .chain(&filled)
+            .map(String::as_str)
+            .filter(|s| !avoid.contains(s))
+            .map(|s| (backbone.fluency(s), s))
+            .collect();
+        if scored.is_empty() {
+            return String::new();
+        }
+        scored.sort_by(|a, b| b.0.total_cmp(&a.0).then_with(|| a.1.cmp(b.1)));
+        let start = rng.gen_range(0..scored.len().min(3));
+        let mut picked: Vec<&str> = scored
+            .iter()
+            .cycle()
+            .skip(start)
+            .take(n.min(scored.len()))
+            .map(|&(_, s)| s)
+            .collect();
+        let has_example = |s: &str| normalize::fold_case(s).contains("for example");
+        if !picked.iter().any(|s| has_example(s)) && !avoid.to_lowercase().contains("for example") {
+            if let Some(&(_, ex)) = scored.iter().find(|(_, s)| has_example(s)) {
+                if let Some(last) = picked.last_mut() {
+                    *last = ex;
+                } else {
+                    picked.push(ex);
+                }
+            }
+        }
+        picked.dedup();
+        picked.join(" ")
+    }
+
+    /// The lexical pass before the phrase index: it tried every window
+    /// length at every word, up to a longest-source length recomputed on
+    /// every call.
+    fn reference_apply_lexical<R: Rng>(
+        rng: &mut R,
+        p: f64,
+        kb: &KnowledgeBase,
+        rules: &RuleSet,
+        text: &str,
+    ) -> (String, Vec<RepairTag>) {
+        let mut tags = Vec::new();
+        let words = coachlm_text::token::words(text);
+        let folded: Vec<String> = words.iter().map(|w| normalize::fold_case(w)).collect();
+        let max_from_len = rules
+            .phrase_rules()
+            .iter()
+            .map(|rule| match &rule.action {
+                crate::rules::RuleAction::Phrase { from, .. } => from.len(),
+                crate::rules::RuleAction::Augment { .. } => 0,
+            })
+            .max()
+            .unwrap_or(0);
+        let max_len = max_from_len.clamp(1, 5);
+        let mut out: Vec<&str> = Vec::with_capacity(words.len());
+        let mut i = 0usize;
+        'outer: while i < words.len() {
+            for len in (1..=max_len.min(words.len() - i)).rev() {
+                let window = &folded[i..i + len];
+                if let Some((to, _count)) = rules.phrase_replacement(window) {
+                    if rng.gen_bool(p) {
+                        let informative = window.join(" ") != to.join(" ").to_lowercase();
+                        out.extend(to.iter().map(String::as_str));
+                        i += len;
+                        if informative {
+                            tags.push(RepairTag::LearnedPhrase);
+                        }
+                        continue 'outer;
+                    }
+                }
+            }
+            if let Some(fix) = kb.typo_correction(&folded[i]) {
+                if rng.gen_bool(p) {
+                    out.push(fix);
+                    tags.push(RepairTag::Typo);
+                    i += 1;
+                    continue;
+                }
+            }
+            out.push(words[i]);
+            i += 1;
+        }
+        let mut joined = if tags.is_empty() {
+            text.to_string()
+        } else {
+            join_words(&out)
+        };
+        while let Some((wrong, right)) = kb.grammar_correction(&joined) {
+            if !rng.gen_bool(p) {
+                break;
+            }
+            if let Some(range) = normalize::find_folded(&joined, wrong) {
+                joined.replace_range(range, right);
+                tags.push(RepairTag::Grammar);
+            } else {
+                break;
+            }
+        }
+        (joined, tags)
+    }
+
+    /// Learned expansion sentences for one property case: generated
+    /// sentences (with the example marker only when `with_example`), and
+    /// one sentence equal to a filled template, so that a learned and a
+    /// filled candidate tie on rank.
+    fn learned_expansions<R: Rng>(
+        gen: &mut R,
+        topic_word: &str,
+        with_example: bool,
+    ) -> Vec<String> {
+        const SUBJECTS: &[&str] = &["water", "the model", "a plant", "heat", "the answer"];
+        const VERBS: &[&str] = &["changes", "explains", "drives", "follows", "shapes"];
+        let mut texts: Vec<String> = (0..gen.gen_range(0..12))
+            .map(|_| {
+                let subject = SUBJECTS[gen.gen_range(0..SUBJECTS.len())];
+                let verb = VERBS[gen.gen_range(0..VERBS.len())];
+                if with_example && gen.gen_bool(0.3) {
+                    let lead =
+                        ["For example,", "FOR EXAMPLE,", "for example"][gen.gen_range(0..3usize)];
+                    format!("{lead} {subject} {verb} the result.")
+                } else {
+                    format!("This is because {subject} {verb} {topic_word}.")
+                }
+            })
+            .collect();
+        let templates = crate::knowledge::EXPANSION_TEMPLATES;
+        let tie = loop {
+            let t = KnowledgeBase::fill(templates[gen.gen_range(0..templates.len())], topic_word);
+            if with_example || !has_example(&t) {
+                break t;
+            }
+        };
+        let at = gen.gen_range(0..=texts.len());
+        texts.insert(at, tie);
+        if gen.gen_bool(0.2) && !texts.is_empty() {
+            // A repeated sentence: equal keys inside the learned list.
+            let dup = texts[gen.gen_range(0..texts.len())].clone();
+            texts.push(dup);
+        }
+        texts
+    }
+
+    #[test]
+    fn ranked_composition_matches_the_per_call_reference() {
+        use rand::RngCore;
+        let backbones = BackboneKind::ALL.map(Backbone::load);
+        let topics: [&[&str]; 4] = [&["water", "cycle"], &["gravity"], &["Paris"], &[]];
+        let (mut avoided_learned, mut short, mut ties, mut no_example) = (0, 0, 0, 0);
+        for case in 0..proptest::cases() {
+            let mut gen =
+                proptest::case_rng("ranked_composition_matches_the_per_call_reference", case);
+            let topic: Vec<String> = topics[gen.gen_range(0..topics.len())]
+                .iter()
+                .map(|w| w.to_string())
+                .collect();
+            let topic_word = topic.first().map(String::as_str).unwrap_or("the topic");
+            for with_example in [true, false] {
+                let learned = learned_expansions(&mut gen, topic_word, with_example);
+                let mut adapter = Adapter::new(AdapterConfig::default());
+                adapter
+                    .response_rules
+                    .set_augment_material(AugmentKind::ExpandResponse, learned.clone());
+                for backbone in &backbones {
+                    let tables = DecodeTables::new(backbone, &adapter);
+                    let transducer = Transducer::new(backbone, &adapter, &tables);
+                    let filled: Vec<String> = backbone
+                        .knowledge()
+                        .expansions()
+                        .iter()
+                        .map(|t| KnowledgeBase::fill(t, topic_word))
+                        .collect();
+                    let some_learned: Vec<&str> = learned
+                        .iter()
+                        .filter(|_| gen.gen_bool(0.4))
+                        .map(String::as_str)
+                        .collect();
+                    let some_filled: Vec<&str> = filled
+                        .iter()
+                        .filter(|f| has_example(f) || gen.gen_bool(0.5))
+                        .map(String::as_str)
+                        .collect();
+                    let avoids = [
+                        String::new(),
+                        some_learned.join(" "),
+                        format!("{} and so, for example, on.", some_learned.join(" ")),
+                        format!("{} {}", some_learned.join(" "), some_filled.join(" ")),
+                        format!("{} {}", learned.join(" "), filled.join(" ")),
+                    ];
+                    for avoid in &avoids {
+                        let survivors: Vec<&str> = learned
+                            .iter()
+                            .chain(&filled)
+                            .map(String::as_str)
+                            .filter(|s| !avoid.contains(s))
+                            .collect();
+                        avoided_learned +=
+                            usize::from(learned.iter().any(|l| avoid.contains(l.as_str())));
+                        ties += usize::from(
+                            filled
+                                .iter()
+                                .any(|f| learned.contains(f) && !avoid.contains(f.as_str())),
+                        );
+                        no_example += usize::from(!survivors.iter().any(|s| has_example(s)));
+                        for n in [0, 1, 2, 3, 5, 7, 12] {
+                            short += usize::from(survivors.len() < n + 3);
+                            let seed: u64 = gen.gen();
+                            let (mut a, mut b) =
+                                (StdRng::seed_from_u64(seed), StdRng::seed_from_u64(seed));
+                            assert_eq!(
+                                transducer.compose_on_topic_avoiding(&mut a, &topic, n, avoid),
+                                reference_compose_on_topic_avoiding(
+                                    backbone, &adapter, &mut b, &topic, n, avoid
+                                ),
+                                "case {case}, {:?}, n {n}, avoid {avoid:?}",
+                                backbone.profile().kind
+                            );
+                            assert_eq!(
+                                a.next_u64(),
+                                b.next_u64(),
+                                "case {case}: draw counts differ"
+                            );
+                        }
+                    }
+                }
+            }
+        }
+        // What the cases actually covered.
+        assert!(
+            avoided_learned > 0,
+            "no avoid text contained a learned sentence"
+        );
+        assert!(short > 0, "no pool ran short of n + 3 sentences");
+        assert!(ties > 0, "no learned sentence tied a filled template");
+        assert!(no_example > 0, "every pool had a \"for example\" sentence");
+    }
+
+    fn pick(gen: &mut StdRng, words: &[&'static str]) -> &'static str {
+        words[gen.gen_range(0..words.len())]
+    }
+
+    #[test]
+    fn indexed_lexical_pass_matches_the_unindexed_reference() {
+        use rand::RngCore;
+        // Rule words share first words across lengths: "could" starts
+        // rules of one, two and three words.
+        const RULE_WORDS: &[&str] = &["could", "of", "teh", "alot", "very", "could", "the"];
+        const FILLER: &[&str] = &[
+            "Water", "rises", "and", ",", "falls", ".", "\n", "(", "it", ")",
+        ];
+        let mut shared_first_word = 0;
+        for case in 0..proptest::cases() {
+            let mut gen =
+                proptest::case_rng("indexed_lexical_pass_matches_the_unindexed_reference", case);
+            let mut rules = RuleSet::new();
+            for from in [&["could"][..], &["could", "of"], &["could", "of", "been"]] {
+                if gen.gen_bool(0.7) {
+                    let to = ["could", "have"][..gen.gen_range(0..=2)]
+                        .iter()
+                        .map(|w| w.to_string());
+                    rules.insert_phrase_rule(
+                        from.iter().map(|w| w.to_string()).collect(),
+                        to.collect(),
+                    );
+                }
+            }
+            for _ in 0..gen.gen_range(0..8) {
+                // Lengths up to 6: decoding never tries a window past 5.
+                let from: Vec<String> = (0..gen.gen_range(1..=6))
+                    .map(|_| pick(&mut gen, RULE_WORDS).to_string())
+                    .collect();
+                let to: Vec<String> = (0..gen.gen_range(0..3))
+                    .map(|_| pick(&mut gen, &["The", "a lot", "very", "have"]).to_string())
+                    .collect();
+                rules.insert_phrase_rule(from, to);
+            }
+            let index = rules.phrase_index();
+            let sources: Vec<String> = rules
+                .phrase_rules()
+                .iter()
+                .filter_map(|rule| match &rule.action {
+                    crate::rules::RuleAction::Phrase { from, .. } => Some(from.join(" ")),
+                    crate::rules::RuleAction::Augment { .. } => None,
+                })
+                .collect();
+            shared_first_word += usize::from(sources.iter().any(|a| {
+                sources.iter().any(|b| {
+                    a.split(' ').next() == b.split(' ').next()
+                        && a.split(' ').count() != b.split(' ').count()
+                })
+            }));
+            let kb = KnowledgeBase::with_coverage(gen.gen_range(0.0..=1.0));
+            for _ in 0..8 {
+                let words: Vec<String> = (0..gen.gen_range(0..30))
+                    .map(|_| {
+                        let w = if gen.gen_bool(0.25) && !sources.is_empty() {
+                            // A whole rule source, so long rules match too.
+                            sources[gen.gen_range(0..sources.len())].as_str()
+                        } else if gen.gen_bool(0.5) {
+                            pick(&mut gen, RULE_WORDS)
+                        } else if gen.gen_bool(0.2) {
+                            pick(&mut gen, &["becuase", "wich", "could of", "alot of"])
+                        } else {
+                            pick(&mut gen, FILLER)
+                        };
+                        if gen.gen_bool(0.2) {
+                            w.to_uppercase()
+                        } else {
+                            w.to_string()
+                        }
+                    })
+                    .collect();
+                let text = words.join(" ");
+                let p = [0.0, 0.4, 0.9, 1.0][gen.gen_range(0..4usize)];
+                let seed: u64 = gen.gen();
+                let (mut a, mut b) = (StdRng::seed_from_u64(seed), StdRng::seed_from_u64(seed));
+                assert_eq!(
+                    apply_lexical(&mut a, p, &kb, &rules, &index, &text),
+                    reference_apply_lexical(&mut b, p, &kb, &rules, &text),
+                    "case {case}: {text:?}"
+                );
+                assert_eq!(
+                    a.next_u64(),
+                    b.next_u64(),
+                    "case {case}: draw counts differ"
+                );
+            }
+        }
+        assert!(shared_first_word > 0, "no two rules shared a first word");
     }
 }
