@@ -160,9 +160,9 @@ fn bench_stream_scaling(c: &mut Criterion) {
 
 fn bench_stream_queue_depth(c: &mut Criterion) {
     // Bounded-queue depth sweep at a fixed thread count: how much capacity
-    // the inter-group queues need before backpressure stops costing wall
-    // time (and how little sim figures care — they are capacity-invariant
-    // by the determinism contract).
+    // each stage group's output queue needs before backpressure stops
+    // costing wall time (and how little sim figures care — they are
+    // capacity-invariant by the determinism contract).
     let dataset = sample_dataset(2_000);
     let mut group = c.benchmark_group("executor");
     group.throughput(Throughput::Elements(dataset.len() as u64));

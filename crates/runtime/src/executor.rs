@@ -81,8 +81,9 @@ impl ExecutorConfig {
         self
     }
 
-    /// Overrides the bounded inter-group queue capacity, in items
-    /// (floored at 1; defaults to 64). A wall-clock/memory knob only:
+    /// Overrides the capacity of each stage group's bounded output queue,
+    /// in items (floored at 1; defaults to 64). The items in flight are
+    /// that queue plus one chunk per lane. A wall-clock/memory knob only:
     /// like the thread count, it never changes results.
     pub fn queue_capacity(mut self, items: usize) -> Self {
         self.queue_capacity = items.max(1);
@@ -851,14 +852,13 @@ pub(crate) fn item_seed(seed_base: u64, id: u64) -> u64 {
 ///
 /// Small enough that a straggler only ever holds a sliver of the batch
 /// (at least `CHUNKS_PER_LANE` chunks per lane), large enough to amortise
-/// the queue handoff — and sized *up* when the queues are roomy: each inter-group queue
-/// must hold at least two chunks for pipelining to overlap at all, so the
-/// ceiling tracks `queue_capacity / (2 × lanes)` instead of a fixed 64.
-/// On a single core the handoff cost (lock + condvar wake per chunk)
-/// dominates the wall-clock overhead of the streaming core, so bigger
-/// chunks under bigger queues directly shave the PR 6 single-core
-/// medians. Purely a wall-clock knob: like the queue capacity itself,
-/// the chunk size never changes results.
+/// the handoff — and sized *up* when the queues are roomy: each group's
+/// output queue must hold at least two chunks for lanes to overlap at
+/// all, so the ceiling tracks `queue_capacity / (2 × lanes)` instead of a
+/// fixed 64. The handoff cost (a lock and a condvar wake per chunk) is
+/// the streaming core's main wall-clock overhead on a single core, so
+/// bigger chunks under bigger queues cut it. Purely a wall-clock knob:
+/// like the queue capacity itself, the chunk size never changes results.
 ///
 /// Public so benches can record the width a configuration actually ran
 /// with next to its timings.
@@ -883,6 +883,7 @@ mod tests {
     use rand::Rng;
     use std::path::PathBuf;
     use std::sync::atomic::{AtomicU64, Ordering};
+    use std::sync::{Arc, Mutex};
 
     fn pairs(n: usize) -> Vec<InstructionPair> {
         (0..n as u64)
@@ -1490,6 +1491,129 @@ mod tests {
                 "threads {threads}: appends went on"
             );
             println!("threads {threads}: {err}");
+        }
+    }
+
+    /// The two topologies a threaded run can take: every lane runs the
+    /// whole chain, or one lane per stage group under a breaker.
+    fn topology_config(threads: usize, breaker: bool) -> ExecutorConfig {
+        let config = ExecutorConfig::new(17).threads(threads);
+        if breaker {
+            config.breaker(BreakerPolicy::new().window(16))
+        } else {
+            config
+        }
+    }
+
+    /// The sink runs on the caller's thread: at any thread count, with a
+    /// breaker or without, every journal frame is appended there.
+    #[test]
+    fn journal_frames_are_appended_on_the_callers_thread() {
+        let caller = std::thread::current().id();
+        for breaker in [false, true] {
+            for threads in [1, 2, 8] {
+                let path = temp_journal("sink-thread");
+                let mut journal = Journal::create(&path).unwrap();
+                let appenders = Arc::new(Mutex::new(Vec::new()));
+                let tee = Arc::clone(&appenders);
+                journal.set_tee(Box::new(move |_frame: &[u8]| {
+                    tee.lock().unwrap().push(std::thread::current().id());
+                }));
+                Executor::new(topology_config(threads, breaker))
+                    .run_journaled(&chain(), &pairs(200), &mut journal)
+                    .unwrap();
+                let appenders = appenders.lock().unwrap();
+                let what = format!("threads {threads}, breaker {breaker}");
+                assert_eq!(
+                    appenders.len(),
+                    201,
+                    "{what}: header plus one frame per item"
+                );
+                let elsewhere = appenders.iter().filter(|&&id| id != caller).count();
+                assert_eq!(elsewhere, 0, "{what}: frames appended off the caller");
+                std::fs::remove_file(&path).ok();
+            }
+        }
+    }
+
+    /// Panics with `STAGE_PANIC` on the pair with this id.
+    struct PanicOn(u64);
+
+    const STAGE_PANIC: &str = "stage panicked on purpose";
+    const TEE_PANIC: &str = "journal tee panicked on purpose";
+
+    impl Stage for PanicOn {
+        fn name(&self) -> &str {
+            "panic-on"
+        }
+        fn process(&self, item: &mut StageItem, _ctx: &mut StageCtx<'_>) -> StageOutcome {
+            if item.pair.id == self.0 {
+                std::panic::panic_any(STAGE_PANIC);
+            }
+            StageOutcome::Ok
+        }
+    }
+
+    /// Runs `run` on a helper thread inside `catch_unwind` and returns
+    /// its panic payload. A run that hangs instead of tearing down fails
+    /// after 60 s rather than hanging the suite.
+    fn panic_payload(run: impl FnOnce() + Send + 'static) -> String {
+        let (tx, rx) = std::sync::mpsc::channel();
+        std::thread::spawn(move || {
+            let payload = std::panic::catch_unwind(std::panic::AssertUnwindSafe(run))
+                .err()
+                .map(|p| match p.downcast::<&str>() {
+                    Ok(text) => text.to_string(),
+                    Err(p) => p
+                        .downcast::<String>()
+                        .map_or_else(|_| "<not text>".to_string(), |text| *text),
+                });
+            tx.send(payload).ok();
+        });
+        rx.recv_timeout(Duration::from_secs(60))
+            .expect("the run neither finished nor tore down within 60 s")
+            .expect("the run returned instead of panicking")
+    }
+
+    /// A panic tears a threaded run down in both directions: a lane's
+    /// panic wakes the caller draining the last queue, and a panic in the
+    /// sink, on the caller, wakes lanes blocked on a full queue. Either
+    /// way the original payload comes back out of the run.
+    #[test]
+    fn a_panic_in_a_lane_or_the_sink_tears_the_run_down() {
+        for breaker in [false, true] {
+            for threads in [2, 8] {
+                let what = format!("threads {threads}, breaker {breaker}");
+                let payload = panic_payload(move || {
+                    let stages: Vec<Box<dyn Stage>> = vec![
+                        Box::new(Scribble),
+                        Box::new(PanicOn(37)),
+                        Box::new(DropFifths),
+                    ];
+                    let _ =
+                        Executor::new(topology_config(threads, breaker)).run(&stages, &pairs(400));
+                });
+                assert_eq!(payload, STAGE_PANIC, "{what}: stage panic");
+
+                let path = temp_journal("tee-panic");
+                let journal_path = path.clone();
+                let payload = panic_payload(move || {
+                    let mut journal = Journal::create(&journal_path).unwrap();
+                    let mut frames = 0;
+                    journal.set_tee(Box::new(move |_frame: &[u8]| {
+                        frames += 1;
+                        // Frame 1 is the header; frame 6 the fifth item.
+                        if frames == 6 {
+                            std::panic::panic_any(TEE_PANIC);
+                        }
+                    }));
+                    let config = topology_config(threads, breaker).queue_capacity(16);
+                    let _ =
+                        Executor::new(config).run_journaled(&chain(), &pairs(400), &mut journal);
+                });
+                assert_eq!(payload, TEE_PANIC, "{what}: sink panic");
+                std::fs::remove_file(&path).ok();
+            }
         }
     }
 

@@ -14,7 +14,9 @@
 //! breaker it is data-parallel: every worker lane takes the next chunk
 //! and runs the whole chain on it. With a breaker the chain is cut into
 //! contiguous stage groups of one lane each, so every stage's breaker
-//! sees items in index order. The classic
+//! sees items in index order. The caller's thread is the sink that
+//! collects the output in index order, so a threaded run spawns only its
+//! lanes, and at one lane the caller runs everything inline. The classic
 //! batch entry points ([`Executor::run`], [`Executor::run_journaled`])
 //! are thin wrappers feeding a bounded [`StreamSource::batch`] source;
 //! [`Executor::run_stream`] additionally accepts a [`Feed::Sustained`]
@@ -23,8 +25,9 @@
 //! Every entry point borrows its input as `&[InstructionPair]`. A
 //! pre-pass over the borrowed pairs decides admission, cache hits and
 //! journal replay per index; the slots themselves are built one chunk at
-//! a time as the pipe pulls them, so the items in flight are bounded by
-//! the queues and a run's memory is its output plus per-index marks.
+//! a time as lanes pull them, so the items in flight are bounded by the
+//! queues plus one chunk per lane, and a run's memory is its output plus
+//! per-index marks.
 //!
 //! [`InstructionPair`]: coachlm_data::InstructionPair
 //!

@@ -5,16 +5,22 @@
 //! served by one or more worker **lanes** ([`plan_topology`]):
 //!
 //! * **Without a breaker** the run is data-parallel: one group covers the
-//!   whole chain and every lane is in it. Each lane takes the next chunk
-//!   off the input queue and runs every stage on it; the output queue
-//!   hands chunks to the sink in index order.
+//!   whole chain and every lane is in it. Each lane builds the next chunk
+//!   and runs every stage on it; the group's output queue hands chunks to
+//!   the sink in index order.
 //! * **With a breaker** each stage's breaker epochs must evolve in index
 //!   order, so every group has one lane and chunks move from group to
 //!   group in strict input order.
 //!
+//! Group-0 lanes take their chunks straight from the [`SlotBuilder`];
+//! group `g` pushes to its own output queue, which group `g + 1` pops.
+//! The caller thread is the sink: it drains the last group's queue, so a
+//! threaded run spawns exactly its lanes. At one lane the caller builds,
+//! runs and sinks each chunk inline.
+//!
 //! There are no batch barriers; the only synchronisation points are the
-//! bounded queues themselves (backpressure) and the deterministic
-//! **logical epochs** described below.
+//! builder's lock, the bounded queues themselves (backpressure) and the
+//! deterministic **logical epochs** described below.
 //!
 //! ## Slots per chunk
 //!
@@ -22,8 +28,9 @@
 //! whole input — the admission plan, the revision-cache pre-pass and the
 //! check of journal records — runs first and leaves per-index marks
 //! only. The slots are built from the borrowed pairs one chunk at a time,
-//! when the pipe pulls the chunk, so no whole-input slot buffer exists
-//! and the slots in flight are bounded by the queue capacity. A cache hit
+//! when a lane pulls the chunk, so no whole-input slot buffer exists and
+//! the slots in flight are bounded by the queue capacity plus one chunk
+//! per lane. A cache hit
 //! copies no input at all: it shares its representative's original, and
 //! the sink writes its text once, from the representative's result.
 //!
@@ -295,7 +302,8 @@ struct Chunk {
 /// so a multi-lane producer group can finish chunks out of order while
 /// the consumer side still sees input order. Blocking on both sides
 /// (bounded window) provides backpressure; `abort` unblocks everything
-/// when a worker panics so the pipeline tears down instead of hanging.
+/// when a lane or the sink panics so the pipeline tears down instead of
+/// hanging.
 struct OrderedQueue {
     state: Mutex<QueueState>,
     can_push: Condvar,
@@ -394,9 +402,9 @@ impl OrderedQueue {
     }
 }
 
-/// Aborts every queue if the owning worker unwinds, so sibling workers
-/// blocked on a queue wake up and the scope join can re-raise the panic
-/// instead of deadlocking.
+/// Aborts every queue if its thread unwinds — a lane, or the caller
+/// while it sinks — so every thread blocked on a queue wakes up and the
+/// scope can re-raise the panic instead of deadlocking.
 struct AbortOnPanic<'a>(&'a [OrderedQueue]);
 
 impl Drop for AbortOnPanic<'_> {
@@ -435,8 +443,8 @@ impl Topology {
 ///
 /// Without a breaker the plan is data-parallel: one group covering the
 /// whole chain, with all `threads` lanes. Each lane takes the next chunk
-/// off the sequenced input queue and runs every stage on it; the output
-/// queue restores index order.
+/// from the slot builder and runs every stage on it; the group's
+/// sequenced output queue restores index order.
 ///
 /// With a breaker, each stage's epochs must evolve sequentially, so every
 /// group runs on one lane: the chain is cut into `min(threads, stages)`
@@ -504,43 +512,6 @@ pub(crate) struct StreamEnv<'a, 'b> {
     pub(crate) cache: bool,
 }
 
-/// Per-stage accumulation local to one worker lane.
-#[derive(Default)]
-struct StageStats {
-    items_in: usize,
-    items_out: usize,
-    quarantined: usize,
-    degraded: usize,
-    retries: u64,
-    iterations: u64,
-    faults: u64,
-    timeouts: u64,
-    counters: BTreeMap<String, u64>,
-    time: Duration,
-    backoff: Duration,
-    latency: Duration,
-}
-
-/// Folds one lane's per-stage accumulation into the stage's report.
-/// `cpu_time` takes only measured body time; the simulated channels stay
-/// disjoint (see [`StageReport`]).
-fn merge_stage_stats(report: &mut StageReport, st: StageStats) {
-    report.items_in += st.items_in;
-    report.items_out += st.items_out;
-    report.quarantined += st.quarantined;
-    report.degraded += st.degraded;
-    report.retries += st.retries;
-    report.iterations += st.iterations;
-    report.faults_injected += st.faults;
-    report.timeouts += st.timeouts;
-    report.cpu_time += st.time;
-    report.backoff_time += st.backoff;
-    report.latency_time += st.latency;
-    for (key, v) in st.counters {
-        *report.counters.entry(key).or_insert(0) += v;
-    }
-}
-
 /// Folds one replayed item's recorded stage delta into the stage's
 /// report. Replayed items contribute no measured `cpu_time` — that
 /// channel is explicitly outside the determinism contract.
@@ -586,8 +557,9 @@ struct GroupWorker<'e, 'a, 'b> {
     epoch_open: bool,
     executed: Vec<usize>,
     failures: Vec<usize>,
-    stats: Vec<StageStats>,
-    replay_reports: Vec<StageReport>,
+    /// One report per stage of the group: executed items tally here as
+    /// they run, replayed items add their recorded deltas.
+    reports: Vec<StageReport>,
     events: Vec<(usize, BreakerEvent)>,
     scratch: BTreeMap<String, u64>,
 }
@@ -610,8 +582,7 @@ impl<'e, 'a, 'b> GroupWorker<'e, 'a, 'b> {
             epoch_open: false,
             executed: vec![0; len],
             failures: vec![0; len],
-            stats: (0..len).map(|_| StageStats::default()).collect(),
-            replay_reports: range
+            reports: range
                 .map(|k| StageReport {
                     stage: env.stages[k].name().to_string(),
                     ..StageReport::default()
@@ -694,7 +665,7 @@ impl<'e, 'a, 'b> GroupWorker<'e, 'a, 'b> {
                 if e.quarantined {
                     self.failures[j] += 1;
                 }
-                merge_trace_delta(&mut self.replay_reports[j], e);
+                merge_trace_delta(&mut self.reports[j], e);
             }
             return;
         }
@@ -715,15 +686,15 @@ impl<'e, 'a, 'b> GroupWorker<'e, 'a, 'b> {
                 break;
             }
             let stage = &env.stages[k];
-            let stats = &mut self.stats[j];
-            stats.items_in += 1;
+            let report = &mut self.reports[j];
+            report.items_in += 1;
             // Degraded passthrough: the stage's breaker is open (or this
             // index is past the half-open probe budget), so the item
             // flows on unrevised — the paper's §III-B1 leakage fallback.
             if !self.modes[j].executes(item.index) {
                 item.tag(format!("degraded:{}", stage.name()));
-                stats.degraded += 1;
-                stats.items_out += 1;
+                report.degraded += 1;
+                report.items_out += 1;
                 if let Some(t) = slot.trace.as_mut() {
                     t.stages.push(StageTrace {
                         stage: k as u32,
@@ -865,20 +836,22 @@ impl<'e, 'a, 'b> GroupWorker<'e, 'a, 'b> {
                 }
             }
             if item.retained {
-                stats.items_out += 1;
+                report.items_out += 1;
             }
             if quarantined_here {
-                stats.quarantined += 1;
+                report.quarantined += 1;
                 self.failures[j] += 1;
             }
             self.executed[j] += 1;
-            stats.retries += u64::from(t_retries);
-            stats.iterations += u64::from(t_iterations);
-            stats.faults += t_faults;
-            stats.timeouts += u64::from(t_timeouts);
-            stats.time += t_time;
-            stats.backoff += t_backoff;
-            stats.latency += t_latency;
+            report.retries += u64::from(t_retries);
+            report.iterations += u64::from(t_iterations);
+            report.faults_injected += t_faults;
+            report.timeouts += u64::from(t_timeouts);
+            // `cpu_time` takes only measured body time; the simulated
+            // channels stay disjoint (see [`StageReport`]).
+            report.cpu_time += t_time;
+            report.backoff_time += t_backoff;
+            report.latency_time += t_latency;
             virt += body_runs * env.service[k];
             virt += u64::try_from(t_backoff.as_nanos()).unwrap_or(u64::MAX);
             virt = virt.saturating_add(u64::try_from(t_latency.as_nanos()).unwrap_or(u64::MAX));
@@ -903,7 +876,7 @@ impl<'e, 'a, 'b> GroupWorker<'e, 'a, 'b> {
             }
             if !self.scratch.is_empty() {
                 for (key, v) in std::mem::take(&mut self.scratch) {
-                    *self.stats[j].counters.entry(key).or_insert(0) += v;
+                    *report.counters.entry(key).or_insert(0) += v;
                 }
             }
         }
@@ -914,15 +887,8 @@ impl<'e, 'a, 'b> GroupWorker<'e, 'a, 'b> {
         if self.epoch_open {
             self.close_epoch();
         }
-        let mut reports = Vec::with_capacity(self.range.len());
-        for (j, k) in self.range.clone().enumerate() {
-            let mut report = std::mem::take(&mut self.replay_reports[j]);
-            report.stage = self.env.stages[k].name().to_string();
-            merge_stage_stats(&mut report, std::mem::take(&mut self.stats[j]));
-            reports.push((k, report));
-        }
         LaneOut {
-            reports,
+            reports: self.range.zip(self.reports).collect(),
             events: self.events,
         }
     }
@@ -956,10 +922,10 @@ struct HitReplayer {
     reports: Vec<StageReport>,
 }
 
-/// The ordered consumer at the end of the pipe: collects items in index
-/// order, finalizes and appends journal records, fsyncs at logical-epoch
-/// boundaries, and runs the virtual-time recurrence. It is the only
-/// writer of the run's journal.
+/// The ordered consumer at the end of the pipe, run by the caller's
+/// thread: collects items in index order, finalizes and appends journal
+/// records, fsyncs at logical-epoch boundaries, and runs the
+/// virtual-time recurrence. It is the only writer of the run's journal.
 struct Sink<'e, 'a, 'b> {
     env: &'e StreamEnv<'a, 'b>,
     /// The run's journal, until a write to it fails.
@@ -1212,9 +1178,10 @@ pub(crate) fn admission_plan(
     Some(plan)
 }
 
-/// Builds a run's slots one chunk at a time, in index order, when the
-/// pipe pulls the chunk: no slot exists before its chunk is pulled, so
-/// the slots in flight are bounded by the queues, not by the input.
+/// Builds a run's slots one chunk at a time, in index order, when a
+/// group-0 lane (behind a lock) or the inline loop pulls the chunk: no
+/// slot exists before its chunk is pulled, so the slots in flight are
+/// bounded by the queues plus one chunk per lane, not by the input.
 /// Chunks hold at most `chunk_len` slots and never span a logical-epoch
 /// boundary, so epoch-frame commits and breaker windows align with chunk
 /// edges. Every decision that reads the whole input — admission, cache
@@ -1422,6 +1389,12 @@ pub(crate) struct StreamRun {
 /// Runs the pipeline over a borrowed source. The single entry point for
 /// both batch-fed and sustained streaming runs, journaled (the sink
 /// appends to `journal`) or not, fresh, resumed or replay-only.
+///
+/// The caller thread is the sink on every path. At one lane (threads = 1,
+/// or a chain with no stage) it builds, runs and sinks each chunk inline.
+/// Otherwise it spawns the topology's lanes and drains the last group's
+/// queue itself: group-0 lanes take their next chunk straight from the
+/// [`SlotBuilder`], every later group from the queue before it.
 pub(crate) fn run_pipeline(
     env: &StreamEnv<'_, '_>,
     journal: Option<&mut Journal>,
@@ -1432,8 +1405,8 @@ pub(crate) fn run_pipeline(
 ) -> StreamRun {
     let n = source.pairs.len();
     let topology = plan_topology(env.service, threads, env.breaker.is_some());
-    let total_lanes = topology.total_lanes().max(1);
-    let chunk_len = adaptive_chunk_size(n, total_lanes, queue_capacity);
+    let lanes = topology.total_lanes();
+    let chunk_len = adaptive_chunk_size(n, lanes, queue_capacity);
     // The pre-pass: sequential, thread-independent scans of the input
     // that decide shedding and mark duplicates as hits on their earliest
     // occurrence. Slots are built later, one chunk at a time as the pipe
@@ -1446,8 +1419,7 @@ pub(crate) fn run_pipeline(
         chunk_len,
         topology.groups.len(),
     );
-    let total_chunks = chunks.len() as u64;
-    let (mut replayer, revision) = match cache_plan {
+    let (replayer, revision) = match cache_plan {
         Some(plan) => {
             let replayer = HitReplayer {
                 uses: plan.uses,
@@ -1468,35 +1440,41 @@ pub(crate) fn run_pipeline(
         })
         .collect();
     let mut events: Vec<(usize, BreakerEvent)> = Vec::new();
+    let mut sink = Sink::new(env, journal, &topology, n, replayer);
 
-    let sequential = topology.groups.len() <= 1 && total_lanes <= 1;
-    let sink_out = if topology.groups.is_empty() {
-        // Stage-less chain: the sink alone sees every slot.
-        let mut sink = Sink::new(env, journal, &topology, n, replayer.take());
-        for chunk in chunks {
-            sink.consume(chunk);
-        }
-        sink.finish()
-    } else if sequential {
-        // One group, one lane: drive the exact same worker and sink
+    if lanes <= 1 {
+        // At most one group of one lane: drive the same worker and sink
         // inline, skipping thread and queue overhead entirely.
-        let mut worker = GroupWorker::new(env, 0, topology.groups[0].stages.clone());
-        let mut sink = Sink::new(env, journal, &topology, n, replayer.take());
+        let mut workers: Vec<GroupWorker> = topology
+            .groups
+            .iter()
+            .enumerate()
+            .map(|(g, plan)| GroupWorker::new(env, g, plan.stages.clone()))
+            .collect();
         for mut chunk in chunks {
-            worker.process_chunk(&mut chunk);
+            for worker in &mut workers {
+                worker.process_chunk(&mut chunk);
+            }
             sink.consume(chunk);
         }
-        fold_lane(worker.finish(), &mut reports, &mut events);
-        sink.finish()
+        for worker in workers {
+            fold_lane(worker.finish(), &mut reports, &mut events);
+        }
     } else {
-        let groups = topology.groups.len();
         let cap_chunks = (queue_capacity.max(1) / chunk_len.max(1)).max(2);
-        let queues: Vec<OrderedQueue> = (0..=groups)
+        let total_chunks = chunks.len() as u64;
+        // Group g pushes to `queues[g]`; the caller drains the last one.
+        let queues: Vec<OrderedQueue> = topology
+            .groups
+            .iter()
             .map(|_| OrderedQueue::new(cap_chunks, total_chunks))
             .collect();
-        let (lane_outs, sink_out) = std::thread::scope(|scope| {
-            let queues = &queues;
-            let topology = &topology;
+        let chunks = Mutex::new(chunks);
+        std::thread::scope(|scope| {
+            let (queues, chunks) = (&queues, &chunks);
+            // Taken before the first spawn: a panic in the sink (or in a
+            // spawn) aborts the queues, so no lane stays blocked on one.
+            let _guard = AbortOnPanic(queues);
             let mut handles = Vec::new();
             for (g, plan) in topology.groups.iter().enumerate() {
                 for _ in 0..plan.lanes {
@@ -1504,9 +1482,20 @@ pub(crate) fn run_pipeline(
                     handles.push(scope.spawn(move || {
                         let _guard = AbortOnPanic(queues);
                         let mut worker = GroupWorker::new(env, g, range);
-                        while let Some(mut chunk) = queues[g].pop() {
+                        loop {
+                            // Group 0 builds its next chunk under the
+                            // lock, so chunks are built in index order.
+                            // A poisoned lock means a sibling panicked:
+                            // stop.
+                            let next = match g {
+                                0 => chunks.lock().ok().and_then(|mut c| c.next()),
+                                _ => queues[g - 1].pop(),
+                            };
+                            let Some(mut chunk) = next else {
+                                break;
+                            };
                             worker.process_chunk(&mut chunk);
-                            if !queues[g + 1].push(chunk) {
+                            if !queues[g].push(chunk) {
                                 break;
                             }
                         }
@@ -1514,33 +1503,16 @@ pub(crate) fn run_pipeline(
                     }));
                 }
             }
-            let sink_hits = replayer.take();
-            let sink_handle = scope.spawn(move || {
-                let _guard = AbortOnPanic(queues);
-                let mut sink = Sink::new(env, journal, topology, n, sink_hits);
-                while let Some(chunk) = queues[groups].pop() {
-                    sink.consume(chunk);
-                }
-                sink.finish()
-            });
-            // The caller thread is the source: feed in order, with the
-            // bounded first queue providing backpressure.
-            for chunk in chunks {
-                if !queues[0].push(chunk) {
-                    break;
-                }
+            let last = queues.len() - 1;
+            while let Some(chunk) = queues[last].pop() {
+                sink.consume(chunk);
             }
-            let lane_outs: Vec<LaneOut> = handles.into_iter().map(join_lane).collect();
-            let sink_out = sink_handle
-                .join()
-                .unwrap_or_else(|payload| std::panic::resume_unwind(payload));
-            (lane_outs, sink_out)
+            for handle in handles {
+                fold_lane(join_lane(handle), &mut reports, &mut events);
+            }
         });
-        for lane in lane_outs {
-            fold_lane(lane, &mut reports, &mut events);
-        }
-        sink_out
-    };
+    }
+    let sink_out = sink.finish();
 
     // Cache-hit replays contributed report deltas at the sink; fold them
     // into the per-stage totals alongside the lane reports.

@@ -12,8 +12,9 @@
 #
 # Usage: scripts/bench.sh [bench-name ...]
 #   With no arguments, runs every bench target (microbench,
-#   executor_scaling, ngram_scoring, revision_cache, supervise). Pass
-#   names to run a subset — the JSON output then covers only that subset.
+#   executor_scaling, ngram_scoring, crash_resume, revision_cache,
+#   supervise). Pass names to run a subset — the JSON output then covers
+#   only that subset.
 #
 # The revision_cache stress cell defaults to a 10M-pair workload; set
 # COACHLM_CACHE_BENCH_PAIRS to shrink it for quick runs.
@@ -32,7 +33,7 @@ mkdir -p target
 if [ "$#" -gt 0 ]; then
     benches="$*"
 else
-    benches="microbench executor_scaling ngram_scoring revision_cache supervise"
+    benches="microbench executor_scaling ngram_scoring crash_resume revision_cache supervise"
 fi
 
 for name in $benches; do
