@@ -246,17 +246,18 @@ impl ExpertReviser {
         // Retained Table III cases (§II-E2 "1.9% were cases that should
         // have fell into the categories of Table III"): rewrite into a
         // feasible, self-contained request on the same topic.
-        let table3_markers = lexicon::INVALID_INPUT_MARKERS
-            .iter()
-            .chain(lexicon::MULTIMODAL_MARKERS)
-            .chain(lexicon::EXPERTISE_MARKERS)
-            .chain(lexicon::WORKLOAD_MARKERS)
-            .chain(lexicon::UNSAFE_MARKERS)
-            .copied()
-            .collect::<Vec<_>>();
-        if lexicon::contains_marker(instruction, &table3_markers)
-            || lexicon::contains_marker(instruction, lexicon::VAGUE_PHRASES)
-        {
+        let folded = normalize::fold_case(instruction);
+        let rewrite = [
+            lexicon::INVALID_INPUT_MARKERS,
+            lexicon::MULTIMODAL_MARKERS,
+            lexicon::EXPERTISE_MARKERS,
+            lexicon::WORKLOAD_MARKERS,
+            lexicon::UNSAFE_MARKERS,
+            lexicon::VAGUE_PHRASES,
+        ]
+        .iter()
+        .any(|markers| lexicon::contains_folded_marker(&folded, markers));
+        if rewrite {
             let templates = self.kb.clarifications();
             let topic_word = topic
                 .first()
@@ -393,8 +394,8 @@ impl ExpertReviser {
         let mut expanded = false;
         let mut guard = 0;
         loop {
-            let a = self.engine.analyze_response(instruction, response);
-            if (a.richness() >= 0.9 && a.words >= 50) || guard >= 4 {
+            let (richness, words) = self.engine.response_richness(response);
+            if (richness >= 0.9 && words >= 50) || guard >= 4 {
                 break;
             }
             guard += 1;

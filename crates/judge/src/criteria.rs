@@ -176,33 +176,37 @@ impl CriteriaEngine {
         // One fold serves every case-insensitive check.
         let folded = normalize::fold_case(response);
         let marked = |markers: &[&str]| lexicon::contains_folded_marker(&folded, markers);
-        let words = token::word_count(response);
-        let reasoned = marked(lexicon::REASONING_MARKERS);
-        let cleaned = clean::clean_output(response);
+        let rich = richness_signals(&folded, response);
         let template_leak = matches!(
             clean::validate_pair("x", response),
             clean::Validity::TemplateLeak | clean::Validity::Degenerate
         );
-        let invalid_chars = response
-            .chars()
-            .any(|c| (c.is_control() && c != '\n' && c != '\t') || c == '\u{FFFD}');
         ResponseAnalysis {
             unsafe_content: marked(lexicon::UNSAFE_MARKERS),
             fact_errors: count_fact_errors(&folded),
             irrelevant: lexicon::is_off_topic(instruction, response),
             truncated: is_truncated(response),
-            thin: words < THIN_WORDS && !reasoned,
+            thin: rich.words < THIN_WORDS && !rich.reasoned,
             readability_flaws: count_misspellings(&folded),
             layout_flaws: count_layout_flaws(response),
+            // The cleaned text is only measured, never built.
             degenerate: template_leak
-                || invalid_chars
-                || cleaned.len() < response.len().saturating_sub(2),
+                || clean::has_invalid_chars(response)
+                || clean::cleaned_len(response) < response.len().saturating_sub(2),
             machine_tone: marked(lexicon::MACHINE_TONE_MARKERS),
             warm: marked(lexicon::WARM_MARKERS),
-            reasoned,
-            has_example: folded.contains("for example"),
-            words,
+            ..rich
         }
+    }
+
+    /// `(richness, words)` of a response, equal to
+    /// [`ResponseAnalysis::richness`] and [`ResponseAnalysis::words`] of
+    /// [`analyze_response`](Self::analyze_response) at a fraction of its
+    /// cost: it folds the response and runs only the checks richness reads
+    /// (the reasoning markers, "for example" and the word count).
+    pub fn response_richness(&self, response: &str) -> (f64, usize) {
+        let rich = richness_signals(&normalize::fold_case(response), response);
+        (rich.richness(), rich.words)
     }
 
     /// Scores an instruction per the Table II level structure.
@@ -255,6 +259,17 @@ impl CriteriaEngine {
 
 // `count_misspellings` keeps one bit per typo form.
 const _: () = assert!(lexicon::TYPO_PAIRS.len() <= u64::BITS as usize);
+
+/// The analysis fields richness reads (reasoning, example, word count) of
+/// `response`, whose fold is `folded`; every other field is at its default.
+fn richness_signals(folded: &str, response: &str) -> ResponseAnalysis {
+    ResponseAnalysis {
+        reasoned: lexicon::contains_folded_marker(folded, lexicon::REASONING_MARKERS),
+        has_example: folded.contains("for example"),
+        words: token::word_count(response),
+        ..ResponseAnalysis::default()
+    }
+}
 
 /// Counts misspelled forms and grammar-pair errors present in `folded`
 /// (text folded with [`normalize::fold_case`]). A typo form counts once,
@@ -449,6 +464,107 @@ mod tests {
                 reference_count_fact_errors(text),
                 "{text:?}"
             );
+        }
+    }
+
+    /// `analyze_response` as it was before the cleaned text was measured
+    /// instead of built, verbatim.
+    fn reference_analyze_response(instruction: &str, response: &str) -> ResponseAnalysis {
+        let folded = normalize::fold_case(response);
+        let marked = |markers: &[&str]| lexicon::contains_folded_marker(&folded, markers);
+        let words = token::word_count(response);
+        let reasoned = marked(lexicon::REASONING_MARKERS);
+        let cleaned = clean::clean_output(response);
+        let template_leak = matches!(
+            clean::validate_pair("x", response),
+            clean::Validity::TemplateLeak | clean::Validity::Degenerate
+        );
+        let invalid_chars = response
+            .chars()
+            .any(|c| (c.is_control() && c != '\n' && c != '\t') || c == '\u{FFFD}');
+        ResponseAnalysis {
+            unsafe_content: marked(lexicon::UNSAFE_MARKERS),
+            fact_errors: count_fact_errors(&folded),
+            irrelevant: lexicon::is_off_topic(instruction, response),
+            truncated: is_truncated(response),
+            thin: words < THIN_WORDS && !reasoned,
+            readability_flaws: count_misspellings(&folded),
+            layout_flaws: count_layout_flaws(response),
+            degenerate: template_leak
+                || invalid_chars
+                || cleaned.len() < response.len().saturating_sub(2),
+            machine_tone: marked(lexicon::MACHINE_TONE_MARKERS),
+            warm: marked(lexicon::WARM_MARKERS),
+            reasoned,
+            has_example: folded.contains("for example"),
+            words,
+        }
+    }
+
+    /// Fragments aimed at the degenerate and richness checks: Unicode
+    /// whitespace, controls, U+FFFD, stutters, repeated tails, markers.
+    const RUBRIC_PIECES: &[&str] = &[
+        " ",
+        " ",
+        "\t",
+        "\n",
+        "\x0B",
+        "\r\n",
+        "\u{85}",
+        "\u{A0}",
+        "\u{2003}",
+        "\u{3000}",
+        "\u{0}",
+        "\u{1F}",
+        "\u{7F}",
+        "\u{9F}",
+        "\u{FFFD}",
+        "\u{212A}",
+        "é",
+        "word",
+        "because",
+        "For Example",
+        "for example,",
+        "3.14",
+        "don't",
+        "very very very",
+        "the end.the end.the end.",
+        "### Response:",
+        ".",
+        ",",
+        "...",
+    ];
+
+    #[test]
+    fn measured_rubric_matches_the_reference() {
+        let e = CriteriaEngine::new();
+        let mut pairs: Vec<(String, String)> = Vec::new();
+        for case in 0..proptest::cases() {
+            let mut rng = proptest::case_rng("measured_rubric_matches_the_reference", case);
+            let text = |rng: &mut rand::rngs::StdRng, pieces: &[&str], max: usize| -> String {
+                (0..rng.gen_range(0..max))
+                    .map(|_| pieces[rng.gen_range(0..pieces.len())])
+                    .collect()
+            };
+            let instruction = text(&mut rng, PIECES, 12);
+            let mut response = text(&mut rng, RUBRIC_PIECES, 60);
+            response.push_str(&text(&mut rng, PIECES, 40));
+            pairs.push((instruction, response));
+        }
+        let (generated, _) = generate(&GeneratorConfig::small(400, 5));
+        for pair in generated.iter() {
+            pairs.push((pair.instruction.clone(), pair.response.clone()));
+        }
+        for (instruction, response) in &pairs {
+            let a = e.analyze_response(instruction, response);
+            assert_eq!(
+                a,
+                reference_analyze_response(instruction, response),
+                "{instruction:?} / {response:?}"
+            );
+            let (richness, words) = e.response_richness(response);
+            assert_eq!(richness.to_bits(), a.richness().to_bits(), "{response:?}");
+            assert_eq!(words, a.words, "{response:?}");
         }
     }
 

@@ -37,6 +37,9 @@ pub mod ngram;
 pub mod normalize;
 pub mod token;
 
+#[cfg(test)]
+mod testtext;
+
 pub use diff::{diff_tokens, EditOp, EditScript};
 pub use editdist::{char_edit_distance, edit_distance, word_edit_distance};
 pub use intern::Interner;

@@ -8,102 +8,104 @@
 
 use std::ops::Range;
 
+use crate::token::char_at;
+
 /// Collapses runs of whitespace to single spaces and trims the ends.
 /// Newlines are preserved as single `\n` (layout is meaningful in
 /// responses — lists, paragraphs).
 pub fn collapse_whitespace(s: &str) -> String {
+    // A separator never outgrows the whitespace run it replaces.
     let mut out = String::with_capacity(s.len());
-    let mut pending_space = false;
-    let mut pending_newline = false;
-    for c in s.chars() {
-        if c == '\n' {
-            pending_newline = true;
-            pending_space = false;
-        } else if c.is_whitespace() {
-            if !pending_newline {
-                pending_space = true;
-            }
-        } else {
-            if pending_newline {
-                if !out.is_empty() {
-                    out.push('\n');
-                }
-                pending_newline = false;
-            } else if pending_space && !out.is_empty() {
-                out.push(' ');
-            }
-            pending_space = false;
-            out.push(c);
+    for (i, (newline, word)) in words_with_breaks(s).enumerate() {
+        if i > 0 {
+            out.push(if newline { '\n' } else { ' ' });
         }
+        out.push_str(word);
     }
     out
 }
 
-/// Fixes spacing around ASCII punctuation: no space before `,.;:!?`, one
-/// space after (unless end of string, digit grouping, or another punct).
-pub fn fix_punctuation_spacing(s: &str) -> String {
-    let chars: Vec<char> = s.chars().collect();
-    let mut out = String::with_capacity(s.len() + 8);
-    let mut i = 0;
-    while i < chars.len() {
-        let c = chars[i];
-        if c == ' '
-            && i + 1 < chars.len()
-            && matches!(chars[i + 1], ',' | '.' | ';' | ':' | '!' | '?')
-        {
-            // Drop the space before punctuation.
-            i += 1;
-            continue;
-        }
-        out.push(c);
-        if matches!(c, ',' | ';' | '!' | '?') || (c == '.' && !prev_next_digit(&chars, i)) {
-            if let Some(&next) = chars.get(i + 1) {
-                if !next.is_whitespace() && !next.is_ascii_punctuation() && !next.is_ascii_digit() {
-                    out.push(' ');
-                }
-            }
-        }
-        i += 1;
-    }
-    out
-}
-
-fn prev_next_digit(chars: &[char], i: usize) -> bool {
-    let prev_digit = i > 0 && chars[i - 1].is_ascii_digit();
-    let next_digit = chars.get(i + 1).is_some_and(|c| c.is_ascii_digit());
-    prev_digit && next_digit
+/// The words of `s` as [`str::split_whitespace`] splits it, each with
+/// whether the whitespace before it (since the previous word, or the start
+/// of `s`) holds a `\n`.
+fn words_with_breaks(s: &str) -> impl Iterator<Item = (bool, &str)> {
+    let mut newline = false;
+    // Each piece is a word, possibly empty, and the whitespace char after
+    // it, if any.
+    s.split_inclusive(char::is_whitespace)
+        .filter_map(move |piece| {
+            let word = piece.trim_end_matches(char::is_whitespace);
+            let item = (!word.is_empty()).then_some((newline, word));
+            newline = (newline && word.is_empty()) || piece.ends_with('\n');
+            item
+        })
 }
 
 /// Capitalises the first alphabetic character of each sentence.
 pub fn capitalize_sentences(s: &str) -> String {
     let mut out = String::with_capacity(s.len());
-    let mut at_start = true;
+    let mut case = SentenceCase::default();
     for c in s.chars() {
-        if at_start && c.is_alphabetic() {
+        case.push(&mut out, c);
+    }
+    out
+}
+
+/// [`capitalize_sentences`] one char at a time.
+#[derive(Default)]
+struct SentenceCase {
+    /// Whether a sentence has started since the last terminator.
+    started: bool,
+}
+
+impl SentenceCase {
+    /// Appends `c` to `out`, upper-cased if it starts a sentence.
+    fn push(&mut self, out: &mut String, c: char) {
+        if !self.started && c.is_alphabetic() {
             out.extend(c.to_uppercase());
-            at_start = false;
+            self.started = true;
         } else {
             if matches!(c, '.' | '!' | '?' | '\n') {
-                at_start = true;
+                self.started = false;
             } else if !c.is_whitespace() {
-                at_start = false;
+                self.started = true;
             }
             out.push(c);
         }
     }
-    out
+
+    /// [`push`](Self::push) for each byte of `run`, a run of ASCII letters
+    /// and digits: only its first char can start a sentence, and none
+    /// ends one.
+    fn push_alnum(&mut self, out: &mut String, run: &str) {
+        let Some(&first) = run.as_bytes().first() else {
+            return;
+        };
+        out.push(char::from(if self.started {
+            first
+        } else {
+            first.to_ascii_uppercase()
+        }));
+        out.push_str(&run[1..]);
+        self.started = true;
+    }
 }
 
 /// Ensures the text ends with terminal punctuation (appends `.` if the last
 /// non-whitespace char is alphanumeric).
 pub fn ensure_terminal_punctuation(s: &str) -> String {
     let trimmed = s.trim_end();
-    if trimmed.chars().last().is_some_and(|c| c.is_alphanumeric()) {
-        let mut out = trimmed.to_string();
-        out.push('.');
-        out
-    } else {
-        trimmed.to_string()
+    let mut out = String::with_capacity(trimmed.len() + 1);
+    out.push_str(trimmed);
+    terminate(&mut out);
+    out
+}
+
+/// [`ensure_terminal_punctuation`] in place.
+fn terminate(text: &mut String) {
+    text.truncate(text.trim_end().len());
+    if text.chars().next_back().is_some_and(char::is_alphanumeric) {
+        text.push('.');
     }
 }
 
@@ -171,15 +173,198 @@ pub fn remove_phrase(text: &str, phrase: &str) -> String {
 
 /// Full layout normalisation: whitespace, punctuation spacing,
 /// capitalisation, terminal punctuation. The "Adjust" primitive.
+///
+/// Punctuation spacing: no space before `,.;:!?`, and one after `,.;!?`
+/// unless whitespace, ASCII punctuation, a digit or the end follows (so a
+/// decimal point gets none).
+///
+/// One pass over the words between whitespace runs, building only the
+/// returned `String`: the rules above and capitalisation apply within a
+/// word char by char, except that a run of ASCII letters and digits, which
+/// no rule changes past its first char, is copied whole.
 pub fn normalize_layout(s: &str) -> String {
-    ensure_terminal_punctuation(&capitalize_sentences(&fix_punctuation_spacing(
-        &collapse_whitespace(s),
-    )))
+    let mut out = String::with_capacity(s.len() + 8);
+    let mut case = SentenceCase::default();
+    for (i, (newline, word)) in words_with_breaks(s).enumerate() {
+        let bytes = word.as_bytes();
+        if newline && i > 0 {
+            case.push(&mut out, '\n');
+        } else if i > 0 && !matches!(bytes[0], b',' | b'.' | b';' | b':' | b'!' | b'?') {
+            case.push(&mut out, ' ');
+        }
+        let mut k = 0;
+        while let Some((c, len)) = char_at(word, k) {
+            let run = bytes[k..]
+                .iter()
+                .take_while(|b| b.is_ascii_alphanumeric())
+                .count();
+            if run > 0 {
+                case.push_alnum(&mut out, &word[k..k + run]);
+                k += run;
+                continue;
+            }
+            case.push(&mut out, c);
+            // Inside a word the next char is never whitespace; a byte of a
+            // non-ASCII char is neither ASCII punctuation nor a digit.
+            if matches!(c, ',' | '.' | ';' | '!' | '?')
+                && bytes
+                    .get(k + len)
+                    .is_some_and(|b| !b.is_ascii_punctuation() && !b.is_ascii_digit())
+            {
+                case.push(&mut out, ' ');
+            }
+            k += len;
+        }
+    }
+    terminate(&mut out);
+    out
 }
 
 #[cfg(test)]
 mod tests {
     use super::*;
+    use crate::testtext;
+
+    /// The four-pass kernels the lazy adapters replaced, verbatim: the
+    /// oracles they must agree with byte for byte.
+    mod reference {
+        pub fn collapse_whitespace(s: &str) -> String {
+            let mut out = String::with_capacity(s.len());
+            let mut pending_space = false;
+            let mut pending_newline = false;
+            for c in s.chars() {
+                if c == '\n' {
+                    pending_newline = true;
+                    pending_space = false;
+                } else if c.is_whitespace() {
+                    if !pending_newline {
+                        pending_space = true;
+                    }
+                } else {
+                    if pending_newline {
+                        if !out.is_empty() {
+                            out.push('\n');
+                        }
+                        pending_newline = false;
+                    } else if pending_space && !out.is_empty() {
+                        out.push(' ');
+                    }
+                    pending_space = false;
+                    out.push(c);
+                }
+            }
+            out
+        }
+
+        pub fn fix_punctuation_spacing(s: &str) -> String {
+            let chars: Vec<char> = s.chars().collect();
+            let mut out = String::with_capacity(s.len() + 8);
+            let mut i = 0;
+            while i < chars.len() {
+                let c = chars[i];
+                if c == ' '
+                    && i + 1 < chars.len()
+                    && matches!(chars[i + 1], ',' | '.' | ';' | ':' | '!' | '?')
+                {
+                    i += 1;
+                    continue;
+                }
+                out.push(c);
+                if matches!(c, ',' | ';' | '!' | '?') || (c == '.' && !prev_next_digit(&chars, i)) {
+                    if let Some(&next) = chars.get(i + 1) {
+                        if !next.is_whitespace()
+                            && !next.is_ascii_punctuation()
+                            && !next.is_ascii_digit()
+                        {
+                            out.push(' ');
+                        }
+                    }
+                }
+                i += 1;
+            }
+            out
+        }
+
+        fn prev_next_digit(chars: &[char], i: usize) -> bool {
+            let prev_digit = i > 0 && chars[i - 1].is_ascii_digit();
+            let next_digit = chars.get(i + 1).is_some_and(|c| c.is_ascii_digit());
+            prev_digit && next_digit
+        }
+
+        pub fn capitalize_sentences(s: &str) -> String {
+            let mut out = String::with_capacity(s.len());
+            let mut at_start = true;
+            for c in s.chars() {
+                if at_start && c.is_alphabetic() {
+                    out.extend(c.to_uppercase());
+                    at_start = false;
+                } else {
+                    if matches!(c, '.' | '!' | '?' | '\n') {
+                        at_start = true;
+                    } else if !c.is_whitespace() {
+                        at_start = false;
+                    }
+                    out.push(c);
+                }
+            }
+            out
+        }
+
+        pub fn ensure_terminal_punctuation(s: &str) -> String {
+            let trimmed = s.trim_end();
+            if trimmed.chars().last().is_some_and(|c| c.is_alphanumeric()) {
+                let mut out = trimmed.to_string();
+                out.push('.');
+                out
+            } else {
+                trimmed.to_string()
+            }
+        }
+
+        pub fn normalize_layout(s: &str) -> String {
+            ensure_terminal_punctuation(&capitalize_sentences(&fix_punctuation_spacing(
+                &collapse_whitespace(s),
+            )))
+        }
+    }
+
+    #[test]
+    fn layout_kernels_match_the_reference() {
+        for text in testtext::inputs("layout_kernels_match_the_reference") {
+            let s = text.as_str();
+            // A word follows a newline exactly when the whitespace between
+            // it and the word before (or the text's start) holds one.
+            let mut from = 0;
+            for (newline, word) in words_with_breaks(s) {
+                let at = from + s[from..].find(word).expect("a word of the text");
+                assert_eq!(newline, s[from..at].contains('\n'), "{s:?}");
+                from = at + word.len();
+            }
+            assert_eq!(
+                collapse_whitespace(s),
+                reference::collapse_whitespace(s),
+                "{s:?}"
+            );
+            assert_eq!(
+                capitalize_sentences(s),
+                reference::capitalize_sentences(s),
+                "{s:?}"
+            );
+            assert_eq!(
+                ensure_terminal_punctuation(s),
+                reference::ensure_terminal_punctuation(s),
+                "{s:?}"
+            );
+            let normalized = normalize_layout(s);
+            assert_eq!(normalized, reference::normalize_layout(s), "{s:?}");
+            // Already-normalised text, which most callers pass.
+            assert_eq!(
+                normalize_layout(&normalized),
+                reference::normalize_layout(&normalized),
+                "{normalized:?}"
+            );
+        }
+    }
 
     #[test]
     fn collapse_basic() {
@@ -195,14 +380,14 @@ mod tests {
 
     #[test]
     fn punctuation_spacing() {
-        assert_eq!(fix_punctuation_spacing("hello ,world"), "hello, world");
-        assert_eq!(fix_punctuation_spacing("wait !now"), "wait! now");
-        assert_eq!(fix_punctuation_spacing("ok."), "ok.");
+        assert_eq!(normalize_layout("hello ,world"), "Hello, world.");
+        assert_eq!(normalize_layout("wait !now"), "Wait! Now.");
+        assert_eq!(normalize_layout("ok."), "Ok.");
     }
 
     #[test]
     fn punctuation_spacing_keeps_decimals() {
-        assert_eq!(fix_punctuation_spacing("pi is 3.14"), "pi is 3.14");
+        assert_eq!(normalize_layout("pi is 3.14"), "Pi is 3.14.");
     }
 
     #[test]

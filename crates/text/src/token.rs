@@ -50,21 +50,34 @@ fn is_word_continue(c: char, prev_alnum: bool, next: Option<char>) -> bool {
     (c == '\'' || c == '-') && prev_alnum && next.is_some_and(|n| n.is_alphanumeric())
 }
 
+/// The char that starts at byte `i` of `s` and its UTF-8 length; only a
+/// non-ASCII byte is decoded. `None` at the end of `s`.
+#[inline]
+pub(crate) fn char_at(s: &str, i: usize) -> Option<(char, usize)> {
+    let b = *s.as_bytes().get(i)?;
+    if b.is_ascii() {
+        return Some((char::from(b), 1));
+    }
+    let c = s.get(i..)?.chars().next()?;
+    Some((c, c.len_utf8()))
+}
+
 /// The tokens of a string, produced lazily: a scan that stops early (a
 /// relevance check that meets its topic word in the first sentence) never
-/// tokenises the rest, and nothing is collected.
+/// tokenises the rest, and nothing is collected. Inside a word no char is
+/// decoded twice: the lookahead an apostrophe, hyphen or numeric separator
+/// needs becomes the next char, and a run of ASCII letters and digits,
+/// which always continues a word, is taken without decoding.
 pub(crate) struct Tokens<'a> {
     s: &'a str,
-    chars: std::iter::Peekable<std::str::CharIndices<'a>>,
+    /// Byte offset of the first char not yet tokenised.
+    pos: usize,
 }
 
 impl<'a> Tokens<'a> {
     /// The tokens of `s`, in order.
     pub(crate) fn new(s: &'a str) -> Self {
-        Tokens {
-            s,
-            chars: s.char_indices().peekable(),
-        }
+        Tokens { s, pos: 0 }
     }
 }
 
@@ -73,31 +86,53 @@ impl Iterator for Tokens<'_> {
 
     fn next(&mut self) -> Option<Token> {
         let s = self.s;
-        let (start, c) = self.chars.find(|&(_, c)| !c.is_whitespace())?;
+        let bytes = s.as_bytes();
+        let (start, c) = loop {
+            let (c, len) = char_at(s, self.pos)?;
+            if !c.is_whitespace() {
+                break (self.pos, c);
+            }
+            self.pos += len;
+        };
+        let mut end = start + c.len_utf8();
         if !c.is_alphanumeric() {
+            self.pos = end;
             return Some(Token {
-                span: start..start + c.len_utf8(),
+                span: start..end,
                 kind: TokenKind::Punct,
             });
         }
         let mut all_numeric = c.is_ascii_digit();
-        let mut end = start + c.len_utf8();
         let mut prev_alnum = true;
-        while let Some(&(i, nc)) = self.chars.peek() {
-            let next = s[i + nc.len_utf8()..].chars().next();
+        // `at_end` is the char at `end`, decoded once.
+        let mut at_end = char_at(s, end);
+        while let Some((nc, len)) = at_end {
+            if nc.is_ascii_alphanumeric() {
+                let run = bytes[end..]
+                    .iter()
+                    .take_while(|b| b.is_ascii_alphanumeric())
+                    .count();
+                all_numeric &= bytes[end..end + run].iter().all(u8::is_ascii_digit);
+                prev_alnum = true;
+                end += run;
+                at_end = char_at(s, end);
+                continue;
+            }
+            let after = char_at(s, end + len);
+            let next = after.map(|(n, _)| n);
             let numeric_sep =
                 all_numeric && (nc == '.' || nc == ',') && next.is_some_and(|n| n.is_ascii_digit());
-            if is_word_continue(nc, prev_alnum, next) || numeric_sep {
-                prev_alnum = nc.is_alphanumeric();
-                if !nc.is_ascii_digit() && !numeric_sep {
-                    all_numeric = false;
-                }
-                end = i + nc.len_utf8();
-                self.chars.next();
-            } else {
+            if !(is_word_continue(nc, prev_alnum, next) || numeric_sep) {
                 break;
             }
+            prev_alnum = nc.is_alphanumeric();
+            if !nc.is_ascii_digit() && !numeric_sep {
+                all_numeric = false;
+            }
+            end += len;
+            at_end = after;
         }
+        self.pos = end;
         Some(Token {
             span: start..end,
             kind: if all_numeric {
@@ -124,8 +159,9 @@ pub fn words(s: &str) -> Vec<&str> {
     tokenize(s).iter().map(|t| t.text(s)).collect()
 }
 
-/// Number of word-or-punct tokens in `s`; the paper's "average length" metric
-/// in Table VII counts words, so punctuation is excluded here.
+/// Number of word and number tokens in `s`; punctuation tokens are not
+/// counted, since the paper's "average length" metric in Table VII counts
+/// words.
 pub fn word_count(s: &str) -> usize {
     Tokens::new(s)
         .filter(|t| t.kind != TokenKind::Punct)
@@ -168,6 +204,83 @@ pub fn sentences(s: &str) -> Vec<&str> {
 #[cfg(test)]
 mod tests {
     use super::*;
+    use crate::testtext;
+
+    /// The tokeniser that re-decoded the next char at every char,
+    /// verbatim: the oracle the single-decode one must agree with.
+    mod reference {
+        use super::super::{is_word_continue, Token, TokenKind};
+
+        struct Tokens<'a> {
+            s: &'a str,
+            chars: std::iter::Peekable<std::str::CharIndices<'a>>,
+        }
+
+        impl Iterator for Tokens<'_> {
+            type Item = Token;
+
+            fn next(&mut self) -> Option<Token> {
+                let s = self.s;
+                let (start, c) = self.chars.find(|&(_, c)| !c.is_whitespace())?;
+                if !c.is_alphanumeric() {
+                    return Some(Token {
+                        span: start..start + c.len_utf8(),
+                        kind: TokenKind::Punct,
+                    });
+                }
+                let mut all_numeric = c.is_ascii_digit();
+                let mut end = start + c.len_utf8();
+                let mut prev_alnum = true;
+                while let Some(&(i, nc)) = self.chars.peek() {
+                    let next = s[i + nc.len_utf8()..].chars().next();
+                    let numeric_sep = all_numeric
+                        && (nc == '.' || nc == ',')
+                        && next.is_some_and(|n| n.is_ascii_digit());
+                    if is_word_continue(nc, prev_alnum, next) || numeric_sep {
+                        prev_alnum = nc.is_alphanumeric();
+                        if !nc.is_ascii_digit() && !numeric_sep {
+                            all_numeric = false;
+                        }
+                        end = i + nc.len_utf8();
+                        self.chars.next();
+                    } else {
+                        break;
+                    }
+                }
+                Some(Token {
+                    span: start..end,
+                    kind: if all_numeric {
+                        TokenKind::Number
+                    } else {
+                        TokenKind::Word
+                    },
+                })
+            }
+        }
+
+        pub fn tokenize(s: &str) -> Vec<Token> {
+            Tokens {
+                s,
+                chars: s.char_indices().peekable(),
+            }
+            .collect()
+        }
+
+        pub fn word_count(s: &str) -> usize {
+            tokenize(s)
+                .iter()
+                .filter(|t| t.kind != TokenKind::Punct)
+                .count()
+        }
+    }
+
+    #[test]
+    fn tokens_match_the_reference() {
+        for text in testtext::inputs("tokens_match_the_reference") {
+            assert_eq!(tokenize(&text), reference::tokenize(&text), "{text:?}");
+            assert_eq!(word_count(&text), reference::word_count(&text), "{text:?}");
+        }
+    }
 
     fn toks(s: &str) -> Vec<(&str, TokenKind)> {
         tokenize(s).iter().map(|t| (t.text(s), t.kind)).collect()

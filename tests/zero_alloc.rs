@@ -16,10 +16,13 @@ use std::cell::Cell;
 use std::hint::black_box;
 use std::sync::atomic::{AtomicU64, Ordering};
 
+use coachlm::judge::criteria::CriteriaEngine;
 use coachlm::lm::ngram_model::NgramLm;
+use coachlm::text::clean;
 use coachlm::text::editdist::WordDistance;
 use coachlm::text::intern::Sym;
 use coachlm::text::lexicon::{contains_folded_marker, is_off_topic, REASONING_MARKERS};
+use coachlm::text::normalize::normalize_layout;
 use coachlm::text::token::word_count;
 
 /// Wraps the system allocator, counting every `alloc`/`realloc` call made
@@ -81,6 +84,38 @@ fn long_text(n: usize, salt: &str) -> String {
         .map(|i| words[i % words.len()])
         .collect::<Vec<_>>()
         .join(" ")
+}
+
+/// An `n`-word text that cleaning and layout normalisation leave as it is:
+/// ten-word sentences, capitalised and terminated, with words drawn by a
+/// fixed linear congruential sequence so that no unit repeats at the end.
+fn clean_text(n: usize) -> String {
+    let words = [
+        "water", "moves", "through", "rivers", "because", "heat", "lifts", "vapor", "into",
+        "clouds", "over", "warm", "oceans", "and", "cold", "peaks",
+    ];
+    let mut state = 0x2545_f491_4f6c_dd1d_u64;
+    let mut out = String::new();
+    for i in 0..n {
+        state = state
+            .wrapping_mul(6_364_136_223_846_793_005)
+            .wrapping_add(1_442_695_040_888_963_407);
+        let w = words[(state >> 33) as usize % words.len()];
+        if i % 10 == 0 {
+            if i > 0 {
+                out.push(' ');
+            }
+            out.push_str(&w[..1].to_uppercase());
+            out.push_str(&w[1..]);
+        } else {
+            out.push(' ');
+            out.push_str(w);
+        }
+        if i % 10 == 9 || i + 1 == n {
+            out.push('.');
+        }
+    }
+    out
 }
 
 #[test]
@@ -160,5 +195,43 @@ fn hot_paths_allocate_nothing_after_warm_up() {
     assert_eq!(
         allocs, 0,
         "word counting and marker checks allocated {allocs} times"
+    );
+
+    // --- §III-B1 cleaning and layout ------------------------------------
+    // On text they leave as it is, the cleaning and layout kernels build
+    // only the copy they return, and the checks that only inspect or
+    // measure text build nothing.
+    let text = clean_text(180);
+    assert_eq!(word_count(&text), 180);
+    assert_eq!(clean::clean_output(&text), text);
+    assert_eq!(normalize_layout(&text), text);
+    let (allocs, cleaned) = allocations(|| clean::clean_output(black_box(&text)));
+    assert_eq!(cleaned, text);
+    assert!(allocs <= 1, "clean_output allocated {allocs} times");
+    let (allocs, tidy) = allocations(|| normalize_layout(black_box(&text)));
+    assert_eq!(tidy, text);
+    assert!(allocs <= 1, "normalize_layout allocated {allocs} times");
+    let (allocs, validity) =
+        allocations(|| clean::validate_pair(black_box(instruction), black_box(&text)));
+    assert_eq!(validity, clean::Validity::Valid);
+    assert_eq!(allocs, 0, "validate_pair allocated {allocs} times");
+    let (allocs, ratio) = allocations(|| clean::repetition_ratio(black_box(&text)));
+    assert!(ratio < 0.6, "ratio {ratio}");
+    assert_eq!(allocs, 0, "repetition_ratio allocated {allocs} times");
+    let (allocs, len) = allocations(|| clean::cleaned_len(black_box(&text)));
+    assert_eq!(len, text.len());
+    assert_eq!(allocs, 0, "cleaned_len allocated {allocs} times");
+
+    // --- the Table II rubric ----------------------------------------------
+    // A response costs the rubric the same allocations whatever its length.
+    let engine = CriteriaEngine::new();
+    let short = clean_text(12);
+    let (short_allocs, _) =
+        allocations(|| engine.analyze_response(black_box(instruction), black_box(&short)));
+    let (long_allocs, _) =
+        allocations(|| engine.analyze_response(black_box(instruction), black_box(&text)));
+    assert_eq!(
+        long_allocs, short_allocs,
+        "analyze_response allocated per response word"
     );
 }
