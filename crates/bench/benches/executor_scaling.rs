@@ -160,7 +160,7 @@ fn bench_stream_scaling(c: &mut Criterion) {
 
 fn bench_stream_queue_depth(c: &mut Criterion) {
     // Bounded-queue depth sweep at a fixed thread count: how much capacity
-    // each stage group's output queue needs before backpressure stops
+    // the lanes' output queue needs before backpressure stops
     // costing wall time (and how little sim figures care — they are
     // capacity-invariant by the determinism contract).
     let dataset = sample_dataset(2_000);

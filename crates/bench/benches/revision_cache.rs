@@ -5,7 +5,7 @@
 //! * **Virtual time** (`sim_*` metrics) — the deterministic service-time
 //!   model. The chain mirrors the deployed service's anchors (CoachRevise
 //!   ~840 ms/pair, ExpertAnnotate ~300 ms/pair), so a cache hit that
-//!   skips the whole stage topology saves ~1.14 modeled seconds per
+//!   skips the whole stage chain saves ~1.14 modeled seconds per
 //!   duplicate. These figures are host-independent and exactly
 //!   reproducible.
 //! * **Wall time** (`wall_*` metrics) — real elapsed seconds on whatever

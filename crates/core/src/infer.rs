@@ -147,8 +147,8 @@ impl Stage for CoachReviseStage<'_> {
 
     fn service_time(&self) -> std::time::Duration {
         // Paper §IV-A: 1.19 samples/s on one A100 at batch 32 → ~840ms
-        // per pair. The chain's modeled bottleneck; drives the breaker's
-        // stage grouping and the virtual-time throughput figures only.
+        // per pair. The chain's modeled bottleneck; drives the
+        // virtual-time throughput figures only.
         std::time::Duration::from_millis(840)
     }
 

@@ -253,7 +253,7 @@ pub struct PipelineReport {
     /// repeated traffic.
     pub revision_cache: CacheStats,
     /// Modeled end-to-end elapsed seconds of the run under the executor's
-    /// virtual-time model (lane topology × declared stage service times);
+    /// virtual-time model (the run's lanes × declared stage service times);
     /// deterministic for a fixed config, 0 for stage-less chains.
     pub sim_elapsed_secs: f64,
     /// Per-stage execution summaries, in chain order.

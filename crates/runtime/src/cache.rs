@@ -7,7 +7,7 @@
 //! revision cache memoizes the *full per-item chain result* — disposition,
 //! rewritten text, tags, and the per-stage report deltas — keyed by a
 //! content fingerprint of the pair as it entered the chain, so a duplicate
-//! skips the whole stage-group topology. Matching is exact: a hit is a
+//! skips the whole stage chain. Matching is exact: a hit is a
 //! pair with the same instruction, response, and category, so every pair
 //! still gets its own revision rather than a neighbour's.
 //!

@@ -81,19 +81,21 @@ impl ExecutorConfig {
         self
     }
 
-    /// Overrides the capacity of each stage group's bounded output queue,
-    /// in items (floored at 1; defaults to 64). The items in flight are
-    /// that queue plus one chunk per lane. A wall-clock/memory knob only:
-    /// like the thread count, it never changes results.
+    /// Overrides the capacity of the lanes' bounded output queue, in items
+    /// (floored at 1; defaults to 64). The items in flight are that queue
+    /// plus one chunk per lane. A wall-clock/memory knob only: like the
+    /// thread count, it never changes results.
     pub fn queue_capacity(mut self, items: usize) -> Self {
         self.queue_capacity = items.max(1);
         self
     }
 
     /// Overrides the logical-epoch length used when *no* breaker is
-    /// configured (floored at 1; defaults to 256). Epochs drive journal
-    /// frame commits and cache maintenance cadence; with a
-    /// [`BreakerPolicy`] set, its `window` is the epoch length instead.
+    /// configured (floored at 1; defaults to 256). A journaled run fsyncs
+    /// its journal at every epoch boundary (the commit frame); with a
+    /// [`BreakerPolicy`] set, its `window` is the epoch length instead. A
+    /// supervised worker sends its `EPOCH` heartbeat every this many item
+    /// frames, breaker or not.
     pub fn epoch_len(mut self, items: usize) -> Self {
         self.epoch_len = items.max(1);
         self
@@ -218,11 +220,12 @@ pub struct ChainOutput {
     /// [`items`](Self::items), discarded with a `shed:admission` tag.
     pub shed: usize,
     /// Modeled end-to-end elapsed time of the run under the virtual-time
-    /// model: the completion time of the last item given the pipeline's
-    /// lane topology, each stage's declared service time, and the
-    /// deterministic backoff/latency channels. Deterministic for a fixed
-    /// config, but *excluded* from [`digest`](Self::digest) — it varies
-    /// with the configured thread count by design.
+    /// model: the completion time of the last item given the run's lanes
+    /// (and, under a breaker, its epoch gate), each stage's declared
+    /// service time, and the deterministic backoff/latency channels.
+    /// Deterministic for a fixed config, but *excluded* from
+    /// [`digest`](Self::digest) — it varies with the configured thread
+    /// count by design.
     pub sim_elapsed: Duration,
     /// Revision-cache tallies (all zeros unless the config enabled a
     /// [`CachePolicy`]). Deterministic for a fixed config — the pre-pass
@@ -452,16 +455,16 @@ impl Executor {
 
     /// Runs `stages` over a streaming source.
     ///
-    /// Chunks of items flow over bounded, sequenced queues with
-    /// backpressure and no batch barriers. Without a [`BreakerPolicy`]
-    /// the run is data-parallel: each of the configured threads takes the
-    /// next chunk and runs the whole chain on it, and the sink restores
-    /// input order. With a breaker, the chain is cut into contiguous
-    /// stage groups of one lane each, so every stage sees items in index
-    /// order. Breaker transitions, journal frames, and report merging key
-    /// off deterministic logical epochs (fixed index windows), so the
-    /// output is digest-identical at any thread count or queue capacity —
-    /// see [`crate::stream`] for the full model.
+    /// Chunks of items flow over a bounded, sequenced queue with
+    /// backpressure and no batch barriers. The run is data-parallel: each
+    /// of the configured threads takes the next chunk and runs the whole
+    /// chain on it, and the sink restores input order. With a
+    /// [`BreakerPolicy`], no chunk of a logical epoch (a fixed index
+    /// window) starts before every chunk of the previous epoch has
+    /// finished, so the breakers advance between epochs exactly as in a
+    /// sequential run. Breaker transitions and journal frames key off
+    /// these epochs, so the output is digest-identical at any thread count
+    /// or queue capacity — see [`crate::stream`] for the full model.
     ///
     /// A [`Feed::Sustained`] source models continuous arrivals with
     /// admission control: arrivals that find the admission backlog full
@@ -852,7 +855,7 @@ pub(crate) fn item_seed(seed_base: u64, id: u64) -> u64 {
 ///
 /// Small enough that a straggler only ever holds a sliver of the batch
 /// (at least `CHUNKS_PER_LANE` chunks per lane), large enough to amortise
-/// the handoff — and sized *up* when the queues are roomy: each group's
+/// the handoff — and sized *up* when the queue is roomy: the lanes'
 /// output queue must hold at least two chunks for lanes to overlap at
 /// all, so the ceiling tracks `queue_capacity / (2 × lanes)` instead of a
 /// fixed 64. The handoff cost (a lock and a condvar wake per chunk) is
@@ -1247,9 +1250,10 @@ mod tests {
         assert!(q.items.iter().all(|i| i.pair.id == i.index as u64));
     }
 
-    /// Regression: under a breaker, a zero-service stage after the last
-    /// closed group made the lane partition underflow ("attempt to
-    /// subtract with overflow" in debug builds).
+    /// A zero-service stage under a breaker runs like any other. It once
+    /// made the breaker's cut of the chain into stage groups underflow
+    /// ("attempt to subtract with overflow" in debug builds); that cut is
+    /// gone, and modeled service times no longer place lanes at all.
     #[test]
     fn zero_service_stage_under_a_breaker_runs() {
         struct Free;
@@ -1494,10 +1498,12 @@ mod tests {
         }
     }
 
-    /// The two topologies a threaded run can take: every lane runs the
-    /// whole chain, or one lane per stage group under a breaker.
-    fn topology_config(threads: usize, breaker: bool) -> ExecutorConfig {
-        let config = ExecutorConfig::new(17).threads(threads);
+    /// A run's config, with a breaker (every lane passes the epoch gate)
+    /// or without one (no lane ever waits).
+    fn gate_config(threads: usize, queue: usize, breaker: bool) -> ExecutorConfig {
+        let config = ExecutorConfig::new(17)
+            .threads(threads)
+            .queue_capacity(queue);
         if breaker {
             config.breaker(BreakerPolicy::new().window(16))
         } else {
@@ -1505,33 +1511,36 @@ mod tests {
         }
     }
 
-    /// The sink runs on the caller's thread: at any thread count, with a
-    /// breaker or without, every journal frame is appended there.
+    /// The sink runs on the caller's thread: at any thread count and
+    /// queue capacity, with a breaker or without, every journal frame is
+    /// appended there.
     #[test]
     fn journal_frames_are_appended_on_the_callers_thread() {
         let caller = std::thread::current().id();
         for breaker in [false, true] {
             for threads in [1, 2, 8] {
-                let path = temp_journal("sink-thread");
-                let mut journal = Journal::create(&path).unwrap();
-                let appenders = Arc::new(Mutex::new(Vec::new()));
-                let tee = Arc::clone(&appenders);
-                journal.set_tee(Box::new(move |_frame: &[u8]| {
-                    tee.lock().unwrap().push(std::thread::current().id());
-                }));
-                Executor::new(topology_config(threads, breaker))
-                    .run_journaled(&chain(), &pairs(200), &mut journal)
-                    .unwrap();
-                let appenders = appenders.lock().unwrap();
-                let what = format!("threads {threads}, breaker {breaker}");
-                assert_eq!(
-                    appenders.len(),
-                    201,
-                    "{what}: header plus one frame per item"
-                );
-                let elsewhere = appenders.iter().filter(|&&id| id != caller).count();
-                assert_eq!(elsewhere, 0, "{what}: frames appended off the caller");
-                std::fs::remove_file(&path).ok();
+                for queue in [1, 64] {
+                    let path = temp_journal("sink-thread");
+                    let mut journal = Journal::create(&path).unwrap();
+                    let appenders = Arc::new(Mutex::new(Vec::new()));
+                    let tee = Arc::clone(&appenders);
+                    journal.set_tee(Box::new(move |_frame: &[u8]| {
+                        tee.lock().unwrap().push(std::thread::current().id());
+                    }));
+                    Executor::new(gate_config(threads, queue, breaker))
+                        .run_journaled(&chain(), &pairs(200), &mut journal)
+                        .unwrap();
+                    let appenders = appenders.lock().unwrap();
+                    let what = format!("threads {threads}, queue {queue}, breaker {breaker}");
+                    assert_eq!(
+                        appenders.len(),
+                        201,
+                        "{what}: header plus one frame per item"
+                    );
+                    let elsewhere = appenders.iter().filter(|&&id| id != caller).count();
+                    assert_eq!(elsewhere, 0, "{what}: frames appended off the caller");
+                    std::fs::remove_file(&path).ok();
+                }
             }
         }
     }
@@ -1576,43 +1585,51 @@ mod tests {
     }
 
     /// A panic tears a threaded run down in both directions: a lane's
-    /// panic wakes the caller draining the last queue, and a panic in the
-    /// sink, on the caller, wakes lanes blocked on a full queue. Either
-    /// way the original payload comes back out of the run.
+    /// panic wakes the caller draining the queue, and a panic in the sink,
+    /// on the caller, wakes lanes blocked on a full queue. Under the
+    /// window-16 breaker the stage panic on pair 37 lands inside epoch 2,
+    /// a gated epoch, so the abort must also wake the lanes parked at the
+    /// epoch gate. Either way the original payload comes back out of the
+    /// run.
     #[test]
     fn a_panic_in_a_lane_or_the_sink_tears_the_run_down() {
         for breaker in [false, true] {
             for threads in [2, 8] {
-                let what = format!("threads {threads}, breaker {breaker}");
-                let payload = panic_payload(move || {
-                    let stages: Vec<Box<dyn Stage>> = vec![
-                        Box::new(Scribble),
-                        Box::new(PanicOn(37)),
-                        Box::new(DropFifths),
-                    ];
-                    let _ =
-                        Executor::new(topology_config(threads, breaker)).run(&stages, &pairs(400));
-                });
-                assert_eq!(payload, STAGE_PANIC, "{what}: stage panic");
+                for queue in [1, 16, 64] {
+                    let what = format!("threads {threads}, queue {queue}, breaker {breaker}");
+                    let payload = panic_payload(move || {
+                        let stages: Vec<Box<dyn Stage>> = vec![
+                            Box::new(Scribble),
+                            Box::new(PanicOn(37)),
+                            Box::new(DropFifths),
+                        ];
+                        let config = gate_config(threads, queue, breaker);
+                        let _ = Executor::new(config).run(&stages, &pairs(400));
+                    });
+                    assert_eq!(payload, STAGE_PANIC, "{what}: stage panic");
 
-                let path = temp_journal("tee-panic");
-                let journal_path = path.clone();
-                let payload = panic_payload(move || {
-                    let mut journal = Journal::create(&journal_path).unwrap();
-                    let mut frames = 0;
-                    journal.set_tee(Box::new(move |_frame: &[u8]| {
-                        frames += 1;
-                        // Frame 1 is the header; frame 6 the fifth item.
-                        if frames == 6 {
-                            std::panic::panic_any(TEE_PANIC);
-                        }
-                    }));
-                    let config = topology_config(threads, breaker).queue_capacity(16);
-                    let _ =
-                        Executor::new(config).run_journaled(&chain(), &pairs(400), &mut journal);
-                });
-                assert_eq!(payload, TEE_PANIC, "{what}: sink panic");
-                std::fs::remove_file(&path).ok();
+                    let path = temp_journal("tee-panic");
+                    let journal_path = path.clone();
+                    let payload = panic_payload(move || {
+                        let mut journal = Journal::create(&journal_path).unwrap();
+                        let mut frames = 0;
+                        journal.set_tee(Box::new(move |_frame: &[u8]| {
+                            frames += 1;
+                            // Frame 1 is the header; frame 6 the fifth item.
+                            if frames == 6 {
+                                std::panic::panic_any(TEE_PANIC);
+                            }
+                        }));
+                        let config = gate_config(threads, queue, breaker);
+                        let _ = Executor::new(config).run_journaled(
+                            &chain(),
+                            &pairs(400),
+                            &mut journal,
+                        );
+                    });
+                    assert_eq!(payload, TEE_PANIC, "{what}: sink panic");
+                    std::fs::remove_file(&path).ok();
+                }
             }
         }
     }
@@ -1900,6 +1917,111 @@ mod tests {
         // Executed: epoch 0 (10) + epoch 2 probes (2) = 12 quarantined.
         assert_eq!(r.quarantined, 12);
         assert_eq!(r.degraded, 40 - 12);
+    }
+
+    /// Fatal on the ids in `ids`, Ok elsewhere.
+    struct FatalOn {
+        name: &'static str,
+        ids: std::ops::Range<u64>,
+    }
+
+    impl Stage for FatalOn {
+        fn name(&self) -> &str {
+            self.name
+        }
+        fn process(&self, item: &mut StageItem, _ctx: &mut StageCtx<'_>) -> StageOutcome {
+            if self.ids.contains(&item.pair.id) {
+                StageOutcome::fatal("organic: storm")
+            } else {
+                StageOutcome::Ok
+            }
+        }
+    }
+
+    /// Two breakers, derived by hand. Epoch 0: `first` quarantines ids
+    /// 0..10 and trips; none reach `second`. Epoch 1: `first` degrades all
+    /// ten, which reach `second` and trip it on ids 10..20, while `first`
+    /// half-opens. Epoch 2: `first`'s probes 20 and 21 pass, so it
+    /// recloses; `second` degrades all ten and half-opens. Epoch 3:
+    /// `second`'s probes 30 and 31 pass, so it recloses. Both breakers
+    /// observe tallies from the same epoch's chunks, and the events come
+    /// out in (epoch, stage) order at any thread count and queue capacity.
+    #[test]
+    fn two_breakers_trip_and_reclose_in_epoch_then_stage_order() {
+        use BreakerState::{Closed, HalfOpen, Open};
+        let stages: Vec<Box<dyn Stage>> = vec![
+            Box::new(FatalOn {
+                name: "first",
+                ids: 0..10,
+            }),
+            Box::new(FatalOn {
+                name: "second",
+                ids: 10..20,
+            }),
+        ];
+        let policy = BreakerPolicy::new()
+            .window(10)
+            .trip_ratio(0.5)
+            .min_failures(3)
+            .cooldown_epochs(1)
+            .probes(2);
+        for threads in [1, 2, 3, 8] {
+            for queue in [1, 16] {
+                let what = format!("threads {threads}, queue {queue}");
+                let config = ExecutorConfig::new(0)
+                    .threads(threads)
+                    .queue_capacity(queue)
+                    .breaker(policy.clone());
+                let out = Executor::new(config).run(&stages, &pairs(50));
+                let events: Vec<(usize, &str, BreakerState, BreakerState)> = out
+                    .breaker_events
+                    .iter()
+                    .map(|e| (e.epoch, e.stage.as_str(), e.from, e.to))
+                    .collect();
+                assert_eq!(
+                    events,
+                    vec![
+                        (0, "first", Closed, Open),
+                        (1, "first", Open, HalfOpen),
+                        (1, "second", Closed, Open),
+                        (2, "first", HalfOpen, Closed),
+                        (2, "second", Open, HalfOpen),
+                        (3, "second", HalfOpen, Closed),
+                    ],
+                    "{what}"
+                );
+                let first = out.report("first").unwrap();
+                assert_eq!((first.quarantined, first.degraded), (10, 18), "{what}");
+                let second = out.report("second").unwrap();
+                assert_eq!(
+                    (second.items_in, second.quarantined, second.degraded),
+                    (40, 10, 18),
+                    "{what}"
+                );
+            }
+        }
+    }
+
+    /// The virtual-time model follows the lanes built, and under a
+    /// breaker it gates epochs as the lanes do: with 1 ms per item, four
+    /// lanes take 10 ms for 40 items, but behind the gate each 10-item
+    /// epoch takes three rounds of four lanes, 12 ms in all.
+    #[test]
+    fn modeled_makespan_waits_at_the_epoch_gate() {
+        let stages: Vec<Box<dyn Stage>> = vec![Box::new(Scribble)];
+        let makespan = |threads: usize, breaker: bool| {
+            let config = ExecutorConfig::new(0).threads(threads);
+            let config = if breaker {
+                config.breaker(BreakerPolicy::new().window(10))
+            } else {
+                config
+            };
+            Executor::new(config).run(&stages, &pairs(40)).sim_elapsed
+        };
+        assert_eq!(makespan(1, false), Duration::from_millis(40));
+        assert_eq!(makespan(1, true), Duration::from_millis(40));
+        assert_eq!(makespan(4, false), Duration::from_millis(10));
+        assert_eq!(makespan(4, true), Duration::from_millis(12));
     }
 
     #[test]

@@ -9,14 +9,14 @@
 //! rating — is expressed as a chain of stages and executed here, instead
 //! of each module hand-rolling its own thread pool and RNG plumbing.
 //!
-//! The core ([`stream`]) moves chunks of items over bounded sequenced
-//! queues with backpressure — no batch barriers. Without a circuit
-//! breaker it is data-parallel: every worker lane takes the next chunk
-//! and runs the whole chain on it. With a breaker the chain is cut into
-//! contiguous stage groups of one lane each, so every stage's breaker
-//! sees items in index order. The caller's thread is the sink that
-//! collects the output in index order, so a threaded run spawns only its
-//! lanes, and at one lane the caller runs everything inline. The classic
+//! The core ([`stream`]) moves chunks of items over a bounded sequenced
+//! queue with backpressure — no batch barriers. It is data-parallel:
+//! every worker lane takes the next chunk and runs the whole chain on it.
+//! With a circuit breaker the lanes also pass an epoch gate, so no chunk
+//! of one logical epoch starts before the previous epoch has finished.
+//! The caller's thread is the sink that collects the output in index
+//! order, so a threaded run spawns only its lanes, and at one lane the
+//! caller runs everything inline. The classic
 //! batch entry points ([`Executor::run`], [`Executor::run_journaled`])
 //! are thin wrappers feeding a bounded [`StreamSource::batch`] source;
 //! [`Executor::run_stream`] additionally accepts a [`Feed::Sustained`]
@@ -26,7 +26,7 @@
 //! pre-pass over the borrowed pairs decides admission, cache hits and
 //! journal replay per index; the slots themselves are built one chunk at
 //! a time as lanes pull them, so the items in flight are bounded by the
-//! queues plus one chunk per lane, and a run's memory is its output plus
+//! queue plus one chunk per lane, and a run's memory is its output plus
 //! per-index marks.
 //!
 //! [`InstructionPair`]: coachlm_data::InstructionPair
@@ -40,14 +40,14 @@
 //!   `chain seed × stage salt × pair id` — no sequential stream is shared
 //!   across items, so neither chunk boundaries nor which lane claims a
 //!   chunk can shift draws;
-//! * every queue releases chunks in input order, however many lanes
+//! * the queue releases chunks in input order, however many lanes
 //!   worked on them, and items are processed in place, so output order
 //!   is input order by construction;
 //! * counters merge by summation, which is commutative;
 //! * epoch-keyed state (circuit breakers, journal commit frames) follows
 //!   **logical epochs** — fixed windows of input *indices* — rather than
-//!   wall-clock batches, and each stage's breaker runs on a single lane,
-//!   so it evolves identically at any parallelism.
+//!   wall-clock batches, and the breakers advance only between epochs, at
+//!   the gate, so they evolve identically at any parallelism.
 //!
 //! Chunk width ([`adaptive_chunk_size`]) is therefore a wall-clock knob
 //! only. The one field that varies across runs is
@@ -107,7 +107,7 @@
 //! * **Revision caching** — with a [`CachePolicy`] configured
 //!   ([`ExecutorConfig::revision_cache`]), a content-addressed [`cache`]
 //!   memoizes each item's full chain result; duplicates skip the whole
-//!   stage topology and replay the memoized journal-visible effects at
+//!   stage chain and replay the memoized journal-visible effects at
 //!   the sink, digest-identical to the uncached content-keyed run.
 //!   Matching is exact, so every pair keeps its own revision. Tallies
 //!   surface in [`ChainOutput::revision_cache`].

@@ -98,13 +98,11 @@ pub trait Stage: Sync {
     /// Modeled per-item service time, used *only* by the virtual-time
     /// model in [`crate::stream`]:
     /// [`ChainOutput::sim_elapsed`](crate::ChainOutput::sim_elapsed)
-    /// charges it per stage-body run, and under a circuit breaker the
-    /// chain's cut into single-lane stage groups balances it. Without a
-    /// breaker every lane runs the whole chain, so it places no lanes.
-    /// Never compared against measured wall time and never part of the
-    /// output digest, so a wrong estimate skews the modeled throughput
-    /// but can't change results. Defaults to 1ms — a cheap-ish local
-    /// transform.
+    /// charges it per stage-body run. Every lane runs the whole chain, so
+    /// it places no lanes. Never compared against measured wall time and
+    /// never part of the output digest, so a wrong estimate skews the
+    /// modeled throughput but can't change results. Defaults to 1ms — a
+    /// cheap-ish local transform.
     fn service_time(&self) -> std::time::Duration {
         std::time::Duration::from_millis(1)
     }

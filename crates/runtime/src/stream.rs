@@ -1,26 +1,17 @@
 //! The streaming core.
 //!
-//! Items flow through the stage chain over bounded, *sequenced* queues in
-//! chunks. The chain is split into contiguous **stage groups**, each
-//! served by one or more worker **lanes** ([`plan_topology`]):
-//!
-//! * **Without a breaker** the run is data-parallel: one group covers the
-//!   whole chain and every lane is in it. Each lane builds the next chunk
-//!   and runs every stage on it; the group's output queue hands chunks to
-//!   the sink in index order.
-//! * **With a breaker** each stage's breaker epochs must evolve in index
-//!   order, so every group has one lane and chunks move from group to
-//!   group in strict input order.
-//!
-//! Group-0 lanes take their chunks straight from the [`SlotBuilder`];
-//! group `g` pushes to its own output queue, which group `g + 1` pops.
-//! The caller thread is the sink: it drains the last group's queue, so a
-//! threaded run spawns exactly its lanes. At one lane the caller builds,
-//! runs and sinks each chunk inline.
+//! Items flow through the stage chain in chunks over one bounded,
+//! *sequenced* queue. Every run has the same shape: `threads` worker
+//! **lanes**, each taking the next chunk straight from the
+//! [`SlotBuilder`] and running the whole chain on it, and the caller
+//! thread as the sink, draining the lanes' output queue in index order.
+//! A threaded run spawns exactly its lanes; at one lane (threads = 1, or
+//! a chain with no stage) the caller builds, runs and sinks each chunk
+//! inline.
 //!
 //! There are no batch barriers; the only synchronisation points are the
-//! builder's lock, the bounded queues themselves (backpressure) and the
-//! deterministic **logical epochs** described below.
+//! builder's lock, the bounded queue itself (backpressure) and, under a
+//! circuit breaker, the **epoch gate** described below.
 //!
 //! ## Slots per chunk
 //!
@@ -38,12 +29,14 @@
 //!
 //! A logical epoch is a fixed window of input *indices* (the breaker
 //! policy's `window` when a breaker is configured, the config's
-//! `epoch_len` otherwise). Under a breaker every slot — executed,
-//! dropped, quarantined, shed, or replayed from a journal — flows through
-//! its group's one lane in index order, so each group observes epoch
-//! boundaries locally and sequentially: breaker tallies close and state
-//! transitions fire at exactly the same indices as the epoch-synchronous
-//! batch executor did. Every other per-item effect is seeded per
+//! `epoch_len` otherwise), and no chunk spans two. Under a breaker the
+//! lanes pass an [`EpochGate`]: no chunk of epoch e starts before every
+//! chunk of epoch e − 1 has finished. The finished chunks' per-stage
+//! tallies are summed at the gate, and when epoch e opens the breakers
+//! observe them in stage order and fix the stage modes every chunk of
+//! epoch e runs under. So breaker transitions fire at exactly the indices
+//! an epoch-synchronous sequential loop fires them at, and come out in
+//! (epoch, stage) order. Every other per-item effect is seeded per
 //! (stage, item), so whichever lane runs an item, the run stays
 //! digest-identical to the reference order at any thread count or queue
 //! capacity. The sink commits journal frames in index order and fsyncs
@@ -54,14 +47,15 @@
 //!
 //! Wall-clock throughput depends on the host; the streaming report
 //! instead carries a *modeled* elapsed time computed by the sink from
-//! each stage's declared [`Stage::service_time`], the lane topology
-//! actually built, and the deterministic backoff/latency channels. The
-//! recurrence is the classic multi-server one: an item starts on a group
-//! when both the item is ready (previous group done, or its arrival time
-//! under a sustained feed) and one of the group's lanes is free. The
-//! result is deterministic for a fixed config and is excluded from the
-//! output digest (it legitimately varies with the thread count, which
-//! the digest must not).
+//! each stage's declared [`Stage::service_time`], the lanes actually
+//! built, and the deterministic backoff/latency channels. The recurrence
+//! is the classic multi-server one: an item starts when it is ready (at
+//! its arrival time under a sustained feed, and under a breaker no
+//! earlier than the last completion in the previous epoch, as the gate
+//! has it) and one of the lanes is free. The result is deterministic for
+//! a fixed config and is excluded from the output digest (it
+//! legitimately varies with the thread count, which the digest must
+//! not).
 //!
 //! ## Admission control
 //!
@@ -90,7 +84,6 @@ use rand::SeedableRng;
 use std::cmp::Reverse;
 use std::collections::{BTreeMap, BinaryHeap, VecDeque};
 use std::hash::Hasher;
-use std::ops::Range;
 use std::sync::{Arc, Condvar, Mutex};
 use std::time::Duration;
 
@@ -227,9 +220,9 @@ struct Slot {
     replay: Option<Vec<StageTrace>>,
     /// Virtual arrival time, nanos (0 under a batch feed).
     arrival: u64,
-    /// Modeled service charge per stage group, nanos, filled as the slot
-    /// flows; the sink runs the virtual-time recurrence over these.
-    charge: Vec<u64>,
+    /// Modeled service charge, nanos, set when a lane runs the slot; the
+    /// sink runs the virtual-time recurrence over it.
+    charge: u64,
     /// Shed at admission (already discarded, flows through untouched).
     shed: bool,
     /// Determinism key: the per-(stage, item) RNG seeds and fault rolls
@@ -282,7 +275,7 @@ impl Slot {
             trace,
             replay,
             arrival: 0,
-            charge: Vec::new(),
+            charge: 0,
             shed: false,
             key: 0,
             hit: None,
@@ -291,19 +284,24 @@ impl Slot {
 }
 
 /// A run of consecutive slots moving through the pipe as one unit; the
-/// claim/handoff granularity of the queues.
+/// claim/handoff granularity of the queue. A chunk never spans a logical
+/// epoch.
 struct Chunk {
     seq: u64,
+    /// The logical epoch of every slot in the chunk.
+    epoch: usize,
+    /// How many chunks that epoch is cut into: the epoch gate closes the
+    /// epoch when this many have finished.
+    epoch_chunks: usize,
     slots: Vec<Slot>,
 }
 
 /// A bounded, sequenced chunk queue: pushes carry an explicit sequence
 /// number and pops release chunks in strictly increasing sequence order,
-/// so a multi-lane producer group can finish chunks out of order while
-/// the consumer side still sees input order. Blocking on both sides
-/// (bounded window) provides backpressure; `abort` unblocks everything
-/// when a lane or the sink panics so the pipeline tears down instead of
-/// hanging.
+/// so lanes can finish chunks out of order while the sink still sees
+/// input order. Blocking on both sides (bounded window) provides
+/// backpressure; `abort` unblocks everything when a lane or the sink
+/// panics so the pipeline tears down instead of hanging.
 struct OrderedQueue {
     state: Mutex<QueueState>,
     can_push: Condvar,
@@ -402,92 +400,146 @@ impl OrderedQueue {
     }
 }
 
-/// Aborts every queue if its thread unwinds — a lane, or the caller
-/// while it sinks — so every thread blocked on a queue wakes up and the
-/// scope can re-raise the panic instead of deadlocking.
-struct AbortOnPanic<'a>(&'a [OrderedQueue]);
+/// The epoch gate of a breaker run: no chunk of epoch e starts before
+/// every chunk of epoch e − 1 has finished.
+///
+/// Lanes report each finished chunk's per-stage tallies here. The chunk
+/// that finishes an epoch closes it: the breakers observe the epoch's
+/// summed tallies in stage order, which records the transitions in
+/// (epoch, stage) order, and fix the stage modes of the next epoch before
+/// any of its chunks runs. A lane waits here only with a chunk of a later
+/// epoch, built after every chunk of the open epoch; each of those is
+/// running on a lane or queued for the sink, which drains in order, so
+/// the open epoch always finishes. `abort` wakes the waiting lanes when
+/// a lane or the sink panics.
+struct EpochGate {
+    state: Mutex<GateState>,
+    opened: Condvar,
+    /// Stage names, for the breaker events.
+    names: Vec<String>,
+    window: usize,
+}
+
+struct GateState {
+    /// One breaker per stage, in chain order.
+    breakers: Vec<Breaker>,
+    /// The open epoch: only its chunks may run.
+    epoch: usize,
+    /// The stage modes fixed when `epoch` opened.
+    modes: Vec<StageMode>,
+    /// Chunks of the open epoch that have finished.
+    finished: usize,
+    /// Per stage, the items of the finished chunks that executed it and
+    /// that it quarantined.
+    executed: Vec<usize>,
+    failures: Vec<usize>,
+    /// The transitions so far, in (epoch, stage) order.
+    events: Vec<BreakerEvent>,
+    aborted: bool,
+}
+
+impl EpochGate {
+    fn new(env: &StreamEnv<'_, '_>, policy: &BreakerPolicy) -> Self {
+        let stages = env.stages.len();
+        EpochGate {
+            state: Mutex::new(GateState {
+                breakers: vec![Breaker::new(policy.clone()); stages],
+                epoch: 0,
+                modes: vec![StageMode::Execute; stages],
+                finished: 0,
+                executed: vec![0; stages],
+                failures: vec![0; stages],
+                events: Vec::new(),
+                aborted: false,
+            }),
+            opened: Condvar::new(),
+            names: env.stages.iter().map(|s| s.name().to_string()).collect(),
+            window: env.window,
+        }
+    }
+
+    fn lock(&self) -> std::sync::MutexGuard<'_, GateState> {
+        self.state
+            .lock()
+            .unwrap_or_else(|poisoned| poisoned.into_inner())
+    }
+
+    /// Blocks until `epoch` is open, then copies its stage modes into
+    /// `modes`. Returns `false` after an abort.
+    fn enter(&self, epoch: usize, modes: &mut [StageMode]) -> bool {
+        let mut st = self.lock();
+        while !st.aborted && st.epoch < epoch {
+            st = self
+                .opened
+                .wait(st)
+                .unwrap_or_else(|poisoned| poisoned.into_inner());
+        }
+        modes.copy_from_slice(&st.modes);
+        !st.aborted
+    }
+
+    /// Adds a finished chunk's tallies, zeroing the lane's. The chunk
+    /// that finishes the open epoch closes it and opens the next.
+    fn leave(&self, chunk: &Chunk, executed: &mut [usize], failures: &mut [usize]) {
+        let mut st = self.lock();
+        let st = &mut *st;
+        for (sum, n) in st.executed.iter_mut().zip(executed) {
+            *sum += std::mem::take(n);
+        }
+        for (sum, n) in st.failures.iter_mut().zip(failures) {
+            *sum += std::mem::take(n);
+        }
+        st.finished += 1;
+        if st.finished < chunk.epoch_chunks {
+            return;
+        }
+        let next_start = (st.epoch + 1).saturating_mul(self.window);
+        for (k, breaker) in st.breakers.iter_mut().enumerate() {
+            if let Some((from, to)) = breaker.observe(st.executed[k], st.failures[k]) {
+                st.events.push(BreakerEvent {
+                    stage: self.names[k].clone(),
+                    epoch: st.epoch,
+                    from,
+                    to,
+                });
+            }
+            st.modes[k] = breaker.mode(next_start);
+        }
+        st.executed.fill(0);
+        st.failures.fill(0);
+        st.finished = 0;
+        st.epoch += 1;
+        self.opened.notify_all();
+    }
+
+    fn abort(&self) {
+        self.lock().aborted = true;
+        self.opened.notify_all();
+    }
+
+    fn into_events(self) -> Vec<BreakerEvent> {
+        self.state
+            .into_inner()
+            .unwrap_or_else(|poisoned| poisoned.into_inner())
+            .events
+    }
+}
+
+/// Aborts the output queue and the epoch gate if its thread unwinds — a
+/// lane, or the caller while it sinks — so every thread blocked on
+/// either wakes up and the scope can re-raise the panic instead of
+/// deadlocking.
+struct AbortOnPanic<'a>(&'a OrderedQueue, Option<&'a EpochGate>);
 
 impl Drop for AbortOnPanic<'_> {
     fn drop(&mut self) {
         if std::thread::panicking() {
-            for q in self.0 {
-                q.abort();
+            self.0.abort();
+            if let Some(gate) = self.1 {
+                gate.abort();
             }
         }
     }
-}
-
-/// One contiguous run of stages sharing a lane pool.
-#[derive(Debug, Clone, PartialEq, Eq)]
-pub(crate) struct GroupPlan {
-    pub(crate) stages: Range<usize>,
-    pub(crate) lanes: usize,
-}
-
-/// The pipeline shape for a run: contiguous stage groups and their lane
-/// counts. The same shape drives both the real OS threads and the
-/// virtual-time model, so the modeled speedup is the speedup of the
-/// topology actually built.
-#[derive(Debug, Clone, PartialEq, Eq)]
-pub(crate) struct Topology {
-    pub(crate) groups: Vec<GroupPlan>,
-}
-
-impl Topology {
-    pub(crate) fn total_lanes(&self) -> usize {
-        self.groups.iter().map(|g| g.lanes).sum()
-    }
-}
-
-/// Plans the lanes for a chain of `service.len()` stages.
-///
-/// Without a breaker the plan is data-parallel: one group covering the
-/// whole chain, with all `threads` lanes. Each lane takes the next chunk
-/// from the slot builder and runs every stage on it; the group's
-/// sequenced output queue restores index order.
-///
-/// With a breaker, each stage's epochs must evolve sequentially, so every
-/// group runs on one lane: the chain is cut into `min(threads, stages)`
-/// contiguous groups, balanced greedily by modeled service time.
-pub(crate) fn plan_topology(service: &[u64], threads: usize, breaker: bool) -> Topology {
-    let s = service.len();
-    let threads = threads.max(1);
-    if s == 0 {
-        return Topology { groups: Vec::new() };
-    }
-    if !breaker {
-        return Topology {
-            groups: vec![GroupPlan {
-                stages: 0..s,
-                lanes: threads,
-            }],
-        };
-    }
-    let mut groups = Vec::new();
-    let mut remaining_groups = threads.min(s);
-    let mut remaining_total: u128 = service.iter().map(|&x| u128::from(x)).sum();
-    let (mut start, mut acc) = (0usize, 0u128);
-    for (k, &sv) in service.iter().enumerate() {
-        acc += u128::from(sv);
-        let target = remaining_total / remaining_groups as u128;
-        // Close early enough that every remaining group gets a stage.
-        let stages_left = s - k - 1;
-        if remaining_groups > 1 && (acc >= target || stages_left < remaining_groups) {
-            groups.push(GroupPlan {
-                stages: start..k + 1,
-                lanes: 1,
-            });
-            start = k + 1;
-            remaining_total -= acc;
-            acc = 0;
-            remaining_groups -= 1;
-        }
-    }
-    groups.push(GroupPlan {
-        stages: start..s,
-        lanes: 1,
-    });
-    Topology { groups }
 }
 
 /// Everything the streaming engine needs, borrowed once per run.
@@ -531,141 +583,78 @@ fn merge_trace_delta(report: &mut StageReport, e: &StageTrace) {
     }
 }
 
-/// What one worker lane hands back when its stream runs dry.
-struct LaneOut {
-    /// `(stage index, report delta)` for the lane's stages.
-    reports: Vec<(usize, StageReport)>,
-    /// `(stage index, event)` — populated only under a breaker, where
-    /// the group runs single-lane.
-    events: Vec<(usize, BreakerEvent)>,
-}
-
-/// The streaming replacement for the old per-segment worker: processes
-/// chunks for one stage group, detecting logical-epoch boundaries from
-/// the item indices flowing past and driving the group's breakers
-/// exactly as the epoch-synchronous batch loop did.
-struct GroupWorker<'e, 'a, 'b> {
+/// One lane's stage runner: runs the whole chain on each chunk its lane
+/// takes, under the stage modes the epoch gate fixed for the chunk's
+/// epoch (without a breaker every stage always executes).
+struct Worker<'e, 'a, 'b> {
     env: &'e StreamEnv<'a, 'b>,
-    group: usize,
-    range: Range<usize>,
+    gate: Option<&'e EpochGate>,
     /// `seed ^ salt` per stage, hoisted out of the per-item loop (the
     /// per-item seed is then a single multiply-xor).
     seed_base: Vec<u64>,
-    breakers: Option<Vec<Breaker>>,
     modes: Vec<StageMode>,
-    epoch: usize,
-    epoch_open: bool,
+    /// Per stage, the current chunk's items that executed it and that it
+    /// quarantined; handed to the gate when the chunk finishes (unread
+    /// without a breaker).
     executed: Vec<usize>,
     failures: Vec<usize>,
-    /// One report per stage of the group: executed items tally here as
-    /// they run, replayed items add their recorded deltas.
+    /// One report per stage: executed items tally here as they run,
+    /// replayed items add their recorded deltas.
     reports: Vec<StageReport>,
-    events: Vec<(usize, BreakerEvent)>,
     scratch: BTreeMap<String, u64>,
 }
 
-impl<'e, 'a, 'b> GroupWorker<'e, 'a, 'b> {
-    fn new(env: &'e StreamEnv<'a, 'b>, group: usize, range: Range<usize>) -> Self {
-        let len = range.len();
-        let breakers = env
-            .breaker
-            .map(|policy| (0..len).map(|_| Breaker::new(policy.clone())).collect());
-        let seed_base = range.clone().map(|k| env.seed ^ env.salts[k]).collect();
-        GroupWorker {
+impl<'e, 'a, 'b> Worker<'e, 'a, 'b> {
+    fn new(env: &'e StreamEnv<'a, 'b>, gate: Option<&'e EpochGate>) -> Self {
+        let stages = env.stages.len();
+        Worker {
             env,
-            group,
-            range: range.clone(),
-            seed_base,
-            breakers,
-            modes: vec![StageMode::Execute; len],
-            epoch: 0,
-            epoch_open: false,
-            executed: vec![0; len],
-            failures: vec![0; len],
-            reports: range
-                .map(|k| StageReport {
-                    stage: env.stages[k].name().to_string(),
-                    ..StageReport::default()
-                })
-                .collect(),
-            events: Vec::new(),
+            gate,
+            seed_base: env.salts.iter().map(|salt| env.seed ^ salt).collect(),
+            modes: vec![StageMode::Execute; stages],
+            executed: vec![0; stages],
+            failures: vec![0; stages],
+            reports: stage_reports(env),
             scratch: BTreeMap::new(),
         }
     }
 
-    fn open_epoch(&mut self, epoch: usize) {
-        self.epoch = epoch;
-        self.epoch_open = true;
-        if let Some(bs) = &self.breakers {
-            let start = epoch * self.env.window;
-            for (j, b) in bs.iter().enumerate() {
-                self.modes[j] = b.mode(start);
+    /// Runs the chain on one chunk; under a breaker, between entering and
+    /// leaving the gate. Returns `false` if the run aborted while the
+    /// chunk waited at the gate.
+    fn process_chunk(&mut self, chunk: &mut Chunk) -> bool {
+        if let Some(gate) = self.gate {
+            if !gate.enter(chunk.epoch, &mut self.modes) {
+                return false;
             }
         }
-    }
-
-    /// Closes the current epoch: feeds the tallies to the breakers (in
-    /// stage order, matching the batch loop) and records transitions.
-    fn close_epoch(&mut self) {
-        if let Some(bs) = self.breakers.as_mut() {
-            for (j, b) in bs.iter_mut().enumerate() {
-                if let Some((from, to)) = b.observe(self.executed[j], self.failures[j]) {
-                    let k = self.range.start + j;
-                    self.events.push((
-                        k,
-                        BreakerEvent {
-                            stage: self.env.stages[k].name().to_string(),
-                            epoch: self.epoch,
-                            from,
-                            to,
-                        },
-                    ));
-                }
-            }
-        }
-        self.executed.iter_mut().for_each(|x| *x = 0);
-        self.failures.iter_mut().for_each(|x| *x = 0);
-        self.epoch_open = false;
-    }
-
-    fn process_chunk(&mut self, chunk: &mut Chunk) {
         for slot in &mut chunk.slots {
             self.on_slot(slot);
         }
+        if let Some(gate) = self.gate {
+            gate.leave(chunk, &mut self.executed, &mut self.failures);
+        }
+        true
     }
 
     fn on_slot(&mut self, slot: &mut Slot) {
-        let index = slot.item.index;
-        let epoch = index / self.env.window;
-        if !self.epoch_open {
-            self.open_epoch(epoch);
-        }
-        while self.epoch < epoch {
-            let next = self.epoch + 1;
-            self.close_epoch();
-            self.open_epoch(next);
-        }
-        // Cache hit: the whole stage-group topology is skipped. The slot
-        // carries zero charge (a hit is free in virtual time) and the
-        // sink replays the representative's effects. Hits never coexist
-        // with breakers, so there are no tallies to advance here.
+        // Cache hit: the chain is skipped. The slot carries zero charge (a
+        // hit is free in virtual time) and the sink replays the
+        // representative's effects. Hits never coexist with breakers, so
+        // there are no tallies to advance here.
         if slot.hit.is_some() {
             return;
         }
         if let Some(traces) = &slot.replay {
             for e in traces {
                 let k = e.stage as usize;
-                if !self.range.contains(&k) {
-                    continue;
-                }
-                let j = k - self.range.start;
                 if !e.degraded {
-                    self.executed[j] += 1;
+                    self.executed[k] += 1;
                 }
                 if e.quarantined {
-                    self.failures[j] += 1;
+                    self.failures[k] += 1;
                 }
-                merge_trace_delta(&mut self.reports[j], e);
+                merge_trace_delta(&mut self.reports[k], e);
             }
             return;
         }
@@ -681,17 +670,16 @@ impl<'e, 'a, 'b> GroupWorker<'e, 'a, 'b> {
         let det_key = slot.key;
         let item = &mut slot.item;
         let mut virt: u64 = 0;
-        for (j, k) in self.range.clone().enumerate() {
+        for (k, stage) in env.stages.iter().enumerate() {
             if !item.retained {
                 break;
             }
-            let stage = &env.stages[k];
-            let report = &mut self.reports[j];
+            let report = &mut self.reports[k];
             report.items_in += 1;
             // Degraded passthrough: the stage's breaker is open (or this
             // index is past the half-open probe budget), so the item
             // flows on unrevised — the paper's §III-B1 leakage fallback.
-            if !self.modes[j].executes(item.index) {
+            if !self.modes[k].executes(item.index) {
                 item.tag(format!("degraded:{}", stage.name()));
                 report.degraded += 1;
                 report.items_out += 1;
@@ -712,7 +700,7 @@ impl<'e, 'a, 'b> GroupWorker<'e, 'a, 'b> {
                 }
                 continue;
             }
-            let rng_seed = item_seed(self.seed_base[j], det_key);
+            let rng_seed = item_seed(self.seed_base[k], det_key);
             let deadline = env.deadlines[k];
             let iter_budget = env.budgets[k].max(1);
             let (mut t_retries, mut t_timeouts) = (0u32, 0u32);
@@ -840,9 +828,9 @@ impl<'e, 'a, 'b> GroupWorker<'e, 'a, 'b> {
             }
             if quarantined_here {
                 report.quarantined += 1;
-                self.failures[j] += 1;
+                self.failures[k] += 1;
             }
-            self.executed[j] += 1;
+            self.executed[k] += 1;
             report.retries += u64::from(t_retries);
             report.iterations += u64::from(t_iterations);
             report.faults_injected += t_faults;
@@ -880,17 +868,7 @@ impl<'e, 'a, 'b> GroupWorker<'e, 'a, 'b> {
                 }
             }
         }
-        slot.charge[self.group] = virt;
-    }
-
-    fn finish(mut self) -> LaneOut {
-        if self.epoch_open {
-            self.close_epoch();
-        }
-        LaneOut {
-            reports: self.range.zip(self.reports).collect(),
-            events: self.events,
-        }
+        slot.charge = virt;
     }
 }
 
@@ -932,10 +910,14 @@ struct Sink<'e, 'a, 'b> {
     journal: Option<&'e mut Journal>,
     /// The first journal IO error; the writes after it are skipped.
     journal_error: Option<std::io::Error>,
-    /// One min-heap of lane free-times per group, for the recurrence.
-    lanes: Vec<BinaryHeap<Reverse<u64>>>,
+    /// A min-heap of the lanes' free-times, for the recurrence.
+    lanes: BinaryHeap<Reverse<u64>>,
     items: Vec<StageItem>,
     makespan: u64,
+    /// Under a breaker, when the modeled epoch gate opened the current
+    /// epoch: no item of it starts before the previous epoch's last
+    /// completion.
+    gate_open: u64,
     shed: usize,
     prev_epoch: Option<usize>,
     hits: Option<HitReplayer>,
@@ -945,7 +927,7 @@ impl<'e, 'a, 'b> Sink<'e, 'a, 'b> {
     fn new(
         env: &'e StreamEnv<'a, 'b>,
         journal: Option<&'e mut Journal>,
-        topology: &Topology,
+        lanes: usize,
         n: usize,
         hits: Option<HitReplayer>,
     ) -> Self {
@@ -953,13 +935,10 @@ impl<'e, 'a, 'b> Sink<'e, 'a, 'b> {
             env,
             journal,
             journal_error: None,
-            lanes: topology
-                .groups
-                .iter()
-                .map(|g| (0..g.lanes).map(|_| Reverse(0u64)).collect())
-                .collect(),
+            lanes: vec![Reverse(0); lanes].into(),
             items: Vec::with_capacity(n),
             makespan: 0,
+            gate_open: 0,
             shed: 0,
             prev_epoch: None,
             hits,
@@ -1045,31 +1024,31 @@ impl<'e, 'a, 'b> Sink<'e, 'a, 'b> {
     }
 
     fn consume(&mut self, chunk: Chunk) {
+        if self.prev_epoch.is_some_and(|prev| prev != chunk.epoch) {
+            // Commit frame: everything up to the epoch boundary is durable
+            // before the next epoch's records land.
+            self.write_journal(Journal::sync);
+            // Every item of the previous epoch started after the gate
+            // opened it, so its last completion is the makespan.
+            if self.env.breaker.is_some() {
+                self.gate_open = self.makespan;
+            }
+        }
+        self.prev_epoch = Some(chunk.epoch);
         for mut slot in chunk.slots {
-            let epoch = slot.item.index / self.env.window;
-            if let Some(prev) = self.prev_epoch {
-                if epoch != prev {
-                    // Commit frame: everything up to the epoch boundary
-                    // is durable before the next epoch's records land.
-                    self.write_journal(Journal::sync);
-                }
+            // Virtual-time recurrence: the slot starts on the earliest
+            // free lane once it is ready; zero-charge slots (shed,
+            // replayed, cache hits) take no time.
+            if let Some(mut lane) = self.lanes.peek_mut() {
+                let Reverse(free) = *lane;
+                let done = slot
+                    .arrival
+                    .max(self.gate_open)
+                    .max(free)
+                    .saturating_add(slot.charge);
+                *lane = Reverse(done);
+                self.makespan = self.makespan.max(done);
             }
-            self.prev_epoch = Some(epoch);
-
-            // Virtual-time recurrence: the slot starts on a group when
-            // it is ready and a lane is free; zero-charge slots (shed,
-            // replayed, dropped upstream) pass through without cost.
-            let mut t = slot.arrival;
-            for (g, heap) in self.lanes.iter_mut().enumerate() {
-                let free = heap.peek().map_or(0, |Reverse(x)| *x);
-                let start = t.max(free);
-                let done = start.saturating_add(slot.charge[g]);
-                if heap.pop().is_some() {
-                    heap.push(Reverse(done));
-                }
-                t = done;
-            }
-            self.makespan = self.makespan.max(t);
 
             if slot.shed {
                 self.shed += 1;
@@ -1178,10 +1157,10 @@ pub(crate) fn admission_plan(
     Some(plan)
 }
 
-/// Builds a run's slots one chunk at a time, in index order, when a
-/// group-0 lane (behind a lock) or the inline loop pulls the chunk: no
-/// slot exists before its chunk is pulled, so the slots in flight are
-/// bounded by the queues plus one chunk per lane, not by the input.
+/// Builds a run's slots one chunk at a time, in index order, when a lane
+/// (behind a lock) or the inline loop pulls the chunk: no slot exists
+/// before its chunk is pulled, so the slots in flight are bounded by the
+/// queue plus one chunk per lane, not by the input.
 /// Chunks hold at most `chunk_len` slots and never span a logical-epoch
 /// boundary, so epoch-frame commits and breaker windows align with chunk
 /// edges. Every decision that reads the whole input — admission, cache
@@ -1205,8 +1184,6 @@ struct SlotBuilder<'p, 'r> {
     shared: FxHashMap<usize, (usize, Option<Arc<InstructionPair>>)>,
     chunk_len: usize,
     window: usize,
-    /// Stage groups in the topology: each slot's charge vector length.
-    groups: usize,
     next: usize,
     seq: u64,
     total: u64,
@@ -1223,7 +1200,6 @@ impl<'p, 'r> SlotBuilder<'p, 'r> {
         replay: Replay<'r>,
         journaling: bool,
         chunk_len: usize,
-        groups: usize,
     ) -> (Self, Option<CachePlan>) {
         let StreamSource { pairs, feed } = source;
         let n = pairs.len();
@@ -1260,7 +1236,6 @@ impl<'p, 'r> SlotBuilder<'p, 'r> {
             shared,
             chunk_len,
             window,
-            groups,
             next: 0,
             seq: 0,
             total: total as u64,
@@ -1315,7 +1290,6 @@ impl<'p, 'r> SlotBuilder<'p, 'r> {
         }
         slot.shed = shed;
         slot.arrival = self.rate.map_or(0, |rate| (i as f64 / rate * 1e9) as u64);
-        slot.charge = vec![0; self.groups];
         slot
     }
 
@@ -1344,13 +1318,16 @@ impl Iterator for SlotBuilder<'_, '_> {
         if start >= self.pairs.len() {
             return None;
         }
-        let epoch_end = (start - start % self.window).saturating_add(self.window);
-        let end = (start + self.chunk_len)
-            .min(epoch_end)
+        let epoch_start = start - start % self.window;
+        let epoch_end = epoch_start
+            .saturating_add(self.window)
             .min(self.pairs.len());
+        let end = (start + self.chunk_len).min(epoch_end);
         self.next = end;
         let chunk = Chunk {
             seq: self.seq,
+            epoch: start / self.window,
+            epoch_chunks: (epoch_end - epoch_start).div_ceil(self.chunk_len),
             slots: (start..end).map(|i| self.slot(i)).collect(),
         };
         self.seq += 1;
@@ -1367,7 +1344,7 @@ impl ExactSizeIterator for SlotBuilder<'_, '_> {}
 
 /// Joins a worker thread, re-raising its panic payload (if any) on the
 /// caller's thread instead of wrapping it in a second panic message.
-fn join_lane(handle: std::thread::ScopedJoinHandle<'_, LaneOut>) -> LaneOut {
+fn join_lane(handle: std::thread::ScopedJoinHandle<'_, Vec<StageReport>>) -> Vec<StageReport> {
     handle
         .join()
         .unwrap_or_else(|payload| std::panic::resume_unwind(payload))
@@ -1392,9 +1369,10 @@ pub(crate) struct StreamRun {
 ///
 /// The caller thread is the sink on every path. At one lane (threads = 1,
 /// or a chain with no stage) it builds, runs and sinks each chunk inline.
-/// Otherwise it spawns the topology's lanes and drains the last group's
-/// queue itself: group-0 lanes take their next chunk straight from the
-/// [`SlotBuilder`], every later group from the queue before it.
+/// Otherwise it spawns `threads` lanes, each taking its next chunk
+/// straight from the [`SlotBuilder`] and running the whole chain on it,
+/// and drains their output queue itself. Under a breaker every lane
+/// passes the [`EpochGate`].
 pub(crate) fn run_pipeline(
     env: &StreamEnv<'_, '_>,
     journal: Option<&mut Journal>,
@@ -1404,21 +1382,17 @@ pub(crate) fn run_pipeline(
     replay: Replay<'_>,
 ) -> StreamRun {
     let n = source.pairs.len();
-    let topology = plan_topology(env.service, threads, env.breaker.is_some());
-    let lanes = topology.total_lanes();
+    let lanes = if env.stages.is_empty() {
+        1
+    } else {
+        threads.max(1)
+    };
     let chunk_len = adaptive_chunk_size(n, lanes, queue_capacity);
     // The pre-pass: sequential, thread-independent scans of the input
     // that decide shedding and mark duplicates as hits on their earliest
     // occurrence. Slots are built later, one chunk at a time as the pipe
     // pulls them.
-    let (chunks, cache_plan) = SlotBuilder::new(
-        env,
-        source,
-        replay,
-        journal.is_some(),
-        chunk_len,
-        topology.groups.len(),
-    );
+    let (chunks, cache_plan) = SlotBuilder::new(env, source, replay, journal.is_some(), chunk_len);
     let (replayer, revision) = match cache_plan {
         Some(plan) => {
             let replayer = HitReplayer {
@@ -1430,85 +1404,57 @@ pub(crate) fn run_pipeline(
         }
         None => (None, CacheStats::default()),
     };
+    let gate = env.breaker.map(|policy| EpochGate::new(env, policy));
 
-    let mut reports: Vec<StageReport> = env
-        .stages
-        .iter()
-        .map(|s| StageReport {
-            stage: s.name().to_string(),
-            ..StageReport::default()
-        })
-        .collect();
-    let mut events: Vec<(usize, BreakerEvent)> = Vec::new();
-    let mut sink = Sink::new(env, journal, &topology, n, replayer);
+    let mut reports = stage_reports(env);
+    let mut sink = Sink::new(env, journal, lanes, n, replayer);
 
-    if lanes <= 1 {
-        // At most one group of one lane: drive the same worker and sink
-        // inline, skipping thread and queue overhead entirely.
-        let mut workers: Vec<GroupWorker> = topology
-            .groups
-            .iter()
-            .enumerate()
-            .map(|(g, plan)| GroupWorker::new(env, g, plan.stages.clone()))
-            .collect();
+    if lanes == 1 {
+        // One lane: drive the same worker and sink inline, skipping thread
+        // and queue overhead entirely. The gate never makes it wait: every
+        // earlier chunk has finished.
+        let mut worker = Worker::new(env, gate.as_ref());
         for mut chunk in chunks {
-            for worker in &mut workers {
-                worker.process_chunk(&mut chunk);
-            }
+            worker.process_chunk(&mut chunk);
             sink.consume(chunk);
         }
-        for worker in workers {
-            fold_lane(worker.finish(), &mut reports, &mut events);
-        }
+        merge_reports(&mut reports, worker.reports);
     } else {
         let cap_chunks = (queue_capacity.max(1) / chunk_len.max(1)).max(2);
-        let total_chunks = chunks.len() as u64;
-        // Group g pushes to `queues[g]`; the caller drains the last one.
-        let queues: Vec<OrderedQueue> = topology
-            .groups
-            .iter()
-            .map(|_| OrderedQueue::new(cap_chunks, total_chunks))
-            .collect();
+        let queue = OrderedQueue::new(cap_chunks, chunks.len() as u64);
         let chunks = Mutex::new(chunks);
         std::thread::scope(|scope| {
-            let (queues, chunks) = (&queues, &chunks);
+            let (queue, chunks, gate) = (&queue, &chunks, gate.as_ref());
             // Taken before the first spawn: a panic in the sink (or in a
-            // spawn) aborts the queues, so no lane stays blocked on one.
-            let _guard = AbortOnPanic(queues);
-            let mut handles = Vec::new();
-            for (g, plan) in topology.groups.iter().enumerate() {
-                for _ in 0..plan.lanes {
-                    let range = plan.stages.clone();
-                    handles.push(scope.spawn(move || {
-                        let _guard = AbortOnPanic(queues);
-                        let mut worker = GroupWorker::new(env, g, range);
+            // spawn) aborts the queue and the gate, so no lane stays
+            // blocked on either.
+            let _guard = AbortOnPanic(queue, gate);
+            let handles: Vec<_> = (0..lanes)
+                .map(|_| {
+                    scope.spawn(move || {
+                        let _guard = AbortOnPanic(queue, gate);
+                        let mut worker = Worker::new(env, gate);
                         loop {
-                            // Group 0 builds its next chunk under the
-                            // lock, so chunks are built in index order.
-                            // A poisoned lock means a sibling panicked:
-                            // stop.
-                            let next = match g {
-                                0 => chunks.lock().ok().and_then(|mut c| c.next()),
-                                _ => queues[g - 1].pop(),
-                            };
+                            // Chunks are built under the lock, so in index
+                            // order. A poisoned lock means a sibling
+                            // panicked: stop.
+                            let next = chunks.lock().ok().and_then(|mut c| c.next());
                             let Some(mut chunk) = next else {
                                 break;
                             };
-                            worker.process_chunk(&mut chunk);
-                            if !queues[g].push(chunk) {
+                            if !worker.process_chunk(&mut chunk) || !queue.push(chunk) {
                                 break;
                             }
                         }
-                        worker.finish()
-                    }));
-                }
-            }
-            let last = queues.len() - 1;
-            while let Some(chunk) = queues[last].pop() {
+                        worker.reports
+                    })
+                })
+                .collect();
+            while let Some(chunk) = queue.pop() {
                 sink.consume(chunk);
             }
             for handle in handles {
-                fold_lane(join_lane(handle), &mut reports, &mut events);
+                merge_reports(&mut reports, join_lane(handle));
             }
         });
     }
@@ -1516,17 +1462,11 @@ pub(crate) fn run_pipeline(
 
     // Cache-hit replays contributed report deltas at the sink; fold them
     // into the per-stage totals alongside the lane reports.
-    for (k, report) in sink_out.hit_reports.into_iter().enumerate() {
-        merge_report(&mut reports[k], report);
-    }
-
-    // Batch order is epoch-major, stage-minor; lanes reported events in
-    // (group, epoch) order, so a stable sort by epoch restores it.
-    events.sort_by_key(|(k, e)| (e.epoch, *k));
+    merge_reports(&mut reports, sink_out.hit_reports);
     StreamRun {
         items: sink_out.items,
         reports,
-        breaker_events: events.into_iter().map(|(_, e)| e).collect(),
+        breaker_events: gate.map(EpochGate::into_events).unwrap_or_default(),
         shed: sink_out.shed,
         sim_elapsed: sink_out.sim_elapsed,
         revision,
@@ -1534,13 +1474,23 @@ pub(crate) fn run_pipeline(
     }
 }
 
-/// Merges one lane's output into the run totals. Report merging sums,
-/// so the fold order (group-major, lane-minor) never shows.
-fn fold_lane(lane: LaneOut, reports: &mut [StageReport], events: &mut Vec<(usize, BreakerEvent)>) {
-    for (k, report) in lane.reports {
-        merge_report(&mut reports[k], report);
+/// One empty report per stage, named, in chain order.
+fn stage_reports(env: &StreamEnv<'_, '_>) -> Vec<StageReport> {
+    env.stages
+        .iter()
+        .map(|s| StageReport {
+            stage: s.name().to_string(),
+            ..StageReport::default()
+        })
+        .collect()
+}
+
+/// Adds per-stage reports into the run totals. Report merging sums, so
+/// the order lanes are folded in never shows.
+fn merge_reports(totals: &mut [StageReport], reports: Vec<StageReport>) {
+    for (total, report) in totals.iter_mut().zip(reports) {
+        merge_report(total, report);
     }
-    events.extend(lane.events);
 }
 
 /// Adds report `b` into `a` field-by-field (counters union-add). Also
@@ -1567,76 +1517,23 @@ mod tests {
     use super::*;
     use crate::fault::{FaultPlan, RetryPolicy};
 
-    #[test]
-    fn topology_without_breaker_is_one_group_with_every_lane() {
-        for service in [&[100u64][..], &[100, 100, 100], &[1_000_000, 10, 10, 0]] {
-            for threads in [1, 2, 8] {
-                let t = plan_topology(service, threads, false);
-                assert_eq!(
-                    t.groups,
-                    vec![GroupPlan {
-                        stages: 0..service.len(),
-                        lanes: threads,
-                    }],
-                    "{service:?} at threads = {threads}"
-                );
-            }
+    /// A slotless chunk, for the queue tests.
+    fn chunk(seq: u64) -> Chunk {
+        Chunk {
+            seq,
+            epoch: 0,
+            epoch_chunks: 1,
+            slots: Vec::new(),
         }
-        assert!(plan_topology(&[], 4, false).groups.is_empty());
-    }
-
-    #[test]
-    fn topology_under_breaker_is_contiguous_single_lane_groups() {
-        for service in [
-            &[100u64][..],
-            &[100, 100],
-            &[100, 100, 100, 100],
-            &[1_000_000, 10, 10],
-            &[0, 5, 0, 0, 7],
-            &[0, 0, 0],
-        ] {
-            for threads in 1..=8 {
-                let t = plan_topology(service, threads, true);
-                let what = format!("{service:?} at threads = {threads}");
-                assert_eq!(t.groups.len(), threads.min(service.len()), "{what}");
-                let mut next = 0;
-                for g in &t.groups {
-                    assert_eq!(g.lanes, 1, "{what}");
-                    assert_eq!(g.stages.start, next, "{what}: not contiguous");
-                    assert!(!g.stages.is_empty(), "{what}: empty group");
-                    next = g.stages.end;
-                }
-                assert_eq!(next, service.len(), "{what}: not covering");
-            }
-        }
-        assert!(plan_topology(&[], 4, true).groups.is_empty());
-    }
-
-    /// Regression: the partition closed groups one stage too late, so a
-    /// light prefix swallowed a group and one of three threads got no lane.
-    #[test]
-    fn breaker_partition_gives_each_of_three_threads_a_group() {
-        let t = plan_topology(&[1, 1, 1, 1000], 3, true);
-        let stages: Vec<Range<usize>> = t.groups.iter().map(|g| g.stages.clone()).collect();
-        assert_eq!(stages, vec![0..2, 2..3, 3..4]);
     }
 
     #[test]
     fn ordered_queue_releases_in_sequence_order() {
         let q = OrderedQueue::new(4, 3);
         // Push out of order within the window; pops come back ordered.
-        assert!(q.push(Chunk {
-            seq: 1,
-            slots: Vec::new()
-        }));
-        assert!(q.push(Chunk {
-            seq: 0,
-            slots: Vec::new()
-        }));
-        assert!(q.push(Chunk {
-            seq: 2,
-            slots: Vec::new()
-        }));
+        assert!(q.push(chunk(1)));
+        assert!(q.push(chunk(0)));
+        assert!(q.push(chunk(2)));
         assert_eq!(q.pop().map(|c| c.seq), Some(0));
         assert_eq!(q.pop().map(|c| c.seq), Some(1));
         assert_eq!(q.pop().map(|c| c.seq), Some(2));
@@ -1650,10 +1547,7 @@ mod tests {
             let producer = scope.spawn(|| {
                 for seq in 0..4u64 {
                     // seq 1 cannot enter until seq 0 is popped: capacity 1.
-                    assert!(q.push(Chunk {
-                        seq,
-                        slots: Vec::new()
-                    }));
+                    assert!(q.push(chunk(seq)));
                 }
             });
             for want in 0..4u64 {
@@ -1671,10 +1565,7 @@ mod tests {
             let consumer = scope.spawn(|| q.pop().map(|c| c.seq));
             q.abort();
             assert_eq!(consumer.join().expect("consumer"), None);
-            assert!(!q.push(Chunk {
-                seq: 0,
-                slots: Vec::new()
-            }));
+            assert!(!q.push(chunk(0)));
         });
     }
 
@@ -1708,7 +1599,7 @@ mod tests {
             content_keyed: false,
             cache: false,
         };
-        let (chunks, _) = SlotBuilder::new(&env, source, Replay::none(), false, chunk_len, 0);
+        let (chunks, _) = SlotBuilder::new(&env, source, Replay::none(), false, chunk_len);
         let len = chunks.len();
         let chunks: Vec<Chunk> = chunks.collect();
         assert_eq!(chunks.len(), len, "the builder knows its chunk count");
@@ -1725,6 +1616,10 @@ mod tests {
             let hi = c.slots.last().map(|s| s.item.index).unwrap_or(0);
             assert_eq!(lo, seen, "chunks are contiguous and ordered");
             assert_eq!(lo / 10, hi / 10, "chunk {lo}..={hi} crosses an epoch");
+            assert_eq!(c.epoch, lo / 10);
+            // The epoch gate closes an epoch after this many chunks.
+            let cut = chunks.iter().filter(|d| d.epoch == c.epoch).count();
+            assert_eq!(c.epoch_chunks, cut, "epoch {}", c.epoch);
             seen = hi + 1;
         }
         assert_eq!(seen, 25);

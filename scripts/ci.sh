@@ -72,16 +72,17 @@ done
 
 # Streaming matrix: one cell per (seed, thread count, queue capacity).
 # Each cell runs every ported chain through the streaming core with
-# faults active, over batch and sustained feeds, under both lane
-# topologies: with a breaker (contiguous stage groups, one lane each) and
-# without one (every lane runs the whole chain). It checks digest
-# equality against the single-threaded reference. Thread count and queue
-# depth are performance knobs only; any divergence here is a determinism
-# bug.
-echo "==> streaming matrix (3 seeds x 2 thread counts x 2 queue capacities)"
+# faults active, over batch and sustained feeds, with and without the
+# epoch gate: with a breaker (no chunk of an epoch starts before the
+# previous epoch has finished) and without one (lanes never wait). It
+# checks digest equality against the single-threaded reference. Queue
+# capacity 1 is where the gate's no-deadlock argument is tightest. Thread
+# count and queue depth are performance knobs only; any divergence here
+# is a determinism bug.
+echo "==> streaming matrix (3 seeds x 2 thread counts x 3 queue capacities)"
 for seed in 11 29 53; do
     for threads in 2 8; do
-        for queue in 16 256; do
+        for queue in 1 16 256; do
             echo "   -> seed=$seed threads=$threads queue=$queue"
             COACHLM_STREAM_SEED=$seed COACHLM_THREADS=$threads COACHLM_QUEUE=$queue \
                 cargo test --offline -q --test stream_equivalence stream_matrix_cell

@@ -118,8 +118,9 @@ fn chaos_config(seed: u64, threads: usize, queue: usize) -> ExecutorConfig {
     )
 }
 
-/// [`chaos_config`] without the breaker. A breaker keeps every stage group
-/// on one lane; without one, every lane runs the whole chain.
+/// [`chaos_config`] without the breaker. Every lane runs the whole chain
+/// either way; with the breaker the lanes also wait at the epoch gate,
+/// without it they never wait.
 fn fault_config(seed: u64, threads: usize, queue: usize) -> ExecutorConfig {
     ExecutorConfig::new(seed)
         .threads(threads)
@@ -374,8 +375,8 @@ fn journal_refuses_resume_under_a_different_coach() {
 /// CI streaming-matrix entry point: one cell per (seed, threads, queue
 /// capacity), driven by environment variables. Without them the test is a
 /// no-op, so a plain `cargo test` stays fast. Each cell checks both feeds,
-/// with the breaker (single-lane stage groups) and without it (every lane
-/// runs the whole chain), against the single-threaded reference.
+/// with the breaker (lanes behind the epoch gate) and without it, against
+/// the single-threaded reference.
 #[test]
 fn stream_matrix_cell() {
     let Some([seed, threads, queue]) =
@@ -390,7 +391,7 @@ fn stream_matrix_cell() {
     let d = dataset(200, seed ^ 0x57E0);
     for breaker in [true, false] {
         let config = if breaker { chaos_config } else { fault_config };
-        let topology = if breaker { "breaker" } else { "no breaker" };
+        let gate = if breaker { "breaker" } else { "no breaker" };
         for sel in 0..6u8 {
             for feed in [Feed::Batch, overloaded_feed()] {
                 let source = || StreamSource {
@@ -404,7 +405,7 @@ fn stream_matrix_cell() {
                 assert_same(
                     &cell,
                     &reference,
-                    &format!("{topology}: chain {sel} x{threads} q{queue}"),
+                    &format!("{gate}: chain {sel} x{threads} q{queue}"),
                 );
             }
         }
