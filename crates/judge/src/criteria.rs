@@ -15,9 +15,8 @@
 //! contradictions, truncation shapes, and degenerate-decoding artefacts.
 
 use coachlm_text::clean;
-use coachlm_text::lexicon;
-use coachlm_text::normalize;
-use coachlm_text::token;
+use coachlm_text::lexicon::{MarkerList, Topic};
+use coachlm_text::profile::TextProfile;
 use serde::Serialize;
 
 /// Detected properties of an INSTRUCTION.
@@ -153,59 +152,75 @@ impl CriteriaEngine {
 
     /// Analyses an instruction.
     pub fn analyze_instruction(&self, instruction: &str) -> InstructionAnalysis {
-        // One fold serves every case-insensitive check.
-        let folded = normalize::fold_case(instruction);
-        let marked = |markers: &[&str]| lexicon::contains_folded_marker(&folded, markers);
-        let mut a = InstructionAnalysis {
-            readability_flaws: count_misspellings(&folded),
-            layout_flaws: count_layout_flaws(instruction),
-            vague: marked(lexicon::VAGUE_PHRASES),
-            infeasible: marked(lexicon::INFEASIBLE_PHRASES),
-            invalid_input: marked(lexicon::INVALID_INPUT_MARKERS),
-            multimodal: marked(lexicon::MULTIMODAL_MARKERS),
-            has_context: marked(lexicon::CONTEXT_MARKERS),
-        };
-        if instruction.trim().is_empty() {
-            a.infeasible = true;
+        self.instruction_from(&TextProfile::new(instruction))
+    }
+
+    /// Analyses an instruction from its profile.
+    pub fn instruction_from(&self, profile: &TextProfile) -> InstructionAnalysis {
+        let lexicon = profile.lexicon();
+        InstructionAnalysis {
+            readability_flaws: lexicon.misspellings(),
+            layout_flaws: count_layout_flaws(profile),
+            vague: lexicon.has_marker(MarkerList::Vague),
+            infeasible: lexicon.has_marker(MarkerList::Infeasible) || profile.is_blank(),
+            invalid_input: lexicon.has_marker(MarkerList::InvalidInput),
+            multimodal: lexicon.has_marker(MarkerList::Multimodal),
+            has_context: lexicon.has_marker(MarkerList::Context),
         }
-        a
     }
 
     /// Analyses a response against its instruction.
     pub fn analyze_response(&self, instruction: &str, response: &str) -> ResponseAnalysis {
-        // One fold serves every case-insensitive check.
-        let folded = normalize::fold_case(response);
-        let marked = |markers: &[&str]| lexicon::contains_folded_marker(&folded, markers);
-        let rich = richness_signals(&folded, response);
+        self.response_from(
+            &Topic::new(instruction),
+            response,
+            &TextProfile::new(response),
+        )
+    }
+
+    /// Analyses `response`, whose profile is `profile`, against the topic of
+    /// its instruction. Only relevance reads the response text again: the
+    /// scan for a topic word depends on the instruction.
+    pub fn response_from(
+        &self,
+        topic: &Topic,
+        response: &str,
+        profile: &TextProfile,
+    ) -> ResponseAnalysis {
+        let lexicon = profile.lexicon();
+        let rich = richness_signals(profile);
         let template_leak = matches!(
-            clean::validate_pair("x", response),
+            profile.validity(),
             clean::Validity::TemplateLeak | clean::Validity::Degenerate
         );
         ResponseAnalysis {
-            unsafe_content: marked(lexicon::UNSAFE_MARKERS),
-            fact_errors: count_fact_errors(&folded),
-            irrelevant: lexicon::is_off_topic(instruction, response),
-            truncated: is_truncated(response),
+            unsafe_content: lexicon.has_marker(MarkerList::Unsafe),
+            fact_errors: lexicon.fact_errors(),
+            irrelevant: topic.missed_by(response),
+            truncated: is_truncated(profile),
             thin: rich.words < THIN_WORDS && !rich.reasoned,
-            readability_flaws: count_misspellings(&folded),
-            layout_flaws: count_layout_flaws(response),
-            // The cleaned text is only measured, never built.
+            readability_flaws: lexicon.misspellings(),
+            layout_flaws: count_layout_flaws(profile),
             degenerate: template_leak
-                || clean::has_invalid_chars(response)
-                || clean::cleaned_len(response) < response.len().saturating_sub(2),
-            machine_tone: marked(lexicon::MACHINE_TONE_MARKERS),
-            warm: marked(lexicon::WARM_MARKERS),
+                || profile.has_invalid_chars()
+                || profile.cleaned_len() < profile.len().saturating_sub(2),
+            machine_tone: lexicon.has_marker(MarkerList::MachineTone),
+            warm: lexicon.has_marker(MarkerList::Warm),
             ..rich
         }
     }
 
-    /// `(richness, words)` of a response, equal to
-    /// [`ResponseAnalysis::richness`] and [`ResponseAnalysis::words`] of
-    /// [`analyze_response`](Self::analyze_response) at a fraction of its
-    /// cost: it folds the response and runs only the checks richness reads
-    /// (the reasoning markers, "for example" and the word count).
+    /// `(richness, words)` of a response: [`ResponseAnalysis::richness`]
+    /// and [`ResponseAnalysis::words`] of
+    /// [`analyze_response`](Self::analyze_response).
     pub fn response_richness(&self, response: &str) -> (f64, usize) {
-        let rich = richness_signals(&normalize::fold_case(response), response);
+        self.richness_from(&TextProfile::new(response))
+    }
+
+    /// [`response_richness`](Self::response_richness) from the response's
+    /// profile.
+    pub fn richness_from(&self, profile: &TextProfile) -> (f64, usize) {
+        let rich = richness_signals(profile);
         (rich.richness(), rich.words)
     }
 
@@ -257,88 +272,163 @@ impl CriteriaEngine {
     }
 }
 
-// `count_misspellings` keeps one bit per typo form.
-const _: () = assert!(lexicon::TYPO_PAIRS.len() <= u64::BITS as usize);
-
-/// The analysis fields richness reads (reasoning, example, word count) of
-/// `response`, whose fold is `folded`; every other field is at its default.
-fn richness_signals(folded: &str, response: &str) -> ResponseAnalysis {
+/// The analysis fields richness reads (reasoning, example, word count);
+/// every other field is at its default.
+fn richness_signals(profile: &TextProfile) -> ResponseAnalysis {
     ResponseAnalysis {
-        reasoned: lexicon::contains_folded_marker(folded, lexicon::REASONING_MARKERS),
-        has_example: folded.contains("for example"),
-        words: token::word_count(response),
+        reasoned: profile.lexicon().has_marker(MarkerList::Reasoning),
+        has_example: profile.lexicon().has_example(),
+        words: profile.words(),
         ..ResponseAnalysis::default()
     }
 }
 
-/// Counts misspelled forms and grammar-pair errors present in `folded`
-/// (text folded with [`normalize::fold_case`]). A typo form counts once,
-/// and only standing alone: no ASCII letter or digit right before or after
-/// it.
-fn count_misspellings(folded: &str) -> u32 {
-    // Typo forms are themselves ASCII-alphanumeric, so a form standing
-    // alone is exactly a maximal ASCII-alphanumeric run: one pass over the
-    // runs finds every form present (DESIGN.md, "Hot-path architecture").
-    let mut found = 0u64;
-    for run in folded.split(|c: char| !c.is_ascii_alphanumeric()) {
-        if let Some(i) = lexicon::typo_index(run) {
-            found |= 1 << i;
-        }
-    }
-    let grammar = lexicon::GRAMMAR_PAIRS
-        .iter()
-        .filter(|(wrong, _)| folded.contains(wrong))
-        .count();
-    found.count_ones() + grammar as u32
-}
-
-/// Counts layout problems: doubled spaces, space before punctuation,
-/// lowercase sentence starts, missing terminal punctuation.
-fn count_layout_flaws(text: &str) -> u32 {
-    let t = text.trim();
-    if t.is_empty() {
+/// Counts layout problems of the trimmed text: doubled spaces, space
+/// before punctuation, a lowercase start, no terminal punctuation.
+fn count_layout_flaws(profile: &TextProfile) -> u32 {
+    if profile.is_blank() {
         return 0;
     }
-    let mut n = 0u32;
-    if t.contains("  ") {
-        n += 1;
-    }
-    if t.contains(" .") || t.contains(" ,") || t.contains(" !") || t.contains(" ?") {
-        n += 1;
-    }
-    if t.chars().next().is_some_and(|c| c.is_lowercase()) {
-        n += 1;
-    }
-    if t.chars().last().is_some_and(|c| c.is_alphanumeric()) {
-        n += 1;
-    }
-    n
-}
-
-/// Counts fact-table contradictions in `folded`.
-fn count_fact_errors(folded: &str) -> u32 {
-    lexicon::folded_facts()
-        .iter()
-        .filter(|(subject, wrong)| {
-            folded.contains(subject.as_str()) && folded.contains(wrong.as_str())
-        })
-        .count() as u32
+    u32::from(profile.has_double_space())
+        + u32::from(profile.has_space_before_punct())
+        + u32::from(profile.first_char().is_some_and(char::is_lowercase))
+        + u32::from(profile.last_char().is_some_and(char::is_alphanumeric))
 }
 
 /// Truncation shape: trailing ellipsis or a dangling non-terminal ending.
-fn is_truncated(text: &str) -> bool {
-    let t = text.trim_end();
-    if t.is_empty() {
-        return false;
-    }
-    t.ends_with("...") || t.chars().last().is_some_and(|c| c == ',' || c == ';')
+fn is_truncated(profile: &TextProfile) -> bool {
+    profile.ends_with_ellipsis() || matches!(profile.last_char(), Some(',' | ';'))
 }
 
 #[cfg(test)]
 mod tests {
     use super::*;
+    use crate::testtext;
     use coachlm_data::generator::{generate, GeneratorConfig};
+    use coachlm_text::lexicon::LexiconHits;
+    use coachlm_text::{lexicon, normalize, token};
     use rand::Rng;
+
+    /// The rubric as it was before it read text profiles, verbatim: one
+    /// fold per analysed text, one substring search per marker, fact and
+    /// grammar form, and separate walks for the word count, the degenerate
+    /// test, layout and relevance.
+    mod reference {
+        use super::super::{InstructionAnalysis, ResponseAnalysis, THIN_WORDS};
+        use coachlm_text::{clean, lexicon, normalize, token};
+
+        pub fn analyze_instruction(instruction: &str) -> InstructionAnalysis {
+            // One fold serves every case-insensitive check.
+            let folded = normalize::fold_case(instruction);
+            let marked = |markers: &[&str]| lexicon::contains_folded_marker(&folded, markers);
+            let mut a = InstructionAnalysis {
+                readability_flaws: count_misspellings(&folded),
+                layout_flaws: count_layout_flaws(instruction),
+                vague: marked(lexicon::VAGUE_PHRASES),
+                infeasible: marked(lexicon::INFEASIBLE_PHRASES),
+                invalid_input: marked(lexicon::INVALID_INPUT_MARKERS),
+                multimodal: marked(lexicon::MULTIMODAL_MARKERS),
+                has_context: marked(lexicon::CONTEXT_MARKERS),
+            };
+            if instruction.trim().is_empty() {
+                a.infeasible = true;
+            }
+            a
+        }
+
+        pub fn analyze_response(instruction: &str, response: &str) -> ResponseAnalysis {
+            // One fold serves every case-insensitive check.
+            let folded = normalize::fold_case(response);
+            let marked = |markers: &[&str]| lexicon::contains_folded_marker(&folded, markers);
+            let rich = richness_signals(&folded, response);
+            let template_leak = matches!(
+                clean::validate_pair("x", response),
+                clean::Validity::TemplateLeak | clean::Validity::Degenerate
+            );
+            ResponseAnalysis {
+                unsafe_content: marked(lexicon::UNSAFE_MARKERS),
+                fact_errors: count_fact_errors(&folded),
+                irrelevant: lexicon::is_off_topic(instruction, response),
+                truncated: is_truncated(response),
+                thin: rich.words < THIN_WORDS && !rich.reasoned,
+                readability_flaws: count_misspellings(&folded),
+                layout_flaws: count_layout_flaws(response),
+                // The cleaned text is only measured, never built.
+                degenerate: template_leak
+                    || clean::has_invalid_chars(response)
+                    || clean::cleaned_len(response) < response.len().saturating_sub(2),
+                machine_tone: marked(lexicon::MACHINE_TONE_MARKERS),
+                warm: marked(lexicon::WARM_MARKERS),
+                ..rich
+            }
+        }
+
+        pub fn response_richness(response: &str) -> (f64, usize) {
+            let rich = richness_signals(&normalize::fold_case(response), response);
+            (rich.richness(), rich.words)
+        }
+
+        fn richness_signals(folded: &str, response: &str) -> ResponseAnalysis {
+            ResponseAnalysis {
+                reasoned: lexicon::contains_folded_marker(folded, lexicon::REASONING_MARKERS),
+                has_example: folded.contains("for example"),
+                words: token::word_count(response),
+                ..ResponseAnalysis::default()
+            }
+        }
+
+        pub fn count_misspellings(folded: &str) -> u32 {
+            let mut found = 0u64;
+            for run in folded.split(|c: char| !c.is_ascii_alphanumeric()) {
+                if let Some(i) = lexicon::typo_index(run) {
+                    found |= 1 << i;
+                }
+            }
+            let grammar = lexicon::GRAMMAR_PAIRS
+                .iter()
+                .filter(|(wrong, _)| folded.contains(wrong))
+                .count();
+            found.count_ones() + grammar as u32
+        }
+
+        pub fn count_layout_flaws(text: &str) -> u32 {
+            let t = text.trim();
+            if t.is_empty() {
+                return 0;
+            }
+            let mut n = 0u32;
+            if t.contains("  ") {
+                n += 1;
+            }
+            if t.contains(" .") || t.contains(" ,") || t.contains(" !") || t.contains(" ?") {
+                n += 1;
+            }
+            if t.chars().next().is_some_and(|c| c.is_lowercase()) {
+                n += 1;
+            }
+            if t.chars().last().is_some_and(|c| c.is_alphanumeric()) {
+                n += 1;
+            }
+            n
+        }
+
+        pub fn count_fact_errors(folded: &str) -> u32 {
+            lexicon::folded_facts()
+                .iter()
+                .filter(|(subject, wrong)| {
+                    folded.contains(subject.as_str()) && folded.contains(wrong.as_str())
+                })
+                .count() as u32
+        }
+
+        pub fn is_truncated(text: &str) -> bool {
+            let t = text.trim_end();
+            if t.is_empty() {
+                return false;
+            }
+            t.ends_with("...") || t.chars().last().is_some_and(|c| c == ',' || c == ';')
+        }
+    }
 
     /// The word-boundary misspelling count the run-based one replaced,
     /// verbatim: one substring scan per typo form.
@@ -454,16 +544,13 @@ mod tests {
         }
         for text in &texts {
             let folded = normalize::fold_case(text);
-            assert_eq!(
-                count_misspellings(&folded),
-                reference_count_misspellings(text),
-                "{text:?}"
-            );
-            assert_eq!(
-                count_fact_errors(&folded),
-                reference_count_fact_errors(text),
-                "{text:?}"
-            );
+            let hits = LexiconHits::of_folded(&folded);
+            let misspellings = reference_count_misspellings(text);
+            assert_eq!(hits.misspellings(), misspellings, "{text:?}");
+            assert_eq!(reference::count_misspellings(&folded), misspellings);
+            let fact_errors = reference_count_fact_errors(text);
+            assert_eq!(hits.fact_errors(), fact_errors, "{text:?}");
+            assert_eq!(reference::count_fact_errors(&folded), fact_errors);
         }
     }
 
@@ -484,12 +571,12 @@ mod tests {
             .any(|c| (c.is_control() && c != '\n' && c != '\t') || c == '\u{FFFD}');
         ResponseAnalysis {
             unsafe_content: marked(lexicon::UNSAFE_MARKERS),
-            fact_errors: count_fact_errors(&folded),
+            fact_errors: reference::count_fact_errors(&folded),
             irrelevant: lexicon::is_off_topic(instruction, response),
-            truncated: is_truncated(response),
+            truncated: reference::is_truncated(response),
             thin: words < THIN_WORDS && !reasoned,
-            readability_flaws: count_misspellings(&folded),
-            layout_flaws: count_layout_flaws(response),
+            readability_flaws: reference::count_misspellings(&folded),
+            layout_flaws: reference::count_layout_flaws(response),
             degenerate: template_leak
                 || invalid_chars
                 || cleaned.len() < response.len().saturating_sub(2),
@@ -565,6 +652,120 @@ mod tests {
             let (richness, words) = e.response_richness(response);
             assert_eq!(richness.to_bits(), a.richness().to_bits(), "{response:?}");
             assert_eq!(words, a.words, "{response:?}");
+        }
+    }
+
+    /// Markers that overlap or nest, within a list and across lists ("for
+    /// example" and "step by step" are both context and reasoning markers,
+    /// "5" is a wrong value inside the wrong value "50 degrees celsius"),
+    /// chars whose fold changes length or depends on context (the Kelvin
+    /// sign, `İ`, a final sigma), and the built-in marker that is not
+    /// stored folded.
+    const MARKER_PIECES: &[&str] = &[
+        "for example",
+        "FOR EXAMPLE",
+        "for examplee",
+        "step by step",
+        "Step By Step",
+        "before I finish typing this",
+        "BEFORE I FINISH TYPING THIS",
+        "before i finish typing this",
+        "50 degrees Celsius",
+        "water boils at",
+        "2 plus 2 equals",
+        "5",
+        "The capital of France is Berlin",
+        "as an ai language model",
+        "As a large language model",
+        "you are",
+        "imagine",
+        "such as",
+        "happy to help",
+        "hope this helps",
+        "thank you",
+        "without consulting a doctor",
+        "(photo of",
+        "[see above]",
+        "<insert text here>",
+        "icd-10 code",
+        "rewrite every verse",
+        "do something about it",
+        "using exactly zero words",
+        "could of",
+        "he don't",
+        "is consist of",
+        "teh",
+        "Thier",
+        "because",
+        "therefore",
+        "in summary",
+        "\u{212A}",
+        "\u{212A}ey",
+        "İ",
+        "İstanbul",
+        "ΟΔΟΣ",
+        "ΑΣ",
+        "ς",
+        "ß",
+        "water",
+        "gravity",
+    ];
+    /// What separates two pieces; the empty gap glues them together.
+    const GAPS: &[&str] = &[" ", " ", "", "\n", ". ", ", ", "  "];
+
+    /// Up to `max` pieces, each a marker piece or a `testtext` fragment.
+    fn marker_text(rng: &mut rand::rngs::StdRng, max: usize) -> String {
+        let mut text = String::new();
+        for _ in 0..rng.gen_range(0..=max) {
+            if rng.gen_bool(0.5) {
+                text.push_str(MARKER_PIECES[rng.gen_range(0..MARKER_PIECES.len())]);
+            } else {
+                text.push_str(&testtext::mixed_text(rng, 3));
+            }
+            text.push_str(GAPS[rng.gen_range(0..GAPS.len())]);
+        }
+        text
+    }
+
+    #[test]
+    fn profiled_rubric_matches_the_reference() {
+        let e = CriteriaEngine::new();
+        let mut pairs: Vec<(String, String)> = Vec::new();
+        for case in 0..proptest::cases() {
+            let mut rng = proptest::case_rng("profiled_rubric_matches_the_reference", case);
+            let instruction = marker_text(&mut rng, 12);
+            pairs.push((instruction, marker_text(&mut rng, 60)));
+        }
+        let texts = testtext::inputs("profiled_rubric_matches_the_reference");
+        for (i, text) in texts.iter().enumerate() {
+            pairs.push((texts[i / 2].clone(), text.clone()));
+        }
+        let (generated, _) = generate(&GeneratorConfig::small(400, 5));
+        for pair in generated.iter() {
+            pairs.push((pair.instruction.clone(), pair.response.clone()));
+        }
+        for (instruction, response) in &pairs {
+            let want = reference::analyze_instruction(instruction);
+            assert_eq!(e.analyze_instruction(instruction), want, "{instruction:?}");
+            let ip = TextProfile::new(instruction);
+            assert_eq!(e.instruction_from(&ip), want, "{instruction:?}");
+            let want = reference::analyze_response(instruction, response);
+            assert_eq!(
+                e.analyze_response(instruction, response),
+                want,
+                "{instruction:?} / {response:?}"
+            );
+            let rp = TextProfile::new(response);
+            assert_eq!(
+                e.response_from(&Topic::new(instruction), response, &rp),
+                want,
+                "{instruction:?} / {response:?}"
+            );
+            let (richness, words) = reference::response_richness(response);
+            for (got, got_words) in [e.response_richness(response), e.richness_from(&rp)] {
+                assert_eq!(got.to_bits(), richness.to_bits(), "{response:?}");
+                assert_eq!(got_words, words, "{response:?}");
+            }
         }
     }
 
@@ -655,18 +856,20 @@ mod tests {
 
     #[test]
     fn misspellings_counted_with_word_boundaries() {
-        assert_eq!(count_misspellings("teh cat and thier dog"), 2);
+        let misspellings = |text: &str| LexiconHits::of_folded(text).misspellings();
+        assert_eq!(misspellings("teh cat and thier dog"), 2);
         // "until" contains "til" but no wrong form at word boundary.
-        assert_eq!(count_misspellings("until the weather improves"), 0);
-        assert_eq!(count_misspellings("you could of known"), 1);
+        assert_eq!(misspellings("until the weather improves"), 0);
+        assert_eq!(misspellings("you could of known"), 1);
     }
 
     #[test]
     fn layout_flaws_counted() {
-        assert_eq!(count_layout_flaws("Good sentence."), 0);
-        assert!(count_layout_flaws("bad  spacing , here") >= 2);
-        assert_eq!(count_layout_flaws("lowercase start."), 1);
-        assert_eq!(count_layout_flaws("No terminal punct"), 1);
+        let flaws = |text: &str| count_layout_flaws(&TextProfile::new(text));
+        assert_eq!(flaws("Good sentence."), 0);
+        assert!(flaws("bad  spacing , here") >= 2);
+        assert_eq!(flaws("lowercase start."), 1);
+        assert_eq!(flaws("No terminal punct"), 1);
     }
 
     #[test]

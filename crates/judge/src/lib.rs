@@ -36,6 +36,11 @@ pub mod stats;
 pub mod tournament;
 pub mod winrate;
 
+/// The text kernels' reference-test inputs, shared with `coachlm-text`.
+#[cfg(test)]
+#[path = "../../text/src/testtext.rs"]
+mod testtext;
+
 pub use chatgpt::ChatGptRater;
 pub use criteria::{CriteriaEngine, InstructionAnalysis, PairScores, ResponseAnalysis};
 pub use gpt4::Gpt4Judge;

@@ -463,8 +463,13 @@ impl<'a> Transducer<'a> {
         // so it expands anything below it — which is why Table VII's revised
         // responses average 3× the original length.
         let word_count = coachlm_text::token::word_count(&text);
-        let has_reasoning = lexicon::contains_marker(&text, lexicon::REASONING_MARKERS);
-        let has_example = normalize::fold_case(&text).contains("for example");
+        let (has_reasoning, has_example) = {
+            let folded = normalize::fold_case(&text);
+            (
+                lexicon::contains_folded_marker(&folded, lexicon::REASONING_MARKERS),
+                lexicon::contains_folded_marker(&folded, &["for example"]),
+            )
+        };
         let thin = word_count < THIN_RESPONSE_WORDS;
         // Expansion fires slightly less reliably than lexical repairs —
         // composing new content is the hardest revision class, and the

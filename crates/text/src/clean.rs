@@ -8,9 +8,10 @@
 //! stripping, repeated-substring collapsing (degenerate-decoding artefacts),
 //! and structural validity checks for a generated instruction pair.
 //!
-//! These kernels run in the Clean stage, twice in the CoachRevise stage and
-//! inside every rubric call, so each reads its input once and allocates
-//! only the `String` it returns (and, in [`clean_output`] and
+//! These kernels run in the Clean stage and twice in the CoachRevise stage
+//! (the rubric measures the same things in `profile::TextProfile`'s one
+//! walk, sharing the definitions here), so each reads its input once and
+//! allocates only the `String` it returns (and, in [`clean_output`] and
 //! [`cleaned_len`], a stripped copy of an input that holds an invalid
 //! character). Invalid characters are found by one byte scan, a trailing
 //! repeat of `min_repeats` copies is searched from `n / min_repeats` bytes
@@ -119,22 +120,40 @@ fn trailing_repeats_keep(s: &str, min_unit: usize, min_repeats: usize) -> usize 
     n
 }
 
+/// [`collapse_word_stutter`]'s rule, one word at a time.
+pub(crate) struct Stutter<'a> {
+    max_run: usize,
+    /// The last word seen. A dropped word equals the last kept one, so it
+    /// is also the last word kept.
+    last: Option<&'a str>,
+    run: usize,
+}
+
+impl<'a> Stutter<'a> {
+    pub(crate) fn new(max_run: usize) -> Self {
+        Stutter {
+            max_run: max_run.max(1),
+            last: None,
+            run: 0,
+        }
+    }
+
+    /// Whether the next word, `w`, is kept.
+    pub(crate) fn keeps(&mut self, w: &'a str) -> bool {
+        if self.last == Some(w) {
+            self.run += 1;
+        } else {
+            self.run = 1;
+            self.last = Some(w);
+        }
+        self.run <= self.max_run
+    }
+}
+
 /// The words of `s` that [`collapse_word_stutter`] keeps, in order.
 fn stutter_kept(s: &str, max_run: usize) -> impl Iterator<Item = &str> {
-    let max_run = max_run.max(1);
-    let mut last = None;
-    let mut run = 0usize;
-    // A dropped word equals the last kept one, so the last word seen is
-    // the last word kept.
-    s.split_whitespace().filter(move |&w| {
-        if last == Some(w) {
-            run += 1;
-        } else {
-            run = 1;
-            last = Some(w);
-        }
-        run <= max_run
-    })
+    let mut stutter = Stutter::new(max_run);
+    s.split_whitespace().filter(move |&w| stutter.keeps(w))
 }
 
 /// Collapses immediate word-level repetitions beyond `max_run` copies
@@ -169,13 +188,16 @@ pub enum Validity {
 
 /// Template markers whose presence in a *revised* pair means the model
 /// echoed its prompt scaffold instead of producing a revision.
-const TEMPLATE_MARKERS: &[&str] = &[
+pub(crate) const TEMPLATE_MARKERS: &[&str] = &[
     "### Instruction:",
     "### Response:",
     "[INSTRUCTION]",
     "[RESPONSE]",
     "Improve the following instruction",
 ];
+
+/// The [`repetition_ratio`] above which a response is [`Validity::Degenerate`].
+pub(crate) const DEGENERATE_REPETITION: f64 = 0.6;
 
 /// Validates a cleaned (instruction, response) pair per §III-B1; invalid
 /// pairs are replaced with their originals by the caller.
@@ -193,7 +215,7 @@ pub fn validate_pair(instruction: &str, response: &str) -> Validity {
             return Validity::TemplateLeak;
         }
     }
-    if repetition_ratio(resp) > 0.6 {
+    if repetition_ratio(resp) > DEGENERATE_REPETITION {
         return Validity::Degenerate;
     }
     Validity::Valid
@@ -210,26 +232,41 @@ pub fn repetition_ratio(s: &str) -> f64 {
         repeats += usize::from(last == Some(w));
         last = Some(w);
     }
+    ratio(words, repeats)
+}
+
+/// [`repetition_ratio`] of a text with `words` whitespace-separated words,
+/// `repeats` of which equal the word before.
+pub(crate) fn ratio(words: usize, repeats: usize) -> f64 {
     if words < 4 {
         return 0.0;
     }
     repeats as f64 / (words - 1) as f64
 }
 
+/// The trailing repeats [`clean_output`] collapses: units of at least
+/// three bytes, three copies or more.
+pub(crate) fn clean_keep(s: &str) -> usize {
+    trailing_repeats_keep(s, 3, 3)
+}
+
+/// The word stutter [`clean_output`] collapses: runs beyond two copies.
+pub(crate) const CLEAN_STUTTER: usize = 2;
+
 /// The full §III-B1 cleaning pass: strip invalid chars, collapse trailing
 /// repeats and word stutter.
 pub fn clean_output(s: &str) -> String {
     let stripped = strip_invalid(s);
-    collapse_word_stutter(&stripped[..trailing_repeats_keep(&stripped, 3, 3)], 2)
+    collapse_word_stutter(&stripped[..clean_keep(&stripped)], CLEAN_STUTTER)
 }
 
 /// `clean_output(s).len()`, without building the cleaned text (it
 /// allocates only when `s` holds an invalid character).
 pub fn cleaned_len(s: &str) -> usize {
     let stripped = strip_invalid(s);
-    let kept = &stripped[..trailing_repeats_keep(&stripped, 3, 3)];
+    let kept = &stripped[..clean_keep(&stripped)];
     let (mut bytes, mut words) = (0usize, 0usize);
-    for w in stutter_kept(kept, 2) {
+    for w in stutter_kept(kept, CLEAN_STUTTER) {
         bytes += w.len();
         words += 1;
     }

@@ -12,10 +12,11 @@
 //! Every list is ordered from most to least common, so "coverage = prefix"
 //! mirrors how real models learn frequent phenomena first.
 
+use crate::automaton::{Automaton, START};
 use crate::fxhash::{FxHashMap, FxHashSet};
 use crate::normalize::fold_case;
 use crate::token::{TokenKind, Tokens};
-use std::ops::ControlFlow;
+use std::ops::{BitOrAssign, ControlFlow};
 use std::sync::LazyLock;
 
 /// Misspelling/typo confusion pairs `(wrong, right)`, most common first.
@@ -394,14 +395,134 @@ const TOPIC_WORDS: usize = 8;
 /// Distinct response content words a relevance check looks at.
 const RESPONSE_WORDS: usize = 256;
 
-/// The lexicons as hashed lookups, built on first use. Kernels only look
-/// them up and never iterate them, so no result depends on hash order.
+/// A built-in marker list. [`LexiconHits`] answers every list for a text
+/// from one walk over its fold.
+#[derive(Debug, Clone, Copy, PartialEq, Eq)]
+pub enum MarkerList {
+    /// [`VAGUE_PHRASES`].
+    Vague,
+    /// [`INFEASIBLE_PHRASES`].
+    Infeasible,
+    /// [`CONTEXT_MARKERS`].
+    Context,
+    /// [`REASONING_MARKERS`].
+    Reasoning,
+    /// [`WARM_MARKERS`].
+    Warm,
+    /// [`MACHINE_TONE_MARKERS`].
+    MachineTone,
+    /// [`UNSAFE_MARKERS`].
+    Unsafe,
+    /// [`INVALID_INPUT_MARKERS`].
+    InvalidInput,
+    /// [`MULTIMODAL_MARKERS`].
+    Multimodal,
+    /// [`EXPERTISE_MARKERS`].
+    Expertise,
+    /// [`WORKLOAD_MARKERS`].
+    Workload,
+}
+
+impl MarkerList {
+    /// Every list, in the order of their owner bits.
+    pub const ALL: [MarkerList; 11] = [
+        MarkerList::Vague,
+        MarkerList::Infeasible,
+        MarkerList::Context,
+        MarkerList::Reasoning,
+        MarkerList::Warm,
+        MarkerList::MachineTone,
+        MarkerList::Unsafe,
+        MarkerList::InvalidInput,
+        MarkerList::Multimodal,
+        MarkerList::Expertise,
+        MarkerList::Workload,
+    ];
+
+    /// The list's markers.
+    pub const fn markers(self) -> &'static [&'static str] {
+        match self {
+            MarkerList::Vague => VAGUE_PHRASES,
+            MarkerList::Infeasible => INFEASIBLE_PHRASES,
+            MarkerList::Context => CONTEXT_MARKERS,
+            MarkerList::Reasoning => REASONING_MARKERS,
+            MarkerList::Warm => WARM_MARKERS,
+            MarkerList::MachineTone => MACHINE_TONE_MARKERS,
+            MarkerList::Unsafe => UNSAFE_MARKERS,
+            MarkerList::InvalidInput => INVALID_INPUT_MARKERS,
+            MarkerList::Multimodal => MULTIMODAL_MARKERS,
+            MarkerList::Expertise => EXPERTISE_MARKERS,
+            MarkerList::Workload => WORKLOAD_MARKERS,
+        }
+    }
+
+    /// The owner bit of the list's first marker; its marker `i` owns bit
+    /// `offset + i`.
+    const fn offset(self) -> u32 {
+        let mut at = 0;
+        let mut i = 0;
+        while !matches_list(MarkerList::ALL[i], self) {
+            at += MarkerList::ALL[i].markers().len() as u32;
+            i += 1;
+        }
+        at
+    }
+}
+
+/// `a == b` in a const context.
+const fn matches_list(a: MarkerList, b: MarkerList) -> bool {
+    a as u8 == b as u8
+}
+
+// The owner bits of the lexicon automaton, after the marker lists: the
+// wrong forms of `GRAMMAR_PAIRS`, then `FACT_TABLE`'s subjects and its
+// wrong values (fact `k` owns bit `k` of each), then "for example".
+const GRAMMAR_BIT: u32 =
+    MarkerList::Workload.offset() + MarkerList::Workload.markers().len() as u32;
+const SUBJECT_BIT: u32 = GRAMMAR_BIT + GRAMMAR_PAIRS.len() as u32;
+const WRONG_BIT: u32 = SUBJECT_BIT + FACT_TABLE.len() as u32;
+const EXAMPLE_BIT: u32 = WRONG_BIT + FACT_TABLE.len() as u32;
+const _: () = assert!(EXAMPLE_BIT < u128::BITS);
+// `LexiconHits` keeps one bit per typo form.
+const _: () = assert!(TYPO_PAIRS.len() <= u64::BITS as usize);
+
+/// Bits `at..at + len` of `bits`, shifted down to bit 0.
+fn bit_field(bits: u128, at: u32, len: usize) -> u128 {
+    (bits >> at) & ((1u128 << len) - 1)
+}
+
+/// What an occurrence of a lexicon automaton pattern stands for.
+#[derive(Debug, Clone, Copy, Default, PartialEq, Eq)]
+struct Owners {
+    /// Marker lists, grammar forms, fact columns and "for example": see
+    /// [`GRAMMAR_BIT`] and its neighbours.
+    lists: u128,
+    /// Bit `i`: [`TYPO_PAIRS`]' wrong form `i`, which counts only where it
+    /// stands alone.
+    typos: u64,
+}
+
+impl BitOrAssign for Owners {
+    fn bitor_assign(&mut self, other: Owners) {
+        self.lists |= other.lists;
+        self.typos |= other.typos;
+    }
+}
+
+/// The lexicons as hashed lookups and one automaton, built on first use.
+/// Kernels only look the maps up and never iterate them, so no result
+/// depends on hash order.
 struct Lookups {
     stopwords: FxHashSet<&'static str>,
     /// Each typo form → its first index in [`TYPO_PAIRS`].
     typos: FxHashMap<&'static str, usize>,
     /// [`FACT_TABLE`]'s `(subject, wrong)` columns, case-folded.
     facts: Vec<(String, String)>,
+    /// Every marker list, grammar wrong form, fact subject and fact wrong
+    /// value, "for example", and each typo form at its first index, each
+    /// folded on its own with [`fold_case`] as [`find_marker`] folds a
+    /// marker.
+    automaton: Automaton<Owners>,
 }
 
 static LOOKUPS: LazyLock<Lookups> = LazyLock::new(Lookups::build);
@@ -412,6 +533,33 @@ impl Lookups {
         for (i, (wrong, _)) in TYPO_PAIRS.iter().enumerate() {
             typos.entry(*wrong).or_insert(i);
         }
+        let list = |bit: u32| Owners {
+            lists: 1 << bit,
+            typos: 0,
+        };
+        let mut patterns: Vec<(String, Owners)> = Vec::new();
+        for list_id in MarkerList::ALL {
+            for (i, marker) in list_id.markers().iter().enumerate() {
+                patterns.push((fold_case(marker), list(list_id.offset() + i as u32)));
+            }
+        }
+        for (k, (wrong, _)) in GRAMMAR_PAIRS.iter().enumerate() {
+            patterns.push((fold_case(wrong), list(GRAMMAR_BIT + k as u32)));
+        }
+        for (k, (subject, _, wrong)) in FACT_TABLE.iter().enumerate() {
+            patterns.push((fold_case(subject), list(SUBJECT_BIT + k as u32)));
+            patterns.push((fold_case(wrong), list(WRONG_BIT + k as u32)));
+        }
+        patterns.push((fold_case("for example"), list(EXAMPLE_BIT)));
+        for (i, (wrong, _)) in TYPO_PAIRS.iter().enumerate() {
+            if typos.get(wrong) == Some(&i) {
+                let owners = Owners {
+                    lists: 0,
+                    typos: 1 << i,
+                };
+                patterns.push((fold_case(wrong), owners));
+            }
+        }
         Lookups {
             stopwords: STOPWORDS.iter().copied().collect(),
             typos,
@@ -419,12 +567,106 @@ impl Lookups {
                 .iter()
                 .map(|(subject, _, wrong)| (fold_case(subject), fold_case(wrong)))
                 .collect(),
+            automaton: Automaton::new(patterns.iter().map(|(p, owners)| (p.as_bytes(), *owners))),
         }
     }
 }
 
+/// What of the built-in lexicon a folded text holds, found by one walk
+/// over its bytes: the first marker of each [`MarkerList`], the
+/// [`GRAMMAR_PAIRS`] wrong forms, the [`FACT_TABLE`] subjects and wrong
+/// values, "for example", and the [`TYPO_PAIRS`] wrong forms that stand
+/// alone.
+#[derive(Debug, Clone, Copy, Default, PartialEq, Eq)]
+pub struct LexiconHits {
+    /// [`Owners::lists`] of every pattern that occurs.
+    lists: u128,
+    /// Bit `i`: typo form `i` is a maximal ASCII-alphanumeric run.
+    typos: u64,
+}
+
+impl LexiconHits {
+    /// Walks `folded`, text folded with [`fold_case`], once: the automaton
+    /// reports every pattern that occurs, overlapping and nested ones
+    /// included. The same byte loop tracks the maximal ASCII-alphanumeric
+    /// runs: a typo form counts when it ends where a run ends and is as
+    /// long as the run.
+    pub fn of_folded(folded: &str) -> Self {
+        let ac = &LOOKUPS.automaton;
+        let mut hits = LexiconHits::default();
+        let mut state = START;
+        let mut run = 0;
+        for &b in folded.as_bytes() {
+            if b.is_ascii_alphanumeric() {
+                run += 1;
+            } else {
+                hits.typos |= standalone_typo(ac.owners(state), run);
+                run = 0;
+            }
+            state = ac.step(state, b);
+            if let Some(owners) = ac.owners(state) {
+                hits.lists |= owners.lists;
+            }
+        }
+        hits.typos |= standalone_typo(ac.owners(state), run);
+        hits
+    }
+
+    /// The first marker of `list`, in list order, that occurs: what
+    /// [`find_marker`] returns.
+    pub fn first_marker(&self, list: MarkerList) -> Option<&'static str> {
+        let markers = list.markers();
+        let found = bit_field(self.lists, list.offset(), markers.len());
+        markers.get(found.trailing_zeros() as usize).copied()
+    }
+
+    /// Whether a marker of `list` occurs: what [`contains_marker`] returns.
+    pub fn has_marker(&self, list: MarkerList) -> bool {
+        bit_field(self.lists, list.offset(), list.markers().len()) != 0
+    }
+
+    /// Whether "for example" occurs.
+    pub fn has_example(&self) -> bool {
+        (self.lists >> EXAMPLE_BIT) & 1 == 1
+    }
+
+    /// How many typo forms stand alone (each counts once) plus how many
+    /// grammar wrong forms occur.
+    pub fn misspellings(&self) -> u32 {
+        self.typos.count_ones()
+            + bit_field(self.lists, GRAMMAR_BIT, GRAMMAR_PAIRS.len()).count_ones()
+    }
+
+    /// How many facts are contradicted: both the subject and the wrong
+    /// value occur.
+    pub fn fact_errors(&self) -> u32 {
+        let subjects = bit_field(self.lists, SUBJECT_BIT, FACT_TABLE.len());
+        let wrongs = bit_field(self.lists, WRONG_BIT, FACT_TABLE.len());
+        (subjects & wrongs).count_ones()
+    }
+}
+
+/// The bit of the typo form that is a whole ASCII-alphanumeric run of
+/// `run` bytes ending where the walk stands, given the owners of its
+/// state. Typo forms are ASCII-alphanumeric, so one that ends there and is
+/// as long as the run is the run; two forms of one length ending at one
+/// byte would be equal, and each form is compiled once.
+fn standalone_typo(owners: Option<Owners>, run: usize) -> u64 {
+    let mut typos = owners.map_or(0, |o| o.typos);
+    while typos != 0 {
+        let i = typos.trailing_zeros() as usize;
+        if TYPO_PAIRS
+            .get(i)
+            .is_some_and(|(wrong, _)| wrong.len() == run)
+        {
+            return 1 << i;
+        }
+        typos &= typos - 1;
+    }
+    0
+}
+
 /// Whether `s` is lowercase ASCII, which [`fold_case`] leaves unchanged.
-/// Every lexicon list is stored this way, so matching never re-folds it.
 fn is_lower_ascii(s: &str) -> bool {
     s.bytes().all(|b| b.is_ascii() && !b.is_ascii_uppercase())
 }
@@ -438,6 +680,9 @@ pub fn is_stopword(word: &str) -> bool {
     }
 }
 
+/// The longest ASCII word a content-word scan folds on the stack.
+const STACK_WORD: usize = 64;
+
 /// Feeds `visit` every content word of `text` in order of appearance —
 /// case-folded, a known misspelling replaced by its correction, at least
 /// three characters, not a stopword — repeats included, until `visit`
@@ -446,24 +691,26 @@ fn scan_content_words<B>(
     text: &str,
     mut visit: impl FnMut(&str) -> ControlFlow<B>,
 ) -> ControlFlow<B> {
-    // ASCII words fold into this one buffer. A non-ASCII word is folded on
+    // An ASCII word folds into this buffer. A non-ASCII word is folded on
     // its own: Unicode lowercasing depends on the surrounding text (a final
     // sigma), so folding the whole text at once would change some words.
-    let mut ascii = String::with_capacity(text.len());
+    let mut ascii = [0u8; STACK_WORD];
     for tok in Tokens::new(text) {
         if tok.kind != TokenKind::Word {
             continue;
         }
         let word = tok.text(text);
         let unicode;
-        let folded = if word.is_ascii() {
-            ascii.clear();
-            ascii.push_str(word);
-            ascii.make_ascii_lowercase();
-            ascii.as_str()
-        } else {
-            unicode = fold_case(word);
-            unicode.as_str()
+        let folded = match ascii.get_mut(..word.len()) {
+            Some(buf) if word.is_ascii() => {
+                buf.copy_from_slice(word.as_bytes());
+                buf.make_ascii_lowercase();
+                std::str::from_utf8(buf).unwrap_or_default()
+            }
+            _ => {
+                unicode = fold_case(word);
+                unicode.as_str()
+            }
         };
         let w = typo_correction(folded, TYPO_PAIRS.len()).unwrap_or(folded);
         if w.chars().count() >= 3 && !is_stopword(w) {
@@ -509,41 +756,93 @@ pub fn content_overlap(a: &str, b: &str) -> f64 {
     hits as f64 / wa.len() as f64
 }
 
-/// Whether `response` is off-topic for `instruction`: none of the
-/// instruction's first eight content words is among the response's first
-/// 256 distinct content words. A single genuine topic hit — e.g. a
-/// one-word topic like "gravity" — is enough to count as on-topic; a long
-/// instruction's generic scaffold words must not swamp it. An instruction
-/// without content words has no topic to miss.
+/// The topic of an instruction: its first eight content words
+/// ([`content_words`]), which a response must mention to be on topic.
+#[derive(Debug, Clone, Default, PartialEq, Eq)]
+pub struct Topic {
+    /// The topic words, back to back.
+    text: String,
+    /// Where each word ends in `text`.
+    ends: [usize; TOPIC_WORDS],
+    len: usize,
+}
+
+impl Topic {
+    /// The topic of `instruction`.
+    pub fn new(instruction: &str) -> Self {
+        let mut topic = Topic {
+            text: String::with_capacity(instruction.len()),
+            ..Topic::default()
+        };
+        // Eight words need no dedup set.
+        let _ = scan_content_words(instruction, |w| {
+            if !topic.words().any(|t| t == w) {
+                topic.text.push_str(w);
+                topic.ends[topic.len] = topic.text.len();
+                topic.len += 1;
+            }
+            if topic.len == TOPIC_WORDS {
+                ControlFlow::Break(())
+            } else {
+                ControlFlow::Continue(())
+            }
+        });
+        topic
+    }
+
+    /// The topic words, in order of first appearance:
+    /// `content_words(instruction, n)` is the first `n` of them for any
+    /// `n` up to eight.
+    pub fn words(&self) -> impl Iterator<Item = &str> + '_ {
+        let ends = &self.ends[..self.len];
+        ends.iter().enumerate().map(|(k, &end)| {
+            let start = if k == 0 { 0 } else { ends[k - 1] };
+            &self.text[start..end]
+        })
+    }
+
+    /// Whether `response` is off this topic: none of the topic words is
+    /// among the response's first 256 distinct content words. A single
+    /// genuine topic hit — e.g. a one-word topic like "gravity" — is enough
+    /// to count as on-topic; a long instruction's generic scaffold words
+    /// must not swamp it. A topic without words cannot be missed.
+    pub fn missed_by(&self, response: &str) -> bool {
+        if self.len == 0 {
+            return false;
+        }
+        let in_topic = |w: &str| self.words().any(|t| t == w);
+        // The k-th content word is at most the k-th distinct one, so the
+        // first 256 need no dedup set: the scan stops at the first topic
+        // word.
+        let mut scanned = 0;
+        let scan = scan_content_words(response, |w| {
+            if in_topic(w) {
+                return ControlFlow::Break(true);
+            }
+            scanned += 1;
+            if scanned < RESPONSE_WORDS {
+                ControlFlow::Continue(())
+            } else {
+                ControlFlow::Break(false)
+            }
+        });
+        match scan {
+            ControlFlow::Continue(()) => true,
+            ControlFlow::Break(true) => false,
+            // 256 words and no topic word: with repeats among them, words
+            // after the 256th can still be among the first 256 distinct
+            // ones.
+            ControlFlow::Break(false) => !content_words(response, RESPONSE_WORDS)
+                .iter()
+                .any(|w| in_topic(w)),
+        }
+    }
+}
+
+/// Whether `response` is off-topic for `instruction`:
+/// [`Topic::missed_by`] with the instruction's [`Topic`].
 pub fn is_off_topic(instruction: &str, response: &str) -> bool {
-    let topic = content_words(instruction, TOPIC_WORDS);
-    if topic.is_empty() {
-        return false;
-    }
-    let in_topic = |w: &str| topic.iter().any(|t| t == w);
-    // The k-th content word is at most the k-th distinct one, so the first
-    // 256 need no dedup set: the scan stops at the first topic word.
-    let mut scanned = 0;
-    let scan = scan_content_words(response, |w| {
-        if in_topic(w) {
-            return ControlFlow::Break(true);
-        }
-        scanned += 1;
-        if scanned < RESPONSE_WORDS {
-            ControlFlow::Continue(())
-        } else {
-            ControlFlow::Break(false)
-        }
-    });
-    match scan {
-        ControlFlow::Continue(()) => true,
-        ControlFlow::Break(true) => false,
-        // 256 words and no topic word: with repeats among them, words after
-        // the 256th can still be among the first 256 distinct ones.
-        ControlFlow::Break(false) => !content_words(response, RESPONSE_WORDS)
-            .iter()
-            .any(|w| in_topic(w)),
-    }
+    Topic::new(instruction).missed_by(response)
 }
 
 /// The index of `word` among [`TYPO_PAIRS`]' wrong forms (the first, if a
@@ -846,6 +1145,75 @@ mod tests {
                 assert_eq!(contains_marker(&text, markers), want.is_some(), "{text:?}");
             }
         }
+    }
+
+    /// Every built-in marker, in three cases, and pieces that make markers
+    /// overlap or nest or fold to a different length.
+    fn marker_pieces() -> Vec<String> {
+        let mut pieces: Vec<String> = Vec::new();
+        for list in MarkerList::ALL {
+            for marker in list.markers() {
+                pieces.extend([marker.to_string(), marker.to_uppercase(), fold_case(marker)]);
+            }
+        }
+        for (subject, correct, wrong) in FACT_TABLE {
+            pieces.extend([subject, correct, wrong].map(|s| s.to_string()));
+        }
+        for (wrong, right) in GRAMMAR_PAIRS {
+            pieces.extend([wrong, right].map(|s| s.to_string()));
+        }
+        pieces.extend(PIECES.iter().map(|p| p.to_string()));
+        pieces.extend(
+            [
+                "for examplee",
+                "step by step by step",
+                "50",
+                "İ",
+                "ΟΔΟΣ",
+                "ς",
+                "you",
+                "are",
+            ]
+            .map(String::from),
+        );
+        pieces
+    }
+
+    #[test]
+    fn lexicon_hits_match_the_first_marker_reference() {
+        let pieces = marker_pieces();
+        let mut texts = crate::testtext::inputs("lexicon_hits_match_the_first_marker_reference");
+        for case in 0..proptest::cases() {
+            let mut rng = proptest::case_rng("lexicon_hits_match_the_first_marker_reference", case);
+            let mut text = String::new();
+            for _ in 0..rng.gen_range(0..24) {
+                text.push_str(&pieces[rng.gen_range(0..pieces.len())]);
+                text.push_str(GAPS[rng.gen_range(0..GAPS.len())]);
+            }
+            texts.push(text);
+        }
+        for text in &texts {
+            let folded = fold_case(text);
+            let hits = LexiconHits::of_folded(&folded);
+            for list in MarkerList::ALL {
+                let want = reference::find_marker(text, list.markers());
+                assert_eq!(hits.first_marker(list), want, "{list:?} in {text:?}");
+                assert_eq!(find_marker(text, list.markers()), want);
+                assert_eq!(hits.has_marker(list), want.is_some());
+            }
+            assert_eq!(
+                hits.has_example(),
+                folded.contains("for example"),
+                "{text:?}"
+            );
+        }
+    }
+
+    #[test]
+    fn lexicon_automaton_tables_stay_small() {
+        // u16 state ids and byte classes keep every table in cache.
+        let bytes = LOOKUPS.automaton.table_bytes();
+        assert!(bytes < 256 * 1024, "{bytes} bytes");
     }
 
     #[test]

@@ -22,11 +22,15 @@
 //! * [`normalize`] — whitespace/punctuation/case normalisation.
 //! * [`clean`] — the paper's post-processing: invalid-character stripping and
 //!   repeated-string collapsing.
+//! * [`lexicon`] — the shared defect lexicons, matched in one automaton walk.
+//! * [`profile`] — [`profile::TextProfile`], what the Table II checks read of
+//!   a text, measured in one pass.
 //! * [`fxhash`] — a fast, non-cryptographic hasher for internal maps.
 
 #![deny(unused_must_use)]
 #![warn(missing_docs)]
 
+mod automaton;
 pub mod clean;
 pub mod diff;
 pub mod editdist;
@@ -35,6 +39,7 @@ pub mod intern;
 pub mod lexicon;
 pub mod ngram;
 pub mod normalize;
+pub mod profile;
 pub mod token;
 
 #[cfg(test)]

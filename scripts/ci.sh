@@ -32,12 +32,12 @@ echo "==> cargo test"
 cargo test --offline --workspace -q
 
 # Kernel reference tests, run harder: every `*reference*` test in the text,
-# judge and lm crates compares a rewritten kernel with the body it replaced
-# (kept under #[cfg(test)]), byte for byte. Release mode affords 1024 cases
-# per property instead of the default 64.
+# judge, lm and expert crates compares a rewritten kernel, or the expert QC
+# loop, with the body it replaced (kept under #[cfg(test)]), byte for byte.
+# Release mode affords 1024 cases per property instead of the default 64.
 echo "==> kernel reference tests (release, PROPTEST_CASES=1024)"
 PROPTEST_CASES=1024 cargo test --offline --release -q \
-    -p coachlm-text -p coachlm-judge -p coachlm-lm reference
+    -p coachlm-text -p coachlm-judge -p coachlm-lm -p coachlm-expert reference
 
 # coachbench (BENCHMARK.json) is a package of its own, outside the
 # workspace, so the steps above never build it; it calls the pipeline's

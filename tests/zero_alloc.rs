@@ -21,8 +21,9 @@ use coachlm::lm::ngram_model::NgramLm;
 use coachlm::text::clean;
 use coachlm::text::editdist::WordDistance;
 use coachlm::text::intern::Sym;
-use coachlm::text::lexicon::{contains_folded_marker, is_off_topic, REASONING_MARKERS};
+use coachlm::text::lexicon::{contains_folded_marker, is_off_topic, Topic, REASONING_MARKERS};
 use coachlm::text::normalize::normalize_layout;
+use coachlm::text::profile::TextProfile;
 use coachlm::text::token::word_count;
 
 /// Wraps the system allocator, counting every `alloc`/`realloc` call made
@@ -223,7 +224,8 @@ fn hot_paths_allocate_nothing_after_warm_up() {
     assert_eq!(allocs, 0, "cleaned_len allocated {allocs} times");
 
     // --- the Table II rubric ----------------------------------------------
-    // A response costs the rubric the same allocations whatever its length.
+    // A text costs the rubric the same allocations whatever its length:
+    // profiling it, analysing an instruction, analysing a response.
     let engine = CriteriaEngine::new();
     let short = clean_text(12);
     let (short_allocs, _) =
@@ -234,4 +236,31 @@ fn hot_paths_allocate_nothing_after_warm_up() {
         long_allocs, short_allocs,
         "analyze_response allocated per response word"
     );
+    let (short_allocs, _) = allocations(|| engine.analyze_instruction(black_box(&short)));
+    let (long_allocs, _) = allocations(|| engine.analyze_instruction(black_box(&text)));
+    assert_eq!(
+        long_allocs, short_allocs,
+        "analyze_instruction allocated per instruction word"
+    );
+    let (short_allocs, _) = allocations(|| TextProfile::new(black_box(&short)));
+    let (long_allocs, profile) = allocations(|| TextProfile::new(black_box(&text)));
+    assert_eq!(
+        long_allocs, short_allocs,
+        "TextProfile::new allocated per word"
+    );
+    // Analyses combine profiles without allocating; relevance scans the
+    // response for the instruction's topic words in place.
+    let topic = Topic::new(instruction);
+    let instruction_profile = TextProfile::new(instruction);
+    let (allocs, (ia, ra, rich)) = allocations(|| {
+        (
+            engine.instruction_from(black_box(&instruction_profile)),
+            engine.response_from(black_box(&topic), black_box(&text), black_box(&profile)),
+            engine.richness_from(black_box(&profile)),
+        )
+    });
+    assert_eq!(ia, engine.analyze_instruction(instruction));
+    assert_eq!(ra, engine.analyze_response(instruction, &text));
+    assert_eq!(rich, engine.response_richness(&text));
+    assert_eq!(allocs, 0, "combining profiles allocated {allocs} times");
 }
