@@ -10,14 +10,11 @@ use coachlm_expert::pool::ExpertPool;
 use coachlm_expert::revision::ExpertReviser;
 use coachlm_judge::criteria::CriteriaEngine;
 use coachlm_judge::pandalm::PandaLm;
-use coachlm_text::editdist::{char_edit_distance, edit_distance, word_edit_distance, WordDistance};
+use coachlm_text::editdist::{edit_distance, word_edit_distance, WordDistance};
 use coachlm_text::intern::Interner;
 use criterion::{black_box, criterion_group, criterion_main, BenchmarkId, Criterion, Throughput};
 use rand::rngs::StdRng;
 use rand::SeedableRng;
-
-const SHORT_A: &str = "The water cycle moves water through evaporation and rain.";
-const SHORT_B: &str = "The watr cycle moves water thru evaporation, clouds, and rain.";
 
 fn long_text(words: usize, tag: &str) -> String {
     (0..words)
@@ -28,9 +25,6 @@ fn long_text(words: usize, tag: &str) -> String {
 
 fn bench_editdist(c: &mut Criterion) {
     let mut g = c.benchmark_group("editdist");
-    g.bench_function("char/short", |b| {
-        b.iter(|| char_edit_distance(black_box(SHORT_A), black_box(SHORT_B)))
-    });
     for n in [50usize, 200, 800] {
         let a = long_text(n, "a");
         let bt = long_text(n, "b");

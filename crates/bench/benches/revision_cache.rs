@@ -1,32 +1,32 @@
-//! Revision-cache and sharding benchmarks (PR 7): cache-hit-rate ×
-//! throughput curves over Zipfian-duplicated traffic, in both time
-//! domains.
+//! Revision-cache benchmarks: cache-hit-rate × throughput curves over
+//! Zipfian-duplicated traffic, in both time domains. Every cell runs one
+//! executor, cached and uncached at the same thread count.
 //!
-//! * **Virtual time** (`sim_*` metrics) — the deterministic service-time
-//!   model. The chain mirrors the deployed service's anchors (CoachRevise
-//!   ~840 ms/pair, ExpertAnnotate ~300 ms/pair), so a cache hit that
-//!   skips the whole stage chain saves ~1.14 modeled seconds per
-//!   duplicate. These figures are host-independent and exactly
-//!   reproducible.
+//! * **Modeled time** (`sim_*` metrics) — the deterministic virtual-time
+//!   model, not a measurement. The chain mirrors the deployed service's
+//!   anchors (CoachRevise ~840 ms/pair, ExpertAnnotate ~300 ms/pair), so a
+//!   cache hit that skips the whole stage chain saves ~1.14 modeled
+//!   seconds per duplicate. These figures are host-independent and
+//!   exactly reproducible.
 //! * **Wall time** (`wall_*` metrics) — real elapsed seconds on whatever
 //!   cores the host grants; honest but machine-dependent.
 //!
-//! Two families of records land in `BENCH_4.json` via `scripts/bench.sh`:
+//! Two families of records land in the `BENCH_*.json` that
+//! `scripts/bench.sh` writes:
 //!
 //! * `revision_cache/skew/...` — the hit-rate × throughput sweep over
 //!   Zipf exponents (uniform traffic up to web-like skew), cached vs
-//!   uncached, single shard.
+//!   uncached.
 //! * `revision_cache/stress/...` — the acceptance cell: a 10M-pair
 //!   Zipfian workload (`COACHLM_CACHE_BENCH_PAIRS` overrides the size),
-//!   cached + 8-shard vs uncached single-shard; the published claim is
+//!   cached vs uncached; the claim is a modeled
 //!   `sim_speedup_vs_uncached >= 5`.
 
 use coachlm_data::generator::{zipfian_duplicates, ZipfianConfig};
 use coachlm_data::InstructionPair;
-use coachlm_runtime::shard::run_sharded;
 use coachlm_runtime::{
     adaptive_chunk_size, CachePolicy, ChainOutput, Executor, ExecutorConfig, Stage, StageCtx,
-    StageItem, StageOutcome, StreamSource,
+    StageItem, StageOutcome,
 };
 use coachlm_text::token::word_count;
 use criterion::{append_metric, criterion_group, criterion_main, Criterion};
@@ -83,16 +83,10 @@ struct CellResult {
     wall: Duration,
 }
 
-fn run_cell(config: &ExecutorConfig, pairs: &[InstructionPair], shards: usize) -> CellResult {
+fn run_cell(config: &ExecutorConfig, pairs: &[InstructionPair]) -> CellResult {
     let stages = service_chain();
     let start = Instant::now();
-    let out = if shards <= 1 {
-        Executor::new(config.clone()).run(&stages, pairs)
-    } else {
-        run_sharded(config, &stages, StreamSource::batch(pairs), shards)
-            .expect("batch feed is always shardable")
-            .output
-    };
+    let out = Executor::new(config.clone()).run(&stages, pairs);
     CellResult {
         out,
         wall: start.elapsed(),
@@ -131,7 +125,6 @@ fn bench_skew_sweep(_c: &mut Criterion) {
             let uncached = run_cell(
                 &ExecutorConfig::new(7).threads(threads).content_keyed(true),
                 &pairs,
-                1,
             );
             let sim_base = uncached
                 .out
@@ -151,7 +144,6 @@ fn bench_skew_sweep(_c: &mut Criterion) {
                     .threads(threads)
                     .revision_cache(CachePolicy::exact()),
                 &pairs,
-                1,
             );
             assert_eq!(
                 cached.out.digest(),
@@ -169,16 +161,16 @@ fn bench_skew_sweep(_c: &mut Criterion) {
     }
 }
 
-/// The acceptance cell: a 10M-pair Zipfian workload, cached + sharded vs
-/// the uncached single-shard baseline. `COACHLM_CACHE_BENCH_PAIRS`
-/// overrides the workload size (the full 10M run costs wall minutes).
+/// The acceptance cell: a 10M-pair Zipfian workload, cached vs uncached on
+/// one executor at the same thread count, so the modeled speedup is the
+/// cache's alone. `COACHLM_CACHE_BENCH_PAIRS` overrides the workload size
+/// (the full 10M run costs wall minutes).
 fn bench_dedup_stress(_c: &mut Criterion) {
     let total: usize = std::env::var("COACHLM_CACHE_BENCH_PAIRS")
         .ok()
         .and_then(|v| v.parse().ok())
         .unwrap_or(10_000_000);
     let distinct = (total / 100).max(1);
-    let shards = 8;
     let threads = 4;
     let queue = 1_024;
     let pairs = zipfian_duplicates(&ZipfianConfig::stress(distinct, total, 1.1, 0x57E55)).pairs;
@@ -201,7 +193,6 @@ fn bench_dedup_stress(_c: &mut Criterion) {
             .queue_capacity(queue)
             .content_keyed(true),
         &pairs,
-        1,
     );
     let sim_base = uncached
         .out
@@ -210,7 +201,7 @@ fn bench_dedup_stress(_c: &mut Criterion) {
         .max(f64::MIN_POSITIVE);
     let wall_base = uncached.wall.as_secs_f64().max(f64::MIN_POSITIVE);
     emit(
-        &format!("revision_cache/stress/n={total}/uncached_1shard"),
+        &format!("revision_cache/stress/n={total}/uncached"),
         total,
         &uncached,
         sim_base,
@@ -223,10 +214,9 @@ fn bench_dedup_stress(_c: &mut Criterion) {
             .queue_capacity(queue)
             .revision_cache(CachePolicy::exact()),
         &pairs,
-        shards,
     );
     emit(
-        &format!("revision_cache/stress/n={total}/cached_{shards}shards"),
+        &format!("revision_cache/stress/n={total}/cached"),
         total,
         &cached,
         sim_base,
@@ -235,8 +225,8 @@ fn bench_dedup_stress(_c: &mut Criterion) {
     let speedup = sim_base / cached.out.sim_elapsed.as_secs_f64().max(f64::MIN_POSITIVE);
     assert!(
         speedup >= 5.0,
-        "acceptance: cached+sharded must beat the uncached single-shard \
-         baseline by >=5x in virtual time (got {speedup:.2}x)"
+        "acceptance: the cached run must beat the uncached run at {threads} threads \
+         by >=5x in modeled time (got {speedup:.2}x)"
     );
 }
 

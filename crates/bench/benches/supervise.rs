@@ -1,20 +1,15 @@
-//! Process-isolation costs: what crash containment adds to a sharded run
-//! (spawn + wire protocol + parent-side replay vs in-process threads), and
-//! what one worker crash costs end to end (respawn + journal-backed
-//! re-execution under the restart budget).
+//! What one supervised worker crash costs end to end: respawn plus
+//! journal-backed re-execution under the restart budget. coachbench never
+//! kills a worker, so this is the one place the restart path is timed.
 //!
 //! The bench binary is its own worker pool: `worker_boot` at the top of
 //! `main` turns re-invocations of this executable into shard workers, so
 //! `criterion_main!` is expanded by hand.
 
-use coachlm_core::pipeline::{
-    batch_job_factory, run_batch_sharded_journaled, run_batch_supervised, BatchJobSpec,
-};
+use coachlm_core::pipeline::{batch_job_factory, run_batch_supervised, BatchJobSpec};
 use coachlm_data::generator::generate;
 use coachlm_data::{Dataset, GeneratorConfig};
-use coachlm_runtime::{
-    worker_boot, ChaosPlan, ExecutorConfig, KillMode, SuperviseOptions, WorkerKill,
-};
+use coachlm_runtime::{worker_boot, ChaosPlan, KillMode, SuperviseOptions, WorkerKill};
 use criterion::{black_box, criterion_group, BenchmarkId, Criterion, Throughput};
 use std::path::PathBuf;
 use std::sync::atomic::{AtomicU64, Ordering};
@@ -49,55 +44,6 @@ fn spec() -> BatchJobSpec {
         threads: 2,
         coach: None,
     }
-}
-
-fn config() -> ExecutorConfig {
-    ExecutorConfig::new(spec().seed).threads(spec().threads as usize)
-}
-
-/// Crash containment against in-process threads, per shard count: the
-/// gap is one process spawn, one stdin feed, and one parent-side replay
-/// per shard.
-fn bench_isolation_overhead(c: &mut Criterion) {
-    let raw = sample_dataset();
-    let mut group = c.benchmark_group("supervise");
-    group.throughput(Throughput::Elements(raw.len() as u64));
-    for shards in [2usize, 4] {
-        group.bench_with_input(
-            BenchmarkId::new("in_process", shards),
-            &shards,
-            |b, &shards| {
-                b.iter(|| {
-                    let dir = temp_dir();
-                    std::fs::create_dir_all(&dir).expect("journal dir");
-                    let out = run_batch_sharded_journaled(None, &raw, &config(), shards, &dir)
-                        .expect("sharded run");
-                    std::fs::remove_dir_all(&dir).ok();
-                    black_box(out)
-                });
-            },
-        );
-        group.bench_with_input(
-            BenchmarkId::new("process_isolated", shards),
-            &shards,
-            |b, &shards| {
-                b.iter(|| {
-                    let dir = temp_dir();
-                    let out = run_batch_supervised(
-                        &spec(),
-                        &raw,
-                        shards,
-                        &dir,
-                        &SuperviseOptions::default(),
-                    )
-                    .expect("supervised run");
-                    std::fs::remove_dir_all(&dir).ok();
-                    black_box(out)
-                });
-            },
-        );
-    }
-    group.finish();
 }
 
 /// One worker crash, end to end: the kill lands after `after_frames` item
@@ -163,7 +109,7 @@ fn bench_restart_cost(c: &mut Criterion) {
 criterion_group! {
     name = benches;
     config = Criterion::default().sample_size(10);
-    targets = bench_isolation_overhead, bench_restart_cost
+    targets = bench_restart_cost
 }
 
 fn main() {

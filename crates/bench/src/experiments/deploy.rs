@@ -4,8 +4,8 @@ use super::Experiment;
 use crate::format::{f1, f2, pct, Table};
 use crate::world::ExperimentWorld;
 use coachlm_core::pipeline::{
-    compare_deployment, run_batch, run_batch_sharded, run_batch_supervised, run_stream,
-    trained_coach, BatchJobSpec, CoachTrainSpec, PipelineReport,
+    compare_deployment, run_batch, run_batch_supervised, run_stream, trained_coach, BatchJobSpec,
+    CoachTrainSpec, PipelineReport,
 };
 use coachlm_data::generator::{generate, zipfian_duplicates, GeneratorConfig, ZipfianConfig};
 use coachlm_data::pair::Dataset;
@@ -43,12 +43,6 @@ const SUSTAINED_BACKLOG: usize = 256;
 /// The duplicate-traffic cell: Zipf exponent of the arriving user cases.
 /// ~1.1 is web-like skew — a handful of head contents dominate.
 const DEDUP_SKEW: f64 = 1.1;
-
-/// Worker shards for the duplicate-traffic cell. Each shard models one
-/// horizontal replica of the service (its own executor, journal, and
-/// revision cache); content-hash routing keeps duplicate clusters on one
-/// replica, so per-shard caches keep their full hit rate.
-const DEDUP_SHARDS: usize = 8;
 
 /// The shard-crash cell (PR 10): worker shards for the supervised run —
 /// each a crash-contained child process of the repro binary.
@@ -129,13 +123,14 @@ impl Experiment for Deploy {
         .expect("sustained chain always includes the expert-annotate stage");
         let shed_share = sustained.shed as f64 / raw.len().max(1) as f64;
 
-        // The duplicate-traffic cell (PR 7): the deployed service absorbing
+        // The duplicate-traffic cell: the deployed service absorbing
         // Zipfian-duplicated user cases. The baseline re-runs the full
-        // chain for every duplicate; the dedup configuration routes by
-        // content hash across worker shards and memoizes each content's
-        // chain result in a per-shard revision cache, so duplicates replay
-        // instead of re-executing. The virtual-time makespans quantify what
-        // that saves a service whose CoachRevise step costs ~840 ms a pair.
+        // chain for every duplicate; the dedup configuration memoizes each
+        // content's chain result in the revision cache, so duplicates
+        // replay instead of re-executing. Both run on one executor at the
+        // world's thread count, so the modeled makespans quantify what the
+        // cache alone saves a service whose CoachRevise step costs ~840 ms
+        // a pair.
         let dedup_total = world.scale.deploy_size();
         let dup_traffic = zipfian_duplicates(&ZipfianConfig::stress(
             (dedup_total / 20).max(1),
@@ -146,23 +141,20 @@ impl Experiment for Deploy {
         let dedup_base = run_batch(Some(&world.coach), &dup_traffic, &world.exec_config(0xDE))
             .expect("dedup baseline always includes the expert-annotate stage");
         let dedup_config = world.exec_config(0xDE).revision_cache(CachePolicy::exact());
-        let dedup = run_batch_sharded(
-            Some(&world.coach),
-            &dup_traffic,
-            &dedup_config,
-            DEDUP_SHARDS,
-        )
-        .expect("dedup chain always includes the expert-annotate stage");
-        let hit_rate = dedup.report.revision_cache.hit_rate();
+        let dedup = run_batch(Some(&world.coach), &dup_traffic, &dedup_config)
+            .expect("dedup chain always includes the expert-annotate stage");
+        let hit_rate = dedup.revision_cache.hit_rate();
         let dedup_speedup =
-            dedup_base.sim_elapsed_secs / dedup.report.sim_elapsed_secs.max(f64::MIN_POSITIVE);
+            dedup_base.sim_elapsed_secs / dedup.sim_elapsed_secs.max(f64::MIN_POSITIVE);
 
-        // The shard-crash cell (PR 10): the same service losing a worker
-        // replica mid-batch. Every shard runs in its own crash-contained
-        // child process; the chaos schedule aborts shard 0's worker a few
-        // frames in, and supervision restarts it from its journal. A crash
-        // costs wall time (respawn + replay), never output: the merged
-        // report must be identical to the in-process sharded run.
+        // The shard-crash cell: the same service losing a worker replica
+        // mid-batch. Every shard runs in its own crash-contained child
+        // process; the chaos schedule aborts shard 0's worker a few frames
+        // in, and supervision restarts it from its journal. A crash costs
+        // wall time (respawn + replay), never output: the merged report
+        // must carry the unsharded run's output and counts. Its modeled
+        // makespan differs by design, since 4 workers model more lanes
+        // than one executor.
         let crash_total = (world.scale.deploy_size() / 8).max(64);
         let mut crash_raw = Dataset::new("production-crash-cell");
         crash_raw.pairs = raw.pairs.iter().take(crash_total).cloned().collect();
@@ -177,10 +169,9 @@ impl Experiment for Deploy {
         let crash_coach = trained_coach(world.seed ^ 0xC0A, CRASH_TRAIN_PAIRS);
         let crash_config =
             ExecutorConfig::new(crash_spec.seed).threads(crash_spec.threads as usize);
-        let t = Instant::now(); // lint: allow(D1, reason = "wall-clock restart-overhead banner only; parity is checked on the virtual-time report")
-        let crash_gold =
-            run_batch_sharded(Some(&crash_coach), &crash_raw, &crash_config, CRASH_SHARDS)
-                .expect("crash cell chain always includes the expert-annotate stage");
+        let t = Instant::now(); // lint: allow(D1, reason = "wall-clock restart-overhead banner only; parity is checked on the deterministic report")
+        let crash_gold = run_batch(Some(&crash_coach), &crash_raw, &crash_config)
+            .expect("crash cell chain always includes the expert-annotate stage");
         let crash_gold_wall = t.elapsed().as_secs_f64();
         let crash_dir =
             std::env::temp_dir().join(format!("coachlm-deploy-crash-{}", std::process::id()));
@@ -196,7 +187,7 @@ impl Experiment for Deploy {
             },
             ..SuperviseOptions::default()
         };
-        let t = Instant::now(); // lint: allow(D1, reason = "wall-clock restart-overhead banner only; parity is checked on the virtual-time report")
+        let t = Instant::now(); // lint: allow(D1, reason = "wall-clock restart-overhead banner only; parity is checked on the deterministic report")
         let crash = run_batch_supervised(
             &crash_spec,
             &crash_raw,
@@ -208,10 +199,11 @@ impl Experiment for Deploy {
         let crash_wall = t.elapsed().as_secs_f64();
         let _ = std::fs::remove_dir_all(&crash_dir);
         let crash_restarts: u32 = crash.supervision.iter().map(|s| s.restarts).sum();
-        let crash_identical = crash.report.human_revised == crash_gold.report.human_revised
-            && crash.report.post_edited == crash_gold.report.post_edited
-            && crash.report.quarantined == crash_gold.report.quarantined
-            && crash.report.sim_elapsed_secs == crash_gold.report.sim_elapsed_secs;
+        let crash_matches = crash.report.output.pairs == crash_gold.output.pairs
+            && crash.report.human_revised == crash_gold.human_revised
+            && crash.report.post_edited == crash_gold.post_edited
+            && crash.report.quarantined == crash_gold.quarantined
+            && crash.report.person_days == crash_gold.person_days;
 
         let mut table = Table::new([
             "Batch",
@@ -231,10 +223,7 @@ impl Experiment for Deploy {
             ("CoachLM + latency storm", &storm),
             ("CoachLM + sustained traffic", &sustained),
             ("CoachLM + duplicate traffic (uncached)", &dedup_base),
-            (
-                "CoachLM + duplicate traffic (cached+sharded)",
-                &dedup.report,
-            ),
+            ("CoachLM + duplicate traffic (cached)", &dedup),
             ("CoachLM + worker crash (supervised, subset)", &crash.report),
         ] {
             table.row([
@@ -272,10 +261,10 @@ impl Experiment for Deploy {
              CoachLM inference: {} samples/s on {} CPU threads (paper: 1.19 samples/s on one A100, batch 32)\n\
              storm cell: {:.0}% latency faults of {:?} vs a 5s revise budget; breaker transitions:\n{}\n\
              sustained cell: arrivals at {}/s vs {}/s drain, backlog cap {} -> {} pairs shed ({}), modeled makespan {}s\n\
-             dedup cell: {} Zipf(s={}) duplicate pairs over {} contents; cache hit rate {} across {} shards -> \
-             modeled makespan {}s vs {}s uncached ({}x)\n\
+             dedup cell: {} Zipf(s={}) duplicate pairs over {} contents; cache hit rate {} on {} threads -> \
+             modeled makespan {}s vs {}s uncached ({}x, modeled)\n\
              crash cell: {} pairs over {} worker processes; shard 0 killed after {} frames -> {} restart(s), \
-             merged report identical to in-process: {}; wall {:.1}s vs {:.1}s in-process\n{}",
+             output and counts match the unsharded run: {}; wall {:.1}s vs {:.1}s unsharded in-process\n{}",
             self.title(),
             raw.len(),
             pct(cmp.efficiency_gain()),
@@ -298,15 +287,15 @@ impl Experiment for Deploy {
             DEDUP_SKEW,
             (dedup_total / 20).max(1),
             pct(hit_rate),
-            DEDUP_SHARDS,
-            f1(dedup.report.sim_elapsed_secs),
+            world.threads,
+            f1(dedup.sim_elapsed_secs),
             f1(dedup_base.sim_elapsed_secs),
             f1(dedup_speedup),
             crash_total,
             CRASH_SHARDS,
             CRASH_KILL_AFTER_FRAMES,
             crash_restarts,
-            crash_identical,
+            crash_matches,
             crash_wall,
             crash_gold_wall,
             table.render()
@@ -335,22 +324,21 @@ impl Experiment for Deploy {
                            "sim_elapsed_secs": sustained.sim_elapsed_secs,
                            "stages": sustained.stage_summaries},
             "dedup": {"total_pairs": dedup_total, "distinct_contents": (dedup_total / 20).max(1),
-                       "zipf_exponent": DEDUP_SKEW, "shards": DEDUP_SHARDS,
-                       "cache": dedup.report.revision_cache, "hit_rate": hit_rate,
-                       "per_shard": dedup.shards,
-                       "sim_elapsed_secs": dedup.report.sim_elapsed_secs,
+                       "zipf_exponent": DEDUP_SKEW, "threads": world.threads,
+                       "cache": dedup.revision_cache, "hit_rate": hit_rate,
+                       "sim_elapsed_secs": dedup.sim_elapsed_secs,
                        "uncached_sim_elapsed_secs": dedup_base.sim_elapsed_secs,
                        "sim_speedup": dedup_speedup,
-                       "person_days": dedup.report.person_days,
-                       "rate": dedup.report.pairs_per_person_day},
+                       "person_days": dedup.person_days,
+                       "rate": dedup.pairs_per_person_day},
             "supervised_crash": {"pairs": crash_total, "shards": CRASH_SHARDS,
                        "kill": {"shard": 0, "attempt": 0, "after_frames": CRASH_KILL_AFTER_FRAMES,
                                  "mode": "boundary"},
                        "restarts": crash_restarts,
                        "supervision": crash.supervision,
-                       "identical_to_in_process": crash_identical,
+                       "matches_unsharded_run": crash_matches,
                        "wall_secs": crash_wall,
-                       "in_process_wall_secs": crash_gold_wall,
+                       "unsharded_wall_secs": crash_gold_wall,
                        "train_pairs": CRASH_TRAIN_PAIRS,
                        "person_days": crash.report.person_days,
                        "rate": crash.report.pairs_per_person_day},

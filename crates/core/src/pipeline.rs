@@ -21,8 +21,8 @@ use coachlm_expert::pool::ExpertPool;
 use coachlm_expert::revision::ExpertReviser;
 use coachlm_runtime::{
     run_sharded_process, shard, BreakerEvent, CacheStats, ChainOutput, Executor, ExecutorConfig,
-    Feed, Journal, JournalError, ShardConfigError, ShardError, ShardStats, ShardSupervision, Stage,
-    StageCtx, StageItem, StageOutcome, StageReport, StreamSource, SuperviseError, SuperviseOptions,
+    Feed, Journal, JournalError, ShardError, ShardStats, ShardSupervision, Stage, StageCtx,
+    StageItem, StageOutcome, StageReport, StreamSource, SuperviseError, SuperviseOptions,
     SupervisedJob,
 };
 use serde::Serialize;
@@ -70,12 +70,6 @@ impl From<JournalError> for PipelineError {
 impl From<ShardError> for PipelineError {
     fn from(e: ShardError) -> Self {
         PipelineError::Shard(e)
-    }
-}
-
-impl From<ShardConfigError> for PipelineError {
-    fn from(e: ShardConfigError) -> Self {
-        PipelineError::Shard(e.into())
     }
 }
 
@@ -404,41 +398,21 @@ pub struct ShardedPipelineReport {
     /// Per-shard stats in shard order.
     pub shards: Vec<ShardStats>,
     /// Per-shard supervision counters (restarts, failover, poison
-    /// bisection) — empty for in-process sharded runs, populated by
-    /// [`run_batch_supervised`].
+    /// bisection) — empty for [`run_batch_sharded_journaled`], populated
+    /// by [`run_batch_supervised`].
     #[serde(skip_serializing_if = "Vec::is_empty")]
     pub supervision: Vec<ShardSupervision>,
 }
 
 /// Runs one batch like [`run_batch`], hash-partitioned across `shards`
-/// independent worker shards ([`shard::run_sharded`]).
+/// in-process executors, each with its own crash journal under `dir`
+/// ([`shard::run_sharded_journaled`]). One multi-lane [`run_batch`] does
+/// the same work behind one global cache pre-pass; this driver stays only
+/// because coachbench's durability ladder still times it.
 ///
 /// Routing is by content fingerprint, so duplicate user cases co-locate
 /// and a per-shard revision cache (configure one with
-/// [`ExecutorConfig::revision_cache`]) keeps its full hit rate. With a
-/// cache, duplicates replay the revision of their first occurrence —
-/// sampled expert behaviour is memoized per *content* rather than
-/// re-drawn per pair id, which is the intended dedup semantic for a
-/// deployed service absorbing repeated traffic.
-pub fn run_batch_sharded(
-    coach: Option<&CoachLm>,
-    raw: &Dataset,
-    config: &ExecutorConfig,
-    shards: usize,
-) -> Result<ShardedPipelineReport, PipelineError> {
-    let stages = batch_stages(coach, config);
-    let out = shard::run_sharded(config, &stages, StreamSource::batch(&raw.pairs), shards)?;
-    let report = PipelineReport::from_chain(out.output, raw, coach.is_some())?;
-    Ok(ShardedPipelineReport {
-        report,
-        shards: out.shards,
-        supervision: Vec::new(),
-    })
-}
-
-/// Runs one batch like [`run_batch_sharded`], with one crash journal per
-/// shard under `dir` ([`shard::run_sharded_journaled`]).
-///
+/// [`ExecutorConfig::revision_cache`]) keeps its full hit rate.
 /// Re-running after a crash resumes every shard from its own journal —
 /// including a warm revision cache, whose replayed entries converge the
 /// resumed run to the uninterrupted digest.
@@ -630,14 +604,14 @@ pub fn batch_job_factory(chain: &str, params: &[u8]) -> Option<Box<dyn Supervise
     }))
 }
 
-/// Runs one batch like [`run_batch_sharded`], but with every shard in its
-/// own crash-contained **worker process**
+/// Runs one batch like [`run_batch`], hash-partitioned across `shards`
+/// crash-contained **worker processes**
 /// ([`coachlm_runtime::supervise::run_sharded_process`]): a shard that
 /// aborts, is OOM-killed, or corrupts its stream is restarted from its
 /// journal under `dir`, failed over, or poison-bisected — the merged
-/// report is digest-identical to [`run_batch_sharded_journaled`] with the
-/// same spec, and [`ShardedPipelineReport::supervision`] carries the
-/// restart/failover/poison counters.
+/// report is digest-identical to the unsharded [`run_batch_journaled`]
+/// with the same spec, and [`ShardedPipelineReport::supervision`] carries
+/// the restart/failover/poison counters.
 ///
 /// With `spec.coach` set, the coach is trained here, in the calling
 /// process, the first time its [`CoachTrainSpec`] is seen (later calls
@@ -836,7 +810,13 @@ mod tests {
         let cfg = config(11, 4);
         let base = run_batch(Some(&c), &raw, &cfg).unwrap();
         for shards in [1, 3] {
-            let sharded = run_batch_sharded(Some(&c), &raw, &cfg, shards).unwrap();
+            let dir = std::env::temp_dir().join(format!(
+                "coachlm-pipeline-shards-{}-{shards}",
+                std::process::id()
+            ));
+            std::fs::create_dir_all(&dir).unwrap();
+            let sharded = run_batch_sharded_journaled(Some(&c), &raw, &cfg, shards, &dir).unwrap();
+            std::fs::remove_dir_all(&dir).ok();
             assert_eq!(sharded.report.output, base.output, "shards = {shards}");
             assert_eq!(sharded.report.human_revised, base.human_revised);
             assert_eq!(sharded.report.post_edited, base.post_edited);
@@ -929,11 +909,16 @@ mod tests {
             "hit rate {}",
             report.revision_cache.hit_rate()
         );
-        // Sharded + cached reproduces the unsharded cached batch exactly:
-        // duplicates co-locate, so each shard cache sees its whole cluster.
-        let sharded = run_batch_sharded(None, &raw, &cfg, 4).unwrap();
-        assert_eq!(sharded.report.output, report.output);
-        assert_eq!(sharded.report.revision_cache, report.revision_cache);
+        // One lane reproduces the four-lane cached batch exactly: the
+        // cache's pre-pass sees the whole input whatever the lane count.
+        let one_lane = run_batch(
+            None,
+            &raw,
+            &config(13, 1).revision_cache(CachePolicy::exact()),
+        )
+        .unwrap();
+        assert_eq!(one_lane.output, report.output);
+        assert_eq!(one_lane.revision_cache, report.revision_cache);
         // An uncached run reports all zeros.
         let uncached = run_batch(None, &raw, &config(13, 4)).unwrap();
         assert_eq!(uncached.revision_cache, CacheStats::default());

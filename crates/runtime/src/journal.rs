@@ -178,7 +178,12 @@ pub struct Journal {
     file: File,
     path: PathBuf,
     header: Option<HeaderRecord>,
-    committed: BTreeMap<u64, ItemTrace>,
+    /// The item records [`Journal::open`] recovered, until the resuming
+    /// run takes them.
+    recovered: BTreeMap<u64, ItemTrace>,
+    /// Item records appended through this handle. They go to the file
+    /// only: nothing reads a record back from the handle that wrote it.
+    appended: usize,
     spans: Vec<(u64, u64)>,
     /// Logical end offset: durable bytes plus buffered bytes.
     len: u64,
@@ -199,7 +204,7 @@ impl fmt::Debug for Journal {
         f.debug_struct("Journal")
             .field("path", &self.path)
             .field("header", &self.header)
-            .field("committed", &self.committed.len())
+            .field("committed", &self.committed())
             .field("len", &self.len)
             .field("buffered_records", &self.buffered_records)
             .field("sync_every", &self.sync_every)
@@ -217,7 +222,8 @@ impl Journal {
             file,
             path: path.to_path_buf(),
             header: None,
-            committed: BTreeMap::new(),
+            recovered: BTreeMap::new(),
+            appended: 0,
             spans: Vec::new(),
             len: 0,
             buf: Vec::new(),
@@ -245,7 +251,7 @@ impl Journal {
         file.read_to_end(&mut data)?;
 
         let mut header = None;
-        let mut committed = BTreeMap::new();
+        let mut recovered = BTreeMap::new();
         let mut spans = Vec::new();
         let mut pos: usize = 0;
         while let Some((payload, end)) = next_frame(&data, pos) {
@@ -258,7 +264,7 @@ impl Journal {
                     .map(|h| header = Some(h)),
                 Some(2) if header.is_some() => {
                     decode_item(&mut dec).filter(|_| dec.exhausted()).map(|t| {
-                        committed.insert(t.index, t);
+                        recovered.insert(t.index, t);
                     })
                 }
                 // Unknown kind, duplicate header, or an item before the
@@ -281,7 +287,8 @@ impl Journal {
             file,
             path: path.to_path_buf(),
             header,
-            committed,
+            recovered,
+            appended: 0,
             spans,
             len: pos as u64,
             buf: Vec::new(),
@@ -309,9 +316,11 @@ impl Journal {
         self
     }
 
-    /// Number of committed item records recovered or appended so far.
+    /// Number of committed item records recovered or appended so far
+    /// (recovered records no longer count once a resuming run has taken
+    /// them).
     pub fn committed(&self) -> usize {
-        self.committed.len()
+        self.recovered.len() + self.appended
     }
 
     /// The journal file's path.
@@ -345,7 +354,7 @@ impl Journal {
         let mut enc = Enc::new();
         enc.u8(2);
         encode_item(&mut enc, trace);
-        self.committed.insert(trace.index, trace.clone());
+        self.appended += 1;
         self.append_frame(enc.into_payload())
     }
 
@@ -363,30 +372,24 @@ impl Journal {
     /// the file; the in-memory copy moves to the resuming run, so one
     /// `Journal` handle drives at most one run.
     pub(crate) fn take_committed(&mut self) -> BTreeMap<u64, ItemTrace> {
-        std::mem::take(&mut self.committed)
+        std::mem::take(&mut self.recovered)
     }
 
     /// The recovered traces, by item index, without consuming them — the
     /// supervised worker backfills these onto its result pipe before the
     /// resuming run takes them.
     pub(crate) fn committed_traces(&self) -> &BTreeMap<u64, ItemTrace> {
-        &self.committed
+        &self.recovered
     }
 
     fn append_frame(&mut self, payload: Vec<u8>) -> Result<(), std::io::Error> {
-        let mut h = FxHasher::default();
-        h.write(&payload);
-        let crc = h.finish();
         let start = self.len;
         let buf_start = self.buf.len();
-        self.buf
-            .extend_from_slice(&(payload.len() as u32).to_le_bytes());
-        self.buf.extend_from_slice(&crc.to_le_bytes());
-        self.buf.extend_from_slice(&payload);
+        push_frame(&mut self.buf, &payload);
         if let Some(tee) = self.tee.as_mut() {
             tee(&self.buf[buf_start..]);
         }
-        self.len = start + FRAME_BYTES + payload.len() as u64;
+        self.len = start + (self.buf.len() - buf_start) as u64;
         self.spans.push((start, self.len));
         self.buffered_records += 1;
         if self.buffered_records >= self.sync_every {
@@ -396,24 +399,28 @@ impl Journal {
     }
 }
 
-/// Frames a payload in the journal's on-disk/on-wire format:
-/// `len:u32le crc:u64le payload`. The supervised worker protocol reuses
-/// this framing for its own control frames.
-pub(crate) fn frame_bytes(payload: &[u8]) -> Vec<u8> {
+/// Appends `payload` to `out` framed in the journal's on-disk/on-wire
+/// format: `len:u32le crc:u64le payload`. Journal appends and the
+/// supervised worker protocol's frames both go through here.
+fn push_frame(out: &mut Vec<u8>, payload: &[u8]) {
     let mut h = FxHasher::default();
     h.write(payload);
-    let crc = h.finish();
-    let mut out = Vec::with_capacity(FRAME_BYTES as usize + payload.len());
     out.extend_from_slice(&(payload.len() as u32).to_le_bytes());
-    out.extend_from_slice(&crc.to_le_bytes());
+    out.extend_from_slice(&h.finish().to_le_bytes());
     out.extend_from_slice(payload);
+}
+
+/// One framed payload (see [`push_frame`]), for a single pipe write.
+pub(crate) fn frame_bytes(payload: &[u8]) -> Vec<u8> {
+    let mut out = Vec::with_capacity(FRAME_BYTES as usize + payload.len());
+    push_frame(&mut out, payload);
     out
 }
 
-/// One step of incremental frame parsing over a growing byte stream —
-/// unlike [`next_frame`] (which treats anything short or corrupt as
-/// end-of-log), a pipe reader must distinguish "wait for more bytes" from
-/// "the sender is corrupt".
+/// One step of incremental frame parsing over a growing byte stream. A
+/// pipe reader must distinguish "wait for more bytes" from "the sender is
+/// corrupt"; a journal file read whole treats both as its end
+/// ([`next_frame`]).
 pub(crate) enum FrameScan<'a> {
     /// A complete, checksum-valid frame: its payload and end offset.
     Frame { payload: &'a [u8], end: usize },
@@ -454,23 +461,14 @@ pub(crate) fn scan_frame(data: &[u8], pos: usize) -> FrameScan<'_> {
     }
 }
 
-/// Extracts the frame starting at `pos`: returns the payload slice and
-/// the frame's end offset, or `None` for a torn/corrupt/absent frame.
+/// The frame starting at `pos` in a whole file: its payload slice and end
+/// offset, or `None` where [`scan_frame`] finds no complete valid frame —
+/// a torn, corrupt or absent frame ends the log.
 fn next_frame(data: &[u8], pos: usize) -> Option<(&[u8], usize)> {
-    let frame = data.get(pos..)?;
-    let len_bytes: [u8; 4] = frame.get(..4)?.try_into().ok()?;
-    let crc_bytes: [u8; 8] = frame.get(4..12)?.try_into().ok()?;
-    let len = u32::from_le_bytes(len_bytes);
-    if len == 0 || len > MAX_RECORD_BYTES {
-        return None;
+    match scan_frame(data, pos) {
+        FrameScan::Frame { payload, end } => Some((payload, end)),
+        FrameScan::NeedMore | FrameScan::Corrupt => None,
     }
-    let payload = frame.get(12..12 + len as usize)?;
-    let mut h = FxHasher::default();
-    h.write(payload);
-    if h.finish() != u64::from_le_bytes(crc_bytes) {
-        return None;
-    }
-    Some((payload, pos + 12 + len as usize))
 }
 
 fn encode_header(enc: &mut Enc, h: &HeaderRecord) {

@@ -101,31 +101,26 @@
 //!
 //! ## Duplicate-heavy traffic
 //!
-//! Two layers (PR 7) make internet-scale, duplicate-heavy deployments
-//! affordable without touching the determinism contract:
-//!
-//! * **Revision caching** — with a [`CachePolicy`] configured
-//!   ([`ExecutorConfig::revision_cache`]), a content-addressed [`cache`]
-//!   memoizes each item's full chain result; duplicates skip the whole
-//!   stage chain and replay the memoized journal-visible effects at
-//!   the sink, digest-identical to the uncached content-keyed run.
-//!   Matching is exact, so every pair keeps its own revision. Tallies
-//!   surface in [`ChainOutput::revision_cache`].
-//! * **Sharding** — [`shard::run_sharded`] partitions the input by
-//!   content hash across N worker shards (each with its own journal and
-//!   cache via [`shard::run_sharded_journaled`]) and deterministically
-//!   merges their outputs and reports back into one
-//!   [`ChainOutput`]-shaped result, order-independently.
+//! With a [`CachePolicy`] configured ([`ExecutorConfig::revision_cache`]),
+//! a content-addressed [`cache`] memoizes each item's full chain result;
+//! duplicates skip the whole stage chain and replay the memoized
+//! journal-visible effects at the sink, digest-identical to the uncached
+//! content-keyed run. Matching is exact, so every pair keeps its own
+//! revision. The cache's pre-pass runs over the whole input before any
+//! lane starts, so one executor dedups globally at any lane count: scaling
+//! out in process means more lanes, not more executors. Tallies surface in
+//! [`ChainOutput::revision_cache`].
 //!
 //! ## Process isolation
 //!
-//! [`supervise::run_sharded_process`] (PR 10) runs the same hash-
-//! partitioned shards as crash-contained **worker processes**: each
-//! shard's work is shipped to a re-invocation of the current binary over
-//! checksummed pipes, supervised through deterministic restart (resuming
-//! from the worker's own journal), failover of exhausted shards, and
-//! poison-item bisection that quarantines the culprit. Merged output is digest-
-//! identical to [`shard::run_sharded_journaled`] under any kill schedule.
+//! [`supervise::run_sharded_process`] partitions the input by content
+//! hash ([`shard`]) and runs each shard as a crash-contained **worker
+//! process**: each shard's work is shipped to a re-invocation of the
+//! current binary over checksummed pipes, supervised through
+//! deterministic restart (resuming from the worker's own journal),
+//! failover of exhausted shards, and poison-item bisection that
+//! quarantines the culprit. The merged output is digest-identical to the
+//! unsharded [`Executor::run_journaled`] run under any kill schedule.
 
 #![deny(unused_must_use)]
 #![warn(missing_docs)]

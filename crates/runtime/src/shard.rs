@@ -1,20 +1,23 @@
-//! The deterministic hash-sharded multi-worker driver.
+//! Hash partitioning and the deterministic merge behind supervised
+//! shards, plus the in-process journaled driver built on them.
 //!
-//! CoachLM's deployment traffic arrives at a scale no single pipeline
-//! keeps up with; this module runs N independent **shards** of the stage
-//! chain over a hash-partitioned input and merges their outputs back into
-//! one run-shaped result. Partitioning keys on the same content
-//! fingerprint as the revision cache ([`crate::cache`]), so duplicate
-//! items always land on the same shard and each shard's cache sees its
-//! full duplicate cluster — sharding multiplies throughput *without*
-//! diluting hit rates.
+//! One [`Executor`] already scales out in process: its data-parallel lanes
+//! run the whole chain, and the revision cache's pre-pass dedups across
+//! the whole input. What this module adds is the split a *multi-process*
+//! deployment needs ([`crate::supervise`]): `partition_source` routes
+//! every pair to a shard by the same content fingerprint the revision
+//! cache keys on ([`crate::cache`]), so duplicate items always land on the
+//! same shard and each shard's cache sees its full duplicate cluster, and
+//! `merge_outputs` folds the shards' outputs back into one run-shaped
+//! result. [`run_sharded_journaled`] runs the shards as threads in this
+//! process, one journal each; the supervised driver's parity reference is
+//! the unsharded journaled run, not this driver.
 //!
 //! ## Determinism and the merge
 //!
-//! Each shard is an ordinary [`Executor`] run (optionally journaled, one
-//! journal file per shard) over its subsequence of the input, with the
-//! items' *global* indices restored before merging. The merge is
-//! order-independent by construction:
+//! Each shard is an ordinary [`Executor`] run over its subsequence of the
+//! input, with the items' *global* indices restored before merging. The
+//! merge is order-independent by construction:
 //!
 //! * items are placed by global index — a permutation, not a fold;
 //! * per-stage [`StageReport`]s merge by field summation (commutative);
@@ -25,17 +28,17 @@
 //! rolls key on the pair id (or the content fingerprint in content-keyed
 //! runs) — never on the item's position — a sharded run produces exactly
 //! the items an unsharded run produces, and
-//! [`ChainOutput::digest`] agrees at any shard count. The sharded
-//! determinism proptests pin this. The one requirement on stages is the
-//! same one content-keyed caching already imposes: stage logic must not
-//! read `item.index` (shard-local positions differ from global ones).
+//! [`ChainOutput::digest`] agrees at any shard count. The one requirement
+//! on stages is the same one content-keyed caching already imposes: stage
+//! logic must not read `item.index` (shard-local positions differ from
+//! global ones).
 //!
 //! ## Admission control and breakers
 //!
 //! A [`Feed::Sustained`] source is admitted *globally, before
 //! partitioning* — shedding is a function of arrival order over the whole
 //! input, so per-shard admission would diverge from the unsharded run.
-//! Shed items never reach a shard; the driver re-inserts them at their
+//! Shed items never reach a shard; the merge re-inserts them at their
 //! global indices with the usual `shed:admission` discard. Admitted items
 //! then run under a batch feed per shard (the virtual-time model treats
 //! them as ready on arrival at their shard).
@@ -184,34 +187,17 @@ impl std::fmt::Debug for ShardedOutput {
 }
 
 /// Runs `stages` over the source hash-partitioned across `shards`
-/// independent pipeline instances (one OS thread each, sharing the stage
-/// chain), and merges the results deterministically. See the module docs
-/// for the merge invariants.
+/// independent executors, one OS thread each sharing the stage chain, and
+/// merges the results deterministically (see the module docs). Each shard
+/// appends to (or resumes from) its own journal file
+/// `shard-<i>-of-<n>.wal` under `dir`, so a killed sharded run resumes at
+/// each shard's exact frontier and — warm caches included — converges to
+/// the uninterrupted digest.
 ///
-/// Rejects configs that set a [`crate::BreakerPolicy`] with a typed
-/// [`ShardConfigError`] at validation time (see [`validate_sharding`]) —
-/// breaker epochs are windows of global index order and cannot be
-/// partitioned.
-pub fn run_sharded(
-    config: &ExecutorConfig,
-    stages: &[Box<dyn Stage + '_>],
-    source: StreamSource<'_>,
-    shards: usize,
-) -> Result<ShardedOutput, ShardConfigError> {
-    match run_sharded_inner(config, stages, source, shards, None) {
-        Ok(out) => Ok(out),
-        Err(ShardError::Config(e)) => Err(e),
-        Err(ShardError::Journal(e)) => unreachable!("no journals, no journal errors: {e}"),
-    }
-}
-
-/// Journaled variant of [`run_sharded`]: each shard appends to (or
-/// resumes from) its own journal file `shard-<i>-of-<n>.wal` under
-/// `dir`, so a killed sharded run resumes at each shard's exact frontier
-/// and — warm caches included — converges to the uninterrupted digest.
-/// The first failing shard's journal error (lowest shard index) is
-/// returned; invalid config/feed compositions are rejected up front as
-/// [`ShardError::Config`].
+/// Configs that set a [`crate::BreakerPolicy`] are rejected up front as
+/// [`ShardError::Config`] (see [`validate_sharding`]), before any journal
+/// is touched. Otherwise the first failing shard's journal error (lowest
+/// shard index) is returned.
 pub fn run_sharded_journaled(
     config: &ExecutorConfig,
     stages: &[Box<dyn Stage + '_>],
@@ -219,7 +205,40 @@ pub fn run_sharded_journaled(
     shards: usize,
     dir: &Path,
 ) -> Result<ShardedOutput, ShardError> {
-    run_sharded_inner(config, stages, source, shards, Some(dir))
+    validate_sharding(config, &source.feed)?;
+    let shards = shards.max(1);
+    let Partitioned {
+        n,
+        shed_items,
+        partitions,
+        global_idx,
+    } = partition_source(source, shards);
+
+    let results: Vec<Result<ChainOutput, JournalError>> = std::thread::scope(|scope| {
+        let handles: Vec<_> = partitions
+            .into_iter()
+            .enumerate()
+            .map(|(s, part)| {
+                scope.spawn(move || -> Result<ChainOutput, JournalError> {
+                    let mut journal =
+                        Journal::open(dir.join(format!("shard-{s}-of-{shards}.wal")))?;
+                    Executor::new(config.clone()).run_journaled(stages, &part, &mut journal)
+                })
+            })
+            .collect();
+        handles
+            .into_iter()
+            .map(|h| {
+                h.join()
+                    .unwrap_or_else(|payload| std::panic::resume_unwind(payload))
+            })
+            .collect()
+    });
+    let mut outputs = Vec::with_capacity(shards);
+    for result in results {
+        outputs.push(result?);
+    }
+    Ok(merge_outputs(stages, shed_items, &global_idx, n, outputs))
 }
 
 /// A hash-partitioned source: the shed items (already discarded), the
@@ -339,62 +358,6 @@ pub(crate) fn merge_outputs(
     }
 }
 
-fn run_sharded_inner(
-    config: &ExecutorConfig,
-    stages: &[Box<dyn Stage + '_>],
-    source: StreamSource<'_>,
-    shards: usize,
-    journal_dir: Option<&Path>,
-) -> Result<ShardedOutput, ShardError> {
-    validate_sharding(config, &source.feed)?;
-    let shards = shards.max(1);
-    let Partitioned {
-        n,
-        shed_items,
-        partitions,
-        global_idx,
-    } = partition_source(source, shards);
-
-    // One OS thread per shard, each an independent Executor run over its
-    // subsequence. The stage chain is shared (`Stage: Sync`), exactly as
-    // the streaming core shares it across lanes.
-    let results: Vec<Result<ChainOutput, JournalError>> = std::thread::scope(|scope| {
-        let handles: Vec<_> = partitions
-            .into_iter()
-            .enumerate()
-            .map(|(s, part)| {
-                scope.spawn(move || -> Result<ChainOutput, JournalError> {
-                    let executor = Executor::new(config.clone());
-                    match journal_dir {
-                        None => Ok(executor.run(stages, &part)),
-                        Some(dir) => {
-                            let path = dir.join(format!("shard-{s}-of-{shards}.wal"));
-                            let mut journal = if path.exists() {
-                                Journal::open(&path)?
-                            } else {
-                                Journal::create(&path)?
-                            };
-                            executor.run_journaled(stages, &part, &mut journal)
-                        }
-                    }
-                })
-            })
-            .collect();
-        handles
-            .into_iter()
-            .map(|h| {
-                h.join()
-                    .unwrap_or_else(|payload| std::panic::resume_unwind(payload))
-            })
-            .collect()
-    });
-    let mut outputs = Vec::with_capacity(shards);
-    for result in results {
-        outputs.push(result?);
-    }
-    Ok(merge_outputs(stages, shed_items, &global_idx, n, outputs))
-}
-
 #[cfg(test)]
 mod tests {
     use super::*;
@@ -403,6 +366,7 @@ mod tests {
     use crate::stage::{StageCtx, StageOutcome};
     use coachlm_data::Category;
     use rand::Rng;
+    use std::sync::atomic::{AtomicU64, Ordering};
 
     /// Content- and RNG-driven (never index-driven), so it satisfies the
     /// sharding contract.
@@ -442,6 +406,26 @@ mod tests {
         vec![Box::new(PoisonFatal), Box::new(Rewrite)]
     }
 
+    static UNIQUE: AtomicU64 = AtomicU64::new(0);
+
+    /// [`run_sharded_journaled`] over [`stages`] in a fresh journal
+    /// directory, removed afterwards.
+    fn sharded(
+        config: &ExecutorConfig,
+        source: StreamSource<'_>,
+        shards: usize,
+    ) -> Result<ShardedOutput, ShardError> {
+        let dir = std::env::temp_dir().join(format!(
+            "coachlm-shard-{}-{}",
+            std::process::id(),
+            UNIQUE.fetch_add(1, Ordering::Relaxed)
+        ));
+        std::fs::create_dir_all(&dir).expect("journal dir");
+        let out = run_sharded_journaled(config, &stages(), source, shards, &dir);
+        std::fs::remove_dir_all(&dir).ok();
+        out
+    }
+
     fn mixed_pairs(n: usize) -> Vec<InstructionPair> {
         (0..n as u64)
             .map(|id| {
@@ -470,12 +454,12 @@ mod tests {
         let input = mixed_pairs(120);
         let base = Executor::new(config.clone()).run(&stages(), &input);
         for shards in [1, 2, 4, 7] {
-            let sharded = run_sharded(&config, &stages(), StreamSource::batch(&input), shards)
+            let out = sharded(&config, StreamSource::batch(&input), shards)
                 .expect("breaker-free config shards");
-            assert_eq!(sharded.output.digest(), base.digest(), "shards = {shards}");
-            assert_eq!(sharded.output.items.len(), 120);
-            assert_eq!(sharded.shards.len(), shards);
-            let routed: usize = sharded.shards.iter().map(|s| s.items).sum();
+            assert_eq!(out.output.digest(), base.digest(), "shards = {shards}");
+            assert_eq!(out.output.items.len(), 120);
+            assert_eq!(out.shards.len(), shards);
+            let routed: usize = out.shards.iter().map(|s| s.items).sum();
             assert_eq!(routed, 120);
         }
     }
@@ -507,20 +491,20 @@ mod tests {
         let config = ExecutorConfig::new(9).revision_cache(CachePolicy::exact());
         let input = dup_pairs(210);
         let unsharded = Executor::new(config.clone()).run(&stages(), &input);
-        let sharded = run_sharded(&config, &stages(), StreamSource::batch(&input), 4)
-            .expect("breaker-free config shards");
-        assert_eq!(sharded.output.digest(), unsharded.digest());
+        let out =
+            sharded(&config, StreamSource::batch(&input), 4).expect("breaker-free config shards");
+        assert_eq!(out.output.digest(), unsharded.digest());
         // Routing by content fingerprint keeps every duplicate cluster on
         // one shard: the summed hit tallies equal the unsharded run's.
         assert_eq!(
-            sharded.output.revision_cache.exact_hits,
+            out.output.revision_cache.exact_hits,
             unsharded.revision_cache.exact_hits
         );
         assert_eq!(
-            sharded.output.revision_cache.entries,
+            out.output.revision_cache.entries,
             unsharded.revision_cache.entries
         );
-        assert!(sharded.output.revision_cache.hit_rate() > 0.8);
+        assert!(out.output.revision_cache.hit_rate() > 0.8);
     }
 
     #[test]
@@ -531,10 +515,9 @@ mod tests {
         let base = Executor::new(config.clone()).run_stream(&stages(), source());
         assert!(base.shed > 0, "overload must shed");
         for shards in [2, 5] {
-            let sharded = run_sharded(&config, &stages(), source(), shards)
-                .expect("breaker-free config shards");
-            assert_eq!(sharded.output.shed, base.shed, "shards = {shards}");
-            assert_eq!(sharded.output.digest(), base.digest(), "shards = {shards}");
+            let out = sharded(&config, source(), shards).expect("breaker-free config shards");
+            assert_eq!(out.output.shed, base.shed, "shards = {shards}");
+            assert_eq!(out.output.digest(), base.digest(), "shards = {shards}");
         }
     }
 
@@ -557,9 +540,9 @@ mod tests {
         );
         // The drivers surface the same typed error instead of asserting.
         let input = mixed_pairs(8);
-        let err = run_sharded(&breakered, &stages(), StreamSource::batch(&input), 2)
+        let err = sharded(&breakered, StreamSource::batch(&input), 2)
             .expect_err("breaker must be rejected");
-        assert_eq!(err, ShardConfigError::Breaker);
+        assert!(matches!(err, ShardError::Config(ShardConfigError::Breaker)));
         let dir =
             std::env::temp_dir().join(format!("coachlm-shard-validate-{}", std::process::id()));
         std::fs::create_dir_all(&dir).unwrap();
@@ -580,13 +563,7 @@ mod tests {
         std::fs::remove_dir_all(&dir).ok();
         // And the OK path still shards.
         assert!(validate_sharding(&ExecutorConfig::new(5), &Feed::Batch).is_ok());
-        let ok = run_sharded(
-            &ExecutorConfig::new(5),
-            &stages(),
-            StreamSource::batch(&input),
-            2,
-        );
-        assert!(ok.is_ok());
+        assert!(sharded(&ExecutorConfig::new(5), StreamSource::batch(&input), 2).is_ok());
     }
 
     #[test]

@@ -1,17 +1,17 @@
 //! Process-isolated shard supervision: crash-contained worker processes
 //! with deterministic restart, failover, and poison-item bisection.
 //!
-//! [`crate::shard`] runs its shards as threads in one address space, so a
-//! single abort, OOM kill, or panic-past-the-guard in any shard takes the
-//! whole run down. This module is the same sharded driver with a process
-//! boundary around each shard: [`run_sharded_process`] re-invokes the
-//! current binary in a hidden worker mode (one child process per shard),
-//! feeds each worker its content-hash partition over stdin, and collects
+//! One executor runs every lane in one address space, so a single abort,
+//! OOM kill, or panic-past-the-guard takes the whole run down. This module
+//! puts a process boundary around each shard of the input:
+//! [`run_sharded_process`] re-invokes the current binary in a hidden
+//! worker mode (one child process per shard), feeds each worker its
+//! content-hash partition ([`crate::shard`]) over stdin, and collects
 //! results over stdout — and because every worker journals to its own
 //! write-ahead log, a crashed worker is simply restarted and resumes at
 //! its exact frontier. The merged output is digest-identical to the
-//! in-process [`shard::run_sharded_journaled`] path at any shard count,
-//! kill point, and restart count.
+//! unsharded journaled run ([`Executor::run_journaled`]) at any shard
+//! count, kill point, and restart count.
 //!
 //! ## Wire protocol
 //!
@@ -77,10 +77,10 @@
 //! the parent re-keys subset-local traces to shard-local indices
 //! (re-verifying digests), rebuilds each shard's output with
 //! [`Executor::replay_collected`], cross-checks the digest each cleanly
-//! finished worker reported, and merges through the same
-//! [`shard::merge_outputs`] the in-process driver uses. Identical
-//! partitioning + identical per-item outcomes + identical merge =
-//! identical digest, at any kill schedule.
+//! finished worker reported, and merges by global index through
+//! [`shard::merge_outputs`]. Per-item outcomes that do not depend on the
+//! partition + a merge that restores input order = the unsharded run's
+//! digest, at any kill schedule.
 
 use crate::cache::CacheStats;
 use crate::executor::{rekey_trace, ChainOutput, Executor};
@@ -292,7 +292,7 @@ impl ShardSupervision {
 /// A supervised multi-process run's merged result: shaped exactly like
 /// [`crate::shard::ShardedOutput`], plus the supervision counters.
 pub struct SupervisedOutput {
-    /// The merged run, digest-identical to the in-process sharded run of
+    /// The merged run, digest-identical to the unsharded journaled run of
     /// the same chain/config/input (kill schedules included, as long as
     /// no poison item was quarantined by bisection).
     pub output: ChainOutput,
@@ -1052,8 +1052,8 @@ fn resolve_subset(
 /// must have called [`worker_boot`] with the same `factory` at the top of
 /// its `main`.
 ///
-/// The merged output is digest-identical to
-/// [`crate::shard::run_sharded_journaled`] with the same arguments, at
+/// The merged output is digest-identical to the unsharded
+/// [`Executor::run_journaled`] run of the same chain, config and input, at
 /// any shard count and under any kill schedule that leaves no poison
 /// item (a bisected poison item is additionally quarantined, which is the
 /// one deliberate divergence).
@@ -1198,9 +1198,9 @@ pub fn run_sharded_process(
                 )));
             }
             // Mirror the worker-observed tallies so a clean supervised
-            // run reports the same per-shard accounting as the
-            // in-process driver (replayed = journal-replayed items, not
-            // the parent-side reconstruction count).
+            // run reports what each worker's executor observed
+            // (replayed = journal-replayed items, not the parent-side
+            // reconstruction count).
             out.replayed = usize::try_from(d.replayed).unwrap_or(usize::MAX);
             out.revision_cache = d.cache;
             out.sim_elapsed = std::time::Duration::from_nanos(d.sim_nanos);

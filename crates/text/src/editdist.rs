@@ -8,18 +8,16 @@
 //! * **Dataset statistics (Table VII):** the revised ALPACA52K dataset is
 //!   characterised by average *word-level* edit distance.
 //!
-//! Three implementations are provided and cross-checked by tests:
+//! Two implementations are provided and cross-checked by tests:
 //!
 //! * [`edit_distance`] — classic two-row dynamic programming over any
 //!   `PartialEq` items, with common prefix/suffix trimming. O(nm) time,
-//!   O(min(n,m)) space.
-//! * [`myers`] — Myers' 1999 bit-parallel algorithm over bytes, processing
-//!   64 DP columns per machine word; the fast path for character-level
-//!   distance on ASCII text.
-//! * [`SymMyers`] — the same bit-parallel recurrence lifted from bytes to
-//!   interned word symbols ([`Sym`]): the per-pattern `peq` table is a small
-//!   hash map over the pattern's distinct symbols instead of a 256-entry
-//!   array, with Hyyrö's blocked variant for patterns longer than 64 words.
+//!   O(min(n,m)) space. The reference the fast kernel is checked against.
+//! * [`SymMyers`] — Myers' 1999 bit-parallel recurrence, processing 64 DP
+//!   columns per machine word, over interned word symbols ([`Sym`]): the
+//!   per-pattern `peq` table is a small hash map over the pattern's
+//!   distinct symbols, with Hyyrö's blocked variant for patterns longer
+//!   than 64 words.
 //!   All scratch state is reused across calls, so dataset-scale ranking
 //!   ([`WordDistance`]) performs zero heap allocations per pair after
 //!   warm-up. This is the word-level hot path for α-selection and the
@@ -70,108 +68,11 @@ fn trim_common<'x, T: PartialEq>(a: &'x [T], b: &'x [T]) -> (&'x [T], &'x [T]) {
     (&a[..a.len() - suf], &b[..b.len() - suf])
 }
 
-/// Myers' bit-parallel Levenshtein over byte strings.
-pub mod myers {
-    /// Bit-parallel distance for patterns up to 64 bytes; falls back to the
-    /// blocked variant for longer inputs.
-    pub fn distance(a: &[u8], b: &[u8]) -> usize {
-        // Use the shorter string as the "pattern" whose DP column is packed
-        // into machine words.
-        let (p, t) = if a.len() <= b.len() { (a, b) } else { (b, a) };
-        if p.is_empty() {
-            return t.len();
-        }
-        if p.len() <= 64 {
-            distance_64(p, t)
-        } else {
-            distance_blocked(p, t)
-        }
-    }
-
-    fn distance_64(p: &[u8], t: &[u8]) -> usize {
-        debug_assert!(!p.is_empty() && p.len() <= 64);
-        let m = p.len();
-        let mut peq = [0u64; 256];
-        for (i, &c) in p.iter().enumerate() {
-            peq[c as usize] |= 1 << i;
-        }
-        let mut pv: u64 = !0;
-        let mut mv: u64 = 0;
-        let mut score = m;
-        let high = 1u64 << (m - 1);
-        for &c in t {
-            let eq = peq[c as usize];
-            let xv = eq | mv;
-            let xh = (((eq & pv).wrapping_add(pv)) ^ pv) | eq;
-            let ph = mv | !(xh | pv);
-            let mh = pv & xh;
-            if ph & high != 0 {
-                score += 1;
-            }
-            if mh & high != 0 {
-                score -= 1;
-            }
-            let ph = (ph << 1) | 1;
-            pv = (mh << 1) | !(xv | ph);
-            mv = ph & xv;
-        }
-        score
-    }
-
-    /// Blocked Myers for patterns longer than 64 bytes (Hyyrö's variant).
-    fn distance_blocked(p: &[u8], t: &[u8]) -> usize {
-        let m = p.len();
-        let w = 64usize;
-        let blocks = m.div_ceil(w);
-        // Per-block pattern-match bitmasks.
-        let mut peq = vec![[0u64; 256]; blocks];
-        for (i, &c) in p.iter().enumerate() {
-            peq[i / w][c as usize] |= 1 << (i % w);
-        }
-        let mut pv = vec![!0u64; blocks];
-        let mut mv = vec![0u64; blocks];
-        let mut score = m;
-        let last = blocks - 1;
-        let last_high = 1u64 << ((m - 1) % w);
-        for &c in t {
-            let mut carry_ph = 1u64; // horizontal +1 carries in from column boundary
-            let mut carry_mh = 0u64;
-            for bidx in 0..blocks {
-                let eq = peq[bidx][c as usize];
-                let pvb = pv[bidx];
-                let mvb = mv[bidx];
-                let xv = eq | mvb;
-                let eqc = eq | carry_mh;
-                let xh = (((eqc & pvb).wrapping_add(pvb)) ^ pvb) | eqc;
-                let mut ph = mvb | !(xh | pvb);
-                let mut mh = pvb & xh;
-                if bidx == last {
-                    if ph & last_high != 0 {
-                        score += 1;
-                    }
-                    if mh & last_high != 0 {
-                        score -= 1;
-                    }
-                }
-                let ph_out = ph >> 63;
-                let mh_out = mh >> 63;
-                ph = (ph << 1) | carry_ph;
-                mh = (mh << 1) | carry_mh;
-                pv[bidx] = mh | !(xv | ph);
-                mv[bidx] = ph & xv;
-                carry_ph = ph_out;
-                carry_mh = mh_out;
-            }
-        }
-        score
-    }
-}
-
-/// Myers' bit-parallel Levenshtein lifted to interned word symbols.
+/// Myers' bit-parallel Levenshtein over interned word symbols.
 ///
-/// The byte version's 256-entry `peq` array becomes a per-pattern map from
-/// each distinct [`Sym`] in the pattern to a dense row of match-mask words
-/// (one `u64` per 64 pattern positions). Patterns up to 64 words run the
+/// The match-mask table `peq` is a per-pattern map from each distinct
+/// [`Sym`] in the pattern to a dense row of match-mask words (one `u64` per
+/// 64 pattern positions). Patterns up to 64 words run the
 /// single-word recurrence; longer patterns run Hyyrö's blocked variant.
 ///
 /// Every buffer (the `peq` rows, the symbol→row index, the blocked `pv`/`mv`
@@ -295,20 +196,6 @@ impl SymMyers {
     }
 }
 
-/// Character-level Levenshtein between two strings.
-///
-/// ASCII inputs use Myers' bit-parallel algorithm; other inputs decode to
-/// `char` vectors and use the generic DP.
-pub fn char_edit_distance(a: &str, b: &str) -> usize {
-    if a.is_ascii() && b.is_ascii() {
-        myers::distance(a.as_bytes(), b.as_bytes())
-    } else {
-        let av: Vec<char> = a.chars().collect();
-        let bv: Vec<char> = b.chars().collect();
-        edit_distance(&av, &bv)
-    }
-}
-
 /// Word-level Levenshtein between two strings (Table VII's metric).
 ///
 /// Tokens are the canonical word sequence of [`crate::token::words`]; words
@@ -385,12 +272,13 @@ mod tests {
 
     #[test]
     fn textbook_cases() {
-        assert_eq!(char_edit_distance("kitten", "sitting"), 3);
-        assert_eq!(char_edit_distance("flaw", "lawn"), 2);
-        assert_eq!(char_edit_distance("", ""), 0);
-        assert_eq!(char_edit_distance("abc", ""), 3);
-        assert_eq!(char_edit_distance("", "abc"), 3);
-        assert_eq!(char_edit_distance("same", "same"), 0);
+        let d = |a: &str, b: &str| edit_distance(a.as_bytes(), b.as_bytes());
+        assert_eq!(d("kitten", "sitting"), 3);
+        assert_eq!(d("flaw", "lawn"), 2);
+        assert_eq!(d("", ""), 0);
+        assert_eq!(d("abc", ""), 3);
+        assert_eq!(d("", "abc"), 3);
+        assert_eq!(d("same", "same"), 0);
     }
 
     #[test]
@@ -426,32 +314,7 @@ mod tests {
                 want,
                 "{a} vs {b}"
             );
-            assert_eq!(
-                myers::distance(a.as_bytes(), b.as_bytes()),
-                want,
-                "{a} vs {b}"
-            );
         }
-    }
-
-    #[test]
-    fn myers_blocked_long_pattern() {
-        // Pattern > 64 bytes exercises the blocked path.
-        let a = "the quick brown fox jumps over the lazy dog repeatedly and then naps".repeat(2);
-        let mut b = a.clone();
-        b.replace_range(10..15, "XXXXX"); // 5 substitutions
-        b.push_str("tail"); // 4 insertions
-        assert_eq!(myers::distance(a.as_bytes(), b.as_bytes()), 9);
-        assert_eq!(
-            myers::distance(a.as_bytes(), b.as_bytes()),
-            edit_distance(a.as_bytes(), b.as_bytes())
-        );
-    }
-
-    #[test]
-    fn unicode_char_distance() {
-        assert_eq!(char_edit_distance("café", "cafe"), 1);
-        assert_eq!(char_edit_distance("日本語", "日本"), 1);
     }
 
     #[test]
@@ -528,9 +391,10 @@ mod tests {
     #[test]
     fn symmetry_and_identity() {
         let cases = [("abc", "cba"), ("", "xyz"), ("hello world", "world hello")];
+        let d = |a: &str, b: &str| edit_distance(a.as_bytes(), b.as_bytes());
         for (a, b) in cases {
-            assert_eq!(char_edit_distance(a, b), char_edit_distance(b, a));
-            assert_eq!(char_edit_distance(a, a), 0);
+            assert_eq!(d(a, b), d(b, a));
+            assert_eq!(d(a, a), 0);
         }
     }
 }

@@ -15,8 +15,8 @@
 //!
 //! * [`token`] — word/sentence tokenisation.
 //! * [`intern`] — a string interner so word-level algorithms run on `u32`s.
-//! * [`editdist`] — Levenshtein distances: two-row DP, banded, and Myers'
-//!   bit-parallel algorithm, over bytes, chars, or interned words.
+//! * [`editdist`] — Levenshtein distances: two-row DP over any items, and
+//!   Myers' bit-parallel algorithm over interned words.
 //! * [`diff`] — LCS-based edit scripts and word alignments.
 //! * [`ngram`] — n-gram iteration and counting.
 //! * [`normalize`] — whitespace/punctuation/case normalisation.
@@ -46,6 +46,6 @@ pub mod token;
 mod testtext;
 
 pub use diff::{diff_tokens, EditOp, EditScript};
-pub use editdist::{char_edit_distance, edit_distance, word_edit_distance};
+pub use editdist::{edit_distance, word_edit_distance};
 pub use intern::Interner;
 pub use token::{sentences, words, Token, TokenKind};

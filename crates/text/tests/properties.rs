@@ -1,9 +1,7 @@
 //! Property-based tests for the text substrate invariants.
 
 use coachlm_text::diff::{diff_tokens, EditOp};
-use coachlm_text::editdist::{
-    char_edit_distance, edit_distance, myers, word_edit_distance, SymMyers, WordDistance,
-};
+use coachlm_text::editdist::{edit_distance, word_edit_distance, SymMyers, WordDistance};
 use coachlm_text::fxhash::FxHashMap;
 use coachlm_text::intern::{Interner, Sym};
 use coachlm_text::ngram::{ngrams, NgramCounter};
@@ -87,26 +85,15 @@ proptest! {
     }
 
     #[test]
-    fn myers_matches_reference(a in "[a-f]{0,80}", b in "[a-f]{0,120}") {
-        let want = reference_distance(a.as_bytes(), b.as_bytes());
-        prop_assert_eq!(myers::distance(a.as_bytes(), b.as_bytes()), want);
-    }
-
-    #[test]
-    fn myers_blocked_matches_reference(a in "[ab]{65,140}", b in "[ab]{0,160}") {
-        let want = reference_distance(a.as_bytes(), b.as_bytes());
-        prop_assert_eq!(myers::distance(a.as_bytes(), b.as_bytes()), want);
-    }
-
-    #[test]
     fn distance_is_a_metric(a in "[a-c]{0,15}", b in "[a-c]{0,15}", c in "[a-c]{0,15}") {
-        let dab = char_edit_distance(&a, &b);
-        let dba = char_edit_distance(&b, &a);
+        let d = |x: &str, y: &str| edit_distance(x.as_bytes(), y.as_bytes());
+        let dab = d(&a, &b);
+        let dba = d(&b, &a);
         prop_assert_eq!(dab, dba); // symmetry
-        prop_assert_eq!(char_edit_distance(&a, &a), 0); // identity
+        prop_assert_eq!(d(&a, &a), 0); // identity
         // triangle inequality
-        let dac = char_edit_distance(&a, &c);
-        let dcb = char_edit_distance(&c, &b);
+        let dac = d(&a, &c);
+        let dcb = d(&c, &b);
         prop_assert!(dab <= dac + dcb);
     }
 

@@ -1,6 +1,6 @@
 #!/usr/bin/env sh
 # Runs the Criterion bench suite offline and writes machine-readable
-# results to BENCH_5.json at the repo root (override with COACHLM_BENCH_OUT;
+# results to BENCH_6.json at the repo root (override with COACHLM_BENCH_OUT;
 # the number tracks the PR that last changed the suite's shape).
 #
 # Each bench binary appends one JSONL record per benchmark (median ns/iter
@@ -12,9 +12,8 @@
 #
 # Usage: scripts/bench.sh [bench-name ...]
 #   With no arguments, runs every bench target (microbench,
-#   executor_scaling, ngram_scoring, crash_resume, revision_cache,
-#   supervise). Pass names to run a subset — the JSON output then covers
-#   only that subset.
+#   ngram_scoring, crash_resume, revision_cache, supervise). Pass names
+#   to run a subset — the JSON output then covers only that subset.
 #
 # The revision_cache stress cell defaults to a 10M-pair workload; set
 # COACHLM_CACHE_BENCH_PAIRS to shrink it for quick runs.
@@ -26,14 +25,14 @@ export CARGO_NET_OFFLINE=true
 # Absolute path: cargo runs bench binaries with the package directory as
 # CWD, so a relative path would land under crates/bench/.
 jsonl="$(pwd)/target/bench_records.jsonl"
-out="${COACHLM_BENCH_OUT:-BENCH_5.json}"
+out="${COACHLM_BENCH_OUT:-BENCH_6.json}"
 rm -f "$jsonl"
 mkdir -p target
 
 if [ "$#" -gt 0 ]; then
     benches="$*"
 else
-    benches="microbench executor_scaling ngram_scoring crash_resume revision_cache supervise"
+    benches="microbench ngram_scoring crash_resume revision_cache supervise"
 fi
 
 for name in $benches; do

@@ -90,13 +90,15 @@ for seed in 11 29 53; do
     done
 done
 
-# Cache/shard matrix: one cell per (seed, shard count, duplicate skew).
-# Each cell runs a Zipfian-duplicated workload through the revision cache
-# and the sharded driver — cached runs at two thread counts, plus a
-# sharded run — and checks digest equality against the
-# uncached single-threaded reference. The cache and the shard fan-out are
-# deployment knobs only; any divergence here is a determinism bug.
-echo "==> cache/shard matrix (2 seeds x 2 shard counts x 2 skews)"
+# Cache/shard matrix: one cell per (seed, fan-out, duplicate skew). The
+# fan-out (COACHLM_SHARDS) is the lane count of one executor, the
+# in-process way to scale out. Each cell runs a Zipfian-duplicated
+# workload through the revision cache at 1, 4 and the cell's lane count,
+# and checks digest equality against the uncached single-threaded
+# reference and equal cache tallies across lane counts. The cache and the
+# fan-out are deployment knobs only; any divergence here is a determinism
+# bug.
+echo "==> cache/shard matrix (2 seeds x 2 fan-outs x 2 skews)"
 for seed in 11 53; do
     for shards in 2 8; do
         for skew in 0.4 1.3; do
@@ -127,8 +129,8 @@ done
 # cell runs the chaos chain with every shard in its own worker process —
 # killing one worker early (clean frame boundary on the first frame),
 # late (torn mid-frame write near the end of its partition), or not at
-# all — and checks the merged digest against the in-process sharded
-# reference, with restart counters proving the kill actually landed.
+# all — and checks the merged digest against the unsharded in-process
+# journaled run, with restart counters proving the kill actually landed.
 echo "==> supervise matrix (2 seeds x 2 shard counts x 3 kill points)"
 for seed in 11 53; do
     for shards in 2 4; do
@@ -140,7 +142,7 @@ for seed in 11 53; do
     done
 done
 
-# Optional: regenerate BENCH_5.json from the Criterion suite. Off by
+# Optional: regenerate BENCH_6.json from the Criterion suite. Off by
 # default because benches dominate CI wall-clock; enable with COACHLM_BENCH=1.
 if [ "${COACHLM_BENCH:-0}" = "1" ]; then
     echo "==> scripts/bench.sh"

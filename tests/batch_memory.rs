@@ -6,7 +6,9 @@
 //! revision cache over duplicate-heavy traffic must keep its peak above
 //! the pre-call level within the returned output's bytes plus 512 B per
 //! input pair: room for per-item bookkeeping, none for a second copy of
-//! the input's text or a slot for every input pair at once.
+//! the input's text or a slot for every input pair at once. A
+//! `run_batch_journaled` call must stay within the same bound: the
+//! journal writes each record out, and keeps none of them.
 //!
 //! The counters are process-wide, so this file holds a single `#[test]`
 //! on purpose: a sibling test allocating on another thread would count.
@@ -14,10 +16,10 @@
 use std::alloc::{GlobalAlloc, Layout, System};
 use std::sync::atomic::{AtomicUsize, Ordering};
 
-use coachlm::core::pipeline::run_batch;
+use coachlm::core::pipeline::{run_batch, run_batch_journaled, PipelineReport};
 use coachlm::data::generator::{zipfian_duplicates, ZipfianConfig};
 use coachlm::data::pair::{Dataset, InstructionPair};
-use coachlm::runtime::{CachePolicy, ExecutorConfig};
+use coachlm::runtime::{CachePolicy, ExecutorConfig, Journal};
 
 /// Wraps the system allocator, tracking live bytes and their peak.
 struct CountingAlloc;
@@ -88,9 +90,11 @@ fn output_bytes(output: &Dataset) -> usize {
         .sum()
 }
 
+/// Peak bytes a batch may hold per input pair beyond its output.
+const PER_PAIR: usize = 512;
+
 #[test]
 fn cached_batch_peak_stays_within_output_plus_bookkeeping() {
-    const PER_PAIR: usize = 512;
     let raw = zipfian_duplicates(&ZipfianConfig {
         name: "zipf-200x20000".to_string(),
         distinct: 200,
@@ -119,18 +123,36 @@ fn cached_batch_peak_stays_within_output_plus_bookkeeping() {
         run_batch(None, &warm, &config).expect("warm-up batch");
 
         let (peak, report) = peak_above(|| run_batch(None, &raw, &config).expect("cached batch"));
-        assert_eq!(report.output.len(), n, "this chain drops nothing");
-        let output = output_bytes(&report.output);
-        let budget = output + PER_PAIR * n;
-        println!(
-            "threads {threads}: peak {peak} B above the pre-call level, output {output} B, \
-             budget {budget} B ({} B per pair above the output)",
-            peak.saturating_sub(output) / n
-        );
-        assert!(
-            peak <= budget,
-            "threads {threads}: the batch peaked {peak} B above its pre-call level, more than \
-             its {output} B output plus {PER_PAIR} B per input pair"
-        );
+        check_peak(&format!("threads {threads}"), peak, &report, n);
+
+        let path = std::env::temp_dir().join(format!(
+            "coachlm-batch-memory-{}-{threads}.wal",
+            std::process::id()
+        ));
+        let mut journal = Journal::create(&path).expect("create journal");
+        let (peak, report) = peak_above(|| {
+            run_batch_journaled(None, &raw, &config, &mut journal).expect("journaled batch")
+        });
+        drop(journal);
+        std::fs::remove_file(&path).ok();
+        check_peak(&format!("threads {threads}, journaled"), peak, &report, n);
     }
+}
+
+/// Asserts that a batch over `n` pairs peaked within its output plus
+/// [`PER_PAIR`] bytes per input pair.
+fn check_peak(what: &str, peak: usize, report: &PipelineReport, n: usize) {
+    assert_eq!(report.output.len(), n, "{what}: this chain drops nothing");
+    let output = output_bytes(&report.output);
+    let budget = output + PER_PAIR * n;
+    println!(
+        "{what}: peak {peak} B above the pre-call level, output {output} B, budget {budget} B \
+         ({} B per pair above the output)",
+        peak.saturating_sub(output) / n
+    );
+    assert!(
+        peak <= budget,
+        "{what}: the batch peaked {peak} B above its pre-call level, more than its {output} B \
+         output plus {PER_PAIR} B per input pair"
+    );
 }

@@ -12,8 +12,8 @@
 //! * **Kill-at-every-frame convergence** — SIGKILL-equivalent worker
 //!   aborts at *every* frame boundary of shard 0's stream, and torn
 //!   mid-frame kills at every boundary, each restart-converge to the
-//!   digest of the in-process [`run_sharded_journaled`] run, with faults
-//!   and retries active.
+//!   digest of the unsharded in-process journaled run, with faults and
+//!   retries active.
 //! * **Corruption is a crash** — a worker that emits a CRC-corrupted
 //!   frame and then exits *successfully* is still treated as crashed and
 //!   restarted (checksums, not exit codes, are the integrity authority).
@@ -30,7 +30,8 @@
 //!   records, and a same-dir rerun resumes from the journal.
 //! * **Pipeline integration** — `run_batch_supervised` (with the coach
 //!   trained in the parent and shipped to the workers in the job params)
-//!   matches `run_batch_sharded_journaled` and recovers across a kill.
+//!   matches the unsharded `run_batch_journaled` and recovers across a
+//!   kill.
 //!
 //! `supervise_matrix_cell` is the CI entry point: `scripts/ci.sh` runs it
 //! under `COACHLM_SUPERVISE_SEED` × `COACHLM_SUPERVISE_SHARDS` ×
@@ -42,17 +43,16 @@ use std::path::PathBuf;
 use std::time::Duration;
 
 use coachlm::core::pipeline::{
-    batch_job_factory, run_batch_sharded_journaled, run_batch_supervised, trained_coach,
-    BatchJobSpec, CoachTrainSpec,
+    batch_job_factory, run_batch_journaled, run_batch_supervised, trained_coach, BatchJobSpec,
+    CoachTrainSpec,
 };
 use coachlm::data::pair::InstructionPair;
 use coachlm::data::Category;
-use coachlm::runtime::shard::run_sharded_journaled;
 use coachlm::runtime::supervise::run_sharded_process;
 use coachlm::runtime::{
-    worker_boot, ChaosPlan, ExecutorConfig, FailureKind, FaultPlan, Journal, KillMode, ParentKill,
-    RetryPolicy, Stage, StageCtx, StageItem, StageOutcome, StreamSource, SuperviseOptions,
-    SupervisedJob, SupervisedOutput, WorkerKill,
+    worker_boot, ChaosPlan, Executor, ExecutorConfig, FailureKind, FaultPlan, Journal, KillMode,
+    ParentKill, RetryPolicy, Stage, StageCtx, StageItem, StageOutcome, StreamSource,
+    SuperviseOptions, SupervisedJob, SupervisedOutput, WorkerKill,
 };
 use rand::Rng;
 
@@ -189,20 +189,17 @@ fn temp_dir(tag: &str) -> PathBuf {
     dir
 }
 
-/// In-process gold: the digest every supervised run must converge to.
-fn gold_digest(seed: u64, threads: u32, pairs: &[InstructionPair], shards: usize) -> u64 {
-    let dir = temp_dir(&format!("gold-{seed}-{shards}"));
-    let out = run_sharded_journaled(
-        &chaos_config(seed, threads),
-        &chaos_stages(),
-        StreamSource::batch(pairs),
-        shards,
-        &dir,
-    )
-    .expect("in-process gold run");
-    let digest = out.output.digest();
+/// In-process gold: the digest of the unsharded journaled run, which
+/// every supervised run must converge to at any shard count.
+fn gold_digest(seed: u64, threads: u32, pairs: &[InstructionPair]) -> u64 {
+    let dir = temp_dir(&format!("gold-{seed}"));
+    let mut journal = Journal::create(dir.join("gold.wal")).expect("create gold journal");
+    let out = Executor::new(chaos_config(seed, threads))
+        .run_journaled(&chaos_stages(), pairs, &mut journal)
+        .expect("in-process gold run");
+    drop(journal);
     let _ = std::fs::remove_dir_all(&dir);
-    digest
+    out.digest()
 }
 
 fn run_supervised(
@@ -233,12 +230,12 @@ fn run_supervised(
 // ---------------------------------------------------------------------------
 
 /// Baseline: a chaos-free supervised run is digest-identical to the
-/// in-process sharded run, reports zero restarts, and the per-shard
-/// stats mirror the in-process ones.
+/// unsharded in-process run, reports zero restarts, and its per-shard
+/// stats partition the input.
 fn clean_run_matches_in_process() {
     let (seed, threads, shards) = (0xC0A, 2, 3);
     let pairs = chaos_pairs(31, seed);
-    let gold = gold_digest(seed, threads, &pairs, shards);
+    let gold = gold_digest(seed, threads, &pairs);
     let out = run_supervised(
         seed,
         threads,
@@ -264,7 +261,7 @@ fn clean_run_matches_in_process() {
 fn kill_at_every_frame_converges() {
     let (seed, threads, shards) = (0x51E, 2, 2);
     let pairs = chaos_pairs(26, seed);
-    let gold = gold_digest(seed, threads, &pairs, shards);
+    let gold = gold_digest(seed, threads, &pairs);
     let clean = run_supervised(
         seed,
         threads,
@@ -318,7 +315,7 @@ fn kill_at_every_frame_converges() {
 fn corrupt_frame_is_a_crash() {
     let (seed, threads, shards) = (0xBAD, 2, 2);
     let pairs = chaos_pairs(24, seed);
-    let gold = gold_digest(seed, threads, &pairs, shards);
+    let gold = gold_digest(seed, threads, &pairs);
     let opts = SuperviseOptions {
         chaos: ChaosPlan {
             worker_kills: vec![WorkerKill {
@@ -340,7 +337,7 @@ fn corrupt_frame_is_a_crash() {
 fn parent_kill_converges() {
     let (seed, threads, shards) = (0x4B31, 2, 2);
     let pairs = chaos_pairs(24, seed);
-    let gold = gold_digest(seed, threads, &pairs, shards);
+    let gold = gold_digest(seed, threads, &pairs);
     let opts = SuperviseOptions {
         chaos: ChaosPlan {
             worker_kills: Vec::new(),
@@ -389,7 +386,7 @@ fn proptest_digest_convergence() {
             },
             ..SuperviseOptions::default()
         };
-        let gold = gold_digest(seed, threads, &pairs, shards);
+        let gold = gold_digest(seed, threads, &pairs);
         let out = run_supervised(
             seed,
             threads,
@@ -480,7 +477,7 @@ fn sync_every_bounds_tail_loss() {
     let (seed, threads, shards) = (0x5E1, 1, 2);
     let sync_every = 4usize;
     let pairs = chaos_pairs(30, seed);
-    let gold = gold_digest(seed, threads, &pairs, shards);
+    let gold = gold_digest(seed, threads, &pairs);
     let kill_at = 9u64;
     let opts = SuperviseOptions {
         sync_every,
@@ -549,9 +546,8 @@ fn sync_every_bounds_tail_loss() {
 
 /// Pipeline integration: `run_batch_supervised` — worker processes
 /// decoding the coach the parent trained and shipped — matches the
-/// in-process sharded journaled pipeline and recovers across a worker
-/// kill.
-fn run_batch_supervised_matches_sharded() {
+/// unsharded journaled pipeline and recovers across a worker kill.
+fn run_batch_supervised_matches_unsharded() {
     use coachlm::data::generator::{generate, GeneratorConfig};
     let spec = BatchJobSpec {
         seed: 0xBA7C,
@@ -567,8 +563,10 @@ fn run_batch_supervised_matches_sharded() {
     let coach = trained_coach(9, 400);
     let config = ExecutorConfig::new(spec.seed).threads(spec.threads as usize);
     let dir = temp_dir("pipeline-gold");
-    let gold = run_batch_sharded_journaled(Some(&coach), &raw, &config, shards, &dir)
+    let mut journal = Journal::create(dir.join("gold.wal")).expect("create gold journal");
+    let gold = run_batch_journaled(Some(&coach), &raw, &config, &mut journal)
         .expect("in-process pipeline gold");
+    drop(journal);
     let _ = std::fs::remove_dir_all(&dir);
 
     let dir = temp_dir("pipeline-supervised");
@@ -589,17 +587,17 @@ fn run_batch_supervised_matches_sharded() {
     let _ = std::fs::remove_dir_all(&dir);
 
     assert_eq!(
-        supervised.report.output.pairs, gold.report.output.pairs,
+        supervised.report.output.pairs, gold.output.pairs,
         "supervised pipeline output diverged"
     );
-    assert_eq!(supervised.report.human_revised, gold.report.human_revised);
-    assert_eq!(supervised.report.quarantined, gold.report.quarantined);
-    assert_eq!(supervised.report.person_days, gold.report.person_days);
+    assert_eq!(supervised.report.human_revised, gold.human_revised);
+    assert_eq!(supervised.report.quarantined, gold.quarantined);
+    assert_eq!(supervised.report.person_days, gold.person_days);
     assert_eq!(supervised.supervision.len(), shards);
     assert_eq!(supervised.supervision[1].restarts, 1, "the kill restarted");
 }
 
-/// CI matrix entry point: one supervised-vs-in-process cell driven by
+/// CI matrix entry point: one supervised-vs-unsharded cell driven by
 /// `COACHLM_SUPERVISE_SEED` / `COACHLM_SUPERVISE_SHARDS` /
 /// `COACHLM_SUPERVISE_KILL` (early | late | none).
 fn supervise_matrix_cell([seed, shards, kill]: [String; 3]) {
@@ -647,7 +645,7 @@ fn supervise_matrix_cell([seed, shards, kill]: [String; 3]) {
         },
         ..SuperviseOptions::default()
     };
-    let gold = gold_digest(seed, threads, &pairs, shards);
+    let gold = gold_digest(seed, threads, &pairs);
     let out = run_supervised(
         seed,
         threads,
@@ -714,8 +712,8 @@ fn main() {
         ),
         ("sync_every_bounds_tail_loss", sync_every_bounds_tail_loss),
         (
-            "run_batch_supervised_matches_sharded",
-            run_batch_supervised_matches_sharded,
+            "run_batch_supervised_matches_unsharded",
+            run_batch_supervised_matches_unsharded,
         ),
     ];
     let only = std::env::var("COACHLM_ONLY").ok();
