@@ -173,14 +173,6 @@ pub fn generate(config: &GeneratorConfig) -> (Dataset, Vec<Provenance>) {
     (dataset, provenance)
 }
 
-/// Generates the default 52k dataset with the given seed.
-pub fn alpaca52k(seed: u64) -> (Dataset, Vec<Provenance>) {
-    generate(&GeneratorConfig {
-        seed,
-        ..GeneratorConfig::default()
-    })
-}
-
 /// Configuration for [`zipfian_duplicates`]: a duplicate-heavy workload
 /// generator for stressing the runtime's revision cache and sharding
 /// (PR 7). `total` pairs are drawn over `distinct` base contents with

@@ -7,9 +7,10 @@
 //! * **Position-swap invariance** — each unordered contestant pair is
 //!   evaluated exactly once, in canonical (lexicographic-by-name) order,
 //!   through [`PandaLm::compare`]'s both-orders debiasing; the mirror cell
-//!   is the exact [`Verdict::invert`] of the canonical one. Swapping who
-//!   is "first" cannot change the matrix because presentation order is
-//!   derived from names, never from argument order.
+//!   is the exact [`Verdict::invert`](crate::pandalm::Verdict::invert) of
+//!   the canonical one. Swapping who is "first" cannot change the matrix
+//!   because presentation order is derived from names, never from
+//!   argument order.
 //! * **Relabeling invariance** — contestants are sorted by name before
 //!   any comparison, and every comparison id is derived from the two
 //!   names and the reference pair id. Feeding the same contestants in a
@@ -20,7 +21,7 @@
 //! unrevised, so removed pairs contribute their originals — which is
 //! exactly why revision can beat filtering head-to-head (Table VII).
 
-use crate::pandalm::{PandaLm, Verdict};
+use crate::pandalm::PandaLm;
 use crate::winrate::VerdictCounts;
 use coachlm_data::pair::{Dataset, InstructionPair};
 use coachlm_text::fxhash::{FxHashMap, FxHasher};
@@ -174,11 +175,6 @@ fn mirror(c: VerdictCounts) -> VerdictCounts {
         tie: c.tie,
         lose: c.win,
     }
-}
-
-/// Sanity accessor used by tests: a verdict stream's mirror.
-pub fn invert_all(verdicts: &[Verdict]) -> Vec<Verdict> {
-    verdicts.iter().map(|v| v.invert()).collect()
 }
 
 #[cfg(test)]

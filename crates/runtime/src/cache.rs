@@ -4,12 +4,13 @@
 //! instruction pairs arrive constantly, and re-running the full
 //! Clean → CoachRevise → ExpertAnnotate chain on every copy burns the
 //! pipeline's most expensive stage on work it has already done. The
-//! revision cache memoizes the *full per-item chain result* — disposition,
-//! rewritten text, tags, and the per-stage report deltas — keyed by a
-//! content fingerprint of the pair as it entered the chain, so a duplicate
-//! skips the whole stage chain. Matching is exact: a hit is a
-//! pair with the same instruction, response, and category, so every pair
-//! still gets its own revision rather than a neighbour's.
+//! revision cache memoizes the *full per-item chain result* — the
+//! representative's journal record: disposition, rewritten text, tags,
+//! failure and per-stage outcomes — keyed by a content fingerprint of the
+//! pair as it entered the chain, so a duplicate skips the whole stage
+//! chain. Matching is exact: a hit is a pair with the same instruction,
+//! response, and category, so every pair still gets its own revision
+//! rather than a neighbour's.
 //!
 //! ## Determinism model
 //!
@@ -30,11 +31,14 @@
 //! pointing at it. A hit's slot copies no input — it shares the
 //! representative's original — and workers skip it entirely (it charges
 //! zero virtual time — the throughput win); the ordered sink, which always
-//! sees the representative before its duplicates, replays the
-//! representative's journal-visible effects onto each hit: its text,
-//! terminal item state, report deltas, and (under a journal) a
-//! synthesized per-item record, so crash-resume with a warm cache
-//! converges to the uninterrupted digest.
+//! sees the representative before its duplicates, keeps the
+//! representative's record (the one it journals, or the one a resumed run
+//! replayed) and replays it onto each hit: the terminal state through the
+//! same function that rebuilds a replayed item, the stage outcomes
+//! through the same function that tallies an executed item's, and, under
+//! a journal, the representative's stage outcomes in the hit's own record,
+//! which is byte for byte the record executing the hit would write. So
+//! crash-resume with a warm cache converges to the uninterrupted digest.
 //!
 //! Breakers are incompatible with the cache: degraded passthrough depends
 //! on an item's *index* (epoch position), not its content, so duplicates
@@ -128,7 +132,7 @@ pub(crate) struct CachePlan {
     /// Per input index, the hit it is (`None` for every other index).
     pub(crate) hits: Vec<Option<SlotHit>>,
     /// Representative *item index* → number of live dependent hits. The
-    /// sink stores a representative's result only while this is non-zero,
+    /// sink keeps a representative's record only while this is non-zero,
     /// decrementing per replay, so store memory is bounded by in-flight
     /// duplication, not by the input.
     pub(crate) uses: FxHashMap<usize, usize>,

@@ -125,11 +125,6 @@ impl ExecutorConfig {
         self
     }
 
-    /// The configured bounded-queue capacity, in items.
-    pub fn queue_capacity_items(&self) -> usize {
-        self.queue_capacity
-    }
-
     /// The configured breaker-less logical-epoch length, in items.
     pub fn epoch_length(&self) -> usize {
         self.epoch_len

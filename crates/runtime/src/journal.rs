@@ -117,7 +117,7 @@ pub(crate) struct HeaderRecord {
 /// item's contribution to every deterministic [`StageReport`] field.
 ///
 /// [`StageReport`]: crate::StageReport
-#[derive(Debug, Clone, PartialEq, Eq)]
+#[derive(Debug, Clone, Default, PartialEq, Eq)]
 pub(crate) struct StageTrace {
     /// Chain position of the stage.
     pub(crate) stage: u32,

@@ -169,7 +169,7 @@ impl StageItem {
 
     /// A revision-cache hit on `input`: it shares `original` with its
     /// representative, whose content is the same, and carries no text of
-    /// its own until the sink writes the representative's result into
+    /// its own until the sink writes the representative's record into
     /// it. It copies nothing from the input but the id and category.
     pub(crate) fn sharing(
         index: usize,

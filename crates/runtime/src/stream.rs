@@ -23,7 +23,20 @@
 //! the slots in flight are bounded by the queue capacity plus one chunk
 //! per lane. A cache hit
 //! copies no input at all: it shares its representative's original, and
-//! the sink writes its text once, from the representative's result.
+//! the sink writes its text once, from the representative's record.
+//!
+//! ## One record per item
+//!
+//! Every stage an item reaches leaves one [`StageTrace`]: executed or
+//! degraded on a lane, read back from a replayed journal record, or taken
+//! from the representative's record on a cache hit. `add_trace` is the
+//! one place a `StageTrace` is added into a [`StageReport`] (every field
+//! but the measured `cpu_time`), so live, replayed and hit items can only
+//! be tallied differently if that function is wrong. When an item
+//! finishes, the sink builds its [`ItemTrace`] once (`item_record`): the
+//! journal appends it, and a representative keeps it for its hits.
+//! `apply_record` writes a record's terminal state into an item, for
+//! replayed items and cache hits alike.
 //!
 //! ## Logical epochs
 //!
@@ -213,11 +226,14 @@ const SHED_TAG: &str = "shed:admission";
 /// One item in flight, with everything the pipeline accumulates on it.
 struct Slot {
     item: StageItem,
-    /// Building journal record (live slots of a journaled run only).
-    trace: Option<ItemTrace>,
-    /// `Some` for items replayed from a journal: the recorded per-stage
-    /// deltas, consumed for report/breaker tallies instead of execution.
-    replay: Option<Vec<StageTrace>>,
+    /// The stage outcomes of a slot whose record the sink builds: every
+    /// live slot of a journaled run and every representative, whose hits
+    /// replay its record. Under a journal the sink gives a cache hit its
+    /// representative's.
+    stages: Option<Vec<StageTrace>>,
+    /// `Some` for items replayed from a journal: the committed record,
+    /// whose stage outcomes are tallied instead of executing.
+    replay: Option<ItemTrace>,
     /// Virtual arrival time, nanos (0 under a batch feed).
     arrival: u64,
     /// Modeled service charge, nanos, set when a lane runs the slot; the
@@ -234,46 +250,72 @@ struct Slot {
     hit: Option<SlotHit>,
 }
 
-/// The empty per-item journal record a live slot builds as it flows.
-/// Also force-attached to cache representatives in un-journaled runs so
-/// their per-stage deltas are captured for hit replay.
-fn fresh_trace(item: &StageItem) -> ItemTrace {
+/// A finished item's record: its terminal state (disposition, the text a
+/// stage changed, tags, failure and digest) with the stage outcomes it
+/// collected. The journal appends it, and a representative's hits replay
+/// it.
+fn item_record(item: &StageItem, stages: Vec<StageTrace>) -> ItemTrace {
     ItemTrace {
         index: item.index as u64,
         pair_id: item.pair.id,
-        disposition: 0,
-        instruction: None,
-        response: None,
-        tags: Vec::new(),
-        failure: None,
-        digest: 0,
-        stages: Vec::new(),
+        disposition: match item.disposition() {
+            Disposition::Retained => 0,
+            Disposition::Dropped => 1,
+            Disposition::Quarantined => 2,
+        },
+        instruction: item
+            .instruction_changed()
+            .then(|| item.pair.instruction.clone()),
+        response: item.response_changed().then(|| item.pair.response.clone()),
+        tags: item.tags.clone(),
+        failure: item.failure.clone(),
+        digest: item_digest(item),
+        stages,
     }
+}
+
+/// Writes a record's terminal state into its item: the text a stage
+/// changed (the item's original where none did), tags, retention and, for
+/// a quarantined record, the failure.
+fn apply_record(item: &mut StageItem, record: &ItemTrace) {
+    let original = item.original();
+    let instruction = record
+        .instruction
+        .as_ref()
+        .unwrap_or(&original.instruction)
+        .clone();
+    let response = record
+        .response
+        .as_ref()
+        .unwrap_or(&original.response)
+        .clone();
+    item.pair.instruction = instruction;
+    item.pair.response = response;
+    item.tags = record.tags.clone();
+    item.retained = record.disposition == 0;
+    item.failure = if record.disposition == 2 {
+        record.failure.clone()
+    } else {
+        None
+    };
 }
 
 /// Rebuilds a checked journal record's terminal item on its input pair.
-fn replayed_slot(index: usize, input: &InstructionPair, trace: ItemTrace) -> Slot {
+fn replayed_slot(index: usize, input: &InstructionPair, record: ItemTrace) -> Slot {
     let mut item = StageItem::new(index, input.clone());
-    if let Some(instruction) = trace.instruction {
-        item.pair.instruction = instruction;
+    apply_record(&mut item, &record);
+    Slot {
+        replay: Some(record),
+        ..Slot::new(item, None)
     }
-    if let Some(response) = trace.response {
-        item.pair.response = response;
-    }
-    item.tags = trace.tags;
-    item.retained = trace.disposition == 0;
-    if trace.disposition == 2 {
-        item.failure = trace.failure;
-    }
-    Slot::new(item, None, Some(trace.stages))
 }
 
 impl Slot {
-    fn new(item: StageItem, trace: Option<ItemTrace>, replay: Option<Vec<StageTrace>>) -> Self {
+    fn new(item: StageItem, stages: Option<Vec<StageTrace>>) -> Self {
         Slot {
             item,
-            trace,
-            replay,
+            stages,
+            replay: None,
             arrival: 0,
             charge: 0,
             shed: false,
@@ -564,10 +606,11 @@ pub(crate) struct StreamEnv<'a, 'b> {
     pub(crate) cache: bool,
 }
 
-/// Folds one replayed item's recorded stage delta into the stage's
-/// report. Replayed items contribute no measured `cpu_time` — that
-/// channel is explicitly outside the determinism contract.
-fn merge_trace_delta(report: &mut StageReport, e: &StageTrace) {
+/// Adds one stage outcome into the stage's report: every field but
+/// `cpu_time`, which is measured, not recorded, and stays outside the
+/// determinism contract. Executed, degraded, replayed and cache-hit
+/// outcomes are all tallied here.
+fn add_trace(report: &mut StageReport, e: &StageTrace) {
     report.items_in += 1;
     report.items_out += usize::from(e.retained_after);
     report.quarantined += usize::from(e.quarantined);
@@ -579,13 +622,22 @@ fn merge_trace_delta(report: &mut StageReport, e: &StageTrace) {
     report.backoff_time += Duration::from_nanos(e.backoff_nanos);
     report.latency_time += Duration::from_nanos(e.latency_nanos);
     for (key, v) in &e.counters {
-        *report.counters.entry(key.clone()).or_insert(0) += v;
+        // Look up before inserting, so a key is copied only the first time
+        // the report sees it.
+        match report.counters.get_mut(key) {
+            Some(count) => *count += v,
+            None => {
+                report.counters.insert(key.clone(), *v);
+            }
+        }
     }
 }
 
 /// One lane's stage runner: runs the whole chain on each chunk its lane
 /// takes, under the stage modes the epoch gate fixed for the chunk's
-/// epoch (without a breaker every stage always executes).
+/// epoch (without a breaker every stage always executes). Each stage an
+/// item reaches here, executed or degraded, leaves one [`StageTrace`], and
+/// so does each stage of a replayed record; `account` tallies every one.
 struct Worker<'e, 'a, 'b> {
     env: &'e StreamEnv<'a, 'b>,
     gate: Option<&'e EpochGate>,
@@ -598,9 +650,10 @@ struct Worker<'e, 'a, 'b> {
     /// without a breaker).
     executed: Vec<usize>,
     failures: Vec<usize>,
-    /// One report per stage: executed items tally here as they run,
-    /// replayed items add their recorded deltas.
+    /// One report per stage, every outcome the lane accounts added in.
     reports: Vec<StageReport>,
+    /// The counters of the stage body running now, drained into its
+    /// outcome.
     scratch: BTreeMap<String, u64>,
 }
 
@@ -645,20 +698,22 @@ impl<'e, 'a, 'b> Worker<'e, 'a, 'b> {
         if slot.hit.is_some() {
             return;
         }
-        if let Some(traces) = &slot.replay {
-            for e in traces {
-                let k = e.stage as usize;
-                if !e.degraded {
-                    self.executed[k] += 1;
-                }
-                if e.quarantined {
-                    self.failures[k] += 1;
-                }
-                merge_trace_delta(&mut self.reports[k], e);
+        if let Some(record) = &slot.replay {
+            for e in &record.stages {
+                self.account(e);
             }
             return;
         }
         self.run_slot(slot);
+    }
+
+    /// Tallies one stage outcome: into the lane's report, and into the
+    /// executed and quarantined counts the epoch gate sums.
+    fn account(&mut self, e: &StageTrace) {
+        let k = e.stage as usize;
+        self.executed[k] += usize::from(!e.degraded);
+        self.failures[k] += usize::from(e.quarantined);
+        add_trace(&mut self.reports[k], e);
     }
 
     /// The per-(stage, item) attempt loop, unchanged in semantics from
@@ -674,29 +729,20 @@ impl<'e, 'a, 'b> Worker<'e, 'a, 'b> {
             if !item.retained {
                 break;
             }
-            let report = &mut self.reports[k];
-            report.items_in += 1;
             // Degraded passthrough: the stage's breaker is open (or this
             // index is past the half-open probe budget), so the item
             // flows on unrevised — the paper's §III-B1 leakage fallback.
             if !self.modes[k].executes(item.index) {
                 item.tag(format!("degraded:{}", stage.name()));
-                report.degraded += 1;
-                report.items_out += 1;
-                if let Some(t) = slot.trace.as_mut() {
-                    t.stages.push(StageTrace {
-                        stage: k as u32,
-                        degraded: true,
-                        retained_after: true,
-                        quarantined: false,
-                        retries: 0,
-                        iterations: 0,
-                        faults: 0,
-                        timeouts: 0,
-                        backoff_nanos: 0,
-                        latency_nanos: 0,
-                        counters: Vec::new(),
-                    });
+                let e = StageTrace {
+                    stage: k as u32,
+                    degraded: true,
+                    retained_after: true,
+                    ..StageTrace::default()
+                };
+                self.account(&e);
+                if let Some(stages) = slot.stages.as_mut() {
+                    stages.push(e);
                 }
                 continue;
             }
@@ -823,87 +869,54 @@ impl<'e, 'a, 'b> Worker<'e, 'a, 'b> {
                     }
                 }
             }
-            if item.retained {
-                report.items_out += 1;
-            }
-            if quarantined_here {
-                report.quarantined += 1;
-                self.failures[k] += 1;
-            }
-            self.executed[k] += 1;
-            report.retries += u64::from(t_retries);
-            report.iterations += u64::from(t_iterations);
-            report.faults_injected += t_faults;
-            report.timeouts += u64::from(t_timeouts);
             // `cpu_time` takes only measured body time; the simulated
             // channels stay disjoint (see [`StageReport`]).
-            report.cpu_time += t_time;
-            report.backoff_time += t_backoff;
-            report.latency_time += t_latency;
+            self.reports[k].cpu_time += t_time;
+            let e = StageTrace {
+                stage: k as u32,
+                degraded: false,
+                retained_after: item.retained,
+                quarantined: quarantined_here,
+                retries: t_retries,
+                iterations: t_iterations,
+                faults: t_faults,
+                timeouts: t_timeouts,
+                backoff_nanos: u64::try_from(t_backoff.as_nanos()).unwrap_or(u64::MAX),
+                latency_nanos: u64::try_from(t_latency.as_nanos()).unwrap_or(u64::MAX),
+                counters: std::mem::take(&mut self.scratch).into_iter().collect(),
+            };
             virt += body_runs * env.service[k];
-            virt += u64::try_from(t_backoff.as_nanos()).unwrap_or(u64::MAX);
-            virt = virt.saturating_add(u64::try_from(t_latency.as_nanos()).unwrap_or(u64::MAX));
-            if let Some(t) = slot.trace.as_mut() {
-                t.stages.push(StageTrace {
-                    stage: k as u32,
-                    degraded: false,
-                    retained_after: item.retained,
-                    quarantined: quarantined_here,
-                    retries: t_retries,
-                    iterations: t_iterations,
-                    faults: t_faults,
-                    timeouts: t_timeouts,
-                    backoff_nanos: u64::try_from(t_backoff.as_nanos()).unwrap_or(u64::MAX),
-                    latency_nanos: u64::try_from(t_latency.as_nanos()).unwrap_or(u64::MAX),
-                    counters: self
-                        .scratch
-                        .iter()
-                        .map(|(key, v)| (key.clone(), *v))
-                        .collect(),
-                });
-            }
-            if !self.scratch.is_empty() {
-                for (key, v) in std::mem::take(&mut self.scratch) {
-                    *report.counters.entry(key).or_insert(0) += v;
-                }
+            virt += e.backoff_nanos;
+            virt = virt.saturating_add(e.latency_nanos);
+            self.account(&e);
+            if let Some(stages) = slot.stages.as_mut() {
+                stages.push(e);
             }
         }
         slot.charge = virt;
     }
 }
 
-/// A memoized chain result: the journal-visible effects of running one
-/// item through the full stage chain, captured from its representative
-/// and replayed verbatim onto every cache hit.
-struct RepResult {
-    /// Final instruction, `None` if the chain left it unchanged.
-    instruction: Option<String>,
-    /// Final response, `None` if the chain left it unchanged.
-    response: Option<String>,
-    tags: Vec<String>,
-    retained: bool,
-    failure: Option<FailureRecord>,
-    /// Per-stage deltas, for report tallies and the hit's journal record.
-    stages: Vec<StageTrace>,
-}
-
-/// Sink-side state for revision-cache hit replay. Representatives are
-/// stored only while live hits still depend on them (`uses` counts down
-/// per replay), so memory is bounded by in-flight duplication, not input
-/// size.
+/// Sink-side state for revision-cache hit replay: the records of the
+/// representatives live hits still depend on. A record is kept only while
+/// `uses` counts it down per replay, so memory is bounded by in-flight
+/// duplication, not input size.
 struct HitReplayer {
     /// Representative item index → live dependents remaining.
     uses: FxHashMap<usize, usize>,
-    store: FxHashMap<usize, RepResult>,
-    /// Per-stage report deltas contributed by hit replays; folded into
-    /// the run totals at `finish`. Indexed by global stage index.
-    reports: Vec<StageReport>,
+    /// Representative item index → its record: the one the sink built
+    /// for it, or the one a resumed run replayed.
+    store: FxHashMap<usize, ItemTrace>,
 }
 
 /// The ordered consumer at the end of the pipe, run by the caller's
-/// thread: collects items in index order, finalizes and appends journal
-/// records, fsyncs at logical-epoch boundaries, and runs the
-/// virtual-time recurrence. It is the only writer of the run's journal.
+/// thread: collects items in index order, builds each finished live
+/// item's record and appends it to the journal, keeps representatives'
+/// records and replays them onto their hits, fsyncs at logical-epoch
+/// boundaries, and runs the virtual-time recurrence. It is the only
+/// writer of the run's journal. Its reports are the run's: hits add their
+/// replayed stage outcomes as they pass, and the lanes' reports are
+/// merged in when the lanes finish.
 struct Sink<'e, 'a, 'b> {
     env: &'e StreamEnv<'a, 'b>,
     /// The run's journal, until a write to it fails.
@@ -921,6 +934,8 @@ struct Sink<'e, 'a, 'b> {
     shed: usize,
     prev_epoch: Option<usize>,
     hits: Option<HitReplayer>,
+    /// One report per stage, in chain order.
+    reports: Vec<StageReport>,
 }
 
 impl<'e, 'a, 'b> Sink<'e, 'a, 'b> {
@@ -942,15 +957,16 @@ impl<'e, 'a, 'b> Sink<'e, 'a, 'b> {
             shed: 0,
             prev_epoch: None,
             hits,
+            reports: stage_reports(env),
         }
     }
 
-    /// Replays the representative's recorded effects onto a hit slot:
-    /// text, terminal item state, per-stage report deltas, and (under a
-    /// journal) the stage traces for the hit's own record. Because the
-    /// sink consumes slots in index order and the pre-pass always picks
-    /// the *earliest* occurrence as representative, the representative's
-    /// result is guaranteed to be in the store by the time its hits
+    /// Replays the representative's record onto a hit slot: its terminal
+    /// state (the hit's text is written once, here), its stage outcomes
+    /// into the run's reports and, under a journal, into the hit's own
+    /// record. Because the sink consumes slots in index order and the
+    /// pre-pass always picks the *earliest* occurrence as representative,
+    /// the representative's record is in the store by the time its hits
     /// arrive.
     fn replay_hit(&mut self, slot: &mut Slot, hit: SlotHit) {
         let Some(hr) = self.hits.as_mut() else {
@@ -959,27 +975,12 @@ impl<'e, 'a, 'b> Sink<'e, 'a, 'b> {
         let Some(rep) = hr.store.get(&hit.rep) else {
             unreachable!("representative committed before its hits");
         };
-        // The hit's text is written once, here: the representative's
-        // result where the chain changed it, else the shared original.
-        let original = slot.item.original();
-        let instruction = rep
-            .instruction
-            .clone()
-            .unwrap_or_else(|| original.instruction.clone());
-        let response = rep
-            .response
-            .clone()
-            .unwrap_or_else(|| original.response.clone());
-        slot.item.pair.instruction = instruction;
-        slot.item.pair.response = response;
-        slot.item.tags = rep.tags.clone();
-        slot.item.retained = rep.retained;
-        slot.item.failure = rep.failure.clone();
+        apply_record(&mut slot.item, rep);
         for e in &rep.stages {
-            merge_trace_delta(&mut hr.reports[e.stage as usize], e);
+            add_trace(&mut self.reports[e.stage as usize], e);
         }
-        if let Some(t) = slot.trace.as_mut() {
-            t.stages = rep.stages.clone();
+        if self.journal.is_some() {
+            slot.stages = Some(rep.stages.clone());
         }
         let Some(uses) = hr.uses.get_mut(&hit.rep) else {
             unreachable!("uses tracked per rep");
@@ -991,36 +992,24 @@ impl<'e, 'a, 'b> Sink<'e, 'a, 'b> {
         }
     }
 
-    /// If this slot is a representative with live dependents, captures
-    /// its terminal state for later hit replay. Live representatives
-    /// carry a force-attached trace (so stage deltas exist even
-    /// un-journaled); replayed ones carry their committed deltas.
-    fn capture_rep(&mut self, slot: &Slot) {
-        let Some(hr) = self.hits.as_mut() else {
+    /// Builds a finished slot's record from the stage outcomes it
+    /// collected and appends it to the journal, and keeps a
+    /// representative's record, built here or replayed, for its hits.
+    fn commit(&mut self, slot: &mut Slot) {
+        let record = if let Some(stages) = slot.stages.take() {
+            let record = item_record(&slot.item, stages);
+            self.write_journal(|journal| journal.append(&record));
+            record
+        } else if let Some(record) = slot.replay.take() {
+            record
+        } else {
             return;
         };
-        if !hr.uses.contains_key(&slot.item.index) {
-            return;
+        if let Some(hr) = self.hits.as_mut() {
+            if hr.uses.contains_key(&slot.item.index) {
+                hr.store.insert(slot.item.index, record);
+            }
         }
-        let stages = match (&slot.replay, &slot.trace) {
-            (Some(replay), _) => replay.clone(),
-            (None, Some(trace)) => trace.stages.clone(),
-            (None, None) => unreachable!("live representatives get traces attached"),
-        };
-        let item = &slot.item;
-        hr.store.insert(
-            item.index,
-            RepResult {
-                instruction: item
-                    .instruction_changed()
-                    .then(|| item.pair.instruction.clone()),
-                response: item.response_changed().then(|| item.pair.response.clone()),
-                tags: item.tags.clone(),
-                retained: item.retained,
-                failure: item.failure.clone(),
-                stages,
-            },
-        );
     }
 
     fn consume(&mut self, chunk: Chunk) {
@@ -1055,34 +1044,15 @@ impl<'e, 'a, 'b> Sink<'e, 'a, 'b> {
             }
             if let Some(hit) = slot.hit {
                 self.replay_hit(&mut slot, hit);
-            } else {
-                self.capture_rep(&slot);
             }
-            if self.journal.is_some() {
-                if let Some(mut trace) = slot.trace.take() {
-                    let item = &slot.item;
-                    trace.disposition = match item.disposition() {
-                        Disposition::Retained => 0,
-                        Disposition::Dropped => 1,
-                        Disposition::Quarantined => 2,
-                    };
-                    trace.instruction = item
-                        .instruction_changed()
-                        .then(|| item.pair.instruction.clone());
-                    trace.response = item.response_changed().then(|| item.pair.response.clone());
-                    trace.tags = item.tags.clone();
-                    trace.failure = item.failure.clone();
-                    trace.digest = item_digest(item);
-                    self.write_journal(|journal| journal.append(&trace));
-                }
-            }
+            self.commit(&mut slot);
             self.items.push(slot.item);
         }
     }
 
     /// Runs one journal write. The first IO error drops the journal, so
     /// the run still completes and every later write is skipped; the
-    /// error is handed back in [`SinkOut`].
+    /// error is handed back in [`StreamRun`].
     fn write_journal(&mut self, write: impl FnOnce(&mut Journal) -> std::io::Result<()>) {
         if let Some(journal) = self.journal.as_deref_mut() {
             if let Err(e) = write(journal) {
@@ -1091,27 +1061,6 @@ impl<'e, 'a, 'b> Sink<'e, 'a, 'b> {
             }
         }
     }
-
-    fn finish(self) -> SinkOut {
-        SinkOut {
-            items: self.items,
-            sim_elapsed: Duration::from_nanos(self.makespan),
-            shed: self.shed,
-            hit_reports: self.hits.map(|hr| hr.reports).unwrap_or_default(),
-            journal_error: self.journal_error,
-        }
-    }
-}
-
-/// What the sink hands back when the stream runs dry.
-struct SinkOut {
-    items: Vec<StageItem>,
-    sim_elapsed: Duration,
-    shed: usize,
-    /// Per-stage report deltas from cache-hit replays (empty uncached).
-    hit_reports: Vec<StageReport>,
-    /// The first journal IO error, if any write failed.
-    journal_error: Option<std::io::Error>,
 }
 
 /// The fluid admission model: one shed decision per arrival (`true` =
@@ -1253,26 +1202,26 @@ impl<'p, 'r> SlotBuilder<'p, 'r> {
         let mut slot = if let Some(trace) = trace {
             replayed_slot(i, input, trace)
         } else if let Some(imposed) = self.replay.imposed {
+            // Not retained, so no stage runs it.
             let mut item = StageItem::new(i, input.clone());
             item.retained = false;
             item.failure = imposed.get(&(i as u64)).cloned();
-            Slot::new(item, None, Some(Vec::new()))
+            Slot::new(item, None)
         } else if let Some(hit) = self.hits.get(i).copied().flatten() {
             let item = StageItem::sharing(i, input, self.share(hit.rep));
-            let trace = self.journaling.then(|| fresh_trace(&item));
             Slot {
                 hit: Some(hit),
-                ..Slot::new(item, trace, None)
+                ..Slot::new(item, None)
             }
         } else {
             let mut item = StageItem::new(i, input.clone());
             if shed {
                 item.discard(SHED_TAG);
             }
-            // Live representatives with dependents need their per-stage
-            // deltas captured even when no journal is attached.
+            // A representative's record is built even when no journal is
+            // attached: its hits replay it.
             let rep = self.shared.contains_key(&i);
-            let trace = (self.journaling || rep).then(|| fresh_trace(&item));
+            let stages = (self.journaling || rep).then(Vec::new);
             // With content keying off the key is the pair id —
             // bit-identical to the historical behaviour.
             let key = if self.content_keyed {
@@ -1282,7 +1231,7 @@ impl<'p, 'r> SlotBuilder<'p, 'r> {
             };
             Slot {
                 key,
-                ..Slot::new(item, trace, None)
+                ..Slot::new(item, stages)
             }
         };
         if let Some((_, original)) = self.shared.get_mut(&i) {
@@ -1398,7 +1347,6 @@ pub(crate) fn run_pipeline(
             let replayer = HitReplayer {
                 uses: plan.uses,
                 store: FxHashMap::default(),
-                reports: vec![StageReport::default(); env.stages.len()],
             };
             (Some(replayer), plan.stats)
         }
@@ -1406,7 +1354,6 @@ pub(crate) fn run_pipeline(
     };
     let gate = env.breaker.map(|policy| EpochGate::new(env, policy));
 
-    let mut reports = stage_reports(env);
     let mut sink = Sink::new(env, journal, lanes, n, replayer);
 
     if lanes == 1 {
@@ -1418,7 +1365,7 @@ pub(crate) fn run_pipeline(
             worker.process_chunk(&mut chunk);
             sink.consume(chunk);
         }
-        merge_reports(&mut reports, worker.reports);
+        merge_reports(&mut sink.reports, worker.reports);
     } else {
         let cap_chunks = (queue_capacity.max(1) / chunk_len.max(1)).max(2);
         let queue = OrderedQueue::new(cap_chunks, chunks.len() as u64);
@@ -1454,23 +1401,26 @@ pub(crate) fn run_pipeline(
                 sink.consume(chunk);
             }
             for handle in handles {
-                merge_reports(&mut reports, join_lane(handle));
+                merge_reports(&mut sink.reports, join_lane(handle));
             }
         });
     }
-    let sink_out = sink.finish();
-
-    // Cache-hit replays contributed report deltas at the sink; fold them
-    // into the per-stage totals alongside the lane reports.
-    merge_reports(&mut reports, sink_out.hit_reports);
+    let Sink {
+        items,
+        makespan,
+        shed,
+        reports,
+        journal_error,
+        ..
+    } = sink;
     StreamRun {
-        items: sink_out.items,
+        items,
         reports,
         breaker_events: gate.map(EpochGate::into_events).unwrap_or_default(),
-        shed: sink_out.shed,
-        sim_elapsed: sink_out.sim_elapsed,
+        shed,
+        sim_elapsed: Duration::from_nanos(makespan),
         revision,
-        journal_error: sink_out.journal_error,
+        journal_error,
     }
 }
 

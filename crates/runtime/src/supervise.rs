@@ -33,8 +33,8 @@
 //! 2     one committed item trace — the journal record itself, teed onto
 //!       the pipe at append time (ahead of fsync batching)
 //! EPOCH (0x16)  watchdog heartbeat: epoch index + item frames so far
-//! DONE  (0x18)  run digest, replayed count, item total, cache tallies,
-//!               modeled makespan (nanos)
+//! DONE  (0x18)  run digest, replayed count, item total, modeled
+//!               makespan (nanos)
 //! ```
 //!
 //! The parent parses the stream incrementally ([`crate::journal`]'s
@@ -82,7 +82,6 @@
 //! partition + a merge that restores input order = the unsharded run's
 //! digest, at any kill schedule.
 
-use crate::cache::CacheStats;
 use crate::executor::{rekey_trace, ChainOutput, Executor};
 use crate::fault::{FailureKind, FailureRecord};
 use crate::journal::{
@@ -109,8 +108,11 @@ pub const ENV_WORKER: &str = "COACHLM_SUPERVISE_WORKER";
 
 /// Wire protocol version, checked by the worker before trusting the job.
 /// v2 dropped the JOB frame's shard coordinates, attempt number and
-/// kill-spec padding, and the DONE frame's near-hit tally.
-const PROTO_VERSION: u32 = 2;
+/// kill-spec padding, and the DONE frame's near-hit tally. v3 dropped the
+/// DONE frame's cache tallies: the parent's reconstruction of a shard
+/// classifies the same partition the worker did, so it already computes
+/// them.
+const PROTO_VERSION: u32 = 3;
 
 /// Worker exit code for protocol/journal errors (as opposed to crashes).
 const EXIT_PROTOCOL: i32 = 86;
@@ -636,7 +638,6 @@ fn worker_main(factory: JobFactory) -> Result<(), SuperviseError> {
         digest: out.digest(),
         replayed: out.replayed as u64,
         total: out.items.len() as u64,
-        cache: out.revision_cache,
         sim_nanos: u64::try_from(out.sim_elapsed.as_nanos()).unwrap_or(u64::MAX),
     }));
     let mut w = lock_wire(&wire);
@@ -655,7 +656,6 @@ struct DoneFrame {
     digest: u64,
     replayed: u64,
     total: u64,
-    cache: CacheStats,
     /// The worker's own modeled makespan, in nanoseconds. Replay in the
     /// parent is zero-charge, so this is the only surviving copy.
     sim_nanos: u64,
@@ -667,9 +667,6 @@ fn encode_done(done: &DoneFrame) -> Vec<u8> {
     enc.u64(done.digest);
     enc.u64(done.replayed);
     enc.u64(done.total);
-    enc.u64(done.cache.exact_hits);
-    enc.u64(done.cache.misses);
-    enc.u64(done.cache.entries);
     enc.u64(done.sim_nanos);
     enc.into_payload()
 }
@@ -680,17 +677,11 @@ fn decode_done(dec: &mut Dec<'_>) -> Result<DoneFrame, SuperviseError> {
         let digest = dec.u64()?;
         let replayed = dec.u64()?;
         let total = dec.u64()?;
-        let cache = CacheStats {
-            exact_hits: dec.u64()?,
-            misses: dec.u64()?,
-            entries: dec.u64()?,
-        };
         let sim_nanos = dec.u64()?;
         dec.exhausted().then_some(DoneFrame {
             digest,
             replayed,
             total,
-            cache,
             sim_nanos,
         })
     })();
@@ -1200,9 +1191,9 @@ pub fn run_sharded_process(
             // Mirror the worker-observed tallies so a clean supervised
             // run reports what each worker's executor observed
             // (replayed = journal-replayed items, not the parent-side
-            // reconstruction count).
+            // reconstruction count). The cache tallies need no mirror:
+            // the reconstruction classifies the same partition.
             out.replayed = usize::try_from(d.replayed).unwrap_or(usize::MAX);
-            out.revision_cache = d.cache;
             out.sim_elapsed = std::time::Duration::from_nanos(d.sim_nanos);
         }
         outputs.push(out);
@@ -1330,11 +1321,6 @@ mod tests {
                 digest: 0x00D1_6E57,
                 replayed: 4,
                 total: 9,
-                cache: CacheStats {
-                    exact_hits: 5,
-                    misses: 4,
-                    entries: 4,
-                },
                 sim_nanos: 1_711_500_000,
             }),
         ];

@@ -14,6 +14,9 @@
 //!   the cache is on is folded into the journal fingerprint, so resuming
 //!   without it refuses instead of replaying mismatched hits), and so
 //!   does a sharded journaled run with one shard's journal cut.
+//! * **Hit records are execution's records** — a cached run journals
+//!   byte for byte the item records the uncached content-keyed run
+//!   journals, stage outcomes included.
 //!
 //! `cache_matrix_cell` is the CI entry point: `scripts/ci.sh` runs it
 //! under `COACHLM_CACHE_SEED` × `COACHLM_SHARDS` × `COACHLM_SKEW`.
@@ -202,6 +205,45 @@ fn warm_cache_crash_resume_converges_to_uninterrupted_digest() {
         );
     }
     std::fs::remove_file(&path).ok();
+}
+
+/// A cache hit's journal record is the record execution writes: a cached
+/// run, at threads 1 and 2, journals byte for byte the item records of
+/// the uncached content-keyed run. Only the header frame differs, by the
+/// cache bit in its fingerprint.
+#[test]
+fn hit_records_are_the_records_execution_writes() {
+    let seed = 0x4EC;
+    let pairs = workload(12, 120, 1.1, seed);
+    let journaled = |config: ExecutorConfig, tag: &str| -> (ChainOutput, Vec<u8>) {
+        let path = temp_path(tag);
+        let mut journal = Journal::create(&path).expect("create journal");
+        let out = Executor::new(config)
+            .run_journaled(&stages(), &pairs, &mut journal)
+            .expect("journaled run");
+        drop(journal);
+        let bytes = std::fs::read(&path).expect("read journal back");
+        std::fs::remove_file(&path).ok();
+        // A frame is a u32 length prefix and an 8-byte checksum, then
+        // the payload; the item records follow the header frame.
+        let len = u32::from_le_bytes(bytes[..4].try_into().expect("length prefix"));
+        let header = 12 + len as usize;
+        (out, bytes[header..].to_vec())
+    };
+    let (uncached, executed) = journaled(chaos(seed, 1, 64).content_keyed(true), "uncached.wal");
+    for threads in [1, 2] {
+        let config = chaos(seed, threads, 16).revision_cache(CachePolicy::exact());
+        let (cached, replayed) = journaled(config, &format!("cached-{threads}.wal"));
+        assert!(
+            cached.revision_cache.hits() > 0,
+            "the workload repeats content"
+        );
+        assert_eq!(cached.digest(), uncached.digest(), "threads {threads}");
+        assert!(
+            replayed == executed,
+            "threads {threads}: the cached run's item records differ from execution's"
+        );
+    }
 }
 
 /// The cache is folded into the journal fingerprint: resuming a cached

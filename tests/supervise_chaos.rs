@@ -32,6 +32,9 @@
 //!   trained in the parent and shipped to the workers in the job params)
 //!   matches the unsharded `run_batch_journaled` and recovers across a
 //!   kill.
+//! * **Cached chains** — the chaos chain with the exact revision cache,
+//!   over duplicate-heavy pairs, matches the unsharded journaled cached
+//!   run in digest and cache tallies, clean and across a kill.
 //!
 //! `supervise_matrix_cell` is the CI entry point: `scripts/ci.sh` runs it
 //! under `COACHLM_SUPERVISE_SEED` × `COACHLM_SUPERVISE_SHARDS` ×
@@ -50,9 +53,9 @@ use coachlm::data::pair::InstructionPair;
 use coachlm::data::Category;
 use coachlm::runtime::supervise::run_sharded_process;
 use coachlm::runtime::{
-    worker_boot, ChaosPlan, Executor, ExecutorConfig, FailureKind, FaultPlan, Journal, KillMode,
-    ParentKill, RetryPolicy, Stage, StageCtx, StageItem, StageOutcome, StreamSource,
-    SuperviseOptions, SupervisedJob, SupervisedOutput, WorkerKill,
+    worker_boot, CachePolicy, ChainOutput, ChaosPlan, Executor, ExecutorConfig, FailureKind,
+    FaultPlan, Journal, KillMode, ParentKill, RetryPolicy, Stage, StageCtx, StageItem,
+    StageOutcome, StreamSource, SuperviseOptions, SupervisedJob, SupervisedOutput, WorkerKill,
 };
 use rand::Rng;
 
@@ -125,6 +128,13 @@ fn chaos_config(seed: u64, threads: u32) -> ExecutorConfig {
 
 const CHAOS_CHAIN: &str = "chaos/basic";
 
+/// The chaos chain with the exact revision cache.
+const CACHED_CHAIN: &str = "chaos/cached";
+
+fn cached_config(seed: u64, threads: u32) -> ExecutorConfig {
+    chaos_config(seed, threads).revision_cache(CachePolicy::exact())
+}
+
 struct ChaosJob {
     config: ExecutorConfig,
 }
@@ -145,20 +155,23 @@ fn encode_chaos(seed: u64, threads: u32) -> Vec<u8> {
     out
 }
 
-/// The harness's job factory: the chaos chain plus the real pipeline's
-/// batch chain, so one worker binary serves both test families.
+/// The harness's job factory: the chaos chain, uncached and cached, plus
+/// the real pipeline's batch chain, so one worker binary serves every
+/// test family.
 fn factory(chain: &str, params: &[u8]) -> Option<Box<dyn SupervisedJob>> {
-    if chain == CHAOS_CHAIN {
-        if params.len() != 12 {
-            return None;
-        }
-        let seed = u64::from_le_bytes(params[0..8].try_into().ok()?);
-        let threads = u32::from_le_bytes(params[8..12].try_into().ok()?);
-        return Some(Box::new(ChaosJob {
-            config: chaos_config(seed, threads),
-        }));
+    let config: fn(u64, u32) -> ExecutorConfig = match chain {
+        CHAOS_CHAIN => chaos_config,
+        CACHED_CHAIN => cached_config,
+        _ => return batch_job_factory(chain, params),
+    };
+    if params.len() != 12 {
+        return None;
     }
-    batch_job_factory(chain, params)
+    let seed = u64::from_le_bytes(params[0..8].try_into().ok()?);
+    let threads = u32::from_le_bytes(params[8..12].try_into().ok()?);
+    Some(Box::new(ChaosJob {
+        config: config(seed, threads),
+    }))
 }
 
 // ---------------------------------------------------------------------------
@@ -182,6 +195,19 @@ fn chaos_pairs(n: usize, seed: u64) -> Vec<InstructionPair> {
         .collect()
 }
 
+/// Duplicate-heavy chaos input: `n` pairs with fresh ids over the
+/// contents of `chaos_pairs(distinct, seed)`, pair `i` taking content
+/// `i² mod distinct`, so a few contents repeat often.
+fn repeated_pairs(n: usize, distinct: usize, seed: u64) -> Vec<InstructionPair> {
+    let contents = chaos_pairs(distinct, seed);
+    (0..n as u64)
+        .map(|i| InstructionPair {
+            id: i * 3 + 1,
+            ..contents[(i * i % distinct as u64) as usize].clone()
+        })
+        .collect()
+}
+
 fn temp_dir(tag: &str) -> PathBuf {
     let dir = std::env::temp_dir().join(format!("coachlm-chaos-{tag}-{}", std::process::id()));
     let _ = std::fs::remove_dir_all(&dir);
@@ -189,17 +215,23 @@ fn temp_dir(tag: &str) -> PathBuf {
     dir
 }
 
-/// In-process gold: the digest of the unsharded journaled run, which
-/// every supervised run must converge to at any shard count.
-fn gold_digest(seed: u64, threads: u32, pairs: &[InstructionPair]) -> u64 {
-    let dir = temp_dir(&format!("gold-{seed}"));
+/// In-process gold: the unsharded journaled run under `config`, which
+/// every supervised run of the same chain must converge to at any shard
+/// count.
+fn gold_run(config: ExecutorConfig, pairs: &[InstructionPair]) -> ChainOutput {
+    let dir = temp_dir(&format!("gold-{}", config.seed()));
     let mut journal = Journal::create(dir.join("gold.wal")).expect("create gold journal");
-    let out = Executor::new(chaos_config(seed, threads))
+    let out = Executor::new(config)
         .run_journaled(&chaos_stages(), pairs, &mut journal)
         .expect("in-process gold run");
     drop(journal);
     let _ = std::fs::remove_dir_all(&dir);
-    out.digest()
+    out
+}
+
+/// The gold digest of the uncached chaos chain.
+fn gold_digest(seed: u64, threads: u32, pairs: &[InstructionPair]) -> u64 {
+    gold_run(chaos_config(seed, threads), pairs).digest()
 }
 
 fn run_supervised(
@@ -210,10 +242,22 @@ fn run_supervised(
     tag: &str,
     opts: &SuperviseOptions,
 ) -> SupervisedOutput {
+    run_chain(CHAOS_CHAIN, seed, threads, pairs, shards, tag, opts)
+}
+
+fn run_chain(
+    chain: &str,
+    seed: u64,
+    threads: u32,
+    pairs: &[InstructionPair],
+    shards: usize,
+    tag: &str,
+    opts: &SuperviseOptions,
+) -> SupervisedOutput {
     let dir = temp_dir(tag);
     let out = run_sharded_process(
         factory,
-        CHAOS_CHAIN,
+        chain,
         &encode_chaos(seed, threads),
         StreamSource::batch(pairs),
         shards,
@@ -597,6 +641,67 @@ fn run_batch_supervised_matches_unsharded() {
     assert_eq!(supervised.supervision[1].restarts, 1, "the kill restarted");
 }
 
+/// A cached chain under supervision: at 2 and 3 shards, clean and with a
+/// worker kill, the merged output matches the unsharded journaled cached
+/// run in digest and in cache tallies. The parent rebuilds the tallies
+/// from each shard's partition; no worker reports them.
+fn cached_chain_matches_unsharded_cached_run() {
+    let (seed, threads) = (0xCAC, 2);
+    let pairs = repeated_pairs(40, 13, seed);
+    let gold = gold_run(cached_config(seed, threads), &pairs);
+    assert!(
+        gold.revision_cache.exact_hits > 0,
+        "the input repeats content"
+    );
+    let check = |out: &SupervisedOutput, what: &str| {
+        assert_eq!(out.output.digest(), gold.digest(), "{what}: digest");
+        assert_eq!(
+            out.output.revision_cache, gold.revision_cache,
+            "{what}: cache tallies"
+        );
+    };
+    for shards in [2, 3] {
+        let clean = run_chain(
+            CACHED_CHAIN,
+            seed,
+            threads,
+            &pairs,
+            shards,
+            &format!("cached-{shards}"),
+            &SuperviseOptions::default(),
+        );
+        check(&clean, &format!("{shards} shards"));
+        // Content-hash routing is uneven: kill the busiest shard's worker
+        // after its first item.
+        let busiest = (0..shards)
+            .max_by_key(|&s| clean.shards[s].items)
+            .expect("at least one shard");
+        let opts = SuperviseOptions {
+            chaos: ChaosPlan {
+                worker_kills: vec![WorkerKill {
+                    shard: busiest,
+                    attempt: 0,
+                    after_frames: 1,
+                    mode: KillMode::Boundary,
+                }],
+                parent_kills: Vec::new(),
+            },
+            ..SuperviseOptions::default()
+        };
+        let killed = run_chain(
+            CACHED_CHAIN,
+            seed,
+            threads,
+            &pairs,
+            shards,
+            &format!("cached-{shards}-kill"),
+            &opts,
+        );
+        check(&killed, &format!("{shards} shards, shard {busiest} killed"));
+        assert_eq!(killed.supervision[busiest].restarts, 1, "{shards} shards");
+    }
+}
+
 /// CI matrix entry point: one supervised-vs-unsharded cell driven by
 /// `COACHLM_SUPERVISE_SEED` / `COACHLM_SUPERVISE_SHARDS` /
 /// `COACHLM_SUPERVISE_KILL` (early | late | none).
@@ -714,6 +819,10 @@ fn main() {
         (
             "run_batch_supervised_matches_unsharded",
             run_batch_supervised_matches_unsharded,
+        ),
+        (
+            "cached_chain_matches_unsharded_cached_run",
+            cached_chain_matches_unsharded_cached_run,
         ),
     ];
     let only = std::env::var("COACHLM_ONLY").ok();
