@@ -43,7 +43,8 @@ use coachlm_lm::knowledge::KnowledgeBase;
 use coachlm_runtime::{
     ChainOutput, Executor, ExecutorConfig, Stage, StageCtx, StageItem, StageOutcome,
 };
-use coachlm_text::{clean, lexicon, normalize, token};
+use coachlm_text::lexicon::{self, LexiconHits, MarkerList};
+use coachlm_text::{clean, normalize, token};
 use rand::Rng;
 
 /// One revision pipeline, nameable and runnable against any dataset.
@@ -811,7 +812,7 @@ fn fix_lexical(kb: &KnowledgeBase, text: &str) -> String {
         })
         .collect::<Vec<_>>()
         .join(" ");
-    while let Some((wrong, right)) = kb.grammar_correction(&fixed) {
+    while let Some((wrong, right)) = kb.grammar_correction(&LexiconHits::of(&fixed)) {
         let next = fixed.replacen(wrong, right, 1);
         if next == fixed {
             // Case mismatch between the folded probe and the literal text;
@@ -847,14 +848,14 @@ fn repair_response<R: Rng>(
             expansion_sentence(kb, rng, topic)
         );
     }
-    while let Some((wrong, right)) = kb.fact_correction(response) {
-        let next = response.replace(&wrong, &right);
+    while let Some((wrong, right)) = kb.fact_correction(&LexiconHits::of(response)) {
+        let next = response.replace(wrong, right);
         if next == *response {
             break;
         }
         *response = next;
     }
-    while let Some(marker) = lexicon::find_marker(response, lexicon::MACHINE_TONE_MARKERS) {
+    while let Some(marker) = LexiconHits::of(response).first_marker(MarkerList::MachineTone) {
         let next = response.replacen(marker, "", 1);
         if next == *response {
             break;

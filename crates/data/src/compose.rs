@@ -151,12 +151,10 @@ mod tests {
     fn rich_text_carries_detectable_markers() {
         let mut rng = StdRng::seed_from_u64(3);
         let r = compose_response(&mut rng, TOPICS[4], ComposeSpec::for_quality(0.95));
-        use coachlm_text::lexicon;
-        assert!(
-            lexicon::contains_marker(&r, lexicon::REASONING_MARKERS),
-            "{r}"
-        );
-        assert!(lexicon::contains_marker(&r, lexicon::WARM_MARKERS), "{r}");
+        use coachlm_text::lexicon::{LexiconHits, MarkerList};
+        let hits = LexiconHits::of(&r);
+        assert!(hits.has_marker(MarkerList::Reasoning), "{r}");
+        assert!(hits.has_marker(MarkerList::Warm), "{r}");
     }
 
     #[test]

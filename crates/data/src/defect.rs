@@ -283,6 +283,7 @@ fn capitalize(s: &str) -> String {
 #[cfg(test)]
 mod tests {
     use super::*;
+    use coachlm_text::lexicon::{LexiconHits, MarkerList};
     use rand::rngs::StdRng;
     use rand::SeedableRng;
 
@@ -337,7 +338,7 @@ mod tests {
         let mut rng = StdRng::seed_from_u64(3);
         let (mut i, mut r) = base();
         Defect::VagueInstruction.inject(&mut rng, &mut i, &mut r);
-        assert!(lexicon::contains_marker(&i, lexicon::VAGUE_PHRASES));
+        assert!(LexiconHits::of(&i).has_marker(MarkerList::Vague));
         assert!(i.to_lowercase().contains("water cycle"));
     }
 
@@ -383,10 +384,10 @@ mod tests {
         let mut rng = StdRng::seed_from_u64(8);
         let (mut i, mut r) = base();
         Defect::UnsafeResponse.inject(&mut rng, &mut i, &mut r);
-        assert!(lexicon::contains_marker(&r, lexicon::UNSAFE_MARKERS));
+        assert!(LexiconHits::of(&r).has_marker(MarkerList::Unsafe));
         let (mut i2, mut r2) = base();
         Defect::ToxicRequest.inject(&mut rng, &mut i2, &mut r2);
-        assert!(lexicon::contains_marker(&i2, lexicon::UNSAFE_MARKERS));
+        assert!(LexiconHits::of(&i2).has_marker(MarkerList::Unsafe));
     }
 
     #[test]
@@ -394,7 +395,7 @@ mod tests {
         let mut rng = StdRng::seed_from_u64(9);
         let (mut i, mut r) = base();
         Defect::MachineTone.inject(&mut rng, &mut i, &mut r);
-        assert!(lexicon::contains_marker(&r, lexicon::MACHINE_TONE_MARKERS));
+        assert!(LexiconHits::of(&r).has_marker(MarkerList::MachineTone));
     }
 
     #[test]
@@ -416,15 +417,15 @@ mod tests {
     fn filter_defects_plant_table3_markers() {
         let mut rng = StdRng::seed_from_u64(10);
         let cases = [
-            (Defect::InvalidInput, lexicon::INVALID_INPUT_MARKERS),
-            (Defect::BeyondExpertise, lexicon::EXPERTISE_MARKERS),
-            (Defect::MassiveWorkload, lexicon::WORKLOAD_MARKERS),
-            (Defect::MultiModal, lexicon::MULTIMODAL_MARKERS),
+            (Defect::InvalidInput, MarkerList::InvalidInput),
+            (Defect::BeyondExpertise, MarkerList::Expertise),
+            (Defect::MassiveWorkload, MarkerList::Workload),
+            (Defect::MultiModal, MarkerList::Multimodal),
         ];
-        for (d, markers) in cases {
+        for (d, list) in cases {
             let (mut i, mut r) = base();
             d.inject(&mut rng, &mut i, &mut r);
-            assert!(lexicon::contains_marker(&i, markers), "{d:?}: {i}");
+            assert!(LexiconHits::of(&i).has_marker(list), "{d:?}: {i}");
         }
     }
 

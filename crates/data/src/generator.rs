@@ -639,10 +639,8 @@ mod tests {
         let (d, p) = small();
         for prov in p.iter().filter(|x| x.tier == Tier::Rich).take(50) {
             let pair = d.get(prov.id).unwrap();
-            assert!(coachlm_text::lexicon::contains_marker(
-                &pair.instruction,
-                coachlm_text::lexicon::CONTEXT_MARKERS
-            ));
+            let hits = coachlm_text::lexicon::LexiconHits::of(&pair.instruction);
+            assert!(hits.has_marker(coachlm_text::lexicon::MarkerList::Context));
         }
     }
 

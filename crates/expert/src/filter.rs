@@ -9,7 +9,7 @@
 
 use coachlm_data::pair::Dataset;
 use coachlm_runtime::{Executor, ExecutorConfig, Stage, StageCtx, StageItem, StageOutcome};
-use coachlm_text::lexicon;
+use coachlm_text::lexicon::{LexiconHits, MarkerList};
 use rand::Rng;
 use serde::Serialize;
 
@@ -66,26 +66,22 @@ impl FilterReason {
     }
 }
 
-/// Detects whether a pair should be excluded, and why.
+/// Detects whether a pair should be excluded, and why, from one walk of
+/// the instruction.
 pub fn detect_reason(instruction: &str, response: &str) -> Option<FilterReason> {
-    // Order matters: safety trumps everything, then structural problems.
-    if lexicon::contains_marker(instruction, lexicon::UNSAFE_MARKERS) {
-        return Some(FilterReason::Safety);
-    }
-    if lexicon::contains_marker(instruction, lexicon::MULTIMODAL_MARKERS) {
-        return Some(FilterReason::MultiModal);
-    }
-    if lexicon::contains_marker(instruction, lexicon::INVALID_INPUT_MARKERS) {
-        return Some(FilterReason::InvalidInput);
-    }
-    if lexicon::contains_marker(instruction, lexicon::EXPERTISE_MARKERS) {
-        return Some(FilterReason::BeyondExpertise);
-    }
-    if lexicon::contains_marker(instruction, lexicon::WORKLOAD_MARKERS) {
-        return Some(FilterReason::MassiveWorkload);
-    }
     let _ = response; // reasons are instruction-side in Table III
-    None
+    let hits = LexiconHits::of(instruction);
+    // Order matters: safety trumps everything, then structural problems.
+    [
+        (MarkerList::Unsafe, FilterReason::Safety),
+        (MarkerList::Multimodal, FilterReason::MultiModal),
+        (MarkerList::InvalidInput, FilterReason::InvalidInput),
+        (MarkerList::Expertise, FilterReason::BeyondExpertise),
+        (MarkerList::Workload, FilterReason::MassiveWorkload),
+    ]
+    .into_iter()
+    .find(|&(list, _)| hits.has_marker(list))
+    .map(|(_, reason)| reason)
 }
 
 /// Outcome of the preliminary filter over a dataset.

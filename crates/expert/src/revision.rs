@@ -15,7 +15,7 @@ use coachlm_judge::criteria::{CriteriaEngine, PairScores};
 use coachlm_lm::knowledge::KnowledgeBase;
 use coachlm_runtime::{Executor, ExecutorConfig, Stage, StageCtx, StageItem, StageOutcome};
 use coachlm_text::fxhash::FxHashSet;
-use coachlm_text::lexicon::{self, MarkerList, Topic};
+use coachlm_text::lexicon::{LexiconHits, MarkerList, Topic};
 use coachlm_text::normalize;
 use coachlm_text::profile::TextProfile;
 use rand::rngs::StdRng;
@@ -402,8 +402,8 @@ impl ExpertReviser {
         }
 
         // Facts.
-        while let Some((wrong, right)) = self.kb.fact_correction(&response.text) {
-            let fixed = response.text.replace(&wrong, &right);
+        while let Some((wrong, right)) = self.kb.fact_correction(response.profile().1.lexicon()) {
+            let fixed = response.text.replace(wrong, right);
             response.set(fixed);
             corrected = true;
         }
@@ -433,7 +433,8 @@ impl ExpertReviser {
 
         // Tone.
         if analysis.machine_tone {
-            if let Some(m) = lexicon::find_marker(&response.text, lexicon::MACHINE_TONE_MARKERS) {
+            let hits = *response.profile().1.lexicon();
+            if let Some(m) = hits.first_marker(MarkerList::MachineTone) {
                 response.set(normalize::remove_phrase(&response.text, m));
                 adjusted = true;
             }
@@ -524,7 +525,7 @@ impl ExpertReviser {
         } else {
             text.to_string()
         };
-        while let Some((wrong, right)) = self.kb.grammar_correction(&joined) {
+        while let Some((wrong, right)) = self.kb.grammar_correction(&LexiconHits::of(&joined)) {
             match normalize::find_folded(&joined, wrong) {
                 Some(range) => joined.replace_range(range, right),
                 None => break,
@@ -607,6 +608,21 @@ fn join_words(words: &[String]) -> String {
 #[cfg(test)]
 mod reference {
     use super::*;
+    use coachlm_text::lexicon;
+
+    /// The first of `markers` that occurs in `text`, both folded: the
+    /// substring scan the lexicon automaton replaced, verbatim.
+    fn find_marker<'m>(text: &str, markers: &'m [&'m str]) -> Option<&'m str> {
+        let folded = normalize::fold_case(text);
+        contains_folded(&folded, markers)
+    }
+
+    fn contains_folded<'m>(folded: &str, markers: &'m [&'m str]) -> Option<&'m str> {
+        markers
+            .iter()
+            .copied()
+            .find(|m| folded.contains(normalize::fold_case(m).as_str()))
+    }
 
     pub fn revise<R: Rng>(
         r: &ExpertReviser,
@@ -684,7 +700,7 @@ mod reference {
         let mut rewrote = false;
 
         // Strip infeasible requirements.
-        while let Some(m) = lexicon::find_marker(instruction, lexicon::INFEASIBLE_PHRASES) {
+        while let Some(m) = find_marker(instruction, lexicon::INFEASIBLE_PHRASES) {
             *instruction = normalize::remove_phrase(instruction, m);
             rewrote = true;
         }
@@ -701,7 +717,7 @@ mod reference {
             lexicon::VAGUE_PHRASES,
         ]
         .iter()
-        .any(|markers| lexicon::contains_folded_marker(&folded, markers));
+        .any(|markers| contains_folded(&folded, markers).is_some());
         if rewrite {
             let templates = r.kb.clarifications();
             let topic_word = topic
@@ -729,7 +745,7 @@ mod reference {
         let mut diversified = false;
         if first_pass
             && !rewrote
-            && !lexicon::contains_marker(instruction, lexicon::CONTEXT_MARKERS)
+            && find_marker(instruction, lexicon::CONTEXT_MARKERS).is_none()
             && rng.gen_bool(CONTEXT_ENRICH_P)
         {
             let contexts = r.kb.contexts();
@@ -797,8 +813,8 @@ mod reference {
         }
 
         // Facts.
-        while let Some((wrong, right)) = r.kb.fact_correction(response) {
-            *response = response.replace(&wrong, &right);
+        while let Some((wrong, right)) = r.kb.fact_correction(&LexiconHits::of(response)) {
+            *response = response.replace(wrong, right);
             corrected = true;
         }
 
@@ -826,7 +842,7 @@ mod reference {
 
         // Tone.
         if analysis.machine_tone {
-            if let Some(m) = lexicon::find_marker(response, lexicon::MACHINE_TONE_MARKERS) {
+            if let Some(m) = find_marker(response, lexicon::MACHINE_TONE_MARKERS) {
                 *response = normalize::remove_phrase(response, m);
                 adjusted = true;
             }
@@ -853,7 +869,7 @@ mod reference {
         // populates the low-edit-distance tail of `R` (§II-F2).
         if (expanded || rewrote || other)
             && rng.gen_bool(0.5)
-            && !lexicon::contains_marker(response, lexicon::WARM_MARKERS)
+            && find_marker(response, lexicon::WARM_MARKERS).is_none()
         {
             let w = r.kb.warmth()[rng.gen_range(0..r.kb.warmth().len())];
             *response = format!("{} {w}", normalize::ensure_terminal_punctuation(response));
@@ -1052,7 +1068,7 @@ mod tests {
             "The article says alot about teh goverment and its plans untill next year.",
         );
         let rec = r.revise(&pool, &p).unwrap();
-        for (wrong, _) in lexicon::TYPO_PAIRS {
+        for (wrong, _) in coachlm_text::lexicon::TYPO_PAIRS {
             assert!(
                 !rec.revised.instruction.contains(wrong) && !rec.revised.response.contains(wrong),
                 "typo {wrong} survived: {} / {}",
@@ -1071,10 +1087,7 @@ mod tests {
         );
         let rec = r.revise(&pool, &p).unwrap();
         assert_eq!(rec.response_kind, Some(RevisionKind::OtherResponse));
-        assert!(!lexicon::contains_marker(
-            &rec.revised.response,
-            lexicon::UNSAFE_MARKERS
-        ));
+        assert!(!LexiconHits::of(&rec.revised.response).has_marker(MarkerList::Unsafe));
         assert!(rec.final_scores.response >= 95.0);
     }
 
@@ -1116,10 +1129,7 @@ mod tests {
         );
         let rec = r.revise(&pool, &p).unwrap();
         assert_eq!(rec.instruction_kind, Some(RevisionKind::RewriteInstruction));
-        assert!(!lexicon::contains_marker(
-            &rec.revised.instruction,
-            lexicon::VAGUE_PHRASES
-        ));
+        assert!(!LexiconHits::of(&rec.revised.instruction).has_marker(MarkerList::Vague));
         assert!(
             coachlm_text::normalize::fold_case(&rec.revised.instruction).contains("tides"),
             "{}",

@@ -320,7 +320,7 @@ mod tests {
         pub fn analyze_instruction(instruction: &str) -> InstructionAnalysis {
             // One fold serves every case-insensitive check.
             let folded = normalize::fold_case(instruction);
-            let marked = |markers: &[&str]| lexicon::contains_folded_marker(&folded, markers);
+            let marked = |markers: &[&str]| contains_folded_marker(&folded, markers);
             let mut a = InstructionAnalysis {
                 readability_flaws: count_misspellings(&folded),
                 layout_flaws: count_layout_flaws(instruction),
@@ -339,7 +339,7 @@ mod tests {
         pub fn analyze_response(instruction: &str, response: &str) -> ResponseAnalysis {
             // One fold serves every case-insensitive check.
             let folded = normalize::fold_case(response);
-            let marked = |markers: &[&str]| lexicon::contains_folded_marker(&folded, markers);
+            let marked = |markers: &[&str]| contains_folded_marker(&folded, markers);
             let rich = richness_signals(&folded, response);
             let template_leak = matches!(
                 clean::validate_pair("x", response),
@@ -370,7 +370,7 @@ mod tests {
 
         fn richness_signals(folded: &str, response: &str) -> ResponseAnalysis {
             ResponseAnalysis {
-                reasoned: lexicon::contains_folded_marker(folded, lexicon::REASONING_MARKERS),
+                reasoned: contains_folded_marker(folded, lexicon::REASONING_MARKERS),
                 has_example: folded.contains("for example"),
                 words: token::word_count(response),
                 ..ResponseAnalysis::default()
@@ -412,8 +412,22 @@ mod tests {
             n
         }
 
+        /// Whether a marker occurs in folded text: one substring search
+        /// per marker, each marker folded on its own.
+        pub fn contains_folded_marker(folded: &str, markers: &[&str]) -> bool {
+            markers
+                .iter()
+                .any(|m| folded.contains(normalize::fold_case(m).as_str()))
+        }
+
         pub fn count_fact_errors(folded: &str) -> u32 {
-            lexicon::folded_facts()
+            let folded_facts: Vec<(String, String)> = lexicon::FACT_TABLE
+                .iter()
+                .map(|(subject, _, wrong)| {
+                    (normalize::fold_case(subject), normalize::fold_case(wrong))
+                })
+                .collect();
+            folded_facts
                 .iter()
                 .filter(|(subject, wrong)| {
                     folded.contains(subject.as_str()) && folded.contains(wrong.as_str())
@@ -558,7 +572,7 @@ mod tests {
     /// instead of built, verbatim.
     fn reference_analyze_response(instruction: &str, response: &str) -> ResponseAnalysis {
         let folded = normalize::fold_case(response);
-        let marked = |markers: &[&str]| lexicon::contains_folded_marker(&folded, markers);
+        let marked = |markers: &[&str]| reference::contains_folded_marker(&folded, markers);
         let words = token::word_count(response);
         let reasoned = marked(lexicon::REASONING_MARKERS);
         let cleaned = clean::clean_output(response);

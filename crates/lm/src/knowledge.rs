@@ -9,7 +9,7 @@
 //! invent repairs the backbone does not know, which is exactly why stronger
 //! backbones yield stronger CoachLMs (Table XI).
 
-use coachlm_text::lexicon;
+use coachlm_text::lexicon::{self, LexiconHits};
 
 /// Expansion templates used to enrich a bare response with reasoning or
 /// explanation (Table IV: "Diversify angles… expand the reasoning process",
@@ -88,30 +88,18 @@ impl KnowledgeBase {
         lexicon::typo_correction(word, self.take(lexicon::TYPO_PAIRS.len()))
     }
 
-    /// Correction for a multi-word grammar error found in `text`, as
-    /// `(wrong, right)`, if known at this coverage.
-    pub fn grammar_correction(&self, text: &str) -> Option<(&'static str, &'static str)> {
-        let folded = coachlm_text::normalize::fold_case(text);
-        lexicon::GRAMMAR_PAIRS
-            .iter()
-            .take(self.take(lexicon::GRAMMAR_PAIRS.len()))
-            .find(|(wrong, _)| folded.contains(wrong))
-            .copied()
+    /// Correction for a multi-word grammar error the walk of a text found
+    /// (`hits`), as `(wrong, right)`, if known at this coverage.
+    pub fn grammar_correction(&self, hits: &LexiconHits) -> Option<(&'static str, &'static str)> {
+        hits.first_grammar(self.take(lexicon::GRAMMAR_PAIRS.len()))
     }
 
-    /// Fact correction: if `text` contains a corrupted fact this backbone
-    /// knows, returns `(wrong_fragment, corrected_fragment)`.
-    pub fn fact_correction(&self, text: &str) -> Option<(String, String)> {
-        let folded = coachlm_text::normalize::fold_case(text);
-        let known = self.take(lexicon::FACT_TABLE.len());
-        let i = lexicon::folded_facts()
-            .iter()
-            .take(known)
-            .position(|(subject, wrong)| {
-                folded.contains(subject.as_str()) && folded.contains(wrong.as_str())
-            })?;
-        let (_, correct, wrong) = lexicon::FACT_TABLE.get(i)?;
-        Some(((*wrong).to_string(), (*correct).to_string()))
+    /// Fact correction: if the walk of a text found (`hits`) a corrupted
+    /// fact this backbone knows, returns `(wrong_fragment,
+    /// corrected_fragment)`.
+    pub fn fact_correction(&self, hits: &LexiconHits) -> Option<(&'static str, &'static str)> {
+        let (_, correct, wrong) = hits.first_fact(self.take(lexicon::FACT_TABLE.len()))?;
+        Some((wrong, correct))
     }
 
     /// Expansion templates available at this coverage.
@@ -179,23 +167,22 @@ mod tests {
     #[test]
     fn grammar_correction_matches_phrases() {
         let kb = KnowledgeBase::with_coverage(1.0);
-        let (wrong, right) = kb.grammar_correction("You could of asked first").unwrap();
-        assert_eq!(wrong, "could of");
-        assert_eq!(right, "could have");
-        assert!(kb.grammar_correction("perfectly fine text").is_none());
+        let hits = LexiconHits::of("You could of asked first");
+        assert_eq!(
+            kb.grammar_correction(&hits),
+            Some(("could of", "could have"))
+        );
+        let fine = LexiconHits::of("perfectly fine text");
+        assert!(kb.grammar_correction(&fine).is_none());
     }
 
     #[test]
     fn fact_correction_detects_corruption() {
         let kb = KnowledgeBase::with_coverage(1.0);
-        let (wrong, right) = kb
-            .fact_correction("Everyone knows the capital of France is Berlin.")
-            .unwrap();
-        assert_eq!(wrong, "Berlin");
-        assert_eq!(right, "Paris");
-        assert!(kb
-            .fact_correction("the capital of France is Paris, of course")
-            .is_none());
+        let hits = LexiconHits::of("Everyone knows the capital of France is Berlin.");
+        assert_eq!(kb.fact_correction(&hits), Some(("Berlin", "Paris")));
+        let right = LexiconHits::of("the capital of France is Paris, of course");
+        assert!(kb.fact_correction(&right).is_none());
     }
 
     #[test]

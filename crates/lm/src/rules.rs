@@ -10,7 +10,7 @@
 
 use coachlm_text::diff::diff_tokens;
 use coachlm_text::fxhash::{FxHashMap, FxHashSet};
-use coachlm_text::lexicon;
+use coachlm_text::lexicon::{self, LexiconHits, MarkerList};
 use coachlm_text::normalize::fold_case;
 use serde::{Deserialize, Serialize};
 
@@ -178,11 +178,6 @@ impl RuleSet {
         self.phrase.len()
     }
 
-    /// Number of augment kinds with material.
-    pub fn augment_kind_count(&self) -> usize {
-        self.augment.len()
-    }
-
     /// Looks up the replacement for a case-folded phrase.
     pub fn phrase_replacement(&self, from: &[String]) -> Option<(&[String], u64)> {
         self.phrase.get(from).map(|(to, c)| (to.as_slice(), *c))
@@ -283,45 +278,35 @@ impl PhraseIndex {
 /// a misspelling, a grammar-pair error, or any defect-marker phrase. Only
 /// such spans yield generalisable rewrite rules.
 fn is_grounded(from: &[String]) -> bool {
-    let has_typo = from
-        .iter()
-        .any(|w| lexicon::TYPO_PAIRS.iter().any(|(wrong, _)| wrong == w));
-    if has_typo {
+    if from.iter().any(|w| lexicon::typo_index(w).is_some()) {
         return true;
     }
-    let joined = from.join(" ");
-    let marker_lists: [&[&str]; 6] = [
-        lexicon::VAGUE_PHRASES,
-        lexicon::INFEASIBLE_PHRASES,
-        lexicon::UNSAFE_MARKERS,
-        lexicon::MACHINE_TONE_MARKERS,
-        lexicon::INVALID_INPUT_MARKERS,
-        lexicon::MULTIMODAL_MARKERS,
-    ];
-    if marker_lists
-        .iter()
-        .any(|l| lexicon::contains_marker(&joined, l))
-        || lexicon::GRAMMAR_PAIRS
-            .iter()
-            .any(|(wrong, _)| joined.contains(wrong))
-    {
-        return true;
-    }
-    // Corrupted fact values ("Berlin" where Paris belongs).
-    lexicon::FACT_TABLE
-        .iter()
-        .any(|(_, _, wrong)| joined.contains(&coachlm_text::normalize::fold_case(wrong)))
+    // Folding the folded words again changes nothing.
+    let hits = LexiconHits::of(&from.join(" "));
+    [
+        MarkerList::Vague,
+        MarkerList::Infeasible,
+        MarkerList::Unsafe,
+        MarkerList::MachineTone,
+        MarkerList::InvalidInput,
+        MarkerList::Multimodal,
+    ]
+    .iter()
+    .any(|&list| hits.has_marker(list))
+        || hits.first_grammar(lexicon::GRAMMAR_PAIRS.len()).is_some()
+        // Corrupted fact values ("Berlin" where Paris belongs).
+        || hits.has_wrong_fact_value()
 }
 
 /// Classifies an inserted chunk into an augmentation kind by its markers.
 fn classify_insertion(text: &str) -> AugmentKind {
-    if lexicon::contains_marker(text, lexicon::WARM_MARKERS) {
+    let hits = LexiconHits::of(text);
+    let reasoned = hits.has_marker(MarkerList::Reasoning);
+    if hits.has_marker(MarkerList::Warm) {
         AugmentKind::WarmTone
-    } else if lexicon::contains_marker(text, lexicon::CONTEXT_MARKERS)
-        && !lexicon::contains_marker(text, lexicon::REASONING_MARKERS)
-    {
+    } else if hits.has_marker(MarkerList::Context) && !reasoned {
         AugmentKind::AddContext
-    } else if lexicon::contains_marker(text, lexicon::REASONING_MARKERS) {
+    } else if reasoned {
         AugmentKind::ExpandResponse
     } else {
         AugmentKind::Complete

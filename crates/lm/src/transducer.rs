@@ -14,7 +14,7 @@ use crate::adapter::Adapter;
 use crate::backbone::Backbone;
 use crate::knowledge::KnowledgeBase;
 use crate::rules::{AugmentKind, PhraseIndex, RuleSet};
-use coachlm_text::lexicon;
+use coachlm_text::lexicon::{LexiconHits, MarkerList, Topic};
 use coachlm_text::normalize;
 use rand::Rng;
 use serde::{Deserialize, Serialize};
@@ -196,6 +196,34 @@ fn has_example(text: &str) -> bool {
     normalize::fold_case(text).contains("for example")
 }
 
+/// One side's text under revision and what of the lexicon it holds: the
+/// text is walked on the first check after each repair, so every check on
+/// one version of the text reads one walk.
+struct Draft {
+    text: String,
+    hits: Option<LexiconHits>,
+}
+
+impl Draft {
+    fn new(text: &str) -> Self {
+        Self {
+            text: text.to_string(),
+            hits: None,
+        }
+    }
+
+    /// The lexicon found in the text as it stands.
+    fn hits(&mut self) -> LexiconHits {
+        *self.hits.get_or_insert_with(|| LexiconHits::of(&self.text))
+    }
+
+    /// Replaces the text with a repaired one.
+    fn set(&mut self, text: String) {
+        self.text = text;
+        self.hits = None;
+    }
+}
+
 /// The learned and filled sentences as one list in rank order, merged
 /// lazily; a learned sentence goes first on a tie, as it did when both
 /// sat in one learned-then-filled list under a stable sort.
@@ -321,44 +349,43 @@ impl<'a> Transducer<'a> {
     ) -> String {
         let p = self.apply_probability();
         let kb = self.backbone.knowledge();
-        let mut text = instruction.to_string();
+        let mut draft = Draft::new(instruction);
 
         // Infeasible requirements: strip the offending phrase.
-        if let Some(marker) = lexicon::find_marker(&text, lexicon::INFEASIBLE_PHRASES) {
+        if let Some(marker) = draft.hits().first_marker(MarkerList::Infeasible) {
             if rng.gen_bool(p) {
-                text = normalize::remove_phrase(&text, marker);
+                draft.set(normalize::remove_phrase(&draft.text, marker));
                 repairs.push(RepairTag::InfeasibleFix);
             }
         }
 
         // Vague instructions: rewrite around the topic.
-        if lexicon::contains_marker(&text, lexicon::VAGUE_PHRASES) && rng.gen_bool(p) {
-            let topic = topic_of(&text);
+        if draft.hits().has_marker(MarkerList::Vague) && rng.gen_bool(p) {
+            let topic = Topic::new(&draft.text);
             let templates = kb.clarifications();
-            if !templates.is_empty() && !topic.is_empty() {
-                let t = self.pick_fluent(rng, templates, &topic);
-                text = t;
-                repairs.push(RepairTag::VagueRewrite);
+            if !templates.is_empty() {
+                if let Some(topic_word) = topic.words().next() {
+                    draft.set(self.pick_fluent(rng, templates, topic_word));
+                    repairs.push(RepairTag::VagueRewrite);
+                }
             }
         }
 
         // Lexical repairs: learned phrase rules + backbone typo/grammar.
-        let (fixed, tags) = apply_lexical(
+        repairs.extend(apply_lexical(
             rng,
             p,
             kb,
             &self.adapter.instruction_rules,
             &self.tables.instruction_index,
-            &text,
-        );
-        text = fixed;
-        repairs.extend(tags);
+            &mut draft,
+        ));
 
         // Context enrichment (advanced dimension — applied sparingly: the
         // paper observes CoachLM "primarily adjusted the logical and
         // linguistic aspects of the INSTRUCTIONS without adding much new
         // content", §III-B1).
-        if !lexicon::contains_marker(&text, lexicon::CONTEXT_MARKERS) && rng.gen_bool(p * 0.06) {
+        if !draft.hits().has_marker(MarkerList::Context) && rng.gen_bool(p * 0.06) {
             let templates = kb.contexts();
             let learned = self
                 .adapter
@@ -366,12 +393,13 @@ impl<'a> Transducer<'a> {
                 .augment_material(AugmentKind::AddContext);
             let chosen = choose_augment(rng, learned, templates);
             if let Some(add) = chosen {
-                text = format!("{} {}", text.trim_end(), add);
+                draft.set(format!("{} {}", draft.text.trim_end(), add));
                 repairs.push(RepairTag::ContextAdd);
             }
         }
 
         // Layout adjustment (the 68.1% "Adjust" class of Table IV).
+        let mut text = draft.text;
         if rng.gen_bool(p) {
             let tidy = normalize::normalize_layout(&text);
             if tidy != text {
@@ -393,31 +421,35 @@ impl<'a> Transducer<'a> {
     ) -> String {
         let p = self.apply_probability();
         let kb = self.backbone.knowledge();
-        let mut text = response.to_string();
-        let topic = topic_of(instruction);
+        let mut draft = Draft::new(response);
+        let topic = Topic::new(instruction);
+        let topic_word = topic.words().next();
 
         // Safety red line first: aligned backbones front-load this.
-        if lexicon::contains_marker(&text, lexicon::UNSAFE_MARKERS) {
+        if draft.hits().has_marker(MarkerList::Unsafe) {
             let p_safe = p
                 .max(self.backbone.profile().alignment_prior + 0.3)
                 .min(0.98);
             if rng.gen_bool(p_safe) {
                 let tmpl = kb.safe_completions();
                 let lead = tmpl[rng.gen_range(0..tmpl.len())];
-                text = format!("{lead} {}", self.compose_on_topic(rng, &topic, 2));
+                let safe = self.compose_on_topic(rng, topic_word, 2);
+                draft.set(format!("{lead} {safe}"));
                 repairs.push(RepairTag::Safety);
             }
         }
 
-        // Relevance: rewrite off-topic responses around the instruction.
-        if lexicon::is_off_topic(instruction, &text) && !topic.is_empty() && rng.gen_bool(p) {
-            text = self.compose_on_topic(rng, &topic, 3);
+        // Relevance: rewrite off-topic responses around the instruction. A
+        // topic without words is never missed.
+        if topic.missed_by(&draft.text) && rng.gen_bool(p) {
+            draft.set(self.compose_on_topic(rng, topic_word, 3));
             repairs.push(RepairTag::RelevanceRewrite);
         }
 
         // Truncation: complete the dangling sentence.
-        if is_truncated(&text) && rng.gen_bool(p) {
-            let trimmed = text
+        if is_truncated(&draft.text) && rng.gen_bool(p) {
+            let trimmed = draft
+                .text
                 .trim_end()
                 .trim_end_matches("...")
                 .trim_end_matches([',', ';', ' '])
@@ -427,32 +459,28 @@ impl<'a> Transducer<'a> {
                 .response_rules
                 .augment_material(AugmentKind::Complete);
             let closer = choose_augment(rng, learned, kb.expansions())
-                .map(|c| {
-                    KnowledgeBase::fill(c, topic.first().map(String::as_str).unwrap_or("this"))
-                })
+                .map(|c| KnowledgeBase::fill(c, topic_word.unwrap_or("this")))
                 .unwrap_or_else(|| "and the remaining part follows the same pattern.".to_string());
-            text = format!(
+            draft.set(format!(
                 "{} {}",
                 normalize::ensure_terminal_punctuation(&trimmed),
                 closer
-            );
+            ));
             repairs.push(RepairTag::Complete);
         }
 
         // Lexical repairs: learned phrase rules + typo/grammar + facts.
-        let (fixed, tags) = apply_lexical(
+        repairs.extend(apply_lexical(
             rng,
             p,
             kb,
             &self.adapter.response_rules,
             &self.tables.response_index,
-            &text,
-        );
-        text = fixed;
-        repairs.extend(tags);
-        if let Some((wrong, right)) = kb.fact_correction(&text) {
+            &mut draft,
+        ));
+        if let Some((wrong, right)) = kb.fact_correction(&draft.hits()) {
             if rng.gen_bool(p) {
-                text = text.replace(&wrong, &right);
+                draft.set(draft.text.replace(wrong, right));
                 repairs.push(RepairTag::Fact);
             }
         }
@@ -462,53 +490,51 @@ impl<'a> Transducer<'a> {
         // CoachLM learned the expert bar (reasoning + example + ≥55 words),
         // so it expands anything below it — which is why Table VII's revised
         // responses average 3× the original length.
-        let word_count = coachlm_text::token::word_count(&text);
-        let (has_reasoning, has_example) = {
-            let folded = normalize::fold_case(&text);
-            (
-                lexicon::contains_folded_marker(&folded, lexicon::REASONING_MARKERS),
-                lexicon::contains_folded_marker(&folded, &["for example"]),
-            )
-        };
+        let word_count = coachlm_text::token::word_count(&draft.text);
+        let hits = draft.hits();
         let thin = word_count < THIN_RESPONSE_WORDS;
         // Expansion fires slightly less reliably than lexical repairs —
         // composing new content is the hardest revision class, and the
         // paper's revised dataset keeps ~21% of pairs below the 4.5 bar.
-        if (thin || !has_reasoning || !has_example) && rng.gen_bool(p * 0.85) {
+        if (thin || !hits.has_marker(MarkerList::Reasoning) || !hits.has_example())
+            && rng.gen_bool(p * 0.85)
+        {
             // Enough sentences (~13 words each) to land near the paper's
             // revised-length average, plus reasoning/example markers.
             let deficit = 90usize.saturating_sub(word_count);
             let sentences = (deficit / 13).clamp(2, 7);
-            let addition = self.compose_on_topic_avoiding(rng, &topic, sentences, &text);
+            let addition = self.compose_on_topic_avoiding(rng, topic_word, sentences, &draft.text);
             if !addition.is_empty() {
-                text = format!(
+                draft.set(format!(
                     "{} {}",
-                    normalize::ensure_terminal_punctuation(&text),
+                    normalize::ensure_terminal_punctuation(&draft.text),
                     addition
-                );
+                ));
                 repairs.push(RepairTag::Expand);
             }
         }
 
         // Tone: strip machine boilerplate, add warmth.
-        if let Some(marker) = lexicon::find_marker(&text, lexicon::MACHINE_TONE_MARKERS) {
+        if let Some(marker) = draft.hits().first_marker(MarkerList::MachineTone) {
             if rng.gen_bool(p) {
-                text = normalize::remove_phrase(&text, marker);
+                draft.set(normalize::remove_phrase(&draft.text, marker));
                 repairs.push(RepairTag::WarmTone);
             }
         }
-        if !lexicon::contains_marker(&text, lexicon::WARM_MARKERS) && rng.gen_bool(p * 0.5) {
+        if !draft.hits().has_marker(MarkerList::Warm) && rng.gen_bool(p * 0.5) {
             let learned = self
                 .adapter
                 .response_rules
                 .augment_material(AugmentKind::WarmTone);
             if let Some(warm) = choose_augment(rng, learned, kb.warmth()) {
-                text = format!("{} {}", normalize::ensure_terminal_punctuation(&text), warm);
+                let text = normalize::ensure_terminal_punctuation(&draft.text);
+                draft.set(format!("{text} {warm}"));
                 repairs.push(RepairTag::WarmTone);
             }
         }
 
         // Layout.
+        let mut text = draft.text;
         if rng.gen_bool(p) {
             let tidy = normalize::normalize_layout(&text);
             if tidy != text {
@@ -519,9 +545,10 @@ impl<'a> Transducer<'a> {
         text
     }
 
-    /// Composes `n` on-topic sentences from expansion material, preferring
-    /// learned augment texts, scored for fluency by the backbone.
-    fn compose_on_topic<R: Rng>(&self, rng: &mut R, topic: &[String], n: usize) -> String {
+    /// Composes `n` sentences on the topic word (if any) from expansion
+    /// material, preferring learned augment texts, scored for fluency by
+    /// the backbone.
+    fn compose_on_topic<R: Rng>(&self, rng: &mut R, topic: Option<&str>, n: usize) -> String {
         self.compose_on_topic_avoiding(rng, topic, n, "")
     }
 
@@ -536,11 +563,11 @@ impl<'a> Transducer<'a> {
     fn compose_on_topic_avoiding<R: Rng>(
         &self,
         rng: &mut R,
-        topic: &[String],
+        topic: Option<&str>,
         n: usize,
         avoid: &str,
     ) -> String {
-        let topic_word = topic.first().map(String::as_str).unwrap_or("the topic");
+        let topic_word = topic.unwrap_or("the topic");
         let mut filled: Vec<RankedSentence> = self
             .backbone
             .knowledge()
@@ -597,9 +624,9 @@ impl<'a> Transducer<'a> {
         texts.join(" ")
     }
 
-    /// Fills each template with the topic and returns the most fluent one.
-    fn pick_fluent<R: Rng>(&self, rng: &mut R, templates: &[&str], topic: &[String]) -> String {
-        let topic_word = topic.first().map(String::as_str).unwrap_or("the request");
+    /// Fills each template with the topic word and returns the most fluent
+    /// one.
+    fn pick_fluent<R: Rng>(&self, rng: &mut R, templates: &[&str], topic_word: &str) -> String {
         let mut best: Option<(f64, String)> = None;
         for t in templates {
             let filled = KnowledgeBase::fill(t, topic_word);
@@ -610,11 +637,6 @@ impl<'a> Transducer<'a> {
         }
         best.map(|(_, s)| s).unwrap_or_default()
     }
-}
-
-/// Topic content words of an instruction.
-fn topic_of(text: &str) -> Vec<String> {
-    lexicon::content_words(text, 4)
 }
 
 /// Whether the response looks truncated: ends with an ellipsis or a
@@ -652,18 +674,19 @@ fn choose_augment<'a, R: Rng>(
 }
 
 /// Lexical pass shared by both sides: learned phrase rules (longest match
-/// first), then backbone typo and grammar corrections. `index` is
-/// `rules.phrase_index()`, built once per coach.
+/// first), then backbone typo and grammar corrections, applied to `draft`;
+/// returns the repairs made. `index` is `rules.phrase_index()`, built once
+/// per coach.
 fn apply_lexical<R: Rng>(
     rng: &mut R,
     p: f64,
     kb: &KnowledgeBase,
     rules: &RuleSet,
     index: &PhraseIndex,
-    text: &str,
-) -> (String, Vec<RepairTag>) {
+    draft: &mut Draft,
+) -> Vec<RepairTag> {
     let mut tags = Vec::new();
-    let words = coachlm_text::token::words(text);
+    let words = coachlm_text::token::words(&draft.text);
     // Each word is folded once; rule windows are slices of these.
     let folded: Vec<String> = words.iter().map(|w| normalize::fold_case(w)).collect();
     let max_len = index.max_from_len().clamp(1, 5);
@@ -706,24 +729,23 @@ fn apply_lexical<R: Rng>(
     // Only adopt the token-rebuilt text when a rule actually fired —
     // rebuilding normalises whitespace/newlines, which is the layout
     // pass's job, not this one's.
-    let mut joined = if tags.is_empty() {
-        text.to_string()
-    } else {
-        join_words(&out)
-    };
+    if !tags.is_empty() {
+        draft.set(join_words(&out));
+    }
     // Grammar phrases operate on the joined text.
-    while let Some((wrong, right)) = kb.grammar_correction(&joined) {
+    while let Some((wrong, right)) = kb.grammar_correction(&draft.hits()) {
         if !rng.gen_bool(p) {
             break;
         }
-        if let Some(range) = normalize::find_folded(&joined, wrong) {
-            joined.replace_range(range, right);
-            tags.push(RepairTag::Grammar);
-        } else {
+        let Some(range) = normalize::find_folded(&draft.text, wrong) else {
             break;
-        }
+        };
+        let mut fixed = std::mem::take(&mut draft.text);
+        fixed.replace_range(range, right);
+        draft.set(fixed);
+        tags.push(RepairTag::Grammar);
     }
-    (joined, tags)
+    tags
 }
 
 /// Joins word tokens back into text with sane punctuation spacing.
@@ -868,8 +890,10 @@ mod tests {
             "{:?}",
             out.repairs
         );
-        let overlap =
-            lexicon::content_overlap("Describe the climate of the Sahara desert", &out.response);
+        let overlap = coachlm_text::lexicon::content_overlap(
+            "Describe the climate of the Sahara desert",
+            &out.response,
+        );
         assert!(overlap > 0.2, "overlap {overlap}: {}", out.response);
     }
 
@@ -888,10 +912,7 @@ mod tests {
             "{:?}",
             out.repairs
         );
-        assert!(!lexicon::contains_marker(
-            &out.response,
-            lexicon::UNSAFE_MARKERS
-        ));
+        assert!(!LexiconHits::of(&out.response).has_marker(MarkerList::Unsafe));
     }
 
     #[test]
@@ -927,10 +948,7 @@ mod tests {
             "{:?}",
             out.repairs
         );
-        assert!(!lexicon::contains_marker(
-            &out.instruction,
-            lexicon::INFEASIBLE_PHRASES
-        ));
+        assert!(!LexiconHits::of(&out.instruction).has_marker(MarkerList::Infeasible));
     }
 
     #[test]
@@ -1154,7 +1172,7 @@ mod tests {
         } else {
             join_words(&out)
         };
-        while let Some((wrong, right)) = kb.grammar_correction(&joined) {
+        while let Some((wrong, right)) = kb.grammar_correction(&LexiconHits::of(&joined)) {
             if !rng.gen_bool(p) {
                 break;
             }
@@ -1275,8 +1293,9 @@ mod tests {
                             let seed: u64 = gen.gen();
                             let (mut a, mut b) =
                                 (StdRng::seed_from_u64(seed), StdRng::seed_from_u64(seed));
+                            let topic_word = topic.first().map(String::as_str);
                             assert_eq!(
-                                transducer.compose_on_topic_avoiding(&mut a, &topic, n, avoid),
+                                transducer.compose_on_topic_avoiding(&mut a, topic_word, n, avoid),
                                 reference_compose_on_topic_avoiding(
                                     backbone, &adapter, &mut b, &topic, n, avoid
                                 ),
@@ -1382,8 +1401,10 @@ mod tests {
                 let p = [0.0, 0.4, 0.9, 1.0][gen.gen_range(0..4usize)];
                 let seed: u64 = gen.gen();
                 let (mut a, mut b) = (StdRng::seed_from_u64(seed), StdRng::seed_from_u64(seed));
+                let mut draft = Draft::new(&text);
+                let tags = apply_lexical(&mut a, p, &kb, &rules, &index, &mut draft);
                 assert_eq!(
-                    apply_lexical(&mut a, p, &kb, &rules, &index, &text),
+                    (draft.text, tags),
                     reference_apply_lexical(&mut b, p, &kb, &rules, &text),
                     "case {case}: {text:?}"
                 );

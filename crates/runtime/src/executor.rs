@@ -130,16 +130,6 @@ impl ExecutorConfig {
         self.epoch_len
     }
 
-    /// The configured fault plan.
-    pub fn faults(&self) -> &FaultPlan {
-        &self.fault_plan
-    }
-
-    /// The configured retry policy.
-    pub fn retries(&self) -> &RetryPolicy {
-        &self.retry
-    }
-
     /// The configured breaker policy, if circuit breaking is enabled.
     pub fn breaker_policy(&self) -> Option<&BreakerPolicy> {
         self.breaker.as_ref()

@@ -704,14 +704,15 @@ impl<'a> Dec<'a> {
         }
     }
 
-    /// `true` when the whole payload was consumed — trailing garbage in a
-    /// checksummed record means a format mismatch, not a torn write, and
-    /// is rejected all the same.
+    /// A length-prefixed byte string, as [`Enc::bytes`] writes it.
     pub(crate) fn bytes(&mut self) -> Option<Vec<u8>> {
         let len = self.u32()? as usize;
         self.take(len).map(|b| b.to_vec())
     }
 
+    /// `true` when the whole payload was consumed — trailing garbage in a
+    /// checksummed record means a format mismatch, not a torn write, and
+    /// is rejected all the same.
     pub(crate) fn exhausted(&self) -> bool {
         self.pos == self.data.len()
     }

@@ -241,11 +241,6 @@ impl StageItem {
         self.payload = Some(Box::new(value));
     }
 
-    /// Borrows the payload if one of type `T` is attached.
-    pub fn payload_ref<T: Any>(&self) -> Option<&T> {
-        self.payload.as_deref().and_then(|p| p.downcast_ref())
-    }
-
     /// Removes and returns the payload if it has type `T`.
     pub fn take_payload<T: Any>(&mut self) -> Option<T> {
         let boxed = self.payload.take()?;
@@ -308,7 +303,6 @@ mod tests {
     fn payload_round_trips_and_preserves_on_type_mismatch() {
         let mut item = StageItem::new(0, pair(7));
         item.set_payload(42u64);
-        assert_eq!(item.payload_ref::<u64>(), Some(&42));
         assert_eq!(item.take_payload::<String>(), None);
         assert_eq!(item.take_payload::<u64>(), Some(42));
         assert_eq!(item.take_payload::<u64>(), None);

@@ -3,7 +3,7 @@
 //! Items flow through the stage chain in chunks over one bounded,
 //! *sequenced* queue. Every run has the same shape: `threads` worker
 //! **lanes**, each taking the next chunk straight from the
-//! [`SlotBuilder`] and running the whole chain on it, and the caller
+//! `SlotBuilder` and running the whole chain on it, and the caller
 //! thread as the sink, draining the lanes' output queue in index order.
 //! A threaded run spawns exactly its lanes; at one lane (threads = 1, or
 //! a chain with no stage) the caller builds, runs and sinks each chunk
@@ -27,13 +27,13 @@
 //!
 //! ## One record per item
 //!
-//! Every stage an item reaches leaves one [`StageTrace`]: executed or
+//! Every stage an item reaches leaves one `StageTrace`: executed or
 //! degraded on a lane, read back from a replayed journal record, or taken
 //! from the representative's record on a cache hit. `add_trace` is the
 //! one place a `StageTrace` is added into a [`StageReport`] (every field
 //! but the measured `cpu_time`), so live, replayed and hit items can only
 //! be tallied differently if that function is wrong. When an item
-//! finishes, the sink builds its [`ItemTrace`] once (`item_record`): the
+//! finishes, the sink builds its `ItemTrace` once (`item_record`): the
 //! journal appends it, and a representative keeps it for its hits.
 //! `apply_record` writes a record's terminal state into an item, for
 //! replayed items and cache hits alike.
@@ -43,7 +43,7 @@
 //! A logical epoch is a fixed window of input *indices* (the breaker
 //! policy's `window` when a breaker is configured, the config's
 //! `epoch_len` otherwise), and no chunk spans two. Under a breaker the
-//! lanes pass an [`EpochGate`]: no chunk of epoch e starts before every
+//! lanes pass an `EpochGate`: no chunk of epoch e starts before every
 //! chunk of epoch e − 1 has finished. The finished chunks' per-stage
 //! tallies are summed at the gate, and when epoch e opens the breakers
 //! observe them in stage order and fix the stage modes every chunk of
@@ -76,8 +76,9 @@
 //! rate against a declared drain rate: a fluid backlog accumulates at
 //! the front of the pipe and items arriving while it exceeds the
 //! configured capacity are **shed** — discarded up front with a
-//! `shed:admission` tag, surfaced in [`ChainOutput::shed`]. Shedding is
-//! a pure function of the feed parameters (never of thread count or
+//! `shed:admission` tag, surfaced in
+//! [`ChainOutput::shed`](crate::ChainOutput::shed). Shedding is a pure
+//! function of the feed parameters (never of thread count or
 //! queue capacity), so sustained runs obey the same determinism
 //! contract as batch runs, and shed decisions journal and replay like
 //! any other disposition.
@@ -115,7 +116,8 @@ pub enum Feed {
         rate_per_sec: f64,
         /// Declared steady-state drain rate of the pipeline, items/sec.
         /// Callers derive this from the chain's modeled service times
-        /// (see [`ChainOutput::sim_elapsed`]) or measure it offline.
+        /// (see [`ChainOutput::sim_elapsed`](crate::ChainOutput::sim_elapsed))
+        /// or measure it offline.
         drain_per_sec: f64,
         /// Admission backlog capacity, in items. Arrivals beyond it shed.
         backlog_capacity: usize,

@@ -37,7 +37,7 @@
 //!               makespan (nanos)
 //! ```
 //!
-//! The parent parses the stream incrementally ([`crate::journal`]'s
+//! The parent parses the stream incrementally (the `journal` module's
 //! tri-state frame scanner): a torn tail at pipe EOF is truncated exactly
 //! like a torn journal tail, and a CRC-rejected or malformed frame is
 //! treated as a worker crash — the child is killed and the attempt
@@ -76,9 +76,9 @@
 //! mix of attempts, failover subsets, and bisection fragments compose:
 //! the parent re-keys subset-local traces to shard-local indices
 //! (re-verifying digests), rebuilds each shard's output with
-//! [`Executor::replay_collected`], cross-checks the digest each cleanly
+//! `Executor::replay_collected`, cross-checks the digest each cleanly
 //! finished worker reported, and merges by global index through
-//! [`shard::merge_outputs`]. Per-item outcomes that do not depend on the
+//! `shard::merge_outputs`. Per-item outcomes that do not depend on the
 //! partition + a merge that restores input order = the unsharded run's
 //! digest, at any kill schedule.
 

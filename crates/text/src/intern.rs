@@ -69,11 +69,6 @@ impl Interner {
         self.strings.is_empty()
     }
 
-    /// Interns every token of `tokens` in order.
-    pub fn intern_seq<'a, I: IntoIterator<Item = &'a str>>(&mut self, tokens: I) -> Vec<Sym> {
-        tokens.into_iter().map(|t| self.intern(t)).collect()
-    }
-
     /// Interns the word sequence of `s` (words + punctuation tokens).
     pub fn intern_words(&mut self, s: &str) -> Vec<Sym> {
         let toks = crate::token::tokenize(s);

@@ -11,6 +11,14 @@
 //!
 //! Every list is ordered from most to least common, so "coverage = prefix"
 //! mirrors how real models learn frequent phenomena first.
+//!
+//! One matcher answers every lookup of a built-in list in text: a
+//! [`LexiconHits`] walks the folded text once with an automaton over every
+//! marker list, grammar wrong form, fact subject and wrong value, "for
+//! example" and typo form, and then answers each list, each coverage prefix
+//! of the grammar pairs and facts, and the misspelling and fact-error
+//! counts by bit arithmetic. Single words go through hashed lookups:
+//! [`is_stopword`], [`typo_index`] and [`typo_correction`].
 
 use crate::automaton::{Automaton, START};
 use crate::fxhash::{FxHashMap, FxHashSet};
@@ -516,12 +524,9 @@ struct Lookups {
     stopwords: FxHashSet<&'static str>,
     /// Each typo form → its first index in [`TYPO_PAIRS`].
     typos: FxHashMap<&'static str, usize>,
-    /// [`FACT_TABLE`]'s `(subject, wrong)` columns, case-folded.
-    facts: Vec<(String, String)>,
     /// Every marker list, grammar wrong form, fact subject and fact wrong
     /// value, "for example", and each typo form at its first index, each
-    /// folded on its own with [`fold_case`] as [`find_marker`] folds a
-    /// marker.
+    /// folded on its own with [`fold_case`].
     automaton: Automaton<Owners>,
 }
 
@@ -563,10 +568,6 @@ impl Lookups {
         Lookups {
             stopwords: STOPWORDS.iter().copied().collect(),
             typos,
-            facts: FACT_TABLE
-                .iter()
-                .map(|(subject, _, wrong)| (fold_case(subject), fold_case(wrong)))
-                .collect(),
             automaton: Automaton::new(patterns.iter().map(|(p, owners)| (p.as_bytes(), *owners))),
         }
     }
@@ -586,6 +587,11 @@ pub struct LexiconHits {
 }
 
 impl LexiconHits {
+    /// Folds `text` with [`fold_case`] and walks it: [`Self::of_folded`].
+    pub fn of(text: &str) -> Self {
+        Self::of_folded(&fold_case(text))
+    }
+
     /// Walks `folded`, text folded with [`fold_case`], once: the automaton
     /// reports every pattern that occurs, overlapping and nested ones
     /// included. The same byte loop tracks the maximal ASCII-alphanumeric
@@ -612,17 +618,35 @@ impl LexiconHits {
         hits
     }
 
-    /// The first marker of `list`, in list order, that occurs: what
-    /// [`find_marker`] returns.
+    /// The first marker of `list`, in list order, that occurs.
     pub fn first_marker(&self, list: MarkerList) -> Option<&'static str> {
         let markers = list.markers();
-        let found = bit_field(self.lists, list.offset(), markers.len());
-        markers.get(found.trailing_zeros() as usize).copied()
+        first_found(markers, bit_field(self.lists, list.offset(), markers.len()))
     }
 
-    /// Whether a marker of `list` occurs: what [`contains_marker`] returns.
+    /// Whether a marker of `list` occurs.
     pub fn has_marker(&self, list: MarkerList) -> bool {
         bit_field(self.lists, list.offset(), list.markers().len()) != 0
+    }
+
+    /// The first of the first `known` [`GRAMMAR_PAIRS`] whose wrong form
+    /// occurs, as `(wrong, right)`.
+    pub fn first_grammar(&self, known: usize) -> Option<(&'static str, &'static str)> {
+        let known = known.min(GRAMMAR_PAIRS.len());
+        first_found(GRAMMAR_PAIRS, bit_field(self.lists, GRAMMAR_BIT, known))
+    }
+
+    /// The first of the first `known` [`FACT_TABLE`] rows the text
+    /// contradicts (its subject and its wrong value both occur), as
+    /// `(subject, correct, wrong)`.
+    pub fn first_fact(&self, known: usize) -> Option<(&'static str, &'static str, &'static str)> {
+        let known = known.min(FACT_TABLE.len());
+        first_found(FACT_TABLE, bit_field(self.contradicted(), 0, known))
+    }
+
+    /// Whether some [`FACT_TABLE`] wrong value occurs, whatever the subject.
+    pub fn has_wrong_fact_value(&self) -> bool {
+        bit_field(self.lists, WRONG_BIT, FACT_TABLE.len()) != 0
     }
 
     /// Whether "for example" occurs.
@@ -640,10 +664,20 @@ impl LexiconHits {
     /// How many facts are contradicted: both the subject and the wrong
     /// value occur.
     pub fn fact_errors(&self) -> u32 {
+        self.contradicted().count_ones()
+    }
+
+    /// Bit `k`: both fact `k`'s subject and its wrong value occur.
+    fn contradicted(&self) -> u128 {
         let subjects = bit_field(self.lists, SUBJECT_BIT, FACT_TABLE.len());
         let wrongs = bit_field(self.lists, WRONG_BIT, FACT_TABLE.len());
-        (subjects & wrongs).count_ones()
+        subjects & wrongs
     }
+}
+
+/// The entry of `table` at the lowest set bit of `found`.
+fn first_found<T: Copy>(table: &[T], found: u128) -> Option<T> {
+    table.get(found.trailing_zeros() as usize).copied()
 }
 
 /// The bit of the typo form that is a whole ASCII-alphanumeric run of
@@ -860,49 +894,16 @@ pub fn typo_correction(word: &str, coverage_len: usize) -> Option<&'static str> 
         .map(|(_, right)| *right)
 }
 
-/// [`FACT_TABLE`]'s `(subject, wrong)` columns, case-folded once, in table
-/// order: a fact is contradicted in folded text that contains both.
-pub fn folded_facts() -> &'static [(String, String)] {
-    &LOOKUPS.facts
-}
-
-/// Case-insensitive containment test for any marker in `markers`.
-pub fn contains_marker(text: &str, markers: &[&str]) -> bool {
-    contains_folded_marker(&fold_case(text), markers)
-}
-
-/// [`contains_marker`] on text already folded with [`fold_case`], so that
-/// several checks on one text share one fold.
-pub fn contains_folded_marker(folded: &str, markers: &[&str]) -> bool {
-    first_marker(folded, markers).is_some()
-}
-
-/// Returns the first matching marker (case-insensitive), if any.
-pub fn find_marker<'m>(text: &str, markers: &'m [&'m str]) -> Option<&'m str> {
-    first_marker(&fold_case(text), markers)
-}
-
-/// The first of `markers` that occurs in `folded`.
-fn first_marker<'m>(folded: &str, markers: &[&'m str]) -> Option<&'m str> {
-    markers.iter().copied().find(|m| {
-        if is_lower_ascii(m) {
-            folded.contains(m)
-        } else {
-            folded.contains(fold_case(m).as_str())
-        }
-    })
-}
-
 #[cfg(test)]
 mod tests {
     use super::*;
     use rand::rngs::StdRng;
     use rand::Rng;
 
-    /// The linear-scan kernels the hashed and early-exit ones replaced,
-    /// verbatim: the oracles they must agree with.
+    /// The linear-scan kernels the hashed, early-exit and automaton ones
+    /// replaced, verbatim: the oracles they must agree with.
     mod reference {
-        use super::super::{STOPWORDS, TYPO_PAIRS};
+        use super::super::{FACT_TABLE, GRAMMAR_PAIRS, STOPWORDS, TYPO_PAIRS};
         use crate::normalize::fold_case;
 
         pub fn is_stopword(word: &str) -> bool {
@@ -956,6 +957,44 @@ mod tests {
                 .iter()
                 .find(|m| folded.contains(&fold_case(m)))
                 .copied()
+        }
+
+        /// The scan of `KnowledgeBase::grammar_correction`, with its
+        /// coverage prefix `known`.
+        pub fn grammar_correction(
+            text: &str,
+            known: usize,
+        ) -> Option<(&'static str, &'static str)> {
+            let folded = fold_case(text);
+            GRAMMAR_PAIRS
+                .iter()
+                .take(known)
+                .find(|(wrong, _)| folded.contains(wrong))
+                .copied()
+        }
+
+        /// The scan of `KnowledgeBase::fact_correction`, with its coverage
+        /// prefix `known`, over the fact table's folded columns.
+        pub fn fact_correction(text: &str, known: usize) -> Option<usize> {
+            let folded = fold_case(text);
+            let folded_facts: Vec<(String, String)> = FACT_TABLE
+                .iter()
+                .map(|(subject, _, wrong)| (fold_case(subject), fold_case(wrong)))
+                .collect();
+            folded_facts
+                .iter()
+                .take(known)
+                .position(|(subject, wrong)| {
+                    folded.contains(subject.as_str()) && folded.contains(wrong.as_str())
+                })
+        }
+
+        /// The fact scan of the rule extractor's `is_grounded`, over a
+        /// span of case-folded words joined by spaces.
+        pub fn has_wrong_fact_value(joined: &str) -> bool {
+            FACT_TABLE
+                .iter()
+                .any(|(_, _, wrong)| joined.contains(&fold_case(wrong)))
         }
     }
 
@@ -1120,33 +1159,6 @@ mod tests {
         }
     }
 
-    #[test]
-    fn marker_matching_matches_the_refolding_reference() {
-        let lists: [&[&str]; 3] = [
-            CONTEXT_MARKERS,
-            MACHINE_TONE_MARKERS,
-            // Markers that do need folding.
-            &["For Example", "ΑΣ", "\u{212A}ey", "STEP BY STEP"],
-        ];
-        for case in 0..proptest::cases() {
-            let mut rng =
-                proptest::case_rng("marker_matching_matches_the_refolding_reference", case);
-            let mut text = adversarial_text(&mut rng, 30, 50);
-            let list = lists[rng.gen_range(0..lists.len())];
-            let marker = list[rng.gen_range(0..list.len())];
-            if rng.gen_bool(0.5) {
-                text.push_str(&marker.to_uppercase());
-            } else {
-                text.push_str(marker);
-            }
-            for markers in lists {
-                let want = reference::find_marker(&text, markers);
-                assert_eq!(find_marker(&text, markers), want, "{text:?}");
-                assert_eq!(contains_marker(&text, markers), want.is_some(), "{text:?}");
-            }
-        }
-    }
-
     /// Every built-in marker, in three cases, and pieces that make markers
     /// overlap or nest or fold to a different length.
     fn marker_pieces() -> Vec<String> {
@@ -1158,9 +1170,11 @@ mod tests {
         }
         for (subject, correct, wrong) in FACT_TABLE {
             pieces.extend([subject, correct, wrong].map(|s| s.to_string()));
+            pieces.extend([subject, wrong].map(|s| s.to_uppercase()));
         }
         for (wrong, right) in GRAMMAR_PAIRS {
             pieces.extend([wrong, right].map(|s| s.to_string()));
+            pieces.push(wrong.to_uppercase());
         }
         pieces.extend(PIECES.iter().map(|p| p.to_string()));
         pieces.extend(
@@ -1179,12 +1193,13 @@ mod tests {
         pieces
     }
 
-    #[test]
-    fn lexicon_hits_match_the_first_marker_reference() {
+    /// Texts of up to 24 [`marker_pieces`] with gaps between them, one per
+    /// case, after the shared reference inputs.
+    fn marker_texts(name: &str) -> Vec<String> {
         let pieces = marker_pieces();
-        let mut texts = crate::testtext::inputs("lexicon_hits_match_the_first_marker_reference");
+        let mut texts = crate::testtext::inputs(name);
         for case in 0..proptest::cases() {
-            let mut rng = proptest::case_rng("lexicon_hits_match_the_first_marker_reference", case);
+            let mut rng = proptest::case_rng(name, case);
             let mut text = String::new();
             for _ in 0..rng.gen_range(0..24) {
                 text.push_str(&pieces[rng.gen_range(0..pieces.len())]);
@@ -1192,13 +1207,18 @@ mod tests {
             }
             texts.push(text);
         }
-        for text in &texts {
+        texts
+    }
+
+    #[test]
+    fn lexicon_hits_match_the_first_marker_reference() {
+        for text in &marker_texts("lexicon_hits_match_the_first_marker_reference") {
             let folded = fold_case(text);
             let hits = LexiconHits::of_folded(&folded);
+            assert_eq!(LexiconHits::of(text), hits);
             for list in MarkerList::ALL {
                 let want = reference::find_marker(text, list.markers());
                 assert_eq!(hits.first_marker(list), want, "{list:?} in {text:?}");
-                assert_eq!(find_marker(text, list.markers()), want);
                 assert_eq!(hits.has_marker(list), want.is_some());
             }
             assert_eq!(
@@ -1207,6 +1227,53 @@ mod tests {
                 "{text:?}"
             );
         }
+    }
+
+    #[test]
+    fn grammar_and_fact_lookups_match_the_substring_scan_reference() {
+        let (mut grammar, mut facts, mut wrong_values) = (0, 0, 0);
+        for text in &marker_texts("grammar_and_fact_lookups_match_the_substring_scan_reference") {
+            // The rule extractor asks about spans of case-folded words
+            // joined by spaces.
+            let words: Vec<String> = crate::token::words(text)
+                .iter()
+                .map(|w| fold_case(w))
+                .collect();
+            let joined = words.join(" ");
+            for text in [text, &joined] {
+                let hits = LexiconHits::of(text);
+                for known in 0..=GRAMMAR_PAIRS.len() {
+                    assert_eq!(
+                        hits.first_grammar(known),
+                        reference::grammar_correction(text, known),
+                        "known {known}: {text:?}"
+                    );
+                }
+                for known in 0..=FACT_TABLE.len() {
+                    assert_eq!(
+                        hits.first_fact(known),
+                        reference::fact_correction(text, known).map(|i| FACT_TABLE[i]),
+                        "known {known}: {text:?}"
+                    );
+                }
+            }
+            let hits = LexiconHits::of(&joined);
+            assert_eq!(
+                hits.has_wrong_fact_value(),
+                reference::has_wrong_fact_value(&joined),
+                "{joined:?}"
+            );
+            grammar += usize::from(hits.first_grammar(GRAMMAR_PAIRS.len()).is_some());
+            facts += usize::from(hits.first_fact(FACT_TABLE.len()).is_some());
+            wrong_values += usize::from(hits.has_wrong_fact_value());
+        }
+        // What the cases actually covered.
+        assert!(grammar > 0, "no text held a grammar wrong form");
+        assert!(facts > 0, "no text contradicted a fact");
+        assert!(
+            wrong_values > facts,
+            "every wrong value came with its subject"
+        );
     }
 
     #[test]
@@ -1242,16 +1309,11 @@ mod tests {
 
     #[test]
     fn marker_matching_is_case_insensitive() {
-        assert!(contains_marker(
-            "As an AI language model, I cannot",
-            MACHINE_TONE_MARKERS
-        ));
-        assert!(!contains_marker(
-            "a helpful human reply",
-            MACHINE_TONE_MARKERS
-        ));
+        let tone = MarkerList::MachineTone;
+        assert!(LexiconHits::of("As an AI language model, I cannot").has_marker(tone));
+        assert!(!LexiconHits::of("a helpful human reply").has_marker(tone));
         assert_eq!(
-            find_marker("For Example, consider this", CONTEXT_MARKERS),
+            LexiconHits::of("For Example, consider this").first_marker(MarkerList::Context),
             Some("for example")
         );
     }

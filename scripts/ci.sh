@@ -18,6 +18,11 @@ cargo clippy --offline --workspace --all-targets -- -D warnings
 echo "==> cargo build --release"
 cargo build --offline --release --workspace
 
+# API docs: a broken intra-doc link, or a public doc that links a private
+# item, is an error.
+echo "==> cargo doc (warnings are errors)"
+RUSTDOCFLAGS="-D warnings" cargo doc --offline --no-deps --workspace
+
 # Static invariants: the token-level determinism & panic-safety catalogue
 # (D1/D2/D3/P1/C1) plus the interprocedural analyses — nondeterminism
 # taint reaching Stage::process/journal/digest sinks (T1) and fingerprint

@@ -16,12 +16,13 @@ use std::cell::Cell;
 use std::hint::black_box;
 use std::sync::atomic::{AtomicU64, Ordering};
 
+use coachlm::expert::filter::{detect_reason, FilterReason};
 use coachlm::judge::criteria::CriteriaEngine;
 use coachlm::lm::ngram_model::NgramLm;
 use coachlm::text::clean;
 use coachlm::text::editdist::WordDistance;
 use coachlm::text::intern::Sym;
-use coachlm::text::lexicon::{contains_folded_marker, is_off_topic, Topic, REASONING_MARKERS};
+use coachlm::text::lexicon::{is_off_topic, LexiconHits, MarkerList, Topic};
 use coachlm::text::normalize::normalize_layout;
 use coachlm::text::profile::TextProfile;
 use coachlm::text::token::word_count;
@@ -178,7 +179,7 @@ fn hot_paths_allocate_nothing_after_warm_up() {
     // --- Table II text kernels ------------------------------------------
     // Once the lexicon tables exist, a relevance check costs the
     // instruction's topic words and one fold buffer however much of the
-    // response it scans, and the shared-fold checks cost nothing.
+    // response it scans, and a walk of folded text costs nothing.
     let instruction = "Describe the climate of the Sahara desert";
     let (short, long) = ("Bananas are yellow.", long_text(180, "bananas"));
     assert!(is_off_topic(instruction, short) && is_off_topic(instruction, &long));
@@ -190,13 +191,30 @@ fn hot_paths_allocate_nothing_after_warm_up() {
     );
     let (allocs, n) = allocations(|| {
         word_count(black_box(&long))
-            + usize::from(contains_folded_marker(black_box(&long), REASONING_MARKERS))
+            + usize::from(
+                LexiconHits::of_folded(black_box(&long)).has_marker(MarkerList::Reasoning),
+            )
     });
     assert_eq!(n, 180);
     assert_eq!(
         allocs, 0,
         "word counting and marker checks allocated {allocs} times"
     );
+
+    // --- the Table III preliminary filter ---------------------------------
+    // One fold of the instruction, whether no list matches or only the
+    // last one checked does.
+    for (instruction, reason) in [
+        ("Explain the water cycle to a child", None),
+        (
+            "Please rewrite the entire lyrics of this song",
+            Some(FilterReason::MassiveWorkload),
+        ),
+    ] {
+        let (allocs, found) = allocations(|| detect_reason(black_box(instruction), ""));
+        assert_eq!(found, reason);
+        assert_eq!(allocs, 1, "detect_reason allocated {allocs} times");
+    }
 
     // --- §III-B1 cleaning and layout ------------------------------------
     // On text they leave as it is, the cleaning and layout kernels build
