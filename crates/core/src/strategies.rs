@@ -805,20 +805,16 @@ fn fix_lexical(kb: &KnowledgeBase, text: &str) -> String {
             if core.is_empty() {
                 return word.to_string();
             }
-            match kb.typo_correction(&normalize::fold_case(core)) {
-                Some(right) => word.replacen(core, right, 1),
-                None => word.to_string(),
-            }
+            kb.typo_correction(&normalize::fold_case(core))
+                .and_then(|right| normalize::replace_folded(word, core, right))
+                .unwrap_or_else(|| word.to_string())
         })
         .collect::<Vec<_>>()
         .join(" ");
-    while let Some((wrong, right)) = kb.grammar_correction(&LexiconHits::of(&fixed)) {
-        let next = fixed.replacen(wrong, right, 1);
-        if next == fixed {
-            // Case mismatch between the folded probe and the literal text;
-            // stop rather than spin.
-            break;
-        }
+    while let Some(next) = kb
+        .grammar_correction(&LexiconHits::of(&fixed))
+        .and_then(|(wrong, right)| normalize::replace_folded(&fixed, wrong, right))
+    {
         fixed = next;
     }
     fixed
@@ -848,18 +844,17 @@ fn repair_response<R: Rng>(
             expansion_sentence(kb, rng, topic)
         );
     }
-    while let Some((wrong, right)) = kb.fact_correction(&LexiconHits::of(response)) {
-        let next = response.replace(wrong, right);
-        if next == *response {
-            break;
-        }
+    while let Some(next) = kb
+        .fact_correction(&LexiconHits::of(response))
+        .and_then(|(wrong, right)| normalize::replace_folded(response, wrong, right))
+    {
         *response = next;
     }
-    while let Some(marker) = LexiconHits::of(response).first_marker(MarkerList::MachineTone) {
-        let next = response.replacen(marker, "", 1);
-        if next == *response {
-            break;
-        }
+    // A plain cut: whitespace is left as it was.
+    while let Some(next) = LexiconHits::of(response)
+        .first_marker(MarkerList::MachineTone)
+        .and_then(|marker| normalize::replace_folded(response, marker, ""))
+    {
         *response = next;
     }
     if analysis.truncated {
@@ -925,6 +920,8 @@ mod tests {
     use coachlm_expert::filter::preliminary_filter;
     use coachlm_expert::pool::ExpertPool;
     use coachlm_expert::revision::ExpertReviser;
+    use rand::rngs::StdRng;
+    use rand::SeedableRng;
 
     fn arena(n: usize, seed: u64) -> Dataset {
         let (d, _) = generate(&GeneratorConfig::small(n, seed));
@@ -1026,6 +1023,27 @@ mod tests {
                 "every instruction gains complexity"
             );
         }
+    }
+
+    /// The fact, grammar and machine-tone repairs edit the span detection
+    /// found, whatever its case.
+    #[test]
+    fn repairs_edit_what_detection_found_whatever_its_case() {
+        let kb = KnowledgeBase::with_coverage(1.0);
+        let text =
+            "AS AN AI LANGUAGE MODEL, I know the capital of France is BERLIN. He COULD OF gone.";
+        let analysis = CriteriaEngine::new().analyze_response("Describe France", text);
+        let mut response = text.to_string();
+        let mut rng = StdRng::seed_from_u64(1);
+        repair_response(&kb, &mut rng, "france", &analysis, &mut response);
+        let hits = LexiconHits::of(&response);
+        assert!(!hits.has_marker(MarkerList::MachineTone), "{response}");
+        assert_eq!(hits.fact_errors(), 0, "{response}");
+        assert_eq!(kb.grammar_correction(&hits), None, "{response}");
+        assert!(
+            response.contains("Paris") && response.contains("could have gone"),
+            "{response}"
+        );
     }
 
     #[test]

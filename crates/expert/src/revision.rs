@@ -278,14 +278,10 @@ impl ExpertReviser {
         let mut rewrote = false;
 
         // Strip infeasible requirements.
-        while let Some(m) = instruction
-            .profile()
-            .1
-            .lexicon()
-            .first_marker(MarkerList::Infeasible)
-        {
-            let removed = normalize::remove_phrase(&instruction.text, m);
-            instruction.set(removed);
+        while instruction.edit(|text, hits| {
+            let m = hits.first_marker(MarkerList::Infeasible)?;
+            normalize::remove_phrase(text, m)
+        }) {
             rewrote = true;
         }
         // Retained Table III cases (§II-E2 "1.9% were cases that should
@@ -402,9 +398,10 @@ impl ExpertReviser {
         }
 
         // Facts.
-        while let Some((wrong, right)) = self.kb.fact_correction(response.profile().1.lexicon()) {
-            let fixed = response.text.replace(wrong, right);
-            response.set(fixed);
+        while response.edit(|text, hits| {
+            let (wrong, right) = self.kb.fact_correction(hits)?;
+            normalize::replace_folded(text, wrong, right)
+        }) {
             corrected = true;
         }
 
@@ -432,12 +429,13 @@ impl ExpertReviser {
         }
 
         // Tone.
-        if analysis.machine_tone {
-            let hits = *response.profile().1.lexicon();
-            if let Some(m) = hits.first_marker(MarkerList::MachineTone) {
-                response.set(normalize::remove_phrase(&response.text, m));
-                adjusted = true;
-            }
+        if analysis.machine_tone
+            && response.edit(|text, hits| {
+                let m = hits.first_marker(MarkerList::MachineTone)?;
+                normalize::remove_phrase(text, m)
+            })
+        {
+            adjusted = true;
         }
 
         // Expansion until the advanced band is reachable: reasoning,
@@ -525,11 +523,12 @@ impl ExpertReviser {
         } else {
             text.to_string()
         };
-        while let Some((wrong, right)) = self.kb.grammar_correction(&LexiconHits::of(&joined)) {
-            match normalize::find_folded(&joined, wrong) {
-                Some(range) => joined.replace_range(range, right),
-                None => break,
-            }
+        while let Some(fixed) = self
+            .kb
+            .grammar_correction(&LexiconHits::of(&joined))
+            .and_then(|(wrong, right)| normalize::replace_folded(&joined, wrong, right))
+        {
+            joined = fixed;
         }
         joined
     }
@@ -572,6 +571,17 @@ impl Profiled {
             self.profile = None;
             self.topic = None;
         }
+    }
+
+    /// Applies `repair`, given the text and its lexicon hits, and adopts
+    /// the text it returns; whether it returned one.
+    fn edit(&mut self, repair: impl FnOnce(&str, &LexiconHits) -> Option<String>) -> bool {
+        let (text, profile) = self.profile();
+        let Some(repaired) = repair(text, profile.lexicon()) else {
+            return false;
+        };
+        self.set(repaired);
+        true
     }
 
     /// The text and its profile.
@@ -701,7 +711,8 @@ mod reference {
 
         // Strip infeasible requirements.
         while let Some(m) = find_marker(instruction, lexicon::INFEASIBLE_PHRASES) {
-            *instruction = normalize::remove_phrase(instruction, m);
+            *instruction =
+                normalize::remove_phrase(instruction, m).unwrap_or_else(|| instruction.clone());
             rewrote = true;
         }
         // Retained Table III cases (§II-E2 "1.9% were cases that should
@@ -843,7 +854,8 @@ mod reference {
         // Tone.
         if analysis.machine_tone {
             if let Some(m) = find_marker(response, lexicon::MACHINE_TONE_MARKERS) {
-                *response = normalize::remove_phrase(response, m);
+                *response =
+                    normalize::remove_phrase(response, m).unwrap_or_else(|| response.clone());
                 adjusted = true;
             }
         }

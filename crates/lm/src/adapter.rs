@@ -114,11 +114,6 @@ impl Adapter {
         self.finalized = true;
     }
 
-    /// Whether any training examples were observed.
-    pub fn is_trained(&self) -> bool {
-        self.total_examples() > 0
-    }
-
     /// Total training pairs observed.
     pub fn total_examples(&self) -> u64 {
         self.copy_pairs + self.rule_pairs
@@ -169,7 +164,7 @@ mod tests {
     fn untrained_adapter_has_zero_elicitation() {
         let a = Adapter::new(AdapterConfig::default());
         assert_eq!(a.elicitation(), 0.0);
-        assert!(!a.is_trained());
+        assert_eq!(a.total_examples(), 0);
     }
 
     #[test]

@@ -222,6 +222,16 @@ impl Draft {
         self.text = text;
         self.hits = None;
     }
+
+    /// Adopts the text `repair` returns for the text as it stands;
+    /// whether it returned one.
+    fn edit(&mut self, repair: impl FnOnce(&str) -> Option<String>) -> bool {
+        let Some(repaired) = repair(&self.text) else {
+            return false;
+        };
+        self.set(repaired);
+        true
+    }
 }
 
 /// The learned and filled sentences as one list in rank order, merged
@@ -353,8 +363,7 @@ impl<'a> Transducer<'a> {
 
         // Infeasible requirements: strip the offending phrase.
         if let Some(marker) = draft.hits().first_marker(MarkerList::Infeasible) {
-            if rng.gen_bool(p) {
-                draft.set(normalize::remove_phrase(&draft.text, marker));
+            if rng.gen_bool(p) && draft.edit(|text| normalize::remove_phrase(text, marker)) {
                 repairs.push(RepairTag::InfeasibleFix);
             }
         }
@@ -479,8 +488,10 @@ impl<'a> Transducer<'a> {
             &mut draft,
         ));
         if let Some((wrong, right)) = kb.fact_correction(&draft.hits()) {
-            if rng.gen_bool(p) {
-                draft.set(draft.text.replace(wrong, right));
+            let fix = |text: &str| normalize::replace_folded(text, wrong, right);
+            if rng.gen_bool(p) && draft.edit(fix) {
+                // Every other occurrence of the wrong value, on the same draw.
+                while draft.edit(fix) {}
                 repairs.push(RepairTag::Fact);
             }
         }
@@ -516,8 +527,7 @@ impl<'a> Transducer<'a> {
 
         // Tone: strip machine boilerplate, add warmth.
         if let Some(marker) = draft.hits().first_marker(MarkerList::MachineTone) {
-            if rng.gen_bool(p) {
-                draft.set(normalize::remove_phrase(&draft.text, marker));
+            if rng.gen_bool(p) && draft.edit(|text| normalize::remove_phrase(text, marker)) {
                 repairs.push(RepairTag::WarmTone);
             }
         }
@@ -734,15 +744,9 @@ fn apply_lexical<R: Rng>(
     }
     // Grammar phrases operate on the joined text.
     while let Some((wrong, right)) = kb.grammar_correction(&draft.hits()) {
-        if !rng.gen_bool(p) {
+        if !rng.gen_bool(p) || !draft.edit(|text| normalize::replace_folded(text, wrong, right)) {
             break;
         }
-        let Some(range) = normalize::find_folded(&draft.text, wrong) else {
-            break;
-        };
-        let mut fixed = std::mem::take(&mut draft.text);
-        fixed.replace_range(range, right);
-        draft.set(fixed);
         tags.push(RepairTag::Grammar);
     }
     tags

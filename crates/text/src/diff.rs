@@ -192,14 +192,6 @@ pub fn diff_tokens<T: PartialEq>(a: &[T], b: &[T]) -> EditScript {
     EditScript { ops }
 }
 
-/// Convenience: edit script between the word sequences of two strings.
-pub fn diff_words<'a>(a: &'a str, b: &'a str) -> (Vec<&'a str>, Vec<&'a str>, EditScript) {
-    let wa = crate::token::words(a);
-    let wb = crate::token::words(b);
-    let script = diff_tokens(&wa, &wb);
-    (wa, wb, script)
-}
-
 #[cfg(test)]
 mod tests {
     use super::*;
@@ -337,14 +329,6 @@ mod tests {
         let s = script("a b c d", "a X c d e");
         let chunks: Vec<_> = s.changes().collect();
         assert_eq!(chunks, vec![(1..2, 1..2), (4..4, 4..5)]);
-    }
-
-    #[test]
-    fn diff_words_uses_canonical_tokens() {
-        let (wa, wb, s) = diff_words("Fix it.", "Fix it now.");
-        assert_eq!(wa, vec!["Fix", "it", "."]);
-        assert_eq!(wb, vec!["Fix", "it", "now", "."]);
-        assert_eq!(s.change_weight(), 1);
     }
 
     #[test]

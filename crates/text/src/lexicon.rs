@@ -1210,8 +1210,37 @@ mod tests {
         texts
     }
 
+    /// Each of `phrases`, whose owner bits start at `at`, that `hits`
+    /// reports.
+    fn reported(
+        hits: &LexiconHits,
+        at: u32,
+        phrases: impl IntoIterator<Item = &'static str>,
+    ) -> Vec<&'static str> {
+        phrases
+            .into_iter()
+            .enumerate()
+            .filter(|&(i, _)| (hits.lists >> (at + i as u32)) & 1 == 1)
+            .map(|(_, phrase)| phrase)
+            .collect()
+    }
+
+    /// A repair edits the span `find_folded` finds for a reported phrase,
+    /// and a repair loop ends when there is none: every phrase the walk
+    /// reports must have one. Returns how many phrases were checked.
+    fn assert_spans(text: &str, phrases: &[&str]) -> usize {
+        for phrase in phrases {
+            assert!(
+                crate::normalize::find_folded(text, phrase).is_some(),
+                "no span for {phrase:?} in {text:?}"
+            );
+        }
+        phrases.len()
+    }
+
     #[test]
     fn lexicon_hits_match_the_first_marker_reference() {
+        let mut spans = 0;
         for text in &marker_texts("lexicon_hits_match_the_first_marker_reference") {
             let folded = fold_case(text);
             let hits = LexiconHits::of_folded(&folded);
@@ -1220,6 +1249,8 @@ mod tests {
                 let want = reference::find_marker(text, list.markers());
                 assert_eq!(hits.first_marker(list), want, "{list:?} in {text:?}");
                 assert_eq!(hits.has_marker(list), want.is_some());
+                let markers = reported(&hits, list.offset(), list.markers().iter().copied());
+                spans += assert_spans(text, &markers);
             }
             assert_eq!(
                 hits.has_example(),
@@ -1227,6 +1258,7 @@ mod tests {
                 "{text:?}"
             );
         }
+        assert!(spans > 0, "no text held a marker");
     }
 
     #[test]
@@ -1242,6 +1274,10 @@ mod tests {
             let joined = words.join(" ");
             for text in [text, &joined] {
                 let hits = LexiconHits::of(text);
+                let grammar_forms = reported(&hits, GRAMMAR_BIT, GRAMMAR_PAIRS.iter().map(|p| p.0));
+                let wrong_values = reported(&hits, WRONG_BIT, FACT_TABLE.iter().map(|f| f.2));
+                assert_spans(text, &grammar_forms);
+                assert_spans(text, &wrong_values);
                 for known in 0..=GRAMMAR_PAIRS.len() {
                     assert_eq!(
                         hits.first_grammar(known),
@@ -1316,6 +1352,20 @@ mod tests {
             LexiconHits::of("For Example, consider this").first_marker(MarkerList::Context),
             Some("for example")
         );
+    }
+
+    /// A repair that puts a right form in place of its wrong form must not
+    /// leave the wrong form behind, or a loop that repairs until no span is
+    /// left would not end.
+    #[test]
+    fn right_forms_do_not_contain_their_wrong_forms() {
+        let facts = FACT_TABLE.iter().map(|&(_, right, wrong)| (wrong, right));
+        for (wrong, right) in GRAMMAR_PAIRS.iter().copied().chain(facts) {
+            assert!(
+                !fold_case(right).contains(&fold_case(wrong)),
+                "{right:?} contains {wrong:?}"
+            );
+        }
     }
 
     #[test]

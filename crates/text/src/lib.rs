@@ -19,7 +19,8 @@
 //!   Myers' bit-parallel algorithm over interned words.
 //! * [`diff`] — LCS-based edit scripts and word alignments.
 //! * [`ngram`] — n-gram iteration and counting.
-//! * [`normalize`] — whitespace/punctuation/case normalisation.
+//! * [`normalize`] — whitespace/punctuation/case normalisation, and the
+//!   span edit every repair of a lexicon hit makes.
 //! * [`clean`] — the paper's post-processing: invalid-character stripping and
 //!   repeated-string collapsing.
 //! * [`lexicon`] — the shared defect lexicons, matched in one automaton walk.

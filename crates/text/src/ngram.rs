@@ -27,21 +27,6 @@ pub fn ngrams<T>(items: &[T], n: usize) -> impl Iterator<Item = &[T]> {
     items.windows(n)
 }
 
-/// Counts of each distinct n-gram of length `n`.
-pub fn ngram_counts<T: Clone + Eq + Hash>(items: &[T], n: usize) -> FxHashMap<Vec<T>, u64> {
-    let mut map: FxHashMap<Vec<T>, u64> = FxHashMap::default();
-    for w in ngrams(items, n) {
-        // Lookup by slice first: repeat grams (the common case) never pay
-        // the `to_vec`.
-        if let Some(count) = map.get_mut(w) {
-            *count += 1;
-        } else {
-            map.insert(w.to_vec(), 1);
-        }
-    }
-    map
-}
-
 /// Seed of the rolling fingerprint (an odd 64-bit constant, so the empty
 /// gram maps to something other than zero).
 const FP_SEED: u64 = 0x9E37_79B9_7F4A_7C15;
@@ -224,15 +209,6 @@ mod tests {
         assert_eq!(ngrams(&v, 2).count(), 1);
         let empty: [i32; 0] = [];
         assert_eq!(ngrams(&empty, 1).count(), 0);
-    }
-
-    #[test]
-    fn counts_accumulate() {
-        let words = ["a", "b", "a", "b", "a"];
-        let c = ngram_counts(&words, 2);
-        assert_eq!(c[&vec!["a", "b"]], 2);
-        assert_eq!(c[&vec!["b", "a"]], 2);
-        assert_eq!(c.len(), 2);
     }
 
     #[test]

@@ -5,6 +5,16 @@
 //! punctuation spacing, and sentence-initial capitalisation. These routines
 //! are also the building blocks of the "Adjust" revision class in Table IV
 //! (68.1 % of instruction revisions are language/layout adjustments).
+//!
+//! Repairs edit raw text where detection matched folded text. Detection
+//! ([`LexiconHits`](crate::lexicon::LexiconHits)) ignores case, so a
+//! repair must find its phrase the same way: [`find_folded`] maps the
+//! first folded match back to a byte range of the raw text, and
+//! [`replace_folded`] edits that range. Every repair of a built-in-list
+//! hit, in the expert reviser, the coach and the strategy zoo, goes
+//! through [`replace_folded`] or [`remove_phrase`], which is built on it.
+//! Both return `None` when the phrase has no span, and every loop over
+//! hits stops there.
 
 use std::ops::Range;
 
@@ -156,19 +166,22 @@ pub fn find_folded(text: &str, needle: &str) -> Option<Range<usize>> {
     None
 }
 
-/// Removes the first case-insensitive occurrence of `phrase` from `text`
-/// and collapses the leftover whitespace; returns `text` unchanged when
-/// the phrase is absent.
-pub fn remove_phrase(text: &str, phrase: &str) -> String {
-    match find_folded(text, phrase) {
-        Some(range) => {
-            let mut out = String::with_capacity(text.len());
-            out.push_str(&text[..range.start]);
-            out.push_str(&text[range.end..]);
-            collapse_whitespace(&out)
-        }
-        None => text.to_string(),
-    }
+/// `text` with `with` in place of the span [`find_folded`] finds for
+/// `phrase`; `None` when there is no span.
+pub fn replace_folded(text: &str, phrase: &str, with: &str) -> Option<String> {
+    let range = find_folded(text, phrase)?;
+    let mut out = String::with_capacity(text.len() - range.len() + with.len());
+    out.push_str(&text[..range.start]);
+    out.push_str(with);
+    out.push_str(&text[range.end..]);
+    Some(out)
+}
+
+/// [`replace_folded`] with nothing, then [`collapse_whitespace`]: `text`
+/// without the first case-insensitive occurrence of `phrase`, or `None`
+/// when there is no span.
+pub fn remove_phrase(text: &str, phrase: &str) -> Option<String> {
+    replace_folded(text, phrase, "").map(|cut| collapse_whitespace(&cut))
 }
 
 /// Full layout normalisation: whitespace, punctuation spacing,
@@ -434,19 +447,40 @@ mod tests {
     }
 
     #[test]
+    fn replace_folded_edits_the_span_find_folded_finds() {
+        assert_eq!(
+            replace_folded("France is BERLIN, not berlin.", "Berlin", "Paris").as_deref(),
+            Some("France is Paris, not berlin.")
+        );
+        let text = "\u{212A}\u{212A} the gas COULD OF condensed";
+        assert_eq!(
+            replace_folded(text, "could of", "could have").as_deref(),
+            Some("\u{212A}\u{212A} the gas could have condensed")
+        );
+        // No whitespace collapse: only the span changes.
+        assert_eq!(
+            replace_folded("a  AS AN AI  b", "as an ai", "").as_deref(),
+            Some("a    b")
+        );
+        assert_eq!(replace_folded("no match", "could of", "x"), None);
+        assert_eq!(replace_folded("\u{130}", "i", "x"), None);
+    }
+
+    #[test]
     fn remove_phrase_cuts_the_original_text() {
         assert_eq!(
             remove_phrase(
                 "Do it Using Exactly Zero Words now",
                 "using exactly zero words"
-            ),
-            "Do it now"
+            )
+            .as_deref(),
+            Some("Do it now")
         );
         assert_eq!(
-            remove_phrase("\u{212A}é, for example, cooled", "for example,"),
-            "\u{212A}é, cooled"
+            remove_phrase("\u{212A}é, for example, cooled", "for example,").as_deref(),
+            Some("\u{212A}é, cooled")
         );
-        assert_eq!(remove_phrase("untouched text", "absent"), "untouched text");
+        assert_eq!(remove_phrase("untouched text", "absent"), None);
     }
 
     #[test]
