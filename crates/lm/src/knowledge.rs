@@ -88,6 +88,12 @@ impl KnowledgeBase {
         lexicon::typo_correction(word, self.take(lexicon::TYPO_PAIRS.len()))
     }
 
+    /// The typo pairs known at this coverage: those whose wrong form
+    /// [`typo_correction`](Self::typo_correction) corrects.
+    pub fn typos(&self) -> &'static [(&'static str, &'static str)] {
+        &lexicon::TYPO_PAIRS[..self.take(lexicon::TYPO_PAIRS.len())]
+    }
+
     /// Correction for a multi-word grammar error the walk of a text found
     /// (`hits`), as `(wrong, right)`, if known at this coverage.
     pub fn grammar_correction(&self, hits: &LexiconHits) -> Option<(&'static str, &'static str)> {

@@ -9,7 +9,7 @@
 //! paper observes when α grows past 0.3 (Fig 5a).
 
 use coachlm_text::diff::diff_tokens;
-use coachlm_text::fxhash::{FxHashMap, FxHashSet};
+use coachlm_text::fxhash::FxHashMap;
 use coachlm_text::lexicon::{self, LexiconHits, MarkerList};
 use coachlm_text::normalize::fold_case;
 use serde::{Deserialize, Serialize};
@@ -178,11 +178,6 @@ impl RuleSet {
         self.phrase.len()
     }
 
-    /// Looks up the replacement for a case-folded phrase.
-    pub fn phrase_replacement(&self, from: &[String]) -> Option<(&[String], u64)> {
-        self.phrase.get(from).map(|(to, c)| (to.as_slice(), *c))
-    }
-
     /// Phrase rules as [`RewriteRule`]s, sorted by source phrase so the
     /// listing is deterministic regardless of hash-map layout.
     pub fn phrase_rules(&self) -> Vec<RewriteRule> {
@@ -208,16 +203,29 @@ impl RuleSet {
             .map(|(texts, c)| (texts.as_slice(), *c))
     }
 
-    /// The decode index over this set's phrase rules: which words start a
-    /// rule, and the longest rule source. Built once per coach.
-    pub(crate) fn phrase_index(&self) -> PhraseIndex {
-        let mut index = PhraseIndex::default();
-        // lint: allow(D3, reason = "keys feed a set insert and a max, and neither depends on visit order")
-        for from in self.phrase.keys() {
-            if let Some(first) = from.first() {
-                index.first_words.insert(first.clone());
+    /// The decode index over this set's phrase rules and the typo pairs
+    /// `typos` a backbone knows. Built once per coach.
+    pub(crate) fn lexical_index(&self, typos: &[(&'static str, &'static str)]) -> LexicalIndex {
+        let mut index = LexicalIndex::default();
+        // lint: allow(D3, reason = "each entry feeds a keyed insert, a flag and a max, and none depends on visit order")
+        for (from, (to, _)) in self.phrase.iter() {
+            // A source word holding whitespace is no token's fold, so its
+            // rule never matches; leaving it out keeps keys one to one with
+            // the sources that can.
+            let Some(first) = from.first() else { continue };
+            if from.iter().any(|w| w.contains(char::is_whitespace)) {
+                continue;
             }
+            let key = from.join(" ");
+            let informative = key != to.join(" ").to_lowercase();
+            index.words.entry(first.clone()).or_default().starts_rule = true;
             index.max_from_len = index.max_from_len.max(from.len());
+            let to = to.clone();
+            index.phrases.insert(key, PhraseRule { to, informative });
+        }
+        for &(wrong, right) in typos {
+            let entry = index.words.entry(wrong.to_string()).or_default();
+            entry.typo_fix.get_or_insert(right);
         }
         index
     }
@@ -239,6 +247,11 @@ impl RuleSet {
 
 #[cfg(test)]
 impl RuleSet {
+    /// Looks up the replacement for a case-folded phrase.
+    pub(crate) fn phrase_replacement(&self, from: &[String]) -> Option<(&[String], u64)> {
+        self.phrase.get(from).map(|(to, c)| (to.as_slice(), *c))
+    }
+
     /// Adds the phrase rule `from → to` unless `from` already has one, as
     /// [`RuleSet::extract`] keeps the first replacement it sees.
     pub(crate) fn insert_phrase_rule(&mut self, from: Vec<String>, to: Vec<String>) {
@@ -251,20 +264,48 @@ impl RuleSet {
     }
 }
 
-/// What decoding needs to know about a [`RuleSet`]'s phrase rules to skip
-/// the windows no rule can match: a window can match only where its first
-/// word starts some rule. Derived by [`RuleSet::phrase_index`], never
-/// serialised.
+/// What the lexical pass looks a folded text up in, for one rule side and
+/// one backbone: each phrase rule keyed by its source words joined with
+/// single spaces, and for each word that starts a rule or is a typo form
+/// the backbone knows, both facts, so that each word is looked up once.
+/// Folded words hold no whitespace, so the join is one to one. Derived by
+/// [`RuleSet::lexical_index`], never serialised.
 #[derive(Debug, Default)]
-pub(crate) struct PhraseIndex {
-    first_words: FxHashSet<String>,
+pub(crate) struct LexicalIndex {
+    phrases: FxHashMap<String, PhraseRule>,
+    words: FxHashMap<String, WordEntry>,
     max_from_len: usize,
 }
 
-impl PhraseIndex {
-    /// Whether some phrase rule's source starts with the case-folded `word`.
-    pub(crate) fn starts_rule(&self, word: &str) -> bool {
-        self.first_words.contains(word)
+/// A phrase rule as decoding applies it.
+#[derive(Debug)]
+pub(crate) struct PhraseRule {
+    /// Replacement words (original casing).
+    pub(crate) to: Vec<String>,
+    /// Whether the replacement changes more than case: only such a rule
+    /// counts as a learned repair.
+    pub(crate) informative: bool,
+}
+
+/// What the lexical pass does at one folded word.
+#[derive(Debug, Clone, Copy, Default)]
+pub(crate) struct WordEntry {
+    /// Whether some phrase rule's source starts with the word.
+    pub(crate) starts_rule: bool,
+    /// The word's correction, if it is a typo form the backbone knows.
+    pub(crate) typo_fix: Option<&'static str>,
+}
+
+impl LexicalIndex {
+    /// What the pass does at the folded `word`.
+    pub(crate) fn word(&self, word: &str) -> WordEntry {
+        self.words.get(word).copied().unwrap_or_default()
+    }
+
+    /// The rule whose source is `window`, folded words joined with single
+    /// spaces.
+    pub(crate) fn phrase(&self, window: &str) -> Option<&PhraseRule> {
+        self.phrases.get(window)
     }
 
     /// Longest phrase-rule source length present (decoding scans windows up
@@ -406,9 +447,9 @@ mod tests {
     #[test]
     fn max_from_len_tracks_longest_rule() {
         let mut rs = RuleSet::new();
-        assert_eq!(rs.phrase_index().max_from_len(), 0);
+        assert_eq!(rs.lexical_index(&[]).max_from_len(), 0);
         rs.extract("you could of asked first", "you could have asked first");
-        assert!(rs.phrase_index().max_from_len() >= 1);
+        assert!(rs.lexical_index(&[]).max_from_len() >= 1);
     }
 
     #[test]

@@ -13,12 +13,14 @@
 use crate::adapter::Adapter;
 use crate::backbone::Backbone;
 use crate::knowledge::KnowledgeBase;
-use crate::rules::{AugmentKind, PhraseIndex, RuleSet};
+use crate::rules::{AugmentKind, LexicalIndex};
 use coachlm_text::lexicon::{LexiconHits, MarkerList, Topic};
 use coachlm_text::normalize;
+use coachlm_text::token::{self, TokenKind};
 use rand::Rng;
 use serde::{Deserialize, Serialize};
 use std::cmp::Ordering;
+use std::ops::Range;
 
 /// What kind of repair was applied at a site.
 #[derive(Debug, Clone, Copy, PartialEq, Eq, Hash, Serialize, Deserialize)]
@@ -129,20 +131,23 @@ const THIN_RESPONSE_WORDS: usize = 60;
 
 /// What decoding reads from a `(backbone, adapter)` pair that never
 /// changes once the adapter is trained: the learned expansion sentences,
-/// ranked by the backbone's fluency, and for each rule side the words
-/// that start a phrase rule. A coach builds these once, when it is
-/// trained or decoded from bytes; they are derived, never serialised.
+/// ranked by the backbone's fluency, and for each rule side the phrase
+/// rules keyed by their folded source, with the words that start a rule
+/// or are typo forms the backbone knows. A coach builds these once, when
+/// it is trained or decoded from bytes; they are derived, never
+/// serialised.
 #[derive(Debug)]
 pub struct DecodeTables {
     /// Learned `ExpandResponse` sentences in rank order.
     expansions: Vec<RankedSentence>,
-    instruction_index: PhraseIndex,
-    response_index: PhraseIndex,
+    instruction_index: LexicalIndex,
+    response_index: LexicalIndex,
 }
 
 impl DecodeTables {
     /// Ranks the adapter's learned expansion sentences with the backbone's
-    /// n-gram fluency and indexes both rule sides.
+    /// n-gram fluency and indexes both rule sides with the backbone's
+    /// typo knowledge.
     pub fn new(backbone: &Backbone, adapter: &Adapter) -> Self {
         let learned = adapter
             .response_rules
@@ -155,10 +160,11 @@ impl DecodeTables {
             .map(|text| RankedSentence::new(backbone.lm().fluency(text), text.clone()))
             .collect();
         expansions.sort_by(RankedSentence::rank);
+        let typos = backbone.knowledge().typos();
         Self {
             expansions,
-            instruction_index: adapter.instruction_rules.phrase_index(),
-            response_index: adapter.response_rules.phrase_index(),
+            instruction_index: adapter.instruction_rules.lexical_index(typos),
+            response_index: adapter.response_rules.lexical_index(typos),
         }
     }
 }
@@ -191,17 +197,26 @@ impl RankedSentence {
     }
 }
 
-/// Whether a sentence carries the expert bar's concrete-example marker.
+/// Whether a sentence carries the expert bar's concrete-example marker:
+/// whether its fold holds "for example", found without folding. Only the
+/// Kelvin sign and `İ` fold to ASCII (`k`, and `i` before a combining
+/// dot), and neither letter is in the marker, so a match in the fold is a
+/// match of ASCII bytes ignoring case.
 fn has_example(text: &str) -> bool {
-    normalize::fold_case(text).contains("for example")
+    const MARKER: &[u8] = b"for example";
+    text.as_bytes()
+        .windows(MARKER.len())
+        .any(|w| w.eq_ignore_ascii_case(MARKER))
 }
 
 /// One side's text under revision and what of the lexicon it holds: the
 /// text is walked on the first check after each repair, so every check on
-/// one version of the text reads one walk.
+/// one version of the text reads one walk. The lexical pass, which
+/// tokenises the text, leaves its word count here for the expansion check.
 struct Draft {
     text: String,
     hits: Option<LexiconHits>,
+    word_count: Option<usize>,
 }
 
 impl Draft {
@@ -209,6 +224,7 @@ impl Draft {
         Self {
             text: text.to_string(),
             hits: None,
+            word_count: None,
         }
     }
 
@@ -217,10 +233,18 @@ impl Draft {
         *self.hits.get_or_insert_with(|| LexiconHits::of(&self.text))
     }
 
+    /// `token::word_count` of the text as it stands.
+    fn word_count(&mut self) -> usize {
+        *self
+            .word_count
+            .get_or_insert_with(|| token::word_count(&self.text))
+    }
+
     /// Replaces the text with a repaired one.
     fn set(&mut self, text: String) {
         self.text = text;
         self.hits = None;
+        self.word_count = None;
     }
 
     /// Adopts the text `repair` returns for the text as it stands;
@@ -385,7 +409,6 @@ impl<'a> Transducer<'a> {
             rng,
             p,
             kb,
-            &self.adapter.instruction_rules,
             &self.tables.instruction_index,
             &mut draft,
         ));
@@ -483,7 +506,6 @@ impl<'a> Transducer<'a> {
             rng,
             p,
             kb,
-            &self.adapter.response_rules,
             &self.tables.response_index,
             &mut draft,
         ));
@@ -501,7 +523,7 @@ impl<'a> Transducer<'a> {
         // CoachLM learned the expert bar (reasoning + example + ≥55 words),
         // so it expands anything below it — which is why Table VII's revised
         // responses average 3× the original length.
-        let word_count = coachlm_text::token::word_count(&draft.text);
+        let word_count = draft.word_count();
         let hits = draft.hits();
         let thin = word_count < THIN_RESPONSE_WORDS;
         // Expansion fires slightly less reliably than lexical repairs —
@@ -514,7 +536,13 @@ impl<'a> Transducer<'a> {
             // revised-length average, plus reasoning/example markers.
             let deficit = 90usize.saturating_sub(word_count);
             let sentences = (deficit / 13).clamp(2, 7);
-            let addition = self.compose_on_topic_avoiding(rng, topic_word, sentences, &draft.text);
+            let addition = self.compose_on_topic_avoiding(
+                rng,
+                topic_word,
+                sentences,
+                &draft.text,
+                hits.has_example(),
+            );
             if !addition.is_empty() {
                 draft.set(format!(
                     "{} {}",
@@ -559,11 +587,13 @@ impl<'a> Transducer<'a> {
     /// material, preferring learned augment texts, scored for fluency by
     /// the backbone.
     fn compose_on_topic<R: Rng>(&self, rng: &mut R, topic: Option<&str>, n: usize) -> String {
-        self.compose_on_topic_avoiding(rng, topic, n, "")
+        self.compose_on_topic_avoiding(rng, topic, n, "", false)
     }
 
     /// Like [`Self::compose_on_topic`], but skips sentences already present
     /// in `avoid` (prevents duplicate expansions after a rewrite).
+    /// `avoid_has_example` is whether the fold of `avoid` holds "for
+    /// example", which the caller's lexicon walk of it has found.
     ///
     /// The learned sentences were ranked when the coach was built; only the
     /// filled templates are scored here, and the two lists are merged
@@ -576,6 +606,7 @@ impl<'a> Transducer<'a> {
         topic: Option<&str>,
         n: usize,
         avoid: &str,
+        avoid_has_example: bool,
     ) -> String {
         let topic_word = topic.unwrap_or("the topic");
         let mut filled: Vec<RankedSentence> = self
@@ -615,7 +646,7 @@ impl<'a> Transducer<'a> {
             .collect();
         // The expert bar includes a concrete example; make sure one of the
         // picked sentences carries the marker when the pool has one.
-        if !picked.iter().any(|s| s.has_example) && !avoid.to_lowercase().contains("for example") {
+        if !picked.iter().any(|s| s.has_example) && !avoid_has_example {
             let example = head
                 .iter()
                 .copied()
@@ -683,41 +714,113 @@ fn choose_augment<'a, R: Rng>(
     }
 }
 
+/// A text's tokens for the lexical pass, from one tokenisation: each
+/// token's span, and every token folded with [`normalize::fold_case`] into
+/// one buffer with one space between two, so that a window of tokens is
+/// one slice of the buffer, spelled as [`LexicalIndex`] keys rule sources.
+struct FoldedTokens<'t> {
+    text: &'t str,
+    /// Token `k`'s byte range in `text`, and where its fold ends in
+    /// `folded`.
+    spans: Vec<(Range<usize>, usize)>,
+    folded: String,
+    /// Word and number tokens: `token::word_count(text)`.
+    word_count: usize,
+}
+
+impl<'t> FoldedTokens<'t> {
+    fn new(text: &'t str) -> Self {
+        let mut tokens = FoldedTokens {
+            text,
+            spans: Vec::with_capacity(text.len() / 3 + 4),
+            folded: String::with_capacity(text.len() + text.len() / 4 + 4),
+            word_count: 0,
+        };
+        for token in token::tokens(text) {
+            if !tokens.spans.is_empty() {
+                tokens.folded.push(' ');
+            }
+            let raw = token.text(text);
+            if raw.is_ascii() {
+                let start = tokens.folded.len();
+                tokens.folded.push_str(raw);
+                tokens.folded[start..].make_ascii_lowercase();
+            } else {
+                // Unicode lowercasing depends on the surrounding text (a
+                // final sigma), so a non-ASCII token is folded on its own.
+                tokens.folded.push_str(&raw.to_lowercase());
+            }
+            tokens.word_count += usize::from(token.kind != TokenKind::Punct);
+            tokens.spans.push((token.span, tokens.folded.len()));
+        }
+        tokens
+    }
+
+    fn len(&self) -> usize {
+        self.spans.len()
+    }
+
+    /// Tokens `range`, a non-empty range, folded and joined with single
+    /// spaces.
+    fn folded(&self, range: Range<usize>) -> &str {
+        let start = match range.start {
+            0 => 0,
+            k => self.spans[k - 1].1 + 1,
+        };
+        &self.folded[start..self.spans[range.end - 1].1]
+    }
+
+    /// Tokens `range` as they stand in the text.
+    fn raw(&self, range: Range<usize>) -> impl Iterator<Item = &'t str> + '_ {
+        let text = self.text;
+        self.spans[range]
+            .iter()
+            .map(move |(span, _)| &text[span.clone()])
+    }
+}
+
 /// Lexical pass shared by both sides: learned phrase rules (longest match
 /// first), then backbone typo and grammar corrections, applied to `draft`;
-/// returns the repairs made. `index` is `rules.phrase_index()`, built once
-/// per coach.
+/// returns the repairs made. `index` is the side's [`LexicalIndex`] over
+/// the backbone's typo knowledge, built once per coach.
+///
+/// The text is tokenised and folded once ([`FoldedTokens`]), each token is
+/// looked up once, and a rule window is looked up as a slice of the fold.
+/// Output is built only once a rule fires, from the tokens before it and
+/// the replacements since; otherwise the draft keeps its text and learns
+/// its word count.
 fn apply_lexical<R: Rng>(
     rng: &mut R,
     p: f64,
     kb: &KnowledgeBase,
-    rules: &RuleSet,
-    index: &PhraseIndex,
+    index: &LexicalIndex,
     draft: &mut Draft,
 ) -> Vec<RepairTag> {
     let mut tags = Vec::new();
-    let words = coachlm_text::token::words(&draft.text);
-    // Each word is folded once; rule windows are slices of these.
-    let folded: Vec<String> = words.iter().map(|w| normalize::fold_case(w)).collect();
+    let tokens = FoldedTokens::new(&draft.text);
+    let n = tokens.len();
     let max_len = index.max_from_len().clamp(1, 5);
-    let mut out: Vec<&str> = Vec::with_capacity(words.len());
+    // Tokens `kept..i` are unchanged and not yet in `out`.
+    let mut out: Vec<&str> = Vec::new();
+    let mut kept = 0;
     let mut i = 0usize;
-    'outer: while i < words.len() {
+    'outer: while i < n {
+        let entry = index.word(tokens.folded(i..i + 1));
         // Longest-match learned rule. A window whose first word starts no
         // rule matches none, so only rule-starting words are tried.
-        let tries = if index.starts_rule(&folded[i]) {
-            max_len.min(words.len() - i)
+        let tries = if entry.starts_rule {
+            max_len.min(n - i)
         } else {
             0
         };
         for len in (1..=tries).rev() {
-            let window = &folded[i..i + len];
-            if let Some((to, _count)) = rules.phrase_replacement(window) {
+            if let Some(rule) = index.phrase(tokens.folded(i..i + len)) {
                 if rng.gen_bool(p) {
-                    let informative = window.join(" ") != to.join(" ").to_lowercase();
-                    out.extend(to.iter().map(String::as_str));
+                    out.extend(tokens.raw(kept..i));
+                    out.extend(rule.to.iter().map(String::as_str));
                     i += len;
-                    if informative {
+                    kept = i;
+                    if rule.informative {
                         tags.push(RepairTag::LearnedPhrase);
                     }
                     continue 'outer;
@@ -725,21 +828,25 @@ fn apply_lexical<R: Rng>(
             }
         }
         // Backbone typo knowledge.
-        if let Some(fix) = kb.typo_correction(&folded[i]) {
+        if let Some(fix) = entry.typo_fix {
             if rng.gen_bool(p) {
+                out.extend(tokens.raw(kept..i));
                 out.push(fix);
                 tags.push(RepairTag::Typo);
                 i += 1;
+                kept = i;
                 continue;
             }
         }
-        out.push(words[i]);
         i += 1;
     }
     // Only adopt the token-rebuilt text when a rule actually fired —
     // rebuilding normalises whitespace/newlines, which is the layout
     // pass's job, not this one's.
-    if !tags.is_empty() {
+    if tags.is_empty() {
+        draft.word_count = Some(tokens.word_count);
+    } else {
+        out.extend(tokens.raw(kept..n));
         draft.set(join_words(&out));
     }
     // Grammar phrases operate on the joined text.
@@ -776,6 +883,7 @@ mod tests {
     use super::*;
     use crate::adapter::AdapterConfig;
     use crate::backbone::BackboneKind;
+    use crate::rules::RuleSet;
     use rand::rngs::StdRng;
     use rand::SeedableRng;
 
@@ -1298,8 +1406,15 @@ mod tests {
                             let (mut a, mut b) =
                                 (StdRng::seed_from_u64(seed), StdRng::seed_from_u64(seed));
                             let topic_word = topic.first().map(String::as_str);
+                            let avoid_has_example = LexiconHits::of(avoid).has_example();
                             assert_eq!(
-                                transducer.compose_on_topic_avoiding(&mut a, topic_word, n, avoid),
+                                transducer.compose_on_topic_avoiding(
+                                    &mut a,
+                                    topic_word,
+                                    n,
+                                    avoid,
+                                    avoid_has_example
+                                ),
                                 reference_compose_on_topic_avoiding(
                                     backbone, &adapter, &mut b, &topic, n, avoid
                                 ),
@@ -1334,12 +1449,35 @@ mod tests {
     fn indexed_lexical_pass_matches_the_unindexed_reference() {
         use rand::RngCore;
         // Rule words share first words across lengths: "could" starts
-        // rules of one, two and three words.
-        const RULE_WORDS: &[&str] = &["could", "of", "teh", "alot", "very", "could", "the"];
-        const FILLER: &[&str] = &[
-            "Water", "rises", "and", ",", "falls", ".", "\n", "(", "it", ")",
+        // rules of one, two and three words. Rule sources are folded.
+        const RULE_WORDS: &[&str] = &[
+            "could", "of", "teh", "alot", "very", "could", "the", "straße", "σας",
         ];
-        let mut shared_first_word = 0;
+        // Words whose case mapping changes their length or depends on
+        // context: `İ` folds to two chars, the Kelvin sign to ASCII `k` (so
+        // "\u{212A}nowlege" folds to a typo form), `ß` upper-cases to "SS",
+        // and a sigma folds to its final form by position, so "Α.Σ" folds
+        // to "α.ς" as one text but to "α", ".", "σ" token by token.
+        const FILLER: &[&str] = &[
+            "Water",
+            "rises",
+            "and",
+            ",",
+            "falls",
+            ".",
+            "\n",
+            "(",
+            "it",
+            ")",
+            "İ",
+            "\u{212A}",
+            "\u{212A}nowlege",
+            "Straße",
+            "ΣΑΣ",
+            "Α.Σ",
+            "ς",
+        ];
+        let (mut shared_first_word, mut counted) = (0, 0);
         for case in 0..proptest::cases() {
             let mut gen =
                 proptest::case_rng("indexed_lexical_pass_matches_the_unindexed_reference", case);
@@ -1365,7 +1503,13 @@ mod tests {
                     .collect();
                 rules.insert_phrase_rule(from, to);
             }
-            let index = rules.phrase_index();
+            if gen.gen_bool(0.3) {
+                // A source word holding a space: no window ever matches it,
+                // though its words joined would spell a real window.
+                rules.insert_phrase_rule(vec!["could of".to_string()], vec!["X".to_string()]);
+            }
+            let kb = KnowledgeBase::with_coverage(gen.gen_range(0.0..=1.0));
+            let index = rules.lexical_index(kb.typos());
             let sources: Vec<String> = rules
                 .phrase_rules()
                 .iter()
@@ -1380,7 +1524,6 @@ mod tests {
                         && a.split(' ').count() != b.split(' ').count()
                 })
             }));
-            let kb = KnowledgeBase::with_coverage(gen.gen_range(0.0..=1.0));
             for _ in 0..8 {
                 let words: Vec<String> = (0..gen.gen_range(0..30))
                     .map(|_| {
@@ -1406,7 +1549,18 @@ mod tests {
                 let seed: u64 = gen.gen();
                 let (mut a, mut b) = (StdRng::seed_from_u64(seed), StdRng::seed_from_u64(seed));
                 let mut draft = Draft::new(&text);
-                let tags = apply_lexical(&mut a, p, &kb, &rules, &index, &mut draft);
+                let tags = apply_lexical(&mut a, p, &kb, &index, &mut draft);
+                // A count is kept only for the text the pass tokenised, and
+                // a pass that changes nothing keeps it.
+                if let Some(count) = draft.word_count {
+                    assert_eq!(
+                        count,
+                        token::word_count(&draft.text),
+                        "case {case}: {text:?}"
+                    );
+                    counted += 1;
+                }
+                assert!(!tags.is_empty() || draft.word_count.is_some());
                 assert_eq!(
                     (draft.text, tags),
                     reference_apply_lexical(&mut b, p, &kb, &rules, &text),
@@ -1420,5 +1574,6 @@ mod tests {
             }
         }
         assert!(shared_first_word > 0, "no two rules shared a first word");
+        assert!(counted > 0, "no pass kept its word count");
     }
 }

@@ -17,8 +17,10 @@
 //! marker list, grammar wrong form, fact subject and wrong value, "for
 //! example" and typo form, and then answers each list, each coverage prefix
 //! of the grammar pairs and facts, and the misspelling and fact-error
-//! counts by bit arithmetic. Single words go through hashed lookups:
-//! [`is_stopword`], [`typo_index`] and [`typo_correction`].
+//! counts by bit arithmetic. Single words go through one hashed lookup
+//! that classifies a folded word as a stopword, a typo form or neither:
+//! [`is_stopword`], [`typo_index`], [`typo_correction`] and the
+//! content-word scan read it.
 
 use crate::automaton::{Automaton, START};
 use crate::fxhash::{FxHashMap, FxHashSet};
@@ -517,13 +519,49 @@ impl BitOrAssign for Owners {
     }
 }
 
+/// What a folded word is to the lexicon. No typo form is a stopword.
+#[derive(Debug, Clone, Copy)]
+enum WordClass {
+    /// In [`STOPWORDS`].
+    Stopword,
+    /// [`TYPO_PAIRS`]' wrong form `index` (its first), with its correction
+    /// when that is a content word.
+    Typo {
+        index: usize,
+        content: Option<&'static str>,
+    },
+}
+
+impl WordClass {
+    /// The class of `folded`, a word folded with [`fold_case`], if any.
+    fn of(folded: &str) -> Option<WordClass> {
+        LOOKUPS.words.get(folded).copied()
+    }
+
+    fn typo_index(self) -> Option<usize> {
+        match self {
+            WordClass::Typo { index, .. } => Some(index),
+            WordClass::Stopword => None,
+        }
+    }
+}
+
+// The content-word scan skips an ASCII word shorter than three bytes
+// without a lookup: it is too short, and no typo form would correct it.
+const _: () = {
+    let mut i = 0;
+    while i < TYPO_PAIRS.len() {
+        assert!(TYPO_PAIRS[i].0.len() >= 3);
+        i += 1;
+    }
+};
+
 /// The lexicons as hashed lookups and one automaton, built on first use.
 /// Kernels only look the maps up and never iterate them, so no result
 /// depends on hash order.
 struct Lookups {
-    stopwords: FxHashSet<&'static str>,
-    /// Each typo form → its first index in [`TYPO_PAIRS`].
-    typos: FxHashMap<&'static str, usize>,
+    /// Each stopword and typo form → its class.
+    words: FxHashMap<&'static str, WordClass>,
     /// Every marker list, grammar wrong form, fact subject and fact wrong
     /// value, "for example", and each typo form at its first index, each
     /// folded on its own with [`fold_case`].
@@ -534,9 +572,16 @@ static LOOKUPS: LazyLock<Lookups> = LazyLock::new(Lookups::build);
 
 impl Lookups {
     fn build() -> Self {
-        let mut typos = FxHashMap::default();
-        for (i, (wrong, _)) in TYPO_PAIRS.iter().enumerate() {
-            typos.entry(*wrong).or_insert(i);
+        let mut words: FxHashMap<&'static str, WordClass> = STOPWORDS
+            .iter()
+            .map(|&stopword| (stopword, WordClass::Stopword))
+            .collect();
+        for (index, &(wrong, right)) in TYPO_PAIRS.iter().enumerate() {
+            if !matches!(words.get(wrong), Some(WordClass::Typo { .. })) {
+                let content = right.chars().count() >= 3 && !STOPWORDS.contains(&right);
+                let content = content.then_some(right);
+                words.insert(wrong, WordClass::Typo { index, content });
+            }
         }
         let list = |bit: u32| Owners {
             lists: 1 << bit,
@@ -557,7 +602,7 @@ impl Lookups {
         }
         patterns.push((fold_case("for example"), list(EXAMPLE_BIT)));
         for (i, (wrong, _)) in TYPO_PAIRS.iter().enumerate() {
-            if typos.get(wrong) == Some(&i) {
+            if words.get(wrong).and_then(|c| c.typo_index()) == Some(i) {
                 let owners = Owners {
                     lists: 0,
                     typos: 1 << i,
@@ -566,8 +611,7 @@ impl Lookups {
             }
         }
         Lookups {
-            stopwords: STOPWORDS.iter().copied().collect(),
-            typos,
+            words,
             automaton: Automaton::new(patterns.iter().map(|(p, owners)| (p.as_bytes(), *owners))),
         }
     }
@@ -707,11 +751,12 @@ fn is_lower_ascii(s: &str) -> bool {
 
 /// Returns `true` if `word` (case-folded) is a stopword.
 pub fn is_stopword(word: &str) -> bool {
-    if is_lower_ascii(word) {
-        LOOKUPS.stopwords.contains(word)
+    let class = if is_lower_ascii(word) {
+        WordClass::of(word)
     } else {
-        LOOKUPS.stopwords.contains(fold_case(word).as_str())
-    }
+        WordClass::of(&fold_case(word))
+    };
+    matches!(class, Some(WordClass::Stopword))
 }
 
 /// The longest ASCII word a content-word scan folds on the stack.
@@ -720,7 +765,8 @@ const STACK_WORD: usize = 64;
 /// Feeds `visit` every content word of `text` in order of appearance —
 /// case-folded, a known misspelling replaced by its correction, at least
 /// three characters, not a stopword — repeats included, until `visit`
-/// breaks.
+/// breaks. Each word is classified in the loop that folds it, with one
+/// lookup that tells a stopword from a typo form.
 fn scan_content_words<B>(
     text: &str,
     mut visit: impl FnMut(&str) -> ControlFlow<B>,
@@ -728,15 +774,19 @@ fn scan_content_words<B>(
     // An ASCII word folds into this buffer. A non-ASCII word is folded on
     // its own: Unicode lowercasing depends on the surrounding text (a final
     // sigma), so folding the whole text at once would change some words.
-    let mut ascii = [0u8; STACK_WORD];
+    let mut stack = [0u8; STACK_WORD];
     for tok in Tokens::new(text) {
         if tok.kind != TokenKind::Word {
             continue;
         }
         let word = tok.text(text);
+        let ascii = word.is_ascii();
+        if ascii && word.len() < 3 {
+            continue;
+        }
         let unicode;
-        let folded = match ascii.get_mut(..word.len()) {
-            Some(buf) if word.is_ascii() => {
+        let folded = match stack.get_mut(..word.len()) {
+            Some(buf) if ascii => {
                 buf.copy_from_slice(word.as_bytes());
                 buf.make_ascii_lowercase();
                 std::str::from_utf8(buf).unwrap_or_default()
@@ -746,10 +796,16 @@ fn scan_content_words<B>(
                 unicode.as_str()
             }
         };
-        let w = typo_correction(folded, TYPO_PAIRS.len()).unwrap_or(folded);
-        if w.chars().count() >= 3 && !is_stopword(w) {
-            visit(w)?;
-        }
+        let content = match WordClass::of(folded) {
+            // An ASCII word here has at least three bytes, so three chars.
+            None if ascii || folded.chars().count() >= 3 => folded,
+            Some(WordClass::Typo {
+                content: Some(right),
+                ..
+            }) => right,
+            _ => continue,
+        };
+        visit(content)?;
     }
     ControlFlow::Continue(())
 }
@@ -882,7 +938,7 @@ pub fn is_off_topic(instruction: &str, response: &str) -> bool {
 /// The index of `word` among [`TYPO_PAIRS`]' wrong forms (the first, if a
 /// form were listed twice).
 pub fn typo_index(word: &str) -> Option<usize> {
-    LOOKUPS.typos.get(word).copied()
+    WordClass::of(word).and_then(WordClass::typo_index)
 }
 
 /// Looks up the correction for a typo, if it is in the first
@@ -1001,7 +1057,10 @@ mod tests {
     /// Fragments aimed at the fast paths: stopwords and typo forms in every
     /// case, glued to punctuation, digits and UTF-8, and words whose fold
     /// depends on context (a final sigma) or lands on ASCII (the Kelvin
-    /// sign folds to `k`, so "\u{212A}ey" is the stopword "key").
+    /// sign folds to `k`, so "\u{212A}ey" is the stopword "key" and
+    /// "\u{212A}nowlege" the typo form "knowlege"); words of one, two and
+    /// three chars; typo forms joined into longer words by `-` or `'`; and words
+    /// either side of the 64-byte stack buffer, ASCII and not.
     const PIECES: &[&str] = &[
         "the",
         "The",
@@ -1041,6 +1100,18 @@ mod tests {
         "42",
         "x1",
         "ab",
+        "Ab",
+        "Sun",
+        "I",
+        "É",
+        "teh-based",
+        "TEH'S",
+        "alot-of",
+        "\u{212A}nowlege",
+        "WellWellWellWellWellWellWellWellWellWellWellWellWellWellWellWel",
+        "WellWellWellWellWellWellWellWellWellWellWellWellWellWellWellWell",
+        "WellWellWellWellWellWellWellWellWellWellWellWellWellWellWellWells",
+        "Straßenbahnhaltestellenverkehrsüberwachungsgesellschaftsvertretung",
         ",",
         ".",
         "!",
@@ -1102,6 +1173,14 @@ mod tests {
     #[test]
     fn content_words_match_the_reference() {
         let mut texts: Vec<String> = EDGES.iter().map(|t| t.to_string()).collect();
+        // Every typo form and every stopword, in two cases.
+        let listed: Vec<&str> = TYPO_PAIRS
+            .iter()
+            .map(|p| p.0)
+            .chain(STOPWORDS.iter().copied())
+            .collect();
+        texts.push(listed.join(" "));
+        texts.push(listed.join(" ").to_uppercase());
         for case in 0..proptest::cases() {
             let mut rng = proptest::case_rng("content_words_match_the_reference", case);
             let vocab = rng.gen_range(1..2000);

@@ -54,51 +54,22 @@ fn words_with_breaks(s: &str) -> impl Iterator<Item = (bool, &str)> {
 /// Capitalises the first alphabetic character of each sentence.
 pub fn capitalize_sentences(s: &str) -> String {
     let mut out = String::with_capacity(s.len());
-    let mut case = SentenceCase::default();
+    // Whether a sentence has started since the last terminator.
+    let mut started = false;
     for c in s.chars() {
-        case.push(&mut out, c);
-    }
-    out
-}
-
-/// [`capitalize_sentences`] one char at a time.
-#[derive(Default)]
-struct SentenceCase {
-    /// Whether a sentence has started since the last terminator.
-    started: bool,
-}
-
-impl SentenceCase {
-    /// Appends `c` to `out`, upper-cased if it starts a sentence.
-    fn push(&mut self, out: &mut String, c: char) {
-        if !self.started && c.is_alphabetic() {
+        if !started && c.is_alphabetic() {
             out.extend(c.to_uppercase());
-            self.started = true;
+            started = true;
         } else {
             if matches!(c, '.' | '!' | '?' | '\n') {
-                self.started = false;
+                started = false;
             } else if !c.is_whitespace() {
-                self.started = true;
+                started = true;
             }
             out.push(c);
         }
     }
-
-    /// [`push`](Self::push) for each byte of `run`, a run of ASCII letters
-    /// and digits: only its first char can start a sentence, and none
-    /// ends one.
-    fn push_alnum(&mut self, out: &mut String, run: &str) {
-        let Some(&first) = run.as_bytes().first() else {
-            return;
-        };
-        out.push(char::from(if self.started {
-            first
-        } else {
-            first.to_ascii_uppercase()
-        }));
-        out.push_str(&run[1..]);
-        self.started = true;
-    }
+    out
 }
 
 /// Ensures the text ends with terminal punctuation (appends `.` if the last
@@ -191,44 +162,77 @@ pub fn remove_phrase(text: &str, phrase: &str) -> Option<String> {
 /// unless whitespace, ASCII punctuation, a digit or the end follows (so a
 /// decimal point gets none).
 ///
-/// One pass over the words between whitespace runs, building only the
-/// returned `String`: the rules above and capitalisation apply within a
-/// word char by char, except that a run of ASCII letters and digits, which
-/// no rule changes past its first char, is copied whole.
+/// One pass over the bytes that copies what it keeps: each unchanged span
+/// goes into the returned `String` with one `push_str`, and the pass edits
+/// only where a rule changes something (a whitespace run that is not
+/// already its separator, a sentence's first letter that upper-casing
+/// changes, a missing space after punctuation, the end). Only a non-ASCII
+/// byte is decoded.
 pub fn normalize_layout(s: &str) -> String {
+    let bytes = s.as_bytes();
     let mut out = String::with_capacity(s.len() + 8);
-    let mut case = SentenceCase::default();
-    for (i, (newline, word)) in words_with_breaks(s).enumerate() {
-        let bytes = word.as_bytes();
-        if newline && i > 0 {
-            case.push(&mut out, '\n');
-        } else if i > 0 && !matches!(bytes[0], b',' | b'.' | b';' | b':' | b'!' | b'?') {
-            case.push(&mut out, ' ');
+    // `s[copied..i]` is kept text not yet pushed to `out`.
+    let mut copied = 0;
+    // Whether a sentence has started since the last terminator.
+    let mut started = false;
+    let mut i = 0;
+    while let Some((c, len)) = char_at(s, i) {
+        let at = i;
+        if c.is_whitespace() {
+            // A run becomes one `\n` if it holds one, else one space, and
+            // nothing at either end of the text or before `,.;:!?`.
+            let mut newline = false;
+            while let Some((c, len)) = char_at(s, i).filter(|(c, _)| c.is_whitespace()) {
+                newline |= c == '\n';
+                i += len;
+            }
+            let separator = if at == 0 || i == bytes.len() {
+                ""
+            } else if newline {
+                "\n"
+            } else if matches!(bytes[i], b',' | b'.' | b';' | b':' | b'!' | b'?') {
+                ""
+            } else {
+                " "
+            };
+            started &= !newline;
+            if &s[at..i] != separator {
+                out.push_str(&s[copied..at]);
+                out.push_str(separator);
+                copied = i;
+            }
+            continue;
         }
-        let mut k = 0;
-        while let Some((c, len)) = char_at(word, k) {
-            let run = bytes[k..]
+        i += len;
+        if c.is_ascii_alphanumeric() {
+            // Past its first byte, no rule changes a run of ASCII letters
+            // and digits.
+            i += bytes[i..]
                 .iter()
                 .take_while(|b| b.is_ascii_alphanumeric())
                 .count();
-            if run > 0 {
-                case.push_alnum(&mut out, &word[k..k + run]);
-                k += run;
-                continue;
+        }
+        if !started && c.is_alphabetic() {
+            if !c.to_uppercase().eq([c]) {
+                out.push_str(&s[copied..at]);
+                out.extend(c.to_uppercase());
+                copied = at + len;
             }
-            case.push(&mut out, c);
-            // Inside a word the next char is never whitespace; a byte of a
-            // non-ASCII char is neither ASCII punctuation nor a digit.
-            if matches!(c, ',' | '.' | ';' | '!' | '?')
-                && bytes
-                    .get(k + len)
-                    .is_some_and(|b| !b.is_ascii_punctuation() && !b.is_ascii_digit())
-            {
-                case.push(&mut out, ' ');
-            }
-            k += len;
+            started = true;
+            continue;
+        }
+        started = !matches!(c, '.' | '!' | '?');
+        if matches!(c, ',' | '.' | ';' | '!' | '?')
+            && char_at(s, i).is_some_and(|(next, _)| {
+                !next.is_whitespace() && !next.is_ascii_punctuation() && !next.is_ascii_digit()
+            })
+        {
+            out.push_str(&s[copied..i]);
+            out.push(' ');
+            copied = i;
         }
     }
+    out.push_str(&s[copied..]);
     terminate(&mut out);
     out
 }

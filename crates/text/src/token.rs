@@ -151,6 +151,12 @@ pub fn tokenize(s: &str) -> Vec<Token> {
     out
 }
 
+/// The [`Token`]s of `s` in order, produced lazily: [`tokenize`] without
+/// the `Vec`.
+pub fn tokens(s: &str) -> impl Iterator<Item = Token> + '_ {
+    Tokens::new(s)
+}
+
 /// The word tokens of `s` as string slices (punctuation included as tokens).
 ///
 /// This is the canonical "word sequence" used for word-level edit distance

@@ -11,10 +11,14 @@
 //! ```text
 //! COACHLM_BLESS=1 cargo test --test golden
 //! ```
+//!
+//! `decode_bytes_match_pinned_hashes` pins the trained coach's bytes and
+//! the outputs of the coach and the expert reviser as hash constants in
+//! this file; blessing does not touch them.
 
 use coachlm::core::coach::{CoachConfig, CoachLm};
 use coachlm::core::infer::revise_dataset;
-use coachlm::core::pipeline::compare_deployment;
+use coachlm::core::pipeline::{compare_deployment, trained_coach};
 use coachlm::data::generator::{generate, GeneratorConfig};
 use coachlm::data::pair::Dataset;
 use coachlm::expert::filter::preliminary_filter;
@@ -22,7 +26,11 @@ use coachlm::expert::pool::ExpertPool;
 use coachlm::expert::revision::ExpertReviser;
 use coachlm::judge::chatgpt::ChatGptRater;
 use coachlm::runtime::{ExecutorConfig, FaultPlan, RetryPolicy};
+use coachlm::text::fxhash::FxHasher;
+use rand::rngs::StdRng;
+use rand::{Rng, RngCore, SeedableRng};
 use serde::{Deserialize, Serialize};
+use std::hash::{Hash, Hasher};
 use std::path::PathBuf;
 use std::time::Duration;
 
@@ -153,4 +161,118 @@ fn metrics_match_golden_snapshot() {
         "fixed-seed metrics drifted from {}; if intentional, regenerate with COACHLM_BLESS=1",
         path.display()
     );
+}
+
+/// Words the non-ASCII input form inserts: an accented word, `ß`, which
+/// upper-cases to two letters, a final sigma, a dotted capital I whose
+/// fold is two chars, and the Kelvin sign, which folds to ASCII `k`.
+const NON_ASCII_WORDS: &[&str] = &["café", "Straße", "ΣΑΣ", "İ", "\u{212A}"];
+
+/// `text` with each space-separated word passed through `f`.
+fn map_words(text: &str, mut f: impl FnMut(&str) -> String) -> String {
+    text.split(' ').map(&mut f).collect::<Vec<_>>().join(" ")
+}
+
+fn title_case(word: &str) -> String {
+    let mut chars = word.chars();
+    chars.next().map_or_else(String::new, |first| {
+        first
+            .to_uppercase()
+            .chain(chars.flat_map(char::to_lowercase))
+            .collect()
+    })
+}
+
+/// Rewrites one text of a pair, drawing from the form's RNG.
+type Transform = fn(&str, &mut StdRng) -> String;
+
+/// The input forms the decode pin revises each pool under.
+const INPUT_FORMS: [(&str, Transform); 5] = [
+    ("as generated", |text, _| text.to_string()),
+    ("upper-cased", |text, _| text.to_uppercase()),
+    ("title-cased", |text, _| map_words(text, title_case)),
+    ("random case per word", |text, rng| {
+        map_words(text, |w| match rng.gen_range(0..3) {
+            0 => w.to_uppercase(),
+            1 => w.to_lowercase(),
+            _ => title_case(w),
+        })
+    }),
+    ("non-ASCII words inserted", |text, rng| {
+        map_words(text, |w| {
+            let word = NON_ASCII_WORDS[rng.gen_range(0..NON_ASCII_WORDS.len())];
+            match rng.gen_range(0..6) {
+                0 => format!("{w} {word}"),
+                1 => format!("{w}{word}"),
+                _ => w.to_string(),
+            }
+        })
+    }),
+];
+
+/// The bytes the coach and the expert reviser produce, pinned: the trained
+/// coach's encoding, and for each input form one hash over every
+/// `revise_pair` outcome (texts, repair labels, the degenerate flag and the
+/// next draw of the pair's RNG) and one over every `ExpertReviser::revise`
+/// record. A kernel rewrite that claims byte-identical output must leave
+/// all of them as they are.
+#[test]
+fn decode_bytes_match_pinned_hashes() {
+    const MODEL: u64 = 0x9ee2_383a_1bdb_8fbe;
+    const PINNED: [(&str, u64, u64); 5] = [
+        ("as generated", 0x9f0b_5d87_c5a6_8901, 0x5dad_a82f_6f56_ead1),
+        ("upper-cased", 0xe88b_d41f_cf6d_b57a, 0x0595_d7eb_c03c_cb06),
+        ("title-cased", 0x463e_d557_d28c_22dc, 0x5c11_7f53_59da_2a94),
+        (
+            "random case per word",
+            0xa3e1_07f4_d061_0131,
+            0x930f_55b0_945e_2a36,
+        ),
+        (
+            "non-ASCII words inserted",
+            0xc9ed_0ba9_c995_e30b,
+            0xbb08_2b34_9f24_54ce,
+        ),
+    ];
+    let coach = trained_coach(9, 400);
+    let mut model = FxHasher::default();
+    model.write(&coach.to_bytes());
+    let reviser = ExpertReviser::new(0xDEC0);
+    let pool = ExpertPool::paper_pool();
+    let (base, _) = generate(&GeneratorConfig::small(1000, 0xDEC0));
+    let mut got = Vec::new();
+    for (form, (name, transform)) in INPUT_FORMS.into_iter().enumerate() {
+        let mut case_rng = StdRng::seed_from_u64(form as u64);
+        let (mut decoded, mut revised) = (FxHasher::default(), FxHasher::default());
+        for original in &base.pairs {
+            let mut pair = original.clone();
+            pair.instruction = transform(&original.instruction, &mut case_rng);
+            pair.response = transform(&original.response, &mut case_rng);
+            let mut rng = StdRng::seed_from_u64(pair.id);
+            let out = coach.revise_pair(&mut rng, &pair.instruction, &pair.response);
+            out.instruction.hash(&mut decoded);
+            out.response.hash(&mut decoded);
+            for tag in &out.repairs {
+                tag.label().hash(&mut decoded);
+            }
+            out.repairs.len().hash(&mut decoded);
+            out.degenerate.hash(&mut decoded);
+            rng.next_u64().hash(&mut decoded);
+            match reviser.revise(&pool, &pair) {
+                Some(record) => {
+                    record.revised.instruction.hash(&mut revised);
+                    record.revised.response.hash(&mut revised);
+                    record.instruction_kind.hash(&mut revised);
+                    record.response_kind.hash(&mut revised);
+                    record.qc_iterations.hash(&mut revised);
+                    record.final_scores.instruction.to_bits().hash(&mut revised);
+                    record.final_scores.response.to_bits().hash(&mut revised);
+                }
+                None => revised.write_u8(0),
+            }
+        }
+        got.push((name, decoded.finish(), revised.finish()));
+    }
+    assert_eq!(model.finish(), MODEL, "trained_coach(9, 400) bytes changed");
+    assert_eq!(got, PINNED, "decode outputs changed");
 }

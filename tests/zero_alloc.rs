@@ -16,6 +16,7 @@ use std::cell::Cell;
 use std::hint::black_box;
 use std::sync::atomic::{AtomicU64, Ordering};
 
+use coachlm::core::pipeline::trained_coach;
 use coachlm::expert::filter::{detect_reason, FilterReason};
 use coachlm::judge::criteria::CriteriaEngine;
 use coachlm::lm::ngram_model::NgramLm;
@@ -26,6 +27,8 @@ use coachlm::text::lexicon::{is_off_topic, LexiconHits, MarkerList, Topic};
 use coachlm::text::normalize::normalize_layout;
 use coachlm::text::profile::TextProfile;
 use coachlm::text::token::word_count;
+use rand::rngs::StdRng;
+use rand::SeedableRng;
 
 /// Wraps the system allocator, counting every `alloc`/`realloc` call made
 /// by the thread currently inside [`allocations`].
@@ -229,7 +232,13 @@ fn hot_paths_allocate_nothing_after_warm_up() {
     assert!(allocs <= 1, "clean_output allocated {allocs} times");
     let (allocs, tidy) = allocations(|| normalize_layout(black_box(&text)));
     assert_eq!(tidy, text);
-    assert!(allocs <= 1, "normalize_layout allocated {allocs} times");
+    assert_eq!(allocs, 1, "normalize_layout allocated {allocs} times");
+    // Text it edits: lower-case sentence starts, a double space, a space
+    // before a comma and none after one, a run with a newline, no end.
+    let untidy = "water moves.  rivers flow ,fast.\n\n  heat lifts vapor";
+    let (allocs, tidy) = allocations(|| normalize_layout(black_box(untidy)));
+    assert_eq!(tidy, "Water moves. Rivers flow, fast.\nHeat lifts vapor.");
+    assert_eq!(allocs, 1, "normalize_layout allocated {allocs} times");
     let (allocs, validity) =
         allocations(|| clean::validate_pair(black_box(instruction), black_box(&text)));
     assert_eq!(validity, clean::Validity::Valid);
@@ -281,4 +290,31 @@ fn hot_paths_allocate_nothing_after_warm_up() {
     assert_eq!(ra, engine.analyze_response(instruction, &text));
     assert_eq!(rich, engine.response_richness(&text));
     assert_eq!(allocs, 0, "combining profiles allocated {allocs} times");
+
+    // --- the coach's decode ------------------------------------------------
+    // On a pair no repair applies to, revising costs the same allocations
+    // whatever the response's length: the lexical pass tokenises and folds
+    // into buffers sized once, not a `String` per word.
+    let coach = trained_coach(9, 400);
+    let instruction = "Explain how water moves through rivers, for example in spring.";
+    let revise = |words: usize| {
+        let response = format!(
+            "{} For example, rain fills rivers. I hope this helps.",
+            clean_text(words)
+        );
+        let mut rng = StdRng::seed_from_u64(1);
+        let (allocs, out) = allocations(|| {
+            coach.revise_pair(&mut rng, black_box(instruction), black_box(&response))
+        });
+        assert!(
+            out.repairs.is_empty() && !out.degenerate && out.response == response,
+            "{words} words: {out:?}"
+        );
+        allocs
+    };
+    let (short_allocs, long_allocs) = (revise(80), revise(400));
+    assert_eq!(
+        long_allocs, short_allocs,
+        "revise_pair allocated per response word"
+    );
 }
